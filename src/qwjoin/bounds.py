@@ -17,7 +17,7 @@ import numpy as np
 from .arith import nu2, reconstruct_rational
 from .errors import InconsistencyError
 from .graphs import WeightedGraph
-from .spectral import decompose, graph_matrix, join_params
+from .spectral import join_params, spectrum
 from .walk import alpha, in_T, transition_entries
 
 
@@ -132,7 +132,7 @@ def bound_sweep(
     if base is not None:
         structured = [j * base for j in range(1, int(t_max / base) + 1)]
     times = np.union1d(grid, np.asarray(structured))
-    decomp = decompose(graph_matrix(x, matrix))
+    decomp = spectrum(x, matrix)
     part = transition_entries(decomp, u, v, times)
     correction = alpha(params, times, matrix)
     if matrix == "laplacian":
@@ -190,7 +190,7 @@ def mimicry_sweep(
     if base is not None:
         lattice = [j * 2 * base for j in range(1, int(t_max / (2 * base)) + 1)]
     times = np.union1d(grid, np.asarray(lattice))
-    decomp = decompose(graph_matrix(x, matrix))
+    decomp = spectrum(x, matrix)
     projectors = np.stack(decomp.projectors)
     phases = np.exp(1j * np.outer(times, decomp.eigenvalues))
     part_block = np.einsum("tk,kuv->tuv", phases, projectors)

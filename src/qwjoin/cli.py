@@ -15,7 +15,7 @@ import re
 import sys
 from pathlib import Path
 
-from .errors import InconsistencyError, NumericError, PreconditionError
+from .errors import InconsistencyError, IntegerOverflowError, NumericError, PreconditionError
 from .graphio import AnalysisReport, load_graph, report_to_json
 from .graphs import (
     WeightedGraph,
@@ -25,11 +25,10 @@ from .graphs import (
     parse_iterated_spec,
 )
 from .spectral import (
-    decompose,
     eigenvalue_support,
-    graph_matrix,
     join_params,
     join_support,
+    spectrum,
 )
 from .transfer import (
     PSTCertificate,
@@ -137,19 +136,25 @@ def _maybe_write(args, kind: str, payload) -> None:
 
 def cmd_analyze(args) -> int:
     graph = _parse_graph_arg(args.graph or args.family)
+    if args.pair is not None:
+        u, v = args.pair
+        if u == v or not (0 <= u < graph.order and 0 <= v < graph.order):
+            raise ValueError(
+                f"--pair needs two distinct vertices in 0..{graph.order - 1}, got {u} {v}"
+            )
     matrix = args.matrix
-    decomp = decompose(graph_matrix(graph, matrix))
+    decomp = spectrum(graph, matrix)
     print(
         f"graph: order {graph.order}, {len(graph.edges)} edges, "
         f"{len(graph.loops)} loops, "
         f"{'connected' if is_connected(graph) else 'disconnected'}"
     )
     print(f"matrix: {matrix}")
-    spectrum = ", ".join(
+    eigenvalues = ", ".join(
         f"{_fmt(lam)} (x{mult})"
         for lam, mult in zip(decomp.eigenvalues, decomp.multiplicities)
     )
-    print(f"eigenvalues: {spectrum}")
+    print(f"eigenvalues: {eigenvalues}")
     print(f"all vertices periodic: {graph_periodic(graph, matrix)}")
     payload: dict = {
         "graph": graph,
@@ -285,7 +290,7 @@ def cmd_pst_search(args) -> int:
             if m % 2:
                 continue
             base = family("CP", m)
-            decomp = decompose(graph_matrix(base, args.matrix))
+            decomp = spectrum(base, args.matrix)
             antipodal = pst_certificate(decomp, 0, m // 2)
             cone = join_pst(base, family("O", 2), m, m + 1, matrix=args.matrix)
             if cone.pst or antipodal.pst or args.all:
@@ -443,7 +448,7 @@ def main(argv=None) -> int:
             if (args.right or args.self_count) and not args.left:
                 raise ValueError("--left is required for this mode")
         return args.func(args)
-    except (PreconditionError, ValueError) as exc:
+    except (PreconditionError, ValueError, IntegerOverflowError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 2
     except (InconsistencyError, NumericError) as exc:

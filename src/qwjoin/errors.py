@@ -20,7 +20,10 @@ class InconsistencyError(RuntimeError):
 
 
 class NumericError(RuntimeError):
-    """The eigensolver failed to converge; the offending matrix is echoed."""
+    """The eigensolver (LAPACK, through numpy) failed; the matrix is echoed.
+
+    The CLI maps this to exit code 3.
+    """
 
 
 class IntegerOverflowError(OverflowError):

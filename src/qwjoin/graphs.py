@@ -12,7 +12,8 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -58,23 +59,33 @@ def _normalize_loops(order: int, loops) -> dict[int, float]:
     return out
 
 
-@dataclass
 class WeightedGraph:
-    """An undirected weighted graph with optional loops."""
+    """An undirected weighted graph with optional loops; immutable.
 
-    order: int
-    edges: dict[tuple[int, int], float] = field(default_factory=dict)
-    loops: dict[int, float] = field(default_factory=dict)
-    provenance: tuple | None = field(default=None, compare=False, repr=False)
+    edges and loops are read-only mappings. The adjacency and Laplacian
+    matrices and the degree vector are built on first use and cached on the
+    graph as read-only arrays; spectral.spectrum caches decompositions the
+    same way.
+    """
+
+    __slots__ = ("order", "edges", "loops", "provenance", "_cache")
 
     def __init__(self, order: int, edges=(), loops=(), provenance=None):
         order = int(order)
         if order < 1:
             raise ValueError("a graph needs at least one vertex")
-        self.order = order
-        self.edges = _normalize_edges(order, edges)
-        self.loops = _normalize_loops(order, loops)
-        self.provenance = provenance
+        init = object.__setattr__
+        init(self, "order", order)
+        init(self, "edges", MappingProxyType(_normalize_edges(order, edges)))
+        init(self, "loops", MappingProxyType(_normalize_loops(order, loops)))
+        init(self, "provenance", provenance)
+        init(self, "_cache", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"WeightedGraph is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"WeightedGraph is immutable; cannot delete {name!r}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedGraph):
@@ -91,6 +102,12 @@ class WeightedGraph:
             f"loops={len(self.loops)})"
         )
 
+    def cached(self, key, build):
+        """build(), computed on the first call for key and kept on this graph."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     def weight(self, u: int, v: int) -> float:
         if u == v:
             return self.loops.get(u, 0.0)
@@ -99,27 +116,46 @@ class WeightedGraph:
 
     def degree(self, u: int) -> float:
         """Weighted degree: twice the loop weight plus incident edge weights."""
-        total = 2.0 * self.loops.get(u, 0.0)
-        for (a, b), w in self.edges.items():
-            if a == u or b == u:
-                total += w
-        return total
+        if not 0 <= u < self.order:
+            raise ValueError(f"vertex {u} out of range for order {self.order}")
+        return float(self.degrees()[u])
+
+    def degrees(self) -> np.ndarray:
+        """All weighted degrees, as a read-only vector."""
+
+        def build():
+            a = self.adjacency()
+            return _read_only(a.sum(axis=1) + np.diag(a))
+
+        return self.cached("degrees", build)
 
     def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.order, self.order))
-        for (u, v), w in self.edges.items():
-            a[u, v] = a[v, u] = w
-        for v, w in self.loops.items():
-            a[v, v] = w
-        return a
+        """The adjacency matrix, as a read-only array."""
+
+        def build():
+            a = np.zeros((self.order, self.order))
+            for (u, v), w in self.edges.items():
+                a[u, v] = a[v, u] = w
+            for v, w in self.loops.items():
+                a[v, v] = w
+            return _read_only(a)
+
+        return self.cached("adjacency", build)
 
     def laplacian(self) -> np.ndarray:
+        """The Laplacian matrix of a simple graph, as a read-only array."""
         if self.loops:
             raise PreconditionError(
                 "the Laplacian is defined here for simple graphs only"
             )
-        a = self.adjacency()
-        return np.diag(a.sum(axis=1)) - a
+        return self.cached(
+            "laplacian", lambda: _read_only(np.diag(self.degrees()) - self.adjacency())
+        )
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def is_simple(graph: WeightedGraph) -> bool:

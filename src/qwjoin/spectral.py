@@ -1,9 +1,9 @@
 """Spectral decompositions and eigenvalue supports.
 
-The eigensolver is a cyclic Jacobi iteration, which keeps every step an
-orthogonal similarity and makes the projector algebra easy to trust. Repeated
+The eigensolver is LAPACK's symmetric solver (numpy.linalg.eigh). Repeated
 eigenvalues are grouped by gap so each distinct eigenvalue gets a single
-orthogonal projector.
+orthogonal projector. spectrum() decomposes a graph's matrix once and caches
+the result on the (immutable) graph.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import numpy as np
 from .errors import NumericError, PreconditionError
 from .graphs import Connective, IteratedJoinSpec, WeightedGraph, is_connected, is_regular
 
-_MAX_SWEEPS = 100
-_CONVERGENCE_REL = 1e-12
 _GROUP_GAP_REL = 1e-7
 SUPPORT_TOL = 1e-8
 
@@ -30,63 +28,13 @@ def graph_matrix(graph: WeightedGraph, kind: str) -> np.ndarray:
     raise ValueError(f"unknown matrix kind {kind!r}")
 
 
-def _off_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
-def _jacobi(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize a symmetric matrix; returns (eigenvalues, eigenvectors)."""
-    a = matrix.astype(float, copy=True)
-    n = a.shape[0]
-    vecs = np.eye(n)
-    fro = float(np.linalg.norm(a))
-    if fro == 0.0 or n == 1:
-        return np.diag(a).copy(), vecs
-    thresh = _CONVERGENCE_REL * fro
-    for _ in range(_MAX_SWEEPS):
-        if _off_norm(a) < thresh:
-            return np.diag(a).copy(), vecs
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e150:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(theta * theta + 1.0)
-                    )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                app, aqq = a[p, p], a[q, q]
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-                col_p = vecs[:, p].copy()
-                col_q = vecs[:, q].copy()
-                vecs[:, p] = c * col_p - s * col_q
-                vecs[:, q] = s * col_p + c * col_q
-    if _off_norm(a) < thresh:
-        return np.diag(a).copy(), vecs
-    raise NumericError(
-        "Jacobi iteration failed to converge on\n" + np.array2string(matrix)
-    )
-
-
-@dataclass
+@dataclass(frozen=True)
 class SpectralDecomposition:
-    """Distinct eigenvalues (descending) with their orthogonal projectors."""
+    """Distinct eigenvalues (descending) with their orthogonal projectors.
+
+    The matrix and the projectors are read-only arrays, because spectrum()
+    hands one cached decomposition to every caller.
+    """
 
     matrix: np.ndarray
     eigenvalues: list[float]
@@ -118,10 +66,13 @@ def decompose(matrix: np.ndarray) -> SpectralDecomposition:
     if float(np.abs(mat - mat.T).max()) > 1e-10 * scale:
         raise ValueError("decompose expects a symmetric matrix")
     mat = (mat + mat.T) / 2.0
-    raw_vals, raw_vecs = _jacobi(mat)
-    order = np.argsort(-raw_vals)
-    raw_vals = raw_vals[order]
-    raw_vecs = raw_vecs[:, order]
+    try:
+        raw_vals, raw_vecs = np.linalg.eigh(mat)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(
+            f"the eigensolver failed ({exc}) on\n" + np.array2string(mat)
+        ) from exc
+    raw_vals, raw_vecs = raw_vals[::-1], raw_vecs[:, ::-1]
     gap = _GROUP_GAP_REL * scale
     eigenvalues: list[float] = []
     multiplicities: list[int] = []
@@ -134,7 +85,18 @@ def decompose(matrix: np.ndarray) -> SpectralDecomposition:
             multiplicities.append(i - start)
             projectors.append(block @ block.T)
             start = i
+    for array in (mat, *projectors):
+        array.flags.writeable = False
     return SpectralDecomposition(mat, eigenvalues, multiplicities, projectors)
+
+
+def spectrum(graph: WeightedGraph, kind: str) -> SpectralDecomposition:
+    """The decomposition of a graph's adjacency or Laplacian matrix.
+
+    It is computed on the first call for each kind and cached on the graph,
+    so each (graph, matrix) pair is decomposed once.
+    """
+    return graph.cached(("spectrum", kind), lambda: decompose(graph_matrix(graph, kind)))
 
 
 def eigenvalue_support(
@@ -241,7 +203,7 @@ def join_support(
         raise ValueError(f"unknown side {side!r}")
     if not 0 <= u < x.order:
         raise ValueError(f"vertex {u} out of range for the left part")
-    own = eigenvalue_support(decompose(graph_matrix(x, matrix)), u, tol=tol)
+    own = eigenvalue_support(spectrum(x, matrix), u, tol=tol)
     m, n = x.order, y.order
     connected = is_connected(x)
     if matrix == "laplacian":
@@ -261,49 +223,6 @@ def join_support(
 # ---------------------------------------------------------------------------
 # iterated joins
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IteratedJoinSupportParams:
-    """Exact partial sums describing where an iterated join shifts spectra.
-
-    orders holds the part orders m_1..m_N and j marks the part under study.
-    alpha(h) is the total order of the first h parts; beta(h) adds the later
-    parts whose index has the parity of h, which is exactly the join weight a
-    part at depth h keeps absorbing as the construction continues.
-    """
-
-    orders: tuple[int, ...]
-    j: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.j <= len(self.orders):
-            raise ValueError("part index out of range")
-        if any(m < 1 for m in self.orders):
-            raise ValueError("part orders must be positive")
-
-    def alpha(self, h: int) -> int:
-        if not 0 <= h <= len(self.orders):
-            raise ValueError("alpha index out of range")
-        return sum(self.orders[:h])
-
-    def beta(self, h: int) -> int:
-        if not 0 <= h <= len(self.orders):
-            raise ValueError("beta index out of range")
-        return sum(self.orders[ell - 1] for ell in range(h + 2, len(self.orders) + 1, 2))
-
-    def gamma(self, h: int) -> int:
-        if self.j % 2 == 0:
-            raise ValueError("gamma applies when the studied part index is odd")
-        return self.alpha(h) + self.beta(h) - self.alpha(self.j) - self.beta(self.j - 1)
-
-    def delta(self, h: int) -> int:
-        if self.j % 2 == 1:
-            raise ValueError("delta applies when the studied part index is even")
-        return self.alpha(h) + self.beta(h) - self.alpha(self.j - 1) - self.beta(self.j)
-
-    def phi(self, h: int) -> int:
-        return self.alpha(h + 1) + self.beta(h) - self.beta(1)
 
 
 def iterated_join_support(
@@ -333,7 +252,7 @@ def iterated_join_support(
     if not 0 <= u < part.order:
         raise ValueError(f"vertex {u} out of range for part {j}")
 
-    own = eigenvalue_support(decompose(part.laplacian()), u, tol=tol)
+    own = eigenvalue_support(spectrum(part, "laplacian"), u, tol=tol)
     acc_order = parts[0][0].order
     acc_connected = is_connected(parts[0][0])
     if j == 1:

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -45,10 +43,10 @@ from .spectral import (
     SpectralDecomposition,
     _contains,
     _merge_close,
-    decompose,
     eigenvalue_support,
     graph_matrix,
     join_params,
+    spectrum,
 )
 from .walk import transition_entries, unitary_exp
 
@@ -254,7 +252,7 @@ def join_strong_cospectral(
     if matrix == "laplacian":
         if isolated_pair:
             return SupportPartition([float(n + 2), 0.0], [float(n)])
-        part = strong_cospectral(decompose(x.laplacian()), u, v, tol=tol)
+        part = strong_cospectral(spectrum(x, "laplacian"), u, v, tol=tol)
         if part is None or _contains(part.minus, float(m), tol):
             return None
         plus = [lam + n for lam in part.plus if abs(lam) > tol]
@@ -266,7 +264,7 @@ def join_strong_cospectral(
     k = float(params.k)  # type: ignore[arg-type]
     if isolated_pair:
         return SupportPartition([params.lam_plus, params.lam_minus], [k])
-    part = strong_cospectral(decompose(x.adjacency()), u, v, tol=tol)
+    part = strong_cospectral(spectrum(x, "adjacency"), u, v, tol=tol)
     if part is None or _contains(part.minus, params.lam_minus, tol):
         return None
     plus = [lam for lam in part.plus if not _close(lam, k, tol)]
@@ -434,7 +432,7 @@ def graph_periodic(graph: WeightedGraph, matrix: str = "laplacian") -> bool:
     characteristic polynomial has integer coefficients is periodic exactly
     when its spectrum is integral, so the per-vertex scan is skipped there.
     """
-    decomp = decompose(graph_matrix(graph, matrix))
+    decomp = spectrum(graph, matrix)
     if _as_int_list(decomp.eigenvalues) is not None:
         return True
     if (
@@ -658,7 +656,7 @@ def join_period_ratio(
     m, n = params.m, params.n
     if not 0 <= u < x.order:
         raise ValueError("vertex out of range for the part")
-    decomp = decompose(graph_matrix(x, matrix))
+    decomp = spectrum(x, matrix)
     support = eigenvalue_support(decomp, u)
     connected = is_connected(x)
     if matrix == "laplacian":
@@ -872,7 +870,7 @@ def _join_pst_laplacian(
     x: WeightedGraph, y: WeightedGraph, u: int, v: int, m: int, n: int
 ) -> PSTCertificate:
     details: dict = {}
-    part_decomp = decompose(x.laplacian())
+    part_decomp = spectrum(x, "laplacian")
     is_o2 = x.order == 2 and not x.edges
     verdict = False
     branch = None
@@ -976,7 +974,7 @@ def _join_pst_adjacency(
     if is_o2k:
         branch = "isolated-pair"
     else:
-        part_sc = strong_cospectral(decompose(x.adjacency()), u, v)
+        part_sc = strong_cospectral(spectrum(x, "adjacency"), u, v)
         if part_sc is None:
             gate = False
             branch = "not-cospectral"
@@ -1090,7 +1088,7 @@ def join_pst(
             )
         cert = replace(cert, confirmation=mag)
     if verify == "full":
-        full = pst_certificate(decompose(graph_matrix(join(x, y), matrix)), u, v)
+        full = pst_certificate(spectrum(join(x, y), matrix), u, v)
         if full.pst != cert.pst:
             raise InconsistencyError(
                 "the closed-form verdict disagrees with the diagonalized join"
@@ -1145,7 +1143,7 @@ def pst_preserved(
     m, n = params.m, params.n
     if u == v or not (0 <= u < m and 0 <= v < m):
         raise ValueError("the pair must be two distinct part vertices")
-    part_decomp = decompose(graph_matrix(x, matrix))
+    part_decomp = spectrum(x, matrix)
     base = pst_certificate(part_decomp, u, v)
     if not base.pst:
         raise PreconditionError("the pair has no transfer within the part")
@@ -1302,7 +1300,7 @@ def pst_induced(
     if u == v or not (0 <= u < m and 0 <= v < m):
         raise ValueError("the pair must be two distinct part vertices")
     jcert = join_pst(x, y, u, v, matrix=matrix)
-    part_decomp = decompose(graph_matrix(x, matrix))
+    part_decomp = spectrum(x, matrix)
     part_cert = pst_certificate(part_decomp, u, v)
     induced = jcert.pst and not part_cert.pst
     mechanism = "general"
@@ -1488,7 +1486,7 @@ def self_join_analysis(
     if matrix == "laplacian":
         if x.loops:
             raise PreconditionError("Laplacian self-join analysis requires a simple part")
-        part_decomp = decompose(x.laplacian())
+        part_decomp = spectrum(x, "laplacian")
     elif matrix == "adjacency":
         from .graphs import is_regular
 
@@ -1497,7 +1495,7 @@ def self_join_analysis(
             raise PreconditionError("adjacency self-join analysis requires a regular part")
         if _as_int(float(k_val)) is None:
             raise PreconditionError("adjacency self-join analysis needs an integer degree")
-        part_decomp = decompose(x.adjacency())
+        part_decomp = spectrum(x, "adjacency")
     else:
         raise ValueError(f"unknown matrix kind {matrix!r}")
     verdict = False
@@ -1653,7 +1651,7 @@ def self_join_analysis(
     )
     if verify == "full":
         built = self_join(x, r)
-        full = pst_certificate(decompose(graph_matrix(built, matrix)), u, v)
+        full = pst_certificate(spectrum(built, matrix), u, v)
         if full.pst != cert.pst:
             raise InconsistencyError(
                 "the closed-form self-join verdict disagrees with the diagonalized graph"
@@ -1697,7 +1695,7 @@ def iterated_join_sign_partition(
     for graph, _ in parts:
         if graph.loops:
             raise PreconditionError("Laplacian join analysis requires simple parts")
-    part_decomp = decompose(part.laplacian())
+    part_decomp = spectrum(part, "laplacian")
     own_sc = strong_cospectral(part_decomp, u, v, tol)
     own_is_o2 = part.order == 2 and not part.edges
     own_connected = is_connected(part)
@@ -1802,7 +1800,7 @@ def iterated_join_analysis(
         built = iterated_join(spec)
         gu = iterated_vertex(spec, j, u)
         gv = iterated_vertex(spec, j, v)
-        full = pst_certificate(decompose(built.laplacian()), gu, gv)
+        full = pst_certificate(spectrum(built, "laplacian"), gu, gv)
         if full.pst != verdict:
             raise InconsistencyError(
                 "the folded verdict disagrees with the diagonalized iterated join"
@@ -1831,12 +1829,12 @@ def iterated_join_analysis(
     )
 
 
-def _empty_spec(sizes) -> IteratedJoinSpec:
+def _empty_spec(sizes, empties: dict[int, WeightedGraph]) -> IteratedJoinSpec:
     count = len(sizes)
-    parts: list[tuple[WeightedGraph, Connective | None]] = [(family("O", sizes[0]), None)]
+    parts: list[tuple[WeightedGraph, Connective | None]] = [(empties[sizes[0]], None)]
     for idx, size in enumerate(sizes[1:], start=2):
         conn = Connective.JOIN if idx % 2 == count % 2 else Connective.UNION
-        parts.append((family("O", size), conn))
+        parts.append((empties[size], conn))
     return IteratedJoinSpec(parts)
 
 
@@ -1845,9 +1843,11 @@ def threshold_transfer_search(max_parts: int = 4, max_size: int = 6) -> list[dic
 
     The pair under test is one representative pair of the first part
     (vertices of an empty part are interchangeable), so the sweep probes
-    the congruence pattern on the part sizes directly. Hits are returned
-    in deterministic enumeration order; QWJOIN_THREADS caps worker threads.
+    the congruence pattern on the part sizes directly. The empty parts are
+    built once, so each is decomposed once per search. Hits are returned in
+    deterministic enumeration order.
     """
+    empties = {size: family("O", size) for size in range(1, max_size + 1)}
     all_sizes = [
         sizes
         for count in range(2, max_parts + 1)
@@ -1856,8 +1856,7 @@ def threshold_transfer_search(max_parts: int = 4, max_size: int = 6) -> list[dic
     ]
 
     def scan(sizes) -> list[dict]:
-        spec = _empty_spec(sizes)
-        cert = iterated_join_analysis(spec, 1, 0, 1)
+        cert = iterated_join_analysis(_empty_spec(sizes, empties), 1, 0, 1)
         if not cert.pst:
             return []
         return [
@@ -1873,10 +1872,4 @@ def threshold_transfer_search(max_parts: int = 4, max_size: int = 6) -> list[dic
             }
         ]
 
-    workers = max(1, int(os.environ.get("QWJOIN_THREADS", "1")))
-    if workers == 1:
-        scanned = map(scan, all_sizes)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scanned = list(pool.map(scan, all_sizes))
-    return [hit for hits in scanned for hit in hits]
+    return [hit for hits in map(scan, all_sizes) for hit in hits]

@@ -17,9 +17,8 @@ import numpy as np
 from .spectral import (
     JoinParams,
     SpectralDecomposition,
-    decompose,
-    graph_matrix,
     join_params,
+    spectrum,
 )
 from .arith import reconstruct_rational
 from .graphs import WeightedGraph
@@ -30,7 +29,7 @@ def transition_matrix(obj, t: float, matrix: str = "laplacian") -> np.ndarray:
     if isinstance(obj, SpectralDecomposition):
         decomp = obj
     elif isinstance(obj, WeightedGraph):
-        decomp = decompose(graph_matrix(obj, matrix))
+        decomp = spectrum(obj, matrix)
     else:
         raise TypeError("expected a WeightedGraph or a SpectralDecomposition")
     out = np.zeros_like(decomp.matrix, dtype=complex)
@@ -98,7 +97,7 @@ def join_entry_L(
     if u >= m and v >= m:
         return join_entry_L(y, x, u - m, v - m, t, decomp_y, decomp_x)
     if decomp_x is None:
-        decomp_x = decompose(x.laplacian())
+        decomp_x = spectrum(x, "laplacian")
     base = complex(transition_entries(decomp_x, u, v, [t])[0])
     correction = (
         1.0 / total
@@ -130,7 +129,7 @@ def join_entry_A(
     if u >= m and v >= m:
         return join_entry_A(y, x, u - m, v - m, t, decomp_y, decomp_x)
     if decomp_x is None:
-        decomp_x = decompose(x.adjacency())
+        decomp_x = spectrum(x, "adjacency")
     k = float(params.k)  # type: ignore[arg-type]
     base = complex(transition_entries(decomp_x, u, v, [t])[0])
     correction = (

@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the package's own spectral code:
 matrix exponentials go through scipy.linalg.expm and eigendecompositions
-through numpy.linalg.eigh, so a comparison never has qwjoin on both sides.
+through scipy.linalg.eigh with driver="evr" (LAPACK syevr), so a comparison
+never has qwjoin on both sides. The package decomposes with numpy.linalg.eigh,
+which calls LAPACK syevd, a different algorithm.
 """
 
 import numpy as np
@@ -17,8 +19,8 @@ def oracle_transition(matrix, t):
 
 
 def oracle_eigengroups(matrix, tol=1e-8):
-    """(eigenvalue, projector) pairs from numpy's eigh, grouped by closeness."""
-    w, v = np.linalg.eigh(np.asarray(matrix, dtype=float))
+    """(eigenvalue, projector) pairs from scipy's syevr eigh, grouped by closeness."""
+    w, v = scipy.linalg.eigh(np.asarray(matrix, dtype=float), driver="evr")
     groups = []
     for i, lam in enumerate(w):
         if groups and abs(lam - groups[-1][-1]) <= tol:
@@ -99,7 +101,7 @@ def random_circulant(rng, order, p=0.7):
 def oracle_max_transfer(graph, u, v, matrix="laplacian", t_max=10.0, samples=2048):
     """Grid maximum of |U(t)[u, v]| via eigh phases (vectorized, still oracle-side)."""
     m = graph_matrix(graph, matrix)
-    w, vec = np.linalg.eigh(m)
+    w, vec = scipy.linalg.eigh(m, driver="evr")
     ts = np.linspace(0.0, t_max, samples)
     phases = np.exp(1j * np.outer(ts, w))
     amps = phases @ (vec[u, :] * vec[v, :])

@@ -54,6 +54,23 @@ def test_degree_and_matrices_with_loops():
         g.laplacian()
 
 
+def test_graphs_are_immutable_and_cache_read_only_matrices():
+    g = family("P", 3)
+    with pytest.raises(TypeError):
+        g.edges[(0, 2)] = 1.0
+    with pytest.raises(TypeError):
+        g.loops[0] = 1.0
+    with pytest.raises(AttributeError):
+        g.order = 4
+    for cached in (g.adjacency(), g.laplacian(), g.degrees()):
+        with pytest.raises(ValueError):
+            cached[0] = 5.0
+    assert g.adjacency() is g.adjacency() and g.laplacian() is g.laplacian()
+    assert list(g.degrees()) == [1.0, 2.0, 1.0]
+    with pytest.raises(ValueError):
+        g.degree(-1)
+
+
 def test_family_constructors():
     assert family("K", 4).order == 4 and len(family("K", 4).edges) == 6
     assert family("P", 5).edges == {(i, i + 1): 1.0 for i in range(4)}

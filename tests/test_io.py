@@ -160,3 +160,17 @@ def test_cli_inconsistency_exit_code(capsys, monkeypatch):
     ])
     assert code == 3
     assert "internal cross-check failed" in capsys.readouterr().err
+
+
+def test_cli_integer_overflow_exit_code(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"order": 2, "edges": [[0, 1, 1e19]]}))
+    assert main(["analyze", "--graph", str(path), "--pair", "0", "1"]) == 2
+    assert "64-bit range" in capsys.readouterr().err
+
+
+def test_cli_pair_checked_before_any_work(capsys):
+    assert main(["analyze", "--family", "P 3", "--pair", "0", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--pair" in captured.err

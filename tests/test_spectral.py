@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from qwjoin import (
@@ -16,8 +17,13 @@ from qwjoin import (
     iterated_join,
     iterated_join_support,
     iterated_vertex,
+    join_pst,
+    spectrum,
+    threshold_transfer_search,
 )
-from qwjoin.errors import PreconditionError
+from qwjoin import spectral
+from qwjoin.cli import main
+from qwjoin.errors import NumericError, PreconditionError
 
 from conftest import (
     oracle_support,
@@ -41,7 +47,7 @@ def test_decompose_matches_eigh(flat):
         return
     a = symmetric(np.resize(flat, (n, n)))
     d = decompose(a)
-    w = np.sort(np.linalg.eigvalsh(a))[::-1]
+    w = np.sort(scipy.linalg.eigh(a, eigvals_only=True, driver="evr"))[::-1]
     expanded = np.repeat(d.eigenvalues, d.multiplicities)
     assert np.allclose(expanded, w, atol=1e-7)
 
@@ -70,6 +76,60 @@ def test_cycle_laplacian_decomposition():
     d = decompose(graph_matrix(family("C", 4), "laplacian"))
     assert np.allclose(d.eigenvalues, [4.0, 2.0, 0.0], atol=1e-9)
     assert d.multiplicities == [1, 2, 1]
+
+
+def _count_decompositions(monkeypatch) -> list:
+    """Record each matrix passed to spectral.decompose, by shape and bytes."""
+    seen = []
+    real = spectral.decompose
+
+    def counting(matrix):
+        mat = np.ascontiguousarray(matrix, dtype=float)
+        seen.append((mat.shape, mat.tobytes()))
+        return real(matrix)
+
+    monkeypatch.setattr(spectral, "decompose", counting)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "call, distinct",
+    [
+        (lambda: main(["analyze", "--family", "C 16", "--pair", "0", "8"]), 1),
+        (lambda: join_pst(family("Q", 5), family("O", 4), 0, 31), 1),
+        (lambda: threshold_transfer_search(4, 6), 5),  # the parts O2..O6
+    ],
+    ids=["analyze C16", "join_pst Q5+O4", "threshold search"],
+)
+def test_one_decomposition_per_distinct_matrix(monkeypatch, capsys, call, distinct):
+    seen = _count_decompositions(monkeypatch)
+    call()
+    assert len(seen) == len(set(seen)) == distinct
+
+
+def test_spectrum_is_cached_per_graph_and_read_only():
+    g = family("C", 6)
+    d = spectrum(g, "laplacian")
+    assert spectrum(g, "laplacian") is d
+    assert spectrum(g, "adjacency") is not d
+    assert spectrum(family("C", 6), "laplacian") is not d
+    with pytest.raises(ValueError):
+        d.projectors[0][0, 0] = 1.0
+    with pytest.raises(ValueError):
+        d.matrix[0, 0] = 1.0
+
+
+def test_eigensolver_failure_is_a_numeric_error(monkeypatch, capsys):
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericError):
+        decompose(np.eye(3))
+    with pytest.raises(NumericError):
+        join_pst(family("C", 4), family("O", 2), 0, 2)
+    assert main(["analyze", "--family", "C 4"]) == 3
+    assert "internal cross-check failed" in capsys.readouterr().err
 
 
 def test_eigenvalue_support_path():
