@@ -31,6 +31,7 @@ from .spectral import (
     spectrum,
 )
 from .transfer import (
+    APEXES,
     PSTCertificate,
     SymbolicTime,
     double_cone_pst,
@@ -127,6 +128,16 @@ def _cone_hint(graph: WeightedGraph, u: int, v: int, matrix: str) -> list[str]:
     return lines
 
 
+def _check_pair(pair, order: int) -> tuple[int, int]:
+    """--pair as two distinct vertices below order, checked before any output."""
+    u, v = pair
+    if u == v or not (0 <= u < order and 0 <= v < order):
+        raise ValueError(
+            f"--pair needs two distinct vertices in 0..{order - 1}, got {u} {v}"
+        )
+    return u, v
+
+
 def _maybe_write(args, kind: str, payload) -> None:
     if getattr(args, "out", None):
         text = report_to_json(AnalysisReport(kind=kind, payload=payload))
@@ -137,11 +148,7 @@ def _maybe_write(args, kind: str, payload) -> None:
 def cmd_analyze(args) -> int:
     graph = _parse_graph_arg(args.graph or args.family)
     if args.pair is not None:
-        u, v = args.pair
-        if u == v or not (0 <= u < graph.order and 0 <= v < graph.order):
-            raise ValueError(
-                f"--pair needs two distinct vertices in 0..{graph.order - 1}, got {u} {v}"
-            )
+        _check_pair(args.pair, graph.order)
     matrix = args.matrix
     decomp = spectrum(graph, matrix)
     print(
@@ -200,11 +207,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_join(args) -> int:
     matrix = args.matrix
-    u, v = args.pair
     if args.iterated:
         spec = parse_iterated_spec(args.iterated)
-        if args.part is None:
-            raise ValueError("an iterated join analysis needs --part")
+        if args.part is None or not 1 <= args.part <= len(spec.parts):
+            raise ValueError(f"an iterated join analysis needs --part in 1..{len(spec.parts)}")
+        u, v = _check_pair(args.pair, spec.orders[args.part - 1])
         cert = iterated_join_analysis(spec, args.part, u, v, matrix=matrix)
         print(f"iterated plan: {args.iterated}")
         print(f"pair ({u}, {v}) inside part {args.part}")
@@ -214,6 +221,7 @@ def cmd_join(args) -> int:
         return 0
     x = _parse_graph_arg(args.left)
     if args.self_count:
+        u, v = _check_pair(args.pair, x.order)
         cert = self_join_analysis(x, args.self_count, u, v, matrix=matrix)
         print(f"self join of a part of order {x.order}, {args.self_count} copies")
         for line in _describe_pst(cert):
@@ -223,6 +231,7 @@ def cmd_join(args) -> int:
         )
         return 0
     y = _parse_graph_arg(args.right)
+    u, v = _check_pair(args.pair, x.order + y.order)
     params = join_params(x, y, matrix)
     print(f"join: left order {params.m}, right order {params.n}, matrix {matrix}")
     if matrix == "adjacency":
@@ -292,7 +301,7 @@ def cmd_pst_search(args) -> int:
             base = family("CP", m)
             decomp = spectrum(base, args.matrix)
             antipodal = pst_certificate(decomp, 0, m // 2)
-            cone = join_pst(base, family("O", 2), m, m + 1, matrix=args.matrix)
+            cone = join_pst(base, APEXES, m, m + 1, matrix=args.matrix)
             if cone.pst or antipodal.pst or args.all:
                 line = {
                     "mode": "cp-join",

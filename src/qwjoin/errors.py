@@ -20,9 +20,9 @@ class InconsistencyError(RuntimeError):
 
 
 class NumericError(RuntimeError):
-    """The eigensolver (LAPACK, through numpy) failed; the matrix is echoed.
-
-    The CLI maps this to exit code 3.
+    """A numeric routine failed: the eigensolver (LAPACK, through numpy)
+    did not converge, or the Lanczos walk entry used to confirm a transfer
+    came out non-finite. The CLI maps this to exit code 3.
     """
 
 

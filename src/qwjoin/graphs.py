@@ -5,14 +5,19 @@ nonzero real weights and only matter for adjacency-matrix analyses (the
 Laplacian routines require simple graphs). When two graphs are joined, the
 left operand keeps its vertex labels and the right operand is shifted, so
 vertex u of X is vertex u of join(X, Y).
+
+A JoinTree keeps a join or union as structure instead of an edge list: it
+multiplies by the built graph's matrix without building it, at the cost of
+the parts' edges plus the order.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
@@ -124,10 +129,54 @@ class WeightedGraph:
         """All weighted degrees, as a read-only vector."""
 
         def build():
-            a = self.adjacency()
-            return _read_only(a.sum(axis=1) + np.diag(a))
+            weights, loop_at, loop_weights = self._index_arrays()[2:]
+            out = self._edge_sums(weights, weights)
+            out[loop_at] += 2.0 * loop_weights
+            return _read_only(out)
 
         return self.cached("degrees", build)
+
+    def _index_arrays(self):
+        """Edge endpoints and weights, loop vertices and weights, as cached arrays."""
+
+        def build():
+            ends = np.array(list(self.edges), dtype=np.intp).reshape(-1, 2)
+            arrays = (
+                ends[:, 0],
+                ends[:, 1],
+                np.fromiter(self.edges.values(), float, len(self.edges)),
+                np.fromiter(self.loops.keys(), np.intp, len(self.loops)),
+                np.fromiter(self.loops.values(), float, len(self.loops)),
+            )
+            return tuple(_read_only(a) for a in arrays)
+
+        return self.cached("index_arrays", build)
+
+    def _edge_sums(self, at_rows, at_cols) -> np.ndarray:
+        """Per-vertex sums of at_rows over first edge ends and at_cols over second ends."""
+        rows, cols = self._index_arrays()[:2]
+        out = np.zeros(self.order)
+        out += np.bincount(rows, at_rows, self.order)
+        out += np.bincount(cols, at_cols, self.order)
+        return out
+
+    def matvec(self, x: np.ndarray, kind: str) -> np.ndarray:
+        """The adjacency or Laplacian matrix times the real vector x.
+
+        Reads the edge and loop lists, so it costs O(edges + order) and
+        never forms the dense matrix.
+        """
+        if kind not in ("adjacency", "laplacian"):
+            raise ValueError(f"unknown matrix kind {kind!r}")
+        if kind == "laplacian" and self.loops:
+            raise PreconditionError("the Laplacian is defined here for simple graphs only")
+        rows, cols, weights, loop_at, loop_weights = self._index_arrays()
+        x = np.asarray(x, dtype=float)
+        out = self._edge_sums(weights * x[cols], weights * x[rows])
+        if kind == "laplacian":
+            return self.degrees() * x - out
+        out[loop_at] += loop_weights * x[loop_at]
+        return out
 
     def adjacency(self) -> np.ndarray:
         """The adjacency matrix, as a read-only array."""
@@ -295,14 +344,67 @@ def disjoint_union(x: WeightedGraph, y: WeightedGraph) -> WeightedGraph:
     return WeightedGraph(m + y.order, edges, loops, provenance=("union", x, y))
 
 
+@dataclass(frozen=True, eq=False)
+class JoinTree:
+    """A join or disjoint union of parts, kept as structure, not as edges.
+
+    children are WeightedGraphs or JoinTrees, numbered consecutively in the
+    given order as join and disjoint_union number them, so
+    JoinTree(Connective.JOIN, (x, y)) stands for join(x, y) and
+    JoinTree(Connective.JOIN, (x,) * r) for self_join(x, r). matvec
+    multiplies by the built graph's matrix in O(leaf edges + order); build
+    materializes the graph.
+    """
+
+    connective: Connective
+    children: tuple
+    order: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        if len(self.children) < 2:
+            raise ValueError("a join tree node needs at least two children")
+        object.__setattr__(self, "children", tuple(self.children))
+        object.__setattr__(self, "order", sum(c.order for c in self.children))
+
+    def matvec(self, x: np.ndarray, kind: str) -> np.ndarray:
+        """The built graph's adjacency or Laplacian matrix times the real vector x.
+
+        A union is block-diagonal. A join adds all-ones blocks between its
+        children: with block sums s_i, total sum S and total order N, child i
+        of order n_i gets (S - s_i) added under the adjacency matrix, and
+        (N - n_i) x_i - (S - s_i) under the Laplacian.
+        """
+        x = np.asarray(x, dtype=float)
+        joined = self.connective is Connective.JOIN
+        total = float(x.sum())
+        out = np.empty(self.order)
+        lo = 0
+        for child in self.children:
+            hi = lo + child.order
+            block = x[lo:hi]
+            out[lo:hi] = child.matvec(block, kind)
+            if joined:
+                rest = total - float(block.sum())
+                if kind == "laplacian":
+                    out[lo:hi] += (self.order - child.order) * block - rest
+                else:
+                    out[lo:hi] += rest
+            lo = hi
+        return out
+
+    def build(self) -> WeightedGraph:
+        """The graph itself, through join or disjoint_union."""
+        glue = join if self.connective is Connective.JOIN else disjoint_union
+        parts = [c.build() if isinstance(c, JoinTree) else c for c in self.children]
+        return functools.reduce(glue, parts)
+
+
 def self_join(x: WeightedGraph, r: int) -> WeightedGraph:
     """r-fold join of x with itself; r = 1 returns x."""
     r = int(r)
     if r < 1:
         raise ValueError("the self-join count must be at least 1")
-    if r == 1:
-        return x
-    return join(x, self_join(x, r - 1))
+    return x if r == 1 else JoinTree(Connective.JOIN, (x,) * r).build()
 
 
 @dataclass
@@ -351,11 +453,16 @@ def iterated_vertex(spec: IteratedJoinSpec, j: int, u: int) -> int:
     return sum(g.order for g, _ in spec.parts[: j - 1]) + u
 
 
-def iterated_join(spec: IteratedJoinSpec) -> WeightedGraph:
+def iterated_tree(spec: IteratedJoinSpec) -> JoinTree:
+    """The plan as a left-nested JoinTree, numbered as iterated_vertex numbers it."""
     acc = spec.parts[0][0]
     for graph, conn in spec.parts[1:]:
-        acc = join(acc, graph) if conn is Connective.JOIN else disjoint_union(acc, graph)
+        acc = JoinTree(conn, (acc, graph))
     return acc
+
+
+def iterated_join(spec: IteratedJoinSpec) -> WeightedGraph:
+    return iterated_tree(spec).build()
 
 
 _SPEC_TOKEN = re.compile(r"^(O_loops|CP|O|K|P|C|Q)(\d+)$")

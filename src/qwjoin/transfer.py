@@ -6,6 +6,12 @@ the joined graph to be diagonalized. Each closed-form verdict is still
 checked against an independent computation (an exact eigenvalue lattice, a
 generic valuation pattern, or a numerically computed walk), and any
 disagreement raises InconsistencyError rather than being smoothed over.
+
+The walk check (_confirm_transfer) never builds the join either: it runs
+Lanczos from e_u on a JoinTree, whose products cost the parts' edges plus
+the order, and exponentiates the small tridiagonal matrix with a series,
+so it shares no eigensolver with the certificate it checks. Only
+verify="full" builds the joined graph, once, to diagonalize it.
 """
 
 from __future__ import annotations
@@ -29,14 +35,13 @@ from .errors import InconsistencyError, PreconditionError
 from .graphs import (
     Connective,
     IteratedJoinSpec,
+    JoinTree,
     WeightedGraph,
     disjoint_union,
     family,
     is_connected,
-    iterated_join,
+    iterated_tree,
     iterated_vertex,
-    join,
-    self_join,
 )
 from .spectral import (
     SUPPORT_TOL,
@@ -44,11 +49,14 @@ from .spectral import (
     _contains,
     _merge_close,
     eigenvalue_support,
-    graph_matrix,
     join_params,
     spectrum,
 )
-from .walk import transition_entries, unitary_exp
+from .walk import krylov_entry, transition_entries
+
+# The two apexes of a double cone, shared so that their spectra are
+# computed once per process.
+APEXES = family("O", 2)
 
 
 def _close(a: float, b: float, tol: float = SUPPORT_TOL) -> bool:
@@ -1020,6 +1028,57 @@ def _join_pst_adjacency(
     )
 
 
+def _confirm_transfer(
+    tree: JoinTree,
+    u: int,
+    v: int,
+    verify: str,
+    cert: PSTCertificate,
+    what: str,
+) -> PSTCertificate:
+    """Check cert on the walk of the join that tree describes; return it confirmed.
+
+    u and v index the tree. With verify="numeric" or "full", a positive
+    verdict must reach |exp(itM)[v, u]| >= 1 - 1e-6 at the certified time,
+    computed by krylov_entry on the tree; the magnitude becomes the
+    confirmation and the route, Krylov dimension and error bound go into
+    details. verify="full" also diagonalizes the built graph and compares
+    the verdict, the time and the sign partition. Any disagreement raises
+    InconsistencyError.
+    """
+    if cert.pst and verify in ("numeric", "full"):
+        entry = krylov_entry(tree, u, v, cert.time.value, cert.matrix)
+        mag = abs(entry.value)
+        if mag < 1 - 1e-6:
+            raise InconsistencyError(
+                f"the certified {what} transfer only reaches magnitude {mag}"
+            )
+        cert = replace(
+            cert,
+            confirmation=mag,
+            details={
+                **cert.details,
+                "confirmation_route": "lanczos",
+                "krylov_dimension": entry.dimension,
+                "krylov_bound": entry.bound,
+            },
+        )
+    if verify == "full":
+        full = pst_certificate(spectrum(tree.build(), cert.matrix), u, v)
+        if full.pst != cert.pst:
+            raise InconsistencyError(
+                f"the closed-form {what} verdict disagrees with the diagonalized graph"
+            )
+        if cert.pst and abs(full.time.value - cert.time.value) > 1e-9:
+            raise InconsistencyError(f"{what} transfer times disagree between the two routes")
+        if cert.pst and not (
+            _sets_match(full.partition.plus, cert.partition.plus)
+            and _sets_match(full.partition.minus, cert.partition.minus)
+        ):
+            raise InconsistencyError(f"{what} sign partitions disagree between the two routes")
+    return cert
+
+
 def join_pst(
     x: WeightedGraph,
     y: WeightedGraph,
@@ -1078,42 +1137,17 @@ def join_pst(
         cert = _join_pst_laplacian(x, y, u, v, m, n)
     else:
         cert = _join_pst_adjacency(x, y, u, v, params)
-    if cert.pst and verify in ("numeric", "full"):
-        joined = join(x, y)
-        walk = unitary_exp(graph_matrix(joined, matrix), cert.time.value)
-        mag = float(abs(walk[v, u]))
-        if mag < 1 - 1e-6:
-            raise InconsistencyError(
-                f"the certified join transfer only reaches magnitude {mag}"
-            )
-        cert = replace(cert, confirmation=mag)
-    if verify == "full":
-        full = pst_certificate(spectrum(join(x, y), matrix), u, v)
-        if full.pst != cert.pst:
-            raise InconsistencyError(
-                "the closed-form verdict disagrees with the diagonalized join"
-            )
-        if cert.pst:
-            if abs(full.time.value - cert.time.value) > 1e-9:
-                raise InconsistencyError("transfer times disagree between the two routes")
-            if not (
-                _sets_match(full.partition.plus, cert.partition.plus)
-                and _sets_match(full.partition.minus, cert.partition.minus)
-            ):
-                raise InconsistencyError("sign partitions disagree between the two routes")
-    return cert
+    return _confirm_transfer(JoinTree(Connective.JOIN, (x, y)), u, v, verify, cert, "join")
 
 
 def double_cone_pst(
     y: WeightedGraph, matrix: str = "laplacian", apex_loop_weight: float | None = None
 ) -> PSTCertificate:
     """Transfer between the two apexes sitting over a base graph."""
-    if matrix == "laplacian":
-        if apex_loop_weight not in (None, 0):
-            raise ValueError("apex loops apply to adjacency analyses only")
-        apexes = family("O", 2)
-    elif apex_loop_weight in (None, 0):
-        apexes = family("O", 2)
+    if matrix == "laplacian" and apex_loop_weight not in (None, 0):
+        raise ValueError("apex loops apply to adjacency analyses only")
+    if apex_loop_weight in (None, 0):
+        apexes = APEXES
     else:
         apexes = family("O_loops", 2, apex_loop_weight)
     return join_pst(apexes, y, 0, 1, matrix=matrix)
@@ -1471,7 +1505,7 @@ def self_join_analysis(
 
     The verdict comes from the recorded case conditions on the part's
     support, is replayed through the generic pattern on the transformed
-    sign partition, and positives are confirmed on the built graph.
+    sign partition, and positives are confirmed on the self-join's walk.
     """
     if verify not in ("numeric", "full", "none"):
         raise ValueError(f"unknown verify mode {verify!r}")
@@ -1626,15 +1660,6 @@ def self_join_analysis(
         g = gcd_all([abs(t) for t in pool])
         if SymbolicTime(1, g, 1) != time:
             raise InconsistencyError("the self-join time disagrees with the pattern time")
-    if verdict and verify in ("numeric", "full"):
-        built = self_join(x, r)
-        walk = unitary_exp(graph_matrix(built, matrix), time.value)
-        mag = float(abs(walk[v, u]))
-        if mag < 1 - 1e-6:
-            raise InconsistencyError(
-                f"the certified self-join transfer only reaches magnitude {mag}"
-            )
-        details["confirmation"] = mag
     cert = PSTCertificate(
         verdict,
         u,
@@ -1645,20 +1670,10 @@ def self_join_analysis(
         eigenvalue_class=outcome.eigenvalue_class if outcome else None,
         delta=outcome.delta if outcome else None,
         time=time,
-        confirmation=details.get("confirmation"),
         reason=None if verdict else reason,
         details=details,
     )
-    if verify == "full":
-        built = self_join(x, r)
-        full = pst_certificate(spectrum(built, matrix), u, v)
-        if full.pst != cert.pst:
-            raise InconsistencyError(
-                "the closed-form self-join verdict disagrees with the diagonalized graph"
-            )
-        if cert.pst and abs(full.time.value - cert.time.value) > 1e-9:
-            raise InconsistencyError("self-join transfer times disagree between routes")
-    return cert
+    return _confirm_transfer(JoinTree(Connective.JOIN, (x,) * r), u, v, verify, cert, "self-join")
 
 
 # ---------------------------------------------------------------------------
@@ -1784,36 +1799,7 @@ def iterated_join_analysis(
         }
         if verdict and outcome.time != SymbolicTime(1, 2, 1):
             raise InconsistencyError("a stacked-cone transfer time must be pi over 2")
-    time = outcome.time if verdict else None
-    confirmation = None
-    if verdict and verify in ("numeric", "full"):
-        built = iterated_join(spec)
-        gu = iterated_vertex(spec, j, u)
-        gv = iterated_vertex(spec, j, v)
-        walk = unitary_exp(built.laplacian(), time.value)
-        confirmation = float(abs(walk[gv, gu]))
-        if confirmation < 1 - 1e-6:
-            raise InconsistencyError(
-                f"the certified iterated transfer only reaches magnitude {confirmation}"
-            )
-    if verify == "full":
-        built = iterated_join(spec)
-        gu = iterated_vertex(spec, j, u)
-        gv = iterated_vertex(spec, j, v)
-        full = pst_certificate(spectrum(built, "laplacian"), gu, gv)
-        if full.pst != verdict:
-            raise InconsistencyError(
-                "the folded verdict disagrees with the diagonalized iterated join"
-            )
-        if verdict:
-            if abs(full.time.value - time.value) > 1e-9:
-                raise InconsistencyError("iterated transfer times disagree between routes")
-            if not (
-                _sets_match(full.partition.plus, partition.plus)
-                and _sets_match(full.partition.minus, partition.minus)
-            ):
-                raise InconsistencyError("iterated sign partitions disagree between routes")
-    return PSTCertificate(
+    cert = PSTCertificate(
         verdict,
         u,
         v,
@@ -1822,10 +1808,13 @@ def iterated_join_analysis(
         partition=partition,
         eigenvalue_class=outcome.eigenvalue_class,
         delta=outcome.delta,
-        time=time,
-        confirmation=confirmation,
+        time=outcome.time if verdict else None,
         reason=None if verdict else outcome.reason,
         details=details,
+    )
+    return _confirm_transfer(
+        iterated_tree(spec), iterated_vertex(spec, j, u), iterated_vertex(spec, j, v),
+        verify, cert, "iterated",
     )
 
 

@@ -5,15 +5,22 @@ adjacency or the Laplacian matrix. Entries of a join's walk never need the
 join diagonalized: they follow from the parts' walks plus a correction
 carried entirely by the orders (Laplacian) or the regularity data
 (adjacency).
+
+krylov_entry computes one walk entry exp(itM)[v, u] independently of any
+eigensolver: Lanczos from e_u on an operator that only multiplies (a graph
+or a JoinTree, so the join is never built), and unitary_exp's series on
+the small tridiagonal matrix Lanczos produces.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericError
 from .spectral import (
     JoinParams,
     SpectralDecomposition,
@@ -51,7 +58,8 @@ def unitary_exp(matrix: np.ndarray, t: float) -> np.ndarray:
     """exp(itM) by scaling and squaring of a truncated series.
 
     Deliberately avoids the spectral route so closed forms can be checked
-    against an independently computed matrix.
+    against an independently computed matrix; krylov_entry uses it on the
+    small Lanczos tridiagonal.
     """
     a = 1j * float(t) * np.asarray(matrix, dtype=complex)
     n = a.shape[0]
@@ -70,6 +78,61 @@ def unitary_exp(matrix: np.ndarray, t: float) -> np.ndarray:
     for _ in range(squarings):
         out = out @ out
     return out
+
+
+KRYLOV_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class KrylovEntry:
+    """A walk entry from a Krylov space, with its dimension and error bound."""
+
+    value: complex
+    dimension: int
+    bound: float
+
+
+def krylov_entry(operator, u: int, v: int, t: float, kind: str = "laplacian") -> KrylovEntry:
+    """exp(itM)[v, u] by Lanczos from e_u with full reorthogonalization.
+
+    operator has an order and a matvec(x, kind), like WeightedGraph and
+    JoinTree; M is never formed. After k steps, with T the k x k Lanczos
+    tridiagonal and beta the next off-diagonal, the error of
+    V exp(itT) e_1 is at most |t| * beta, so the iteration stops once that
+    bound is below KRYLOV_TOL, or when k reaches the order (the Krylov
+    space is then the whole space, so the result is exact). In exact
+    arithmetic beta vanishes after as many steps as there are eigenvalues
+    in the support of u. exp(itT) comes from unitary_exp, so no
+    eigensolver is involved.
+    """
+    n = operator.order
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"vertex out of range for order {n}")
+    start = np.zeros(n)
+    start[u] = 1.0
+    basis = [start]
+    alphas: list[float] = []
+    betas: list[float] = []
+    while True:
+        w = operator.matvec(basis[-1], kind)
+        alphas.append(float(basis[-1] @ w))
+        stacked = np.array(basis)
+        for _ in range(2):  # classical Gram-Schmidt, twice to stay orthogonal
+            w = w - stacked.T @ (stacked @ w)
+        beta = float(np.linalg.norm(w))
+        if not (math.isfinite(alphas[-1]) and math.isfinite(beta)):
+            raise NumericError(f"Lanczos produced a non-finite coefficient at step {len(basis)}")
+        bound = abs(t) * beta
+        if bound < KRYLOV_TOL or len(basis) == n:
+            break
+        betas.append(beta)
+        basis.append(w / beta)
+    tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+    phases = unitary_exp(tri, t)[:, 0]
+    value = complex(np.array([q[v] for q in basis]) @ phases)
+    if not cmath.isfinite(value):
+        raise NumericError(f"the Krylov walk entry ({u}, {v}) at t = {t} is not finite")
+    return KrylovEntry(value, len(basis), bound)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ never has qwjoin on both sides. The package decomposes with numpy.linalg.eigh,
 which calls LAPACK syevd, a different algorithm.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import scipy.linalg
 
-from qwjoin import WeightedGraph, graph_matrix
+from qwjoin import SymbolicTime, WeightedGraph, graph_matrix
 
 
 def oracle_transition(matrix, t):
@@ -106,3 +108,16 @@ def oracle_max_transfer(graph, u, v, matrix="laplacian", t_max=10.0, samples=204
     phases = np.exp(1j * np.outer(ts, w))
     amps = phases @ (vec[u, :] * vec[v, :])
     return float(np.max(np.abs(amps)))
+
+
+WRONG_TIME = SymbolicTime(1, 3)
+
+
+def with_wrong_time(real):
+    """A closed form like real, except that a transfer time it reports becomes pi/3."""
+
+    def wrong(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return replace(out, time=WRONG_TIME) if out.time is not None else out
+
+    return wrong

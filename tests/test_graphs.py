@@ -10,13 +10,16 @@ from qwjoin import (
     is_regular,
     is_simple,
     iterated_join,
+    iterated_tree,
     iterated_vertex,
     join,
     parse_iterated_spec,
     self_join,
 )
 from qwjoin.errors import PreconditionError
-from qwjoin.graphs import Connective, IteratedJoinSpec
+from qwjoin.graphs import Connective, IteratedJoinSpec, JoinTree
+
+from conftest import random_simple, random_weighted
 
 
 def spectrum(graph, matrix="laplacian"):
@@ -172,3 +175,85 @@ def test_iterated_join_builds_the_right_graph():
     for u in range(4):
         for v in third:
             assert built.weight(u, v) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the implicit join operator
+# ---------------------------------------------------------------------------
+
+
+def _dense(graph, kind):
+    """The built graph's matrix from its adjacency alone, degrees summed here."""
+    a = np.array(graph.adjacency())
+    if kind == "adjacency":
+        return a
+    return np.diag(a.sum(axis=1)) - a
+
+
+def _operator_cases():
+    rng = np.random.default_rng(41)
+    x, y = random_weighted(rng, 5), random_simple(rng, 4)
+    c5 = family("C", 5)
+    cases = [
+        ("join", JoinTree(Connective.JOIN, (x, y)), join(x, y)),
+        ("union", JoinTree(Connective.UNION, (x, y)), disjoint_union(x, y)),
+        (
+            "nested",
+            JoinTree(Connective.JOIN, (JoinTree(Connective.UNION, (x, y)), c5)),
+            join(disjoint_union(x, y), c5),
+        ),
+        ("edgeless", JoinTree(Connective.JOIN, (family("O", 2), family("O", 7))),
+         join(family("O", 2), family("O", 7))),
+    ]
+    cases += [
+        (f"self x{r}", JoinTree(Connective.JOIN, (x,) * r), self_join(x, r))
+        for r in range(2, 6)
+    ]
+    for plan in ("O2 v K2 u O1 v K3", "C4 v O2 u O4 v O2", "P3 u K2 v O3"):
+        spec = parse_iterated_spec(plan)
+        cases.append((plan, iterated_tree(spec), iterated_join(spec)))
+    return cases
+
+
+_OPERATOR_CASES = _operator_cases()
+
+
+@pytest.mark.parametrize("kind", ["laplacian", "adjacency"])
+@pytest.mark.parametrize(
+    "name, tree, built", _OPERATOR_CASES, ids=[c[0] for c in _OPERATOR_CASES]
+)
+def test_join_tree_matvec_matches_the_built_matrix(name, tree, built, kind):
+    assert tree.order == built.order
+    assert tree.build() == built
+    rng = np.random.default_rng(tree.order)
+    for _ in range(3):
+        vec = rng.standard_normal(tree.order)
+        assert np.allclose(tree.matvec(vec, kind), _dense(built, kind) @ vec, atol=1e-12)
+
+
+def test_matvec_with_loops_under_the_adjacency_matrix():
+    apex = family("O_loops", 2, 3.0)
+    looped = WeightedGraph(4, [(0, 1, 1.5), (1, 3, 2.0)], loops=[(1, -3.0), (2, 0.5)])
+    rng = np.random.default_rng(5)
+    for graph in (looped, join(apex, family("C", 6))):
+        vec = rng.standard_normal(graph.order)
+        assert np.allclose(graph.matvec(vec, "adjacency"), _dense(graph, "adjacency") @ vec)
+    tree = JoinTree(Connective.JOIN, (apex, family("C", 6)))
+    vec = rng.standard_normal(tree.order)
+    assert np.allclose(tree.matvec(vec, "adjacency"), _dense(tree.build(), "adjacency") @ vec)
+    with pytest.raises(PreconditionError):
+        tree.matvec(vec, "laplacian")
+    with pytest.raises(ValueError):
+        looped.matvec(vec[:4], "signless")
+
+
+def test_degrees_count_loops_twice():
+    g = WeightedGraph(4, [(0, 1, 1.5), (1, 3, 2.0)], loops=[(1, -3.0), (2, 0.5)])
+    a = np.array(g.adjacency())
+    assert np.array_equal(g.degrees(), a.sum(axis=1) + np.diag(a))
+    assert np.array_equal(family("O", 3).degrees(), np.zeros(3))
+
+
+def test_join_tree_needs_two_children():
+    with pytest.raises(ValueError):
+        JoinTree(Connective.JOIN, (family("K", 3),))

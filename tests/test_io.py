@@ -21,6 +21,8 @@ from qwjoin.cli import main
 from qwjoin.graphio import AnalysisReport, graph_from_dict, graph_to_dict
 from qwjoin.transfer import SupportPartition, SymbolicTime
 
+from conftest import with_wrong_time
+
 
 def test_graph_round_trip(tmp_path):
     g = WeightedGraph(4, [(0, 1, 1.5), (2, 3, 1.0)], loops=[(1, -3.0)])
@@ -174,3 +176,37 @@ def test_cli_pair_checked_before_any_work(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--pair" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["join", "--left", "P 3", "--right", "O 2", "--pair", "0", "9"],
+        ["join", "--left", "P 3", "--self", "3", "--pair", "0", "3"],
+        ["join", "--iterated", "O2 v O2 u O4 v O4", "--part", "3", "--pair", "1", "4"],
+    ],
+    ids=["two-part", "self", "iterated"],
+)
+def test_cli_join_pair_checked_before_any_output(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--pair" in captured.err
+
+
+@pytest.mark.parametrize(
+    "closed_form, argv",
+    [
+        ("_join_pst_laplacian", ["join", "--left", "O 2", "--right", "O 6", "--pair", "0", "1"]),
+        ("_evaluate_pattern", ["join", "--left", "O 2", "--self", "4", "--pair", "0", "1"]),
+        (
+            "_evaluate_pattern",
+            ["join", "--iterated", "O2 v K2", "--part", "1", "--pair", "0", "1"],
+        ),
+    ],
+    ids=["two-part", "self", "iterated"],
+)
+def test_cli_wrong_transfer_time_exit_code(capsys, monkeypatch, closed_form, argv):
+    monkeypatch.setattr(transfer, closed_form, with_wrong_time(getattr(transfer, closed_form)))
+    assert main(argv) == 3
+    assert "only reaches magnitude" in capsys.readouterr().err

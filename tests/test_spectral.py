@@ -7,6 +7,7 @@ from qwjoin import (
     WeightedGraph,
     decompose,
     disjoint_union,
+    double_cone_pst,
     eigenvalue_support,
     family,
     graph_matrix,
@@ -105,6 +106,17 @@ def test_one_decomposition_per_distinct_matrix(monkeypatch, capsys, call, distin
     seen = _count_decompositions(monkeypatch)
     call()
     assert len(seen) == len(set(seen)) == distinct
+
+
+def test_double_cones_decompose_the_apexes_once(monkeypatch, capsys):
+    seen = _count_decompositions(monkeypatch)
+    for n in (6, 10, 14):
+        double_cone_pst(family("O", n))
+    assert main(["pst-search", "--mode", "cp-join", "--m-max", "8"]) == 0
+    # the apex pair is shared, so its 2x2 Laplacian is decomposed at most
+    # once in the process (not at all if an earlier test got there first)
+    assert sum(shape == (2, 2) for shape, _ in seen) <= 1
+    assert len(seen) == len(set(seen))
 
 
 def test_spectrum_is_cached_per_graph_and_read_only():

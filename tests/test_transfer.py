@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import qwjoin.graphs as graphs
 import qwjoin.transfer as transfer
 from qwjoin import (
     InconsistencyError,
@@ -37,11 +38,13 @@ from qwjoin import (
 from qwjoin.transfer import SymbolicTime
 
 from conftest import (
+    WRONG_TIME,
     oracle_strong_cospectral,
     oracle_transition,
     random_circulant,
     random_simple,
     sets_close,
+    with_wrong_time,
 )
 
 
@@ -542,3 +545,76 @@ def test_threshold_search_two_parts():
         assert h["part"] == 1
         assert h["time"] == [1, 2, 1]
         assert h["time_value"] == pytest.approx(math.pi / 2)
+
+
+# ---------------------------------------------------------------------------
+# confirmation on the implicit join
+# ---------------------------------------------------------------------------
+
+
+def test_double_cone_on_a_million_vertices():
+    cert = double_cone_pst(family("O", 1_000_002))
+    assert cert.pst and cert.time == SymbolicTime(1, 2, 1)
+    assert cert.confirmation >= 1 - 1e-9
+    assert cert.details["confirmation_route"] == "lanczos"
+    assert cert.details["krylov_dimension"] == 3
+    assert cert.details["krylov_bound"] < 1e-10
+
+
+# positive certificates, and the closed form each takes its time from
+CONFIRMED = {
+    "join_pst": (
+        "_join_pst_laplacian",
+        lambda **kw: join_pst(family("O", 2), family("O", 6), 0, 1, **kw),
+    ),
+    "self_join_analysis": (
+        "_evaluate_pattern",
+        lambda **kw: self_join_analysis(family("O", 2), 4, 0, 1, **kw),
+    ),
+    "iterated_join_analysis": (
+        "_evaluate_pattern",
+        lambda **kw: iterated_join_analysis(parse_iterated_spec("O2 v K2"), 1, 0, 1, **kw),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CONFIRMED))
+def test_confirmation_catches_a_wrong_transfer_time(monkeypatch, name):
+    closed_form, call = CONFIRMED[name]
+    assert call().pst
+    monkeypatch.setattr(transfer, closed_form, with_wrong_time(getattr(transfer, closed_form)))
+    with pytest.raises(InconsistencyError, match="only reaches magnitude"):
+        call()
+    # with the walk check off, nothing else notices
+    assert call(verify="none").time == WRONG_TIME
+
+
+def count_whole_builds(monkeypatch, order: int) -> list:
+    """Graphs of the given order returned by the join builders, as they are made."""
+    built = []
+    for name in ("join", "disjoint_union", "self_join", "iterated_join"):
+        real = getattr(graphs, name)
+
+        def counting(*args, _real=real):
+            graph = _real(*args)
+            if graph.order == order and all(graph is not g for g in built):
+                built.append(graph)
+            return graph
+
+        for module in (graphs, transfer):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    return built
+
+
+@pytest.mark.parametrize("name", list(CONFIRMED))
+def test_numeric_confirmation_builds_nothing_and_full_builds_once(monkeypatch, name):
+    call = CONFIRMED[name][1]
+    cert = call(verify="numeric")
+    order = {"join_pst": 8, "self_join_analysis": 8, "iterated_join_analysis": 4}[name]
+    built = count_whole_builds(monkeypatch, order)
+    assert call(verify="numeric").confirmation == cert.confirmation
+    assert built == []
+    full = call(verify="full")
+    assert len(built) == 1
+    assert full.pst and full.confirmation >= 1 - 1e-9

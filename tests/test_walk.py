@@ -5,19 +5,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qwjoin import (
+    Connective,
+    JoinTree,
+    NumericError,
     alpha,
     decompose,
     family,
     graph_matrix,
     in_T,
+    iterated_tree,
     join,
     join_entry_A,
     join_entry_L,
     join_params,
+    join_support,
+    krylov_entry,
+    parse_iterated_spec,
     transition_matrix,
     unitary_exp,
 )
-from qwjoin.walk import transition_entries
+from qwjoin.walk import KRYLOV_TOL, transition_entries
 
 from conftest import oracle_transition, random_circulant, random_simple, random_weighted
 
@@ -150,3 +157,78 @@ def test_regular_graph_walks_agree_up_to_modulus():
             ul = transition_matrix(dl, t)
             ua = transition_matrix(da, t)
             assert np.allclose(np.abs(ul), np.abs(ua), atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Krylov walk entries on implicit joins
+# ---------------------------------------------------------------------------
+
+
+def _krylov_cases():
+    rng = np.random.default_rng(83)
+    x = random_weighted(rng, 5)
+    return [
+        (JoinTree(Connective.JOIN, (family("Q", 3), family("O", 4))), "laplacian"),
+        (JoinTree(Connective.JOIN, (x, random_simple(rng, 3))), "laplacian"),
+        (JoinTree(Connective.JOIN, (x,) * 3), "adjacency"),
+        (JoinTree(Connective.JOIN, (family("CP", 6), family("K", 3))), "adjacency"),
+        (JoinTree(Connective.JOIN, (family("O_loops", 2, 2.0), family("C", 5))), "adjacency"),
+        (iterated_tree(parse_iterated_spec("C4 v O2 u O4 v O2")), "laplacian"),
+        (family("P", 4), "laplacian"),
+    ]
+
+
+@pytest.mark.parametrize("tree, kind", _krylov_cases())
+def test_krylov_entry_matches_scipy_expm(tree, kind):
+    built = tree.build() if isinstance(tree, JoinTree) else tree
+    m = graph_matrix(built, kind)
+    for t in (0.0, 0.7, math.pi / 2, 5.3):
+        exact = oracle_transition(m, t)
+        for u, v in ((0, 0), (0, 1), (1, tree.order - 1)):
+            entry = krylov_entry(tree, u, v, t, kind)
+            assert abs(entry.value - exact[v, u]) <= 1e-9
+            assert entry.bound < KRYLOV_TOL or entry.dimension == tree.order
+
+
+def test_krylov_entry_is_exact_when_the_space_is_whole():
+    # every eigenvalue of a path carries weight on its end vertex
+    entry = krylov_entry(family("P", 4), 0, 3, 1.0)
+    assert entry.dimension == 4
+    exact = oracle_transition(graph_matrix(family("P", 4), "laplacian"), 1.0)
+    assert abs(entry.value - exact[3, 0]) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "x, y, kind",
+    [
+        (family("Q", 3), family("O", 4), "laplacian"),
+        (family("C", 6), family("O", 2), "laplacian"),
+        (family("P", 4), family("O", 3), "laplacian"),
+        (family("P", 5), family("K", 2), "laplacian"),
+        (family("CP", 8), family("O", 2), "laplacian"),
+        (family("K_bipartite", 2, 3), family("O", 1), "laplacian"),
+        (family("Q", 4), family("O", 5), "laplacian"),
+        (family("K", 4), family("K", 4), "adjacency"),
+        (family("C", 8), family("K", 3), "adjacency"),
+        (family("CP", 6), family("O", 2), "adjacency"),
+    ],
+)
+def test_krylov_dimension_is_the_join_support_size(x, y, kind):
+    tree = JoinTree(Connective.JOIN, (x, y))
+    for u in range(tree.order):
+        side, local = ("left", u) if u < x.order else ("right", u - x.order)
+        support = join_support(x, y, local, matrix=kind, side=side)
+        assert krylov_entry(tree, u, u, 1.0, kind).dimension == len(support)
+
+
+def test_krylov_entry_rejects_non_finite_products():
+    class Broken:
+        order = 3
+
+        def matvec(self, x, kind):
+            return np.full(3, np.nan)
+
+    with pytest.raises(NumericError):
+        krylov_entry(Broken(), 0, 1, 1.0)
+    with pytest.raises(ValueError):
+        krylov_entry(family("P", 3), 0, 3, 1.0)
