@@ -73,9 +73,9 @@ class WeightedGraph:
     same way.
     """
 
-    __slots__ = ("order", "edges", "loops", "provenance", "_cache")
+    __slots__ = ("order", "edges", "loops", "_cache")
 
-    def __init__(self, order: int, edges=(), loops=(), provenance=None):
+    def __init__(self, order: int, edges=(), loops=()):
         order = int(order)
         if order < 1:
             raise ValueError("a graph needs at least one vertex")
@@ -83,7 +83,6 @@ class WeightedGraph:
         init(self, "order", order)
         init(self, "edges", MappingProxyType(_normalize_edges(order, edges)))
         init(self, "loops", MappingProxyType(_normalize_loops(order, loops)))
-        init(self, "provenance", provenance)
         init(self, "_cache", {})
 
     def __setattr__(self, name, value):
@@ -241,7 +240,8 @@ def component_of(graph: WeightedGraph, u: int) -> list[int]:
 
 
 def is_connected(graph: WeightedGraph) -> bool:
-    return len(component_of(graph, 0)) == graph.order
+    """Whether the graph is connected; computed once and cached on the graph."""
+    return graph.cached("connected", lambda: len(component_of(graph, 0)) == graph.order)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +332,7 @@ def join(x: WeightedGraph, y: WeightedGraph) -> WeightedGraph:
     edges += [(u, m + v, 1.0) for u in range(m) for v in range(y.order)]
     loops = [(v, w) for v, w in x.loops.items()]
     loops += [(v + m, w) for v, w in y.loops.items()]
-    return WeightedGraph(m + y.order, edges, loops, provenance=("join", x, y))
+    return WeightedGraph(m + y.order, edges, loops)
 
 
 def disjoint_union(x: WeightedGraph, y: WeightedGraph) -> WeightedGraph:
@@ -341,7 +341,7 @@ def disjoint_union(x: WeightedGraph, y: WeightedGraph) -> WeightedGraph:
     edges += [(u + m, v + m, w) for (u, v), w in y.edges.items()]
     loops = [(v, w) for v, w in x.loops.items()]
     loops += [(v + m, w) for v, w in y.loops.items()]
-    return WeightedGraph(m + y.order, edges, loops, provenance=("union", x, y))
+    return WeightedGraph(m + y.order, edges, loops)
 
 
 @dataclass(frozen=True, eq=False)

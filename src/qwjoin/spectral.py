@@ -1,9 +1,12 @@
-"""Spectral decompositions and eigenvalue supports.
+"""Spectral decompositions, eigenvalue supports and the join rule.
 
 The eigensolver is LAPACK's symmetric solver (numpy.linalg.eigh). Repeated
 eigenvalues are grouped by gap so each distinct eigenvalue gets a single
 orthogonal projector. spectrum() decomposes a graph's matrix once and caches
 the result on the (immutable) graph.
+
+carry_join is the one place where a part's support or sign partition is
+carried across a join; carry_through_plan folds it over an iterated plan.
 """
 
 from __future__ import annotations
@@ -123,12 +126,16 @@ def _merge_close(values, tol: float = SUPPORT_TOL) -> list[float]:
     return out
 
 
+def _close(a: float, b: float, tol: float = SUPPORT_TOL) -> bool:
+    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
 def _contains(values, x: float, tol: float = SUPPORT_TOL) -> bool:
-    return any(abs(v - x) <= tol * max(1.0, abs(v), abs(x)) for v in values)
+    return any(_close(v, x, tol) for v in values)
 
 
 # ---------------------------------------------------------------------------
-# join parameters and closed-form supports
+# join parameters and the join rule for supports and sign partitions
 # ---------------------------------------------------------------------------
 
 
@@ -182,6 +189,60 @@ def join_params(x: WeightedGraph, y: WeightedGraph, matrix: str) -> JoinParams:
     raise ValueError(f"unknown matrix kind {matrix!r}")
 
 
+@dataclass
+class SupportPartition:
+    """A vertex pair's eigenvalue support split by projector sign.
+
+    A single vertex's support is a partition with an empty minus list.
+    """
+
+    plus: list[float]
+    minus: list[float]
+
+    @property
+    def support(self) -> list[float]:
+        return _merge_close(list(self.plus) + list(self.minus))
+
+
+def carry_join(
+    part: SupportPartition | None,
+    params: JoinParams,
+    matrix: str,
+    connected: bool,
+    isolated_pair: bool = False,
+    tol: float = SUPPORT_TOL,
+) -> SupportPartition | None:
+    """The join rule: carry a left part's vertex support or pair partition into the join.
+
+    params describes the join with the part on the left, so m is the
+    part's order. Let d be the part's distinguished eigenvalue, 0 for the
+    Laplacian and k for the adjacency matrix. Every other eigenvalue moves
+    by n (Laplacian) or stays (adjacency); d gives way to the two fresh
+    join eigenvalues, m + n and 0 or lam_plus and lam_minus, plus its moved
+    self when the part is disconnected. The result is None when part is
+    None (the pair is not strongly cospectral within the part) or when a
+    flipping eigenvalue lands on a fresh one. The exception is an edgeless
+    two-vertex part (isolated_pair), whose pair is never strongly
+    cospectral within it but always is in the join: the fresh eigenvalues
+    against the moved d.
+    """
+    if matrix == "laplacian":
+        d, shift = 0.0, float(params.n)
+        fresh = [float(params.m + params.n), 0.0]
+    else:
+        d, shift = float(params.k), 0.0  # type: ignore[arg-type]
+        fresh = [params.lam_plus, params.lam_minus]
+    if isolated_pair:
+        return SupportPartition(fresh, [d + shift])
+    if part is None or any(_contains(part.minus, f - shift, tol) for f in fresh):
+        return None
+    plus = [lam + shift for lam in part.plus if not _close(lam, d, tol)] + fresh
+    if not connected:
+        plus.append(d + shift)
+    minus = [mu + shift for mu in part.minus]
+    return SupportPartition(_merge_close(plus, tol), _merge_close(minus, tol))
+
+
 def join_support(
     x: WeightedGraph,
     y: WeightedGraph,
@@ -204,25 +265,43 @@ def join_support(
     if not 0 <= u < x.order:
         raise ValueError(f"vertex {u} out of range for the left part")
     own = eigenvalue_support(spectrum(x, matrix), u, tol=tol)
-    m, n = x.order, y.order
-    connected = is_connected(x)
-    if matrix == "laplacian":
-        shifted = [lam + n for lam in own if abs(lam) > tol]
-        extra = [0.0, float(m + n)]
-        if not connected:
-            extra.append(float(n))
-        return _merge_close(shifted + extra, tol)
-    k = float(params.k)  # type: ignore[arg-type]
-    kept = [lam for lam in own if abs(lam - k) > tol * max(1.0, abs(k))]
-    extra = [params.lam_plus, params.lam_minus]
-    if not connected:
-        extra.append(k)
-    return _merge_close(kept + extra, tol)
+    return carry_join(SupportPartition(own, []), params, matrix, is_connected(x), tol=tol).plus
 
 
 # ---------------------------------------------------------------------------
 # iterated joins
 # ---------------------------------------------------------------------------
+
+
+def carry_through_plan(
+    spec: IteratedJoinSpec,
+    j: int,
+    own: SupportPartition | None,
+    isolated_pair: bool = False,
+    tol: float = SUPPORT_TOL,
+) -> SupportPartition | None:
+    """Carry part j's Laplacian support or pair partition through the build.
+
+    Stages before j carry nothing. At stage j a union keeps own, and a join
+    carries it with part j as the left side against the graph built so
+    far. Each later join carries the result with the built graph as the
+    left side; later unions leave it alone. isolated_pair says part j is an
+    edgeless two-vertex part and own is the partition of its pair.
+    """
+    carried = own
+    acc_order = 0
+    acc_connected = True
+    for idx, (graph, conn) in enumerate(spec.parts, start=1):
+        if idx == j and conn is Connective.JOIN:
+            params = JoinParams(graph.order, acc_order)
+            carried = carry_join(own, params, "laplacian", is_connected(graph), isolated_pair, tol)
+        elif idx > j and conn is Connective.JOIN:
+            params = JoinParams(acc_order, graph.order)
+            side_isolated = isolated_pair and acc_order == 2
+            carried = carry_join(carried, params, "laplacian", acc_connected, side_isolated, tol)
+        acc_order += graph.order
+        acc_connected = is_connected(graph) if idx == 1 else conn is Connective.JOIN
+    return carried
 
 
 def iterated_join_support(
@@ -251,31 +330,5 @@ def iterated_join_support(
     part = parts[j - 1][0]
     if not 0 <= u < part.order:
         raise ValueError(f"vertex {u} out of range for part {j}")
-
     own = eigenvalue_support(spectrum(part, "laplacian"), u, tol=tol)
-    acc_order = parts[0][0].order
-    acc_connected = is_connected(parts[0][0])
-    if j == 1:
-        support = list(own)
-        entered = True
-    else:
-        support = []
-        entered = False
-    for idx, (graph, conn) in enumerate(parts[1:], start=2):
-        if idx == j:
-            if conn is Connective.UNION:
-                support = list(own)
-            else:
-                shifted = [lam + acc_order for lam in own if abs(lam) > tol]
-                support = shifted + [0.0, float(acc_order + graph.order)]
-                if not is_connected(graph):
-                    support.append(float(acc_order))
-            entered = True
-        elif entered and conn is Connective.JOIN:
-            shifted = [lam + graph.order for lam in support if abs(lam) > tol]
-            support = shifted + [0.0, float(acc_order + graph.order)]
-            if not acc_connected:
-                support.append(float(graph.order))
-        acc_connected = conn is Connective.JOIN
-        acc_order += graph.order
-    return _merge_close(support, tol)
+    return carry_through_plan(spec, j, SupportPartition(own, []), tol=tol).plus

@@ -40,16 +40,23 @@ from .graphs import (
     disjoint_union,
     family,
     is_connected,
+    is_regular,
     iterated_tree,
     iterated_vertex,
 )
 from .spectral import (
     SUPPORT_TOL,
+    JoinParams,
     SpectralDecomposition,
+    SupportPartition,
+    _close,
     _contains,
     _merge_close,
+    carry_join,
+    carry_through_plan,
     eigenvalue_support,
     join_params,
+    join_support,
     spectrum,
 )
 from .walk import krylov_entry, transition_entries
@@ -57,10 +64,6 @@ from .walk import krylov_entry, transition_entries
 # The two apexes of a double cone, shared so that their spectra are
 # computed once per process.
 APEXES = family("O", 2)
-
-
-def _close(a: float, b: float, tol: float = SUPPORT_TOL) -> bool:
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
 def _nu2_inf(value: int):
@@ -123,18 +126,6 @@ class SymbolicTime:
 
 def _sym_time(pi_mult: Fraction, root: int) -> SymbolicTime:
     return SymbolicTime(pi_mult.numerator, pi_mult.denominator, root)
-
-
-@dataclass
-class SupportPartition:
-    """A vertex pair's eigenvalue support split by projector sign."""
-
-    plus: list[float]
-    minus: list[float]
-
-    @property
-    def support(self) -> list[float]:
-        return _merge_close(list(self.plus) + list(self.minus))
 
 
 @dataclass
@@ -257,29 +248,8 @@ def join_strong_cospectral(
     if u >= m:
         return join_strong_cospectral(y, x, u - m, v - m, matrix=matrix, tol=tol)
     isolated_pair = x.order == 2 and not x.edges
-    if matrix == "laplacian":
-        if isolated_pair:
-            return SupportPartition([float(n + 2), 0.0], [float(n)])
-        part = strong_cospectral(spectrum(x, "laplacian"), u, v, tol=tol)
-        if part is None or _contains(part.minus, float(m), tol):
-            return None
-        plus = [lam + n for lam in part.plus if abs(lam) > tol]
-        plus += [0.0, float(total)]
-        if not is_connected(x):
-            plus.append(float(n))
-        minus = [mu + n for mu in part.minus]
-        return SupportPartition(_merge_close(plus, tol), _merge_close(minus, tol))
-    k = float(params.k)  # type: ignore[arg-type]
-    if isolated_pair:
-        return SupportPartition([params.lam_plus, params.lam_minus], [k])
-    part = strong_cospectral(spectrum(x, "adjacency"), u, v, tol=tol)
-    if part is None or _contains(part.minus, params.lam_minus, tol):
-        return None
-    plus = [lam for lam in part.plus if not _close(lam, k, tol)]
-    plus += [params.lam_plus, params.lam_minus]
-    if not is_connected(x):
-        plus.append(k)
-    return SupportPartition(_merge_close(plus, tol), _merge_close(list(part.minus), tol))
+    part = None if isolated_pair else strong_cospectral(spectrum(x, matrix), u, v, tol=tol)
+    return carry_join(part, params, matrix, is_connected(x), isolated_pair, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -422,34 +392,17 @@ def join_periodic(
     side: str = "left",
 ) -> PeriodCertificate:
     """Periodicity of a join vertex decided from the part's spectrum."""
-    from .spectral import join_support
-
     return minimum_period(join_support(x, y, u, matrix=matrix, side=side))
-
-
-def _integer_charpoly(decomp: SpectralDecomposition) -> bool:
-    roots = np.repeat(decomp.eigenvalues, decomp.multiplicities)
-    coeffs = np.poly(roots)
-    return all(abs(c - round(c)) <= 1e-6 * max(1.0, abs(c)) for c in coeffs)
 
 
 def graph_periodic(graph: WeightedGraph, matrix: str = "laplacian") -> bool:
     """Whether every vertex of the graph is periodic.
 
-    Integral spectra are periodic outright. A graph built by join whose
-    characteristic polynomial has integer coefficients is periodic exactly
-    when its spectrum is integral, so the per-vertex scan is skipped there.
+    Integral spectra are periodic outright; otherwise each vertex is tested.
     """
     decomp = spectrum(graph, matrix)
     if _as_int_list(decomp.eigenvalues) is not None:
         return True
-    if (
-        matrix == "laplacian"
-        and graph.provenance is not None
-        and graph.provenance[0] == "join"
-        and _integer_charpoly(decomp)
-    ):
-        return False
     return all(is_periodic(decomp, u) for u in range(decomp.size))
 
 
@@ -667,12 +620,7 @@ def join_period_ratio(
     decomp = spectrum(x, matrix)
     support = eigenvalue_support(decomp, u)
     connected = is_connected(x)
-    if matrix == "laplacian":
-        distinguished = 0.0
-        fresh = [float(m), float(-n)]
-    else:
-        distinguished = float(params.k)  # type: ignore[arg-type]
-        fresh = [params.lam_minus, params.lam_plus]
+    distinguished = 0.0 if matrix == "laplacian" else float(params.k)  # type: ignore[arg-type]
     others = [v for v in support if not _close(v, distinguished)]
     if len(others) == len(support):
         raise InconsistencyError(
@@ -682,9 +630,8 @@ def join_period_ratio(
         raise PreconditionError(
             "the vertex support is a single eigenvalue, so no period ratio is defined"
         )
-    join_vals = _merge_close(others + fresh + ([] if connected else [distinguished]))
     per_x = _exact_min_period(_merge_close(support))
-    per_j = _exact_min_period(join_vals)
+    per_j = _exact_min_period(join_support(x, y, u, matrix=matrix))
     if per_x is None:
         raise PreconditionError("the part walk is not periodic at this vertex")
     if per_j is None:
@@ -1461,38 +1408,6 @@ def pst_induced(
 # ---------------------------------------------------------------------------
 
 
-def _self_join_partition(
-    x: WeightedGraph, r: int, u: int, v: int, matrix: str,
-    part_decomp: SpectralDecomposition,
-) -> SupportPartition | None:
-    m = x.order
-    isolated_pair = x.order == 2 and not x.edges
-    if matrix == "laplacian":
-        if isolated_pair:
-            return SupportPartition([float(2 * r), 0.0], [float(2 * r - 2)])
-        part = strong_cospectral(part_decomp, u, v)
-        if part is None or _contains(part.minus, float(m)):
-            return None
-        shift = (r - 1) * m
-        plus = [lam + shift for lam in part.plus if abs(lam) > SUPPORT_TOL]
-        plus += [0.0, float(r * m)]
-        if not is_connected(x):
-            plus.append(float(shift))
-        minus = [mu + shift for mu in part.minus]
-        return SupportPartition(_merge_close(plus), _merge_close(minus))
-    k = float(np.asarray(x.adjacency()).sum(axis=1)[0])
-    if isolated_pair:
-        return SupportPartition([k + 2.0 * (r - 1), k - 2.0], [k])
-    part = strong_cospectral(part_decomp, u, v)
-    if part is None or _contains(part.minus, k - m):
-        return None
-    plus = [lam for lam in part.plus if not _close(lam, k)]
-    plus += [k - m, k + (r - 1.0) * m]
-    if not is_connected(x):
-        plus.append(k)
-    return SupportPartition(_merge_close(plus), _merge_close(list(part.minus)))
-
-
 def self_join_analysis(
     x: WeightedGraph,
     r: int,
@@ -1517,21 +1432,23 @@ def self_join_analysis(
         raise ValueError("the pair must be two distinct part vertices")
     isolated_pair = x.order == 2 and not x.edges
     details: dict = {"copies": r}
+    # the sign partition comes from the join of x with the other r - 1
+    # copies, a graph of order (r - 1)m and, for a k-regular x, degree k + (r - 2)m
     if matrix == "laplacian":
         if x.loops:
             raise PreconditionError("Laplacian self-join analysis requires a simple part")
-        part_decomp = spectrum(x, "laplacian")
+        params = JoinParams(m, (r - 1) * m)
     elif matrix == "adjacency":
-        from .graphs import is_regular
-
         k_val = is_regular(x)
         if k_val is None:
             raise PreconditionError("adjacency self-join analysis requires a regular part")
-        if _as_int(float(k_val)) is None:
+        k_int = _as_int(float(k_val))
+        if k_int is None:
             raise PreconditionError("adjacency self-join analysis needs an integer degree")
-        part_decomp = spectrum(x, "adjacency")
+        params = JoinParams(m, (r - 1) * m, k_val, k_val + (r - 2) * m)
     else:
         raise ValueError(f"unknown matrix kind {matrix!r}")
+    part_decomp = spectrum(x, matrix)
     verdict = False
     branch = None
     reason = None
@@ -1547,7 +1464,6 @@ def self_join_analysis(
         if matrix == "laplacian":
             excluded = part_sc is not None and _contains(part_sc.minus, float(m))
         else:
-            k_int = _as_int(float(np.asarray(x.adjacency()).sum(axis=1)[0]))
             excluded = part_sc is not None and _contains(part_sc.minus, float(k_int - m))
         if part_sc is None:
             branch = "not-cospectral"
@@ -1596,7 +1512,6 @@ def self_join_analysis(
                     verdict = ok_a
                     branch = "dominant-plus-disconnected" if ok_a else "no-valuation-pattern"
             else:
-                k_int = _as_int(float(np.asarray(x.adjacency()).sum(axis=1)[0]))
                 lams = [l for l in plus_i if l != k_int]
                 crossings = [k_int - mu for mu in minus_i]
                 ok_a = (
@@ -1634,7 +1549,10 @@ def self_join_analysis(
                     branch = "dominant-order-disconnected" if ok_a else "no-valuation-pattern"
         if not verdict and reason is None:
             reason = "no dyadic valuation pattern matches the support"
-    partition = _self_join_partition(x, r, u, v, matrix, part_decomp)
+    partition = carry_join(
+        None if isolated_pair else strong_cospectral(part_decomp, u, v),
+        params, matrix, is_connected(x), isolated_pair,
+    )
     outcome = _evaluate_pattern(partition) if partition is not None else None
     generic_ok = bool(outcome and outcome.ok)
     if generic_ok != verdict:
@@ -1652,7 +1570,6 @@ def self_join_analysis(
             else:
                 pool = [m] + [l for l in support_i if l != 0]
         else:
-            k_int = _as_int(float(np.asarray(x.adjacency()).sum(axis=1)[0]))
             if is_connected(x):
                 pool = [r * m] + [k_int - m - l for l in support_i if l != k_int]
             else:
@@ -1681,17 +1598,6 @@ def self_join_analysis(
 # ---------------------------------------------------------------------------
 
 
-def _sc_join_step(
-    partition: SupportPartition, other: int, total: int, own_disconnected: bool
-) -> SupportPartition:
-    plus = [lam + other for lam in partition.plus if abs(lam) > SUPPORT_TOL]
-    plus += [0.0, float(total)]
-    if own_disconnected:
-        plus.append(float(other))
-    minus = [mu + other for mu in partition.minus]
-    return SupportPartition(_merge_close(plus), _merge_close(minus))
-
-
 def iterated_join_sign_partition(
     spec: IteratedJoinSpec, j: int, u: int, v: int, tol: float = SUPPORT_TOL
 ) -> SupportPartition | None:
@@ -1710,44 +1616,9 @@ def iterated_join_sign_partition(
     for graph, _ in parts:
         if graph.loops:
             raise PreconditionError("Laplacian join analysis requires simple parts")
-    part_decomp = spectrum(part, "laplacian")
-    own_sc = strong_cospectral(part_decomp, u, v, tol)
-    own_is_o2 = part.order == 2 and not part.edges
-    own_connected = is_connected(part)
-    partition = own_sc if j == 1 else None
-    entered = j == 1
-    acc_order = parts[0][0].order
-    acc_connected = is_connected(parts[0][0])
-    for idx, (graph, conn) in enumerate(parts[1:], start=2):
-        size = graph.order
-        if idx == j:
-            entered = True
-            if conn is Connective.JOIN:
-                if own_is_o2:
-                    partition = SupportPartition(
-                        [float(acc_order + 2), 0.0], [float(acc_order)]
-                    )
-                elif own_sc is None or _contains(own_sc.minus, float(part.order), tol):
-                    partition = None
-                else:
-                    partition = _sc_join_step(
-                        own_sc, acc_order, acc_order + size, not own_connected
-                    )
-            else:
-                partition = own_sc
-        elif entered and conn is Connective.JOIN:
-            if idx == 2 and j == 1 and own_is_o2:
-                partition = SupportPartition([float(size + 2), 0.0], [float(size)])
-            elif partition is not None:
-                if _contains(partition.minus, float(acc_order), tol):
-                    partition = None
-                else:
-                    partition = _sc_join_step(
-                        partition, size, acc_order + size, not acc_connected
-                    )
-        acc_order += size
-        acc_connected = conn is Connective.JOIN
-    return partition
+    isolated_pair = part.order == 2 and not part.edges
+    own = None if isolated_pair else strong_cospectral(spectrum(part, "laplacian"), u, v, tol)
+    return carry_through_plan(spec, j, own, isolated_pair, tol)
 
 
 def iterated_join_analysis(

@@ -162,12 +162,7 @@ def join_entry_L(
     if decomp_x is None:
         decomp_x = spectrum(x, "laplacian")
     base = complex(transition_entries(decomp_x, u, v, [t])[0])
-    correction = (
-        1.0 / total
-        + n * cmath.exp(1j * t * total) / (m * total)
-        - cmath.exp(1j * t * n) / m
-    )
-    return cmath.exp(1j * t * n) * base + correction
+    return cmath.exp(1j * t * n) * (base + alpha(params, t, "laplacian"))
 
 
 def join_entry_A(
@@ -193,14 +188,8 @@ def join_entry_A(
         return join_entry_A(y, x, u - m, v - m, t, decomp_y, decomp_x)
     if decomp_x is None:
         decomp_x = spectrum(x, "adjacency")
-    k = float(params.k)  # type: ignore[arg-type]
     base = complex(transition_entries(decomp_x, u, v, [t])[0])
-    correction = (
-        cmath.exp(1j * t * lp) * (k - lm) / (m * root)
-        - cmath.exp(1j * t * lm) * (k - lp) / (m * root)
-        - cmath.exp(1j * t * k) / m
-    )
-    return base + correction
+    return base + alpha(params, t, "adjacency")
 
 
 def alpha(params: JoinParams, t, matrix: str = "laplacian"):

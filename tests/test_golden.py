@@ -5,6 +5,9 @@ directory. Its exit code, stdout and stderr are compared with
 tests/golden/<name>.txt, and the --out report it writes (always named
 report.json) with tests/golden/<name>.json. A --csv sweep is compared
 through its SHA-256, recorded in the .txt file, to keep the corpus small.
+No field is left out of the comparison: every transcript and report is
+byte-deterministic. Trace or timing fields added to the reports later must
+be excluded here by name.
 
 The corpus pins the reports a refactor must reproduce. Regenerate it only
 for a change that is meant to alter output:
@@ -27,11 +30,6 @@ from qwjoin.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # graph files that runs read as parts; every other file is a run's output
 INPUTS = ("two_K2", "weighted_P3")
-
-# Fields left out of the comparison. None: every report and transcript is
-# byte-deterministic today. Trace or timing fields added to the reports
-# later belong here, by name.
-EXCLUDED_FIELDS: tuple[str, ...] = ()
 
 _OUT = ["--out", "report.json"]
 

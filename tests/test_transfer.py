@@ -30,6 +30,7 @@ from qwjoin import (
     pst_certificate,
     pst_induced,
     pst_preserved,
+    self_join,
     self_join_analysis,
     strong_cospectral,
     threshold_transfer_search,
@@ -39,6 +40,7 @@ from qwjoin.transfer import SymbolicTime
 
 from conftest import (
     WRONG_TIME,
+    oracle_eigengroups,
     oracle_strong_cospectral,
     oracle_transition,
     random_circulant,
@@ -182,6 +184,45 @@ def test_is_periodic_and_graph_periodic():
     assert not graph_periodic(family("P", 4))
     assert graph_periodic(family("P", 3), "adjacency")
     assert graph_periodic(family("P", 3), "laplacian")
+
+
+# unweighted joins of orders 6-20; the first five have non-integral spectra
+# whose characteristic polynomial still rounds to integer coefficients
+PERIODIC_JOINS = [
+    (family("C", 5), family("O", 1)),
+    (family("P", 4), family("O", 2)),
+    (family("P", 5), family("O", 4)),
+    (family("C", 5), family("K", 3)),
+    (family("C", 7), family("O", 3)),
+    (family("K", 4), family("P", 3)),
+    (family("C", 6), family("O", 6)),
+    (family("P", 6), family("C", 5)),
+    (family("Q", 3), family("C", 5)),
+    (family("P", 8), family("O", 6)),
+    (family("C", 8), family("O", 8)),
+    (family("CP", 8), family("K_bipartite", 3, 3)),
+    (family("Q", 3), family("Q", 3)),
+    (family("C", 10), family("C", 10)),
+]
+
+
+def test_graph_periodic_on_laplacian_joins_matches_an_integral_spectrum():
+    # a Laplacian vertex with 0 in its support is periodic only on an
+    # integral support, so an integer Laplacian is periodic exactly when its
+    # whole spectrum is integral
+    rng = np.random.default_rng(29)
+    pairs = PERIODIC_JOINS + [
+        (random_simple(rng, int(rng.integers(3, 11))), random_simple(rng, int(rng.integers(3, 11))))
+        for _ in range(16)
+    ]
+    for x, y in pairs:
+        g = join(x, y)
+        assert 6 <= g.order <= 20
+        integral = all(
+            abs(lam - round(lam)) <= 1e-6
+            for lam, _ in oracle_eigengroups(graph_matrix(g, "laplacian"))
+        )
+        assert graph_periodic(g) == integral, (x, y)
 
 
 def test_join_periodic():
@@ -470,6 +511,49 @@ def test_self_join_adjacency_with_loops():
 def test_self_join_needs_copies():
     with pytest.raises(ValueError):
         self_join_analysis(family("P", 3), 1, 0, 2)
+
+
+SELF_JOIN_PARTS = {
+    "laplacian": [
+        family("O", 2),
+        family("O", 3),
+        family("K", 2),
+        family("P", 3),
+        family("P", 4),
+        family("C", 4),
+        family("K_minus_e", 4),
+        family("K_bipartite", 2, 3),
+        disjoint_union(family("K", 2), family("K", 2)),
+        WeightedGraph(3, [(0, 1, 2.0), (1, 2, 2.0)]),
+    ],
+    "adjacency": [
+        family("O", 2),
+        family("O_loops", 2, 1.0),
+        family("O_loops", 3, 2.0),
+        family("K", 2),
+        family("K", 3),
+        family("C", 4),
+        family("C", 5),
+        family("CP", 6),
+        disjoint_union(family("K", 2), family("K", 2)),
+    ],
+}
+
+
+@pytest.mark.parametrize("matrix", ["laplacian", "adjacency"])
+def test_self_join_partition_matches_oracle(matrix):
+    for x in SELF_JOIN_PARTS[matrix]:
+        for r in (2, 3, 4):
+            built = graph_matrix(self_join(x, r), matrix)
+            for u in range(x.order):
+                for v in range(u + 1, x.order):
+                    cert = self_join_analysis(x, r, u, v, matrix=matrix, verify="none")
+                    want = oracle_strong_cospectral(built, u, v)
+                    assert cert.strong_cospectral == (want is not None), (x, r, u, v)
+                    assert (cert.partition is None) == (want is None)
+                    if want is not None:
+                        assert sets_close(cert.partition.plus, want[0])
+                        assert sets_close(cert.partition.minus, want[1])
 
 
 def test_self_join_full_verification_randomized():
