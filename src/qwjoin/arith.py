@@ -1,16 +1,20 @@
 """Exact integer and quadratic-irrational helpers behind the spectral certificates.
 
 Everything here is exact: inputs are Python ints (or floats that are
-reconstructed into rationals before use) and all arithmetic stays in the
-64-bit range or raises IntegerOverflowError. Floating point enters only at
-the reconstruction boundary.
+recognized as integers or rationals before use) and all arithmetic stays in
+the 64-bit range or raises IntegerOverflowError. Floating point enters at two
+boundaries: nearest_integer, which asks only whether a float is an integer,
+and reconstruct_rational, which recovers a fraction. Both accept the same
+values as integers.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .errors import IntegerOverflowError
 
@@ -37,16 +41,109 @@ def nu2(a: int) -> int:
     return (a & -a).bit_length() - 1
 
 
+# trial division covers every prime below this bound; a cofactor left over
+# has only larger prime factors and goes to Miller-Rabin and Pollard rho
+_TRIAL_BOUND = 1000
+
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    """Sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(compress(range(n), sieve))
+
+
+_SMALL_PRIMES = _primes_below(_TRIAL_BOUND)
+# Miller-Rabin with the first twelve prime bases is deterministic below
+# 3.3e24 (Sorenson and Webster, Math. Comp. 86, 2017), so below 2**64
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for an odd n > 37 below 2**64."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of an odd composite n that is not a perfect square.
+
+    Brent's variant of Pollard's rho (BIT 20, 1980) on y -> y*y + c, with the
+    differences multiplied in batches of 128 between gcds. c runs 1, 2, ...
+    until a proper factor appears, so the result is deterministic.
+    """
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batch overshot: step through it one difference at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _large_prime_factors(n: int) -> list[int]:
+    """Prime factors, with multiplicity, of n >= 1 with none below _TRIAL_BOUND."""
+    if n == 1:
+        return []
+    root = math.isqrt(n)
+    if root * root == n:
+        return 2 * _large_prime_factors(root)
+    if _is_prime(n):
+        return [n]
+    p = _rho_factor(n)
+    return _large_prime_factors(p) + _large_prime_factors(n // p)
+
+
 def squarefree_part(d: int) -> tuple[int, int]:
-    """Split d > 0 as d = s * f**2 with s squarefree. Returns (s, f)."""
+    """Split d > 0 as d = s * f**2 with s squarefree. Returns (s, f).
+
+    Trial division by the primes below _TRIAL_BOUND; a cofactor with no
+    prime factor below the bound is factored by Miller-Rabin and Pollard
+    rho, so a 63-bit d takes milliseconds, not minutes.
+    """
     d = int(d)
     if d <= 0:
         raise ValueError(f"squarefree_part requires a positive integer, got {d}")
     _check64(d)
     s, f = 1, 1
     remaining = d
-    p = 2
-    while p * p <= remaining:
+    for p in _SMALL_PRIMES:
+        if p * p > remaining:
+            break
         if remaining % p == 0:
             exp = 0
             while remaining % p == 0:
@@ -55,12 +152,30 @@ def squarefree_part(d: int) -> tuple[int, int]:
             f *= p ** (exp // 2)
             if exp % 2:
                 s *= p
-        p += 1 if p == 2 else 2
-    if remaining > 1:
-        s *= remaining
+    else:
+        for p, exp in Counter(_large_prime_factors(remaining)).items():
+            f *= p ** (exp // 2)
+            if exp % 2:
+                s *= p
+        remaining = 1
+    s *= remaining
     _check64(s)
     _check64(f)
     return s, f
+
+
+def _checked_float(x: float, max_denominator: int, tol: float) -> float | None:
+    """x as a float after the reconstruction's input checks; None if not finite."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if max_denominator < 1:
+        raise ValueError("max_denominator must be at least 1")
+    x = float(x)
+    if not math.isfinite(x):
+        return None
+    if abs(x) > INT64_MAX:
+        raise IntegerOverflowError(f"value {x} exceeds the 64-bit range")
+    return x
 
 
 def reconstruct_rational(
@@ -73,19 +188,44 @@ def reconstruct_rational(
     within tol, so callers can distinguish "irrational as far as we can tell"
     from a genuine reconstruction.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_denominator < 1:
-        raise ValueError("max_denominator must be at least 1")
-    x = float(x)
-    if not math.isfinite(x):
+    x = _checked_float(x, max_denominator, tol)
+    if x is None:
         return None
-    if abs(x) > INT64_MAX:
-        raise IntegerOverflowError(f"value {x} exceeds the 64-bit range")
     candidate = Fraction(x).limit_denominator(max_denominator)
     if abs(x - candidate) <= tol:
         return candidate
     return None
+
+
+def nearest_integer(x: float, tol: float = 1e-7, max_denominator: int = 10**6) -> int | None:
+    """The integer reconstruct_rational(x, max_denominator, tol) returns, else None.
+
+    Same input checks, same answer, but no Fraction is built. Let r be the
+    integer nearest x and d = |x - r|; d is exact in floating point (Sterbenz's
+    lemma when r != 0, trivially when r == 0).
+    - d > tol: no integer lies within tol, so the reconstruction is not one.
+    - 2*d*N < 1 (N = max_denominator): a fraction p/q != r with q <= N lies
+      at least 1/q >= 1/N from r, so more than 1/(2N) > d from x; r is then
+      the closest fraction with denominator <= N, which is what
+      Fraction.limit_denominator returns. The product is rounded
+      monotonically, so a computed value below 1 means a true one below 1,
+      as long as N is exact as a float.
+    Only the band in between, which exists only when tol >= 1/(2N), falls
+    back to reconstruct_rational.
+    """
+    x = _checked_float(x, max_denominator, tol)
+    if x is None:
+        return None
+    r = round(x)
+    d = abs(x - r)
+    if not d <= tol:  # also rejects a NaN tol, as the Fraction route does
+        return None
+    if max_denominator <= 2**53 and 2.0 * d * max_denominator < 1.0:
+        return r
+    frac = reconstruct_rational(x, max_denominator, tol)
+    if frac is None or frac.denominator != 1:
+        return None
+    return int(frac)
 
 
 def gcd_all(values) -> int:
@@ -175,11 +315,11 @@ def classify_eigenvalues(values, tol: float = 1e-7) -> list[QuadraticEigenvalue]
     # Integer recognition first.
     as_int: list[QuadraticEigenvalue] = []
     for v in values:
-        r = reconstruct_rational(v, 10**6, tol)
-        if r is None or r.denominator != 1:
+        r = nearest_integer(v, tol)
+        if r is None:
             as_int = []
             break
-        quad = QuadraticEigenvalue(a=2 * int(r), b=0, delta=1)
+        quad = QuadraticEigenvalue(a=2 * r, b=0, delta=1)
         if not close(quad, v):
             as_int = []
             break
@@ -192,9 +332,9 @@ def classify_eigenvalues(values, tol: float = 1e-7) -> list[QuadraticEigenvalue]
     candidates: set[int] = set()
     for i in range(len(values)):
         for j in range(i, len(values)):
-            r = reconstruct_rational(values[i] + values[j], 10**6, tol)
-            if r is not None and r.denominator == 1:
-                candidates.add(int(r))
+            r = nearest_integer(values[i] + values[j], tol)
+            if r is not None:
+                candidates.add(r)
     for a in sorted(candidates, key=lambda c: (abs(c), c)):
         family: list[QuadraticEigenvalue] = []
         delta: int | None = None
@@ -205,11 +345,11 @@ def classify_eigenvalues(values, tol: float = 1e-7) -> list[QuadraticEigenvalue]
                 family.append(None)  # placeholder: b = 0 member
                 continue
             y = x * x
-            ry = reconstruct_rational(y, 10**6, tol * max(1.0, y))
-            if ry is None or ry.denominator != 1 or ry <= 0:
+            ry = nearest_integer(y, tol * max(1.0, y))
+            if ry is None or ry <= 0:
                 ok = False
                 break
-            s, f = squarefree_part(int(ry))
+            s, f = squarefree_part(ry)
             if s == 1:
                 ok = False  # would be rational, and integer recognition failed
                 break

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import nu2, reconstruct_rational
+from .arith import nearest_integer, nu2
 from .errors import InconsistencyError
 from .graphs import WeightedGraph
 from .spectral import join_params, spectrum
@@ -52,11 +52,11 @@ def _integer_shift_pair(params, matrix: str) -> tuple[int, int] | None:
     """The two fresh-eigenvalue offsets as integers, when they are integers."""
     if matrix == "laplacian":
         return params.m, params.n
-    dp = reconstruct_rational(params.lam_plus - float(params.k))
-    dm = reconstruct_rational(params.lam_minus - float(params.k))
-    if dp is None or dm is None or dp.denominator != 1 or dm.denominator != 1:
+    dp = nearest_integer(params.lam_plus - float(params.k))
+    dm = nearest_integer(params.lam_minus - float(params.k))
+    if dp is None or dm is None:
         return None
-    return int(dp), int(dm)
+    return dp, dm
 
 
 def _lattice_base(params, matrix: str) -> float | None:

@@ -233,13 +233,15 @@ def cmd_join(args) -> int:
     y = _parse_graph_arg(args.right)
     u, v = _check_pair(args.pair, x.order + y.order)
     params = join_params(x, y, matrix)
+    side, local = ("left", u) if u < params.m else ("right", u - params.m)
+    # the ratio's precondition is checked before any output
+    ratio = join_period_ratio(x, y, local, matrix=matrix, side=side) if args.ratio else None
     print(f"join: left order {params.m}, right order {params.n}, matrix {matrix}")
     if matrix == "adjacency":
         print(
             f"degrees {_fmt(params.k)} and {_fmt(params.ell)}; "
             f"fresh eigenvalues {_fmt(params.lam_plus)} and {_fmt(params.lam_minus)}"
         )
-    side, local = ("left", u) if u < params.m else ("right", u - params.m)
     support = join_support(x, y, local, matrix=matrix, side=side)
     print(f"vertex {u} join support: {[float(_fmt(s)) for s in support]}")
     partition = join_strong_cospectral(x, y, u, v, matrix=matrix)
@@ -262,8 +264,7 @@ def cmd_join(args) -> int:
         "partition": partition,
         "pst": cert,
     }
-    if args.ratio:
-        ratio = join_period_ratio(x, y, local, matrix=matrix, side=side)
+    if ratio is not None:
         root = "" if ratio.sqrt_divisor == 1 else f"/sqrt({ratio.sqrt_divisor})"
         print(
             f"period ratio (join over part): {ratio.ratio}{root} "

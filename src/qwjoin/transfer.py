@@ -27,6 +27,7 @@ from .arith import (
     classify_eigenvalues,
     gcd_all,
     lcm_all,
+    nearest_integer,
     nu2,
     reconstruct_rational,
     squarefree_part,
@@ -71,17 +72,10 @@ def _nu2_inf(value: int):
     return math.inf if value == 0 else nu2(value)
 
 
-def _as_int(x: float) -> int | None:
-    frac = reconstruct_rational(x)
-    if frac is None or frac.denominator != 1:
-        return None
-    return int(frac)
-
-
 def _as_int_list(values) -> list[int] | None:
     out = []
     for v in values:
-        i = _as_int(v)
+        i = nearest_integer(v)
         if i is None:
             return None
         out.append(i)
@@ -914,8 +908,8 @@ def _join_pst_adjacency(
     x: WeightedGraph, y: WeightedGraph, u: int, v: int, params
 ) -> PSTCertificate:
     m, n = params.m, params.n
-    k_int = _as_int(float(params.k))
-    l_int = _as_int(float(params.ell))
+    k_int = nearest_integer(float(params.k))
+    l_int = nearest_integer(float(params.ell))
     if k_int is None or l_int is None:
         raise PreconditionError("adjacency transfer analysis needs integer regular degrees")
     d_int = (k_int - l_int) ** 2 + 4 * m * n
@@ -1211,8 +1205,8 @@ def pst_preserved(
         )
     if pad is not None:
         raise PreconditionError("padding is a Laplacian construction")
-    k_int = _as_int(float(params.k))
-    l_int = _as_int(float(params.ell))
+    k_int = nearest_integer(float(params.k))
+    l_int = nearest_integer(float(params.ell))
     if k_int is None or l_int is None:
         raise PreconditionError("adjacency preservation needs integer regular degrees")
     minus_i = _as_int_list(base.partition.minus)
@@ -1364,8 +1358,8 @@ def pst_induced(
                     if induced:
                         mechanism = "shifted-valuation"
     else:
-        k_int = _as_int(float(params.k))
-        l_int = _as_int(float(params.ell))
+        k_int = nearest_integer(float(params.k))
+        l_int = nearest_integer(float(params.ell))
         if is_isolated_pair and k_int is not None and l_int is not None:
             mechanism = "isolated-pair-cone"
             d_int = (k_int - l_int) ** 2 + 4 * m * n
@@ -1442,7 +1436,7 @@ def self_join_analysis(
         k_val = is_regular(x)
         if k_val is None:
             raise PreconditionError("adjacency self-join analysis requires a regular part")
-        k_int = _as_int(float(k_val))
+        k_int = nearest_integer(float(k_val))
         if k_int is None:
             raise PreconditionError("adjacency self-join analysis needs an integer degree")
         params = JoinParams(m, (r - 1) * m, k_val, k_val + (r - 2) * m)

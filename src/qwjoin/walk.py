@@ -27,7 +27,7 @@ from .spectral import (
     join_params,
     spectrum,
 )
-from .arith import reconstruct_rational
+from .arith import nearest_integer
 from .graphs import WeightedGraph
 
 
@@ -233,15 +233,10 @@ def in_T(params: JoinParams, t: float, matrix: str = "laplacian", tol: float = 1
         return abs(s - round(s)) <= tol * max(1.0, abs(s))
     if matrix == "adjacency":
         k = float(params.k)  # type: ignore[arg-type]
-        dp = reconstruct_rational(params.lam_plus - k)
-        dm = reconstruct_rational(params.lam_minus - k)
-        if (
-            dp is not None
-            and dm is not None
-            and dp.denominator == 1
-            and dm.denominator == 1
-        ):
-            h = math.gcd(int(dp), int(dm))
+        dp = nearest_integer(params.lam_plus - k)
+        dm = nearest_integer(params.lam_minus - k)
+        if dp is not None and dm is not None:
+            h = math.gcd(dp, dm)
             if h == 0:
                 return True
             s = t * h / (2.0 * math.pi)

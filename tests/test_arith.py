@@ -1,11 +1,18 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from qwjoin import nu2, squarefree_part, reconstruct_rational, classify_eigenvalues
-from qwjoin.arith import QuadraticEigenvalue, gcd_all, lcm_all
+from qwjoin import (
+    classify_eigenvalues,
+    nearest_integer,
+    nu2,
+    reconstruct_rational,
+    squarefree_part,
+)
+from qwjoin.arith import INT64_MAX, QuadraticEigenvalue, gcd_all, lcm_all
 from qwjoin.errors import IntegerOverflowError
 
 
@@ -63,6 +70,26 @@ def test_squarefree_part_postcondition(d):
     assert squarefree_part(s) == (s, 1)
 
 
+# two 20-bit primes
+P20, Q20 = 1048507, 1048583
+
+
+@pytest.mark.parametrize(
+    "d, expected",
+    [
+        (2**61 - 1, (2**61 - 1, 1)),  # a 61-bit (Mersenne) prime
+        (P20 * Q20**2, (P20, Q20)),
+        (P20**2 * Q20, (Q20, P20)),
+        (3600004800001601, (3600004800001601, 1)),  # a 52-bit prime
+    ],
+    ids=["prime61", "p*q^2", "p^2*q", "prime52"],
+)
+def test_squarefree_part_is_fast_on_large_inputs(d, expected):
+    started = time.perf_counter()
+    assert squarefree_part(d) == expected
+    assert time.perf_counter() - started < 0.1
+
+
 def test_gcd_lcm_folds():
     assert gcd_all([12, 18, 30]) == 6
     assert gcd_all([-4, 6]) == 2
@@ -92,6 +119,84 @@ def test_reconstruct_rational_irrational_hazard():
     assert fr is not None
     assert fr.denominator > 10 ** 4
     assert abs(float(fr) - math.sqrt(2)) <= 1e-7
+
+
+def fraction_route(x, tol, max_denominator):
+    """The integer test spelled out with Fraction.limit_denominator."""
+    if not math.isfinite(x):
+        return None
+    if abs(x) > INT64_MAX:
+        raise IntegerOverflowError(f"value {x} exceeds the 64-bit range")
+    candidate = Fraction(x).limit_denominator(max_denominator)
+    if candidate.denominator == 1 and abs(x - candidate) <= tol:
+        return int(candidate)
+    return None
+
+
+denominators = st.sampled_from([1, 2, 3, 1000, 10**6])
+# classify_eigenvalues passes tol * max(1, |y|), so large tolerances occur
+tolerances = st.floats(min_value=-9, max_value=3).map(lambda e: 10.0**e)
+
+
+@st.composite
+def near_half_step(draw):
+    """r +- (0.9 .. 1.1) / (2N): both sides of the band where 2*d*N = 1."""
+    n = draw(denominators)
+    r = draw(st.integers(min_value=-2**20, max_value=2**20))
+    offset = draw(st.floats(min_value=0.9, max_value=1.1)) / (2 * n)
+    return r + draw(st.sampled_from([-1, 1])) * offset, n
+
+
+@given(
+    st.one_of(
+        st.tuples(st.integers(min_value=-2**62, max_value=2**62).map(float), denominators),
+        near_half_step(),
+        st.tuples(st.floats(min_value=-2.0**62, max_value=2.0**62), denominators),
+    ),
+    tolerances,
+)
+def test_nearest_integer_matches_the_fraction_route(case, tol):
+    x, n = case
+    assert nearest_integer(x, tol, n) == fraction_route(x, tol, n)
+
+
+@given(st.sampled_from([math.nan, math.inf, -math.inf]), tolerances, denominators)
+def test_nearest_integer_non_finite_is_none(x, tol, n):
+    assert nearest_integer(x, tol, n) is None
+
+
+@given(st.floats(min_value=2.0**63, max_value=1e300), st.sampled_from([-1, 1]), tolerances)
+def test_nearest_integer_overflow(magnitude, sign, tol):
+    with pytest.raises(IntegerOverflowError, match="64-bit range"):
+        fraction_route(sign * magnitude, tol, 10**6)
+    with pytest.raises(IntegerOverflowError, match="64-bit range"):
+        nearest_integer(sign * magnitude, tol)
+
+
+def test_nearest_integer_input_checks():
+    for tol in (0.0, -1e-7):
+        with pytest.raises(ValueError):
+            nearest_integer(1.0, tol)
+    with pytest.raises(ValueError):
+        nearest_integer(1.0, 1e-7, 0)
+    assert nearest_integer(3.0, math.nan) is None
+    assert nearest_integer(-2.00000001) == -2
+    assert nearest_integer(0.5) is None
+
+
+@pytest.mark.xfail(strict=True, reason="an irrational eigenvalue is read as a half-integer")
+def test_classify_large_quadratic_pair():
+    # the computed adjacency eigenvalues (1 +- sqrt(D))/2 of a loop of weight
+    # 1 joined by an edge of weight w = 3000007, D = 1 + 4 w^2 squarefree:
+    # 3000007.50000004 is accepted as 6000015/2 (b = 0), because the
+    # reconstruction tolerance and the final 1e-9 * |x| check both exceed its
+    # distance 4e-8 from the half-integer, and the minimum period comes out
+    # as 2*pi/sqrt(D - 1/2)
+    D = 1 + 4 * 3000007**2
+    assert squarefree_part(D) == (D, 1)
+    quads = classify_eigenvalues([3000007.5000000414, -3000006.500000042])
+    assert quads is not None
+    assert [(q.a, q.b, q.delta) for q in quads] == [(1, 1, D), (1, -1, D)]
 
 
 def test_classify_integer_family():

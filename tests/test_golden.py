@@ -10,9 +10,10 @@ byte-deterministic. Trace or timing fields added to the reports later must
 be excluded here by name.
 
 The corpus pins the reports a refactor must reproduce. Regenerate it only
-for a change that is meant to alter output:
+for a change that is meant to alter output, either whole or run by run:
 
     PYTHONPATH=src python tests/test_golden.py --regenerate
+    PYTHONPATH=src python tests/test_golden.py --regenerate NAME...
 """
 
 import contextlib
@@ -198,11 +199,12 @@ def test_golden_corpus_has_no_stray_files():
     assert stems - set(INPUTS) == set(RUNS)
 
 
-def _regenerate() -> None:
+def _regenerate(names) -> None:
+    """Rewrite the files of the named runs, or the whole corpus when none is named."""
     for stale in GOLDEN.iterdir():
-        if stale.stem not in INPUTS:
+        if stale.stem not in INPUTS and (not names or stale.stem in names):
             stale.unlink()
-    for name in sorted(RUNS):
+    for name in sorted(names or RUNS):
         with tempfile.TemporaryDirectory() as workdir:
             transcript, report = _replay(name, Path(workdir))
         (GOLDEN / f"{name}.txt").write_text(transcript)
@@ -211,6 +213,10 @@ def _regenerate() -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--regenerate"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --regenerate")
-    _regenerate()
+    unknown = sorted(set(sys.argv[2:]) - set(RUNS))
+    if sys.argv[1:2] != ["--regenerate"] or unknown:
+        sys.exit(
+            "usage: PYTHONPATH=src python tests/test_golden.py --regenerate [NAME...]"
+            + (f"\nunknown runs: {' '.join(unknown)}" if unknown else "")
+        )
+    _regenerate(set(sys.argv[2:]))

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -192,6 +193,44 @@ def test_cli_join_pair_checked_before_any_output(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--pair" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["join", "--left", "O 2", "--right", "O 6", "--pair", "0", "1", "--ratio"],
+         "single eigenvalue"),
+        (["join", "--left", "O 4", "--right", "C 4", "--pair", "4", "6", "--ratio",
+          "--matrix", "adjacency"], "join walk is not periodic"),
+    ],
+    ids=["single-eigenvalue", "join-not-periodic"],
+)
+def test_cli_join_ratio_checked_before_any_output(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_cli_analyze_52_bit_discriminant(tmp_path, capsys):
+    # the discriminant 1 + 4 * 30000020**2 is a 52-bit prime, which trial
+    # division up to its square root took over a minute to certify squarefree
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(
+        {"order": 2, "edges": [[0, 1, 30000020.0]], "loops": [[0, 1.0]]}
+    ))
+    started = time.perf_counter()
+    assert main(["analyze", "--graph", str(path), "--matrix", "adjacency"]) == 0
+    assert time.perf_counter() - started < 2.0
+    support = "support [30000020.5, -30000019.5]; periodic, minimum period"
+    assert capsys.readouterr().out == (
+        "graph: order 2, 1 edges, 1 loops, connected\n"
+        "matrix: adjacency\n"
+        "eigenvalues: 30000020.5 (x1), -30000019.5 (x1)\n"
+        "all vertices periodic: True\n"
+        f"vertex 0: {support} 2*pi/sqrt(3600004800001601)\n"
+        f"vertex 1: {support} 2*pi/sqrt(3600004800001601)\n"
+    )
 
 
 @pytest.mark.parametrize(
