@@ -133,7 +133,7 @@ def squarefree_part(d: int) -> tuple[int, int]:
 
     Trial division by the primes below _TRIAL_BOUND; a cofactor with no
     prime factor below the bound is factored by Miller-Rabin and Pollard
-    rho, so a 63-bit d takes milliseconds, not minutes.
+    rho, so a 63-bit d takes at most tens of milliseconds, not minutes.
     """
     d = int(d)
     if d <= 0:
@@ -164,12 +164,10 @@ def squarefree_part(d: int) -> tuple[int, int]:
     return s, f
 
 
-def _checked_float(x: float, max_denominator: int, tol: float) -> float | None:
+def _checked_float(x: float, tol: float) -> float | None:
     """x as a float after the reconstruction's input checks; None if not finite."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if max_denominator < 1:
-        raise ValueError("max_denominator must be at least 1")
     x = float(x)
     if not math.isfinite(x):
         return None
@@ -188,7 +186,9 @@ def reconstruct_rational(
     within tol, so callers can distinguish "irrational as far as we can tell"
     from a genuine reconstruction.
     """
-    x = _checked_float(x, max_denominator, tol)
+    if max_denominator < 1:
+        raise ValueError("max_denominator must be at least 1")
+    x = _checked_float(x, tol)
     if x is None:
         return None
     candidate = Fraction(x).limit_denominator(max_denominator)
@@ -197,32 +197,36 @@ def reconstruct_rational(
     return None
 
 
-def nearest_integer(x: float, tol: float = 1e-7, max_denominator: int = 10**6) -> int | None:
-    """The integer reconstruct_rational(x, max_denominator, tol) returns, else None.
+# the denominator bound under which nearest_integer agrees with
+# reconstruct_rational's default
+_MAX_DENOMINATOR = 10**6
+
+
+def nearest_integer(x: float, tol: float = 1e-7) -> int | None:
+    """The integer reconstruct_rational(x, 10**6, tol) returns, else None.
 
     Same input checks, same answer, but no Fraction is built. Let r be the
     integer nearest x and d = |x - r|; d is exact in floating point (Sterbenz's
     lemma when r != 0, trivially when r == 0).
     - d > tol: no integer lies within tol, so the reconstruction is not one.
-    - 2*d*N < 1 (N = max_denominator): a fraction p/q != r with q <= N lies
-      at least 1/q >= 1/N from r, so more than 1/(2N) > d from x; r is then
-      the closest fraction with denominator <= N, which is what
+    - 2*d*N < 1 (N = 10**6): a fraction p/q != r with q <= N lies at least
+      1/q >= 1/N from r, so more than 1/(2N) > d from x; r is then the
+      closest fraction with denominator <= N, which is what
       Fraction.limit_denominator returns. The product is rounded
-      monotonically, so a computed value below 1 means a true one below 1,
-      as long as N is exact as a float.
+      monotonically, so a computed value below 1 means a true one below 1.
     Only the band in between, which exists only when tol >= 1/(2N), falls
     back to reconstruct_rational.
     """
-    x = _checked_float(x, max_denominator, tol)
+    x = _checked_float(x, tol)
     if x is None:
         return None
     r = round(x)
     d = abs(x - r)
     if not d <= tol:  # also rejects a NaN tol, as the Fraction route does
         return None
-    if max_denominator <= 2**53 and 2.0 * d * max_denominator < 1.0:
+    if 2.0 * d * _MAX_DENOMINATOR < 1.0:
         return r
-    frac = reconstruct_rational(x, max_denominator, tol)
+    frac = reconstruct_rational(x, _MAX_DENOMINATOR, tol)
     if frac is None or frac.denominator != 1:
         return None
     return int(frac)

@@ -121,54 +121,51 @@ def test_reconstruct_rational_irrational_hazard():
     assert abs(float(fr) - math.sqrt(2)) <= 1e-7
 
 
-def fraction_route(x, tol, max_denominator):
+def fraction_route(x, tol):
     """The integer test spelled out with Fraction.limit_denominator."""
     if not math.isfinite(x):
         return None
     if abs(x) > INT64_MAX:
         raise IntegerOverflowError(f"value {x} exceeds the 64-bit range")
-    candidate = Fraction(x).limit_denominator(max_denominator)
+    candidate = Fraction(x).limit_denominator(10**6)
     if candidate.denominator == 1 and abs(x - candidate) <= tol:
         return int(candidate)
     return None
 
 
-denominators = st.sampled_from([1, 2, 3, 1000, 10**6])
 # classify_eigenvalues passes tol * max(1, |y|), so large tolerances occur
 tolerances = st.floats(min_value=-9, max_value=3).map(lambda e: 10.0**e)
 
 
 @st.composite
 def near_half_step(draw):
-    """r +- (0.9 .. 1.1) / (2N): both sides of the band where 2*d*N = 1."""
-    n = draw(denominators)
+    """r +- (0.9 .. 1.1) / (2N), N = 10**6: both sides of the band where 2*d*N = 1."""
     r = draw(st.integers(min_value=-2**20, max_value=2**20))
-    offset = draw(st.floats(min_value=0.9, max_value=1.1)) / (2 * n)
-    return r + draw(st.sampled_from([-1, 1])) * offset, n
+    offset = draw(st.floats(min_value=0.9, max_value=1.1)) / (2 * 10**6)
+    return r + draw(st.sampled_from([-1, 1])) * offset
 
 
 @given(
     st.one_of(
-        st.tuples(st.integers(min_value=-2**62, max_value=2**62).map(float), denominators),
+        st.integers(min_value=-2**62, max_value=2**62).map(float),
         near_half_step(),
-        st.tuples(st.floats(min_value=-2.0**62, max_value=2.0**62), denominators),
+        st.floats(min_value=-2.0**62, max_value=2.0**62),
     ),
     tolerances,
 )
-def test_nearest_integer_matches_the_fraction_route(case, tol):
-    x, n = case
-    assert nearest_integer(x, tol, n) == fraction_route(x, tol, n)
+def test_nearest_integer_matches_the_fraction_route(x, tol):
+    assert nearest_integer(x, tol) == fraction_route(x, tol)
 
 
-@given(st.sampled_from([math.nan, math.inf, -math.inf]), tolerances, denominators)
-def test_nearest_integer_non_finite_is_none(x, tol, n):
-    assert nearest_integer(x, tol, n) is None
+@given(st.sampled_from([math.nan, math.inf, -math.inf]), tolerances)
+def test_nearest_integer_non_finite_is_none(x, tol):
+    assert nearest_integer(x, tol) is None
 
 
 @given(st.floats(min_value=2.0**63, max_value=1e300), st.sampled_from([-1, 1]), tolerances)
 def test_nearest_integer_overflow(magnitude, sign, tol):
     with pytest.raises(IntegerOverflowError, match="64-bit range"):
-        fraction_route(sign * magnitude, tol, 10**6)
+        fraction_route(sign * magnitude, tol)
     with pytest.raises(IntegerOverflowError, match="64-bit range"):
         nearest_integer(sign * magnitude, tol)
 
@@ -177,8 +174,6 @@ def test_nearest_integer_input_checks():
     for tol in (0.0, -1e-7):
         with pytest.raises(ValueError):
             nearest_integer(1.0, tol)
-    with pytest.raises(ValueError):
-        nearest_integer(1.0, 1e-7, 0)
     assert nearest_integer(3.0, math.nan) is None
     assert nearest_integer(-2.00000001) == -2
     assert nearest_integer(0.5) is None
