@@ -8,13 +8,16 @@ vertex u of X is vertex u of join(X, Y).
 
 A JoinTree keeps a join or union as structure instead of an edge list: it
 multiplies by the built graph's matrix without building it, at the cost of
-the parts' edges plus the order.
+the parts' edges plus the order. Graphs and trees share one product
+kernel over edge arrays; a tree concatenates its leaves' arrays into one
+set on its first product.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -126,16 +129,9 @@ class WeightedGraph:
 
     def degrees(self) -> np.ndarray:
         """All weighted degrees, as a read-only vector."""
+        return self._edge_arrays().degrees
 
-        def build():
-            weights, loop_at, loop_weights = self._index_arrays()[2:]
-            out = self._edge_sums(weights, weights)
-            out[loop_at] += 2.0 * loop_weights
-            return _read_only(out)
-
-        return self.cached("degrees", build)
-
-    def _index_arrays(self):
+    def _edge_arrays(self) -> _EdgeArrays:
         """Edge endpoints and weights, loop vertices and weights, as cached arrays."""
 
         def build():
@@ -147,35 +143,17 @@ class WeightedGraph:
                 np.fromiter(self.loops.keys(), np.intp, len(self.loops)),
                 np.fromiter(self.loops.values(), float, len(self.loops)),
             )
-            return tuple(_read_only(a) for a in arrays)
+            return _EdgeArrays(self.order, *(_read_only(a) for a in arrays))
 
-        return self.cached("index_arrays", build)
-
-    def _edge_sums(self, at_rows, at_cols) -> np.ndarray:
-        """Per-vertex sums of at_rows over first edge ends and at_cols over second ends."""
-        rows, cols = self._index_arrays()[:2]
-        out = np.zeros(self.order)
-        out += np.bincount(rows, at_rows, self.order)
-        out += np.bincount(cols, at_cols, self.order)
-        return out
+        return self.cached("edge_arrays", build)
 
     def matvec(self, x: np.ndarray, kind: str) -> np.ndarray:
         """The adjacency or Laplacian matrix times the real vector x.
 
         Reads the edge and loop lists, so it costs O(edges + order) and
-        never forms the dense matrix.
+        never forms the dense matrix. x must have shape (order,).
         """
-        if kind not in ("adjacency", "laplacian"):
-            raise ValueError(f"unknown matrix kind {kind!r}")
-        if kind == "laplacian" and self.loops:
-            raise PreconditionError("the Laplacian is defined here for simple graphs only")
-        rows, cols, weights, loop_at, loop_weights = self._index_arrays()
-        x = np.asarray(x, dtype=float)
-        out = self._edge_sums(weights * x[cols], weights * x[rows])
-        if kind == "laplacian":
-            return self.degrees() * x - out
-        out[loop_at] += loop_weights * x[loop_at]
-        return out
+        return self._edge_arrays().matvec(x, kind)
 
     def adjacency(self) -> np.ndarray:
         """The adjacency matrix, as a read-only array."""
@@ -204,6 +182,53 @@ class WeightedGraph:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+@dataclass(frozen=True, eq=False)
+class _EdgeArrays:
+    """Edge and loop arrays in one vertex numbering, and the product they define.
+
+    A graph keeps its own; a compiled JoinTree keeps its leaves' arrays
+    concatenated and shifted to the leaves' offsets. Each output index only
+    sums over the edges of the leaf that holds it, in their original order,
+    so both give the same numbers for a leaf's vertices.
+    """
+
+    order: int
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
+    loop_at: np.ndarray
+    loop_weights: np.ndarray
+
+    def _edge_product(self, x: np.ndarray) -> np.ndarray:
+        """The edges' part of the adjacency matrix times x, loops left out."""
+        out = np.zeros(self.order)
+        if len(self.weights):  # cones over edgeless graphs skip the edge pass
+            out += np.bincount(self.rows, self.weights * x[self.cols], self.order)
+            out += np.bincount(self.cols, self.weights * x[self.rows], self.order)
+        return out
+
+    @functools.cached_property
+    def degrees(self) -> np.ndarray:
+        out = self._edge_product(np.ones(self.order))
+        out[self.loop_at] += 2.0 * self.loop_weights
+        return _read_only(out)
+
+    def matvec(self, x: np.ndarray, kind: str) -> np.ndarray:
+        """The adjacency or Laplacian matrix of these edges and loops times x."""
+        if kind not in ("adjacency", "laplacian"):
+            raise ValueError(f"unknown matrix kind {kind!r}")
+        if kind == "laplacian" and len(self.loop_at):
+            raise PreconditionError("the Laplacian is defined here for simple graphs only")
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.order,):
+            raise ValueError(f"expected a vector of shape ({self.order},), got {x.shape}")
+        out = self._edge_product(x)
+        if kind == "laplacian":
+            return self.degrees * x - out
+        out[self.loop_at] += self.loop_weights * x[self.loop_at]
+        return out
 
 
 def is_simple(graph: WeightedGraph) -> bool:
@@ -354,6 +379,10 @@ class JoinTree:
     JoinTree(Connective.JOIN, (x,) * r) for self_join(x, r). matvec
     multiplies by the built graph's matrix in O(leaf edges + order); build
     materializes the graph.
+
+    The first product compiles the tree (its leaves' arrays, concatenated at
+    their offsets, and its join nodes); the compiled form lives and dies
+    with the tree, and a tree that is never multiplied never compiles.
     """
 
     connective: Connective
@@ -366,30 +395,84 @@ class JoinTree:
         object.__setattr__(self, "children", tuple(self.children))
         object.__setattr__(self, "order", sum(c.order for c in self.children))
 
+    @functools.cached_property
+    def _compiled(self) -> tuple[_EdgeArrays, list[tuple[int, int, tuple[int, ...], int]]]:
+        """The leaves' edge arrays shifted to their offsets, and the join nodes.
+
+        Each join node is (lo, hi, child orders, common child order or 0), in
+        post-order, so inner joins come before the joins that contain them.
+        Built on the first product and kept on this tree.
+        """
+        leaves: list[tuple[int, WeightedGraph]] = []
+        joins: list[tuple[int, int, tuple[int, ...], int]] = []
+        # depth-first without recursion, since iterated plans nest one level per part
+        pending: list[tuple[JoinTree | WeightedGraph, int, bool]] = [(self, 0, False)]
+        while pending:
+            node, lo, expanded = pending.pop()
+            if isinstance(node, WeightedGraph):
+                leaves.append((lo, node))
+            elif expanded:
+                if node.connective is Connective.JOIN:
+                    orders = tuple(c.order for c in node.children)
+                    common = orders[0] if len(set(orders)) == 1 else 0
+                    joins.append((lo, lo + node.order, orders, common))
+            else:
+                pending.append((node, lo, True))
+                offsets = itertools.accumulate((c.order for c in node.children[:-1]), initial=lo)
+                pending.extend(reversed([(c, at, False) for c, at in zip(node.children, offsets)]))
+        starts = [lo for lo, _ in leaves]
+        parts = [leaf._edge_arrays() for _, leaf in leaves]
+
+        def stack(name: str, counts: list[int] | None = None) -> np.ndarray:
+            out = np.concatenate([getattr(part, name) for part in parts])
+            if counts is not None and len(out):
+                out += np.repeat(starts, counts)
+            return out
+
+        edge_counts = [len(part.weights) for part in parts]
+        loop_counts = [len(part.loop_weights) for part in parts]
+        edges = _EdgeArrays(
+            self.order,
+            stack("rows", edge_counts),
+            stack("cols", edge_counts),
+            stack("weights"),
+            stack("loop_at", loop_counts),
+            stack("loop_weights"),
+        )
+        return edges, joins
+
     def matvec(self, x: np.ndarray, kind: str) -> np.ndarray:
         """The built graph's adjacency or Laplacian matrix times the real vector x.
 
         A union is block-diagonal. A join adds all-ones blocks between its
         children: with block sums s_i, total sum S and total order N, child i
         of order n_i gets (S - s_i) added under the adjacency matrix, and
-        (N - n_i) x_i - (S - s_i) under the Laplacian.
+        (N - n_i) x_i - (S - s_i) under the Laplacian. One pass over all leaf
+        edges gives the blocks; then each join node adds its term, inner
+        nodes first. Children of equal order take their sums from one
+        reshape, the others from one slice each, so a product makes a fixed
+        number of NumPy calls per join node (or per child of unequal order),
+        not one product per leaf, in the same floating-point order as
+        multiplying leaf by leaf.
         """
+        edges, joins = self._compiled
         x = np.asarray(x, dtype=float)
-        joined = self.connective is Connective.JOIN
-        total = float(x.sum())
-        out = np.empty(self.order)
-        lo = 0
-        for child in self.children:
-            hi = lo + child.order
-            block = x[lo:hi]
-            out[lo:hi] = child.matvec(block, kind)
-            if joined:
+        out = edges.matvec(x, kind)
+        laplacian = kind == "laplacian"
+        for lo, hi, orders, common in joins:
+            size = hi - lo
+            total = float(x[lo:hi].sum())
+            if common:
+                blocks = x[lo:hi].reshape(-1, common)
+                rest = (total - blocks.sum(axis=1))[:, None]
+                view = out[lo:hi].reshape(-1, common)
+                view += (size - common) * blocks - rest if laplacian else rest
+                continue
+            for n in orders:
+                block = x[lo:lo + n]
                 rest = total - float(block.sum())
-                if kind == "laplacian":
-                    out[lo:hi] += (self.order - child.order) * block - rest
-                else:
-                    out[lo:hi] += rest
-            lo = hi
+                out[lo:lo + n] += (size - n) * block - rest if laplacian else rest
+                lo += n
         return out
 
     def build(self) -> WeightedGraph:

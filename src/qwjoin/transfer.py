@@ -11,7 +11,8 @@ The walk check (_confirm_transfer) never builds the join either: it runs
 Lanczos from e_u on a JoinTree, whose products cost the parts' edges plus
 the order, and exponentiates the small tridiagonal matrix with a series,
 so it shares no eigensolver with the certificate it checks. Only
-verify="full" builds the joined graph, once, to diagonalize it.
+verify="full" builds the joined graph, once, to diagonalize it, and only up
+to order FULL_VERIFY_MAX_ORDER.
 """
 
 from __future__ import annotations
@@ -65,6 +66,10 @@ from .walk import krylov_entry, transition_entries
 # The two apexes of a double cone, shared so that their spectra are
 # computed once per process.
 APEXES = family("O", 2)
+
+# verify="full" builds the join and diagonalizes it densely, which costs
+# O(order^2) memory and O(order^3) time; above this order it is refused.
+FULL_VERIFY_MAX_ORDER = 4096
 
 
 def _nu2_inf(value: int):
@@ -816,14 +821,16 @@ def _tree_balanced(lams: list[int], mus: list[int], n: int) -> bool:
 
 
 def _join_pst_laplacian(
-    x: WeightedGraph, y: WeightedGraph, u: int, v: int, m: int, n: int
+    x: WeightedGraph, u: int, v: int, params: JoinParams
 ) -> PSTCertificate:
+    m, n = params.m, params.n
     details: dict = {}
     part_decomp = spectrum(x, "laplacian")
     is_o2 = x.order == 2 and not x.edges
     verdict = False
     branch = None
     reason = None
+    part_sc = None
     if is_o2:
         branch = "isolated-pair"
         verdict = n % 4 == 2
@@ -866,7 +873,7 @@ def _join_pst_laplacian(
                     )
                 if not verdict and reason is None:
                     reason = "no dyadic valuation pattern matches the support"
-    jpart = join_strong_cospectral(x, y, u, v, matrix="laplacian")
+    jpart = carry_join(part_sc, params, "laplacian", is_connected(x), is_o2)
     outcome = _evaluate_pattern(jpart) if jpart is not None else None
     generic_ok = bool(outcome and outcome.ok)
     if generic_ok != verdict:
@@ -905,7 +912,7 @@ def _join_pst_laplacian(
 
 
 def _join_pst_adjacency(
-    x: WeightedGraph, y: WeightedGraph, u: int, v: int, params
+    x: WeightedGraph, u: int, v: int, params: JoinParams
 ) -> PSTCertificate:
     m, n = params.m, params.n
     k_int = nearest_integer(float(params.k))
@@ -920,6 +927,7 @@ def _join_pst_adjacency(
     gate = True
     branch = None
     reason = None
+    part_sc = None
     if is_o2k:
         branch = "isolated-pair"
     else:
@@ -932,9 +940,7 @@ def _join_pst_adjacency(
             gate = False
             branch = "eigenvalue-collision"
             reason = "a fresh join eigenvalue lands on a sign-flipping eigenvalue"
-    jpart = (
-        join_strong_cospectral(x, y, u, v, matrix="adjacency") if gate else None
-    )
+    jpart = carry_join(part_sc, params, "adjacency", is_connected(x), is_o2k) if gate else None
     outcome = _evaluate_pattern(jpart) if jpart is not None else None
     verdict = bool(outcome and outcome.ok)
     if gate and branch is None:
@@ -984,9 +990,15 @@ def _confirm_transfer(
     computed by krylov_entry on the tree; the magnitude becomes the
     confirmation and the route, Krylov dimension and error bound go into
     details. verify="full" also diagonalizes the built graph and compares
-    the verdict, the time and the sign partition. Any disagreement raises
-    InconsistencyError.
+    the verdict, the time and the sign partition; above
+    FULL_VERIFY_MAX_ORDER it raises PreconditionError before any work. Any
+    disagreement raises InconsistencyError.
     """
+    if verify == "full" and tree.order > FULL_VERIFY_MAX_ORDER:
+        raise PreconditionError(
+            f"verify='full' diagonalizes the built {what} densely; its order "
+            f"{tree.order} is above {FULL_VERIFY_MAX_ORDER}"
+        )
     if cert.pst and verify in ("numeric", "full"):
         entry = krylov_entry(tree, u, v, cert.time.value, cert.matrix)
         mag = abs(entry.value)
@@ -1075,9 +1087,9 @@ def join_pst(
         inner = join_pst(y, x, u - m, v - m, matrix=matrix, verify=verify)
         return replace(inner, u=u, v=v, details={**inner.details, "side": "right"})
     elif matrix == "laplacian":
-        cert = _join_pst_laplacian(x, y, u, v, m, n)
+        cert = _join_pst_laplacian(x, u, v, params)
     else:
-        cert = _join_pst_adjacency(x, y, u, v, params)
+        cert = _join_pst_adjacency(x, u, v, params)
     return _confirm_transfer(JoinTree(Connective.JOIN, (x, y)), u, v, verify, cert, "join")
 
 
@@ -1288,7 +1300,7 @@ def pst_induced(
             if identity != jcert.pst or part_cert.pst:
                 raise InconsistencyError("the isolated-pair rule disagrees with the join analysis")
         else:
-            part_sc = strong_cospectral(part_decomp, u, v)
+            part_sc = part_cert.partition
             ints = None
             if part_sc is not None:
                 plus_i = _as_int_list(part_sc.plus)
@@ -1375,7 +1387,7 @@ def pst_induced(
             else:
                 details["quadratic_cone"] = True
         elif not is_isolated_pair and k_int is not None:
-            part_sc = strong_cospectral(part_decomp, u, v)
+            part_sc = part_cert.partition
             if part_sc is not None and is_connected(x):
                 plus_i = _as_int_list(part_sc.plus)
                 minus_i = _as_int_list(part_sc.minus)
@@ -1446,6 +1458,7 @@ def self_join_analysis(
     verdict = False
     branch = None
     reason = None
+    part_sc = None
     if isolated_pair:
         branch = "isolated-pair"
         verdict = r % 2 == 0
@@ -1543,10 +1556,7 @@ def self_join_analysis(
                     branch = "dominant-order-disconnected" if ok_a else "no-valuation-pattern"
         if not verdict and reason is None:
             reason = "no dyadic valuation pattern matches the support"
-    partition = carry_join(
-        None if isolated_pair else strong_cospectral(part_decomp, u, v),
-        params, matrix, is_connected(x), isolated_pair,
-    )
+    partition = carry_join(part_sc, params, matrix, is_connected(x), isolated_pair)
     outcome = _evaluate_pattern(partition) if partition is not None else None
     generic_ok = bool(outcome and outcome.ok)
     if generic_ok != verdict:

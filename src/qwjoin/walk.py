@@ -103,36 +103,44 @@ def krylov_entry(operator, u: int, v: int, t: float, kind: str = "laplacian") ->
     space is then the whole space, so the result is exact). In exact
     arithmetic beta vanishes after as many steps as there are eigenvalues
     in the support of u. exp(itT) comes from unitary_exp, so no
-    eigensolver is involved.
+    eigensolver is involved. The Lanczos vectors are the rows of one
+    preallocated array that doubles when full, so a step costs O(k n) for
+    the reorthogonalization, with no re-stacking of the basis.
     """
     n = operator.order
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError(f"vertex out of range for order {n}")
-    start = np.zeros(n)
-    start[u] = 1.0
-    basis = [start]
+    basis = np.empty((min(n, 4), n))  # rows q_0..q_{k-1}; doubles when full
+    basis[0] = 0.0
+    basis[0, u] = 1.0
+    k = 1
     alphas: list[float] = []
     betas: list[float] = []
     while True:
-        w = operator.matvec(basis[-1], kind)
-        alphas.append(float(basis[-1] @ w))
-        stacked = np.array(basis)
+        w = operator.matvec(basis[k - 1], kind)
+        alphas.append(float(basis[k - 1] @ w))
+        stacked = basis[:k]
         for _ in range(2):  # classical Gram-Schmidt, twice to stay orthogonal
             w = w - stacked.T @ (stacked @ w)
         beta = float(np.linalg.norm(w))
         if not (math.isfinite(alphas[-1]) and math.isfinite(beta)):
-            raise NumericError(f"Lanczos produced a non-finite coefficient at step {len(basis)}")
+            raise NumericError(f"Lanczos produced a non-finite coefficient at step {k}")
         bound = abs(t) * beta
-        if bound < KRYLOV_TOL or len(basis) == n:
+        if bound < KRYLOV_TOL or k == n:
             break
         betas.append(beta)
-        basis.append(w / beta)
+        if k == len(basis):
+            grown = np.empty((min(2 * k, n), n))
+            grown[:k] = basis
+            basis = grown
+        basis[k] = w / beta
+        k += 1
     tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
     phases = unitary_exp(tri, t)[:, 0]
-    value = complex(np.array([q[v] for q in basis]) @ phases)
+    value = complex(np.ascontiguousarray(basis[:k, v]) @ phases)
     if not cmath.isfinite(value):
         raise NumericError(f"the Krylov walk entry ({u}, {v}) at t = {t} is not finite")
-    return KrylovEntry(value, len(basis), bound)
+    return KrylovEntry(value, k, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qwjoin import (
     WeightedGraph,
@@ -15,6 +16,7 @@ from qwjoin import (
     join,
     parse_iterated_spec,
     self_join,
+    self_join_analysis,
 )
 from qwjoin.errors import PreconditionError
 from qwjoin.graphs import Connective, IteratedJoinSpec, JoinTree
@@ -39,7 +41,7 @@ def test_validation_rejects_malformed_input():
         WeightedGraph(2, loops=[(0, 1.0), (0, 2.0)])
 
 
-def test_edges_normalize_and_equality_ignores_provenance():
+def test_edges_normalize_and_equality():
     g = WeightedGraph(2, [(1, 0, 2.0)])
     assert g.edges == {(0, 1): 2.0}
     j = join(family("O", 1), family("O", 1))
@@ -257,3 +259,125 @@ def test_degrees_count_loops_twice():
 def test_join_tree_needs_two_children():
     with pytest.raises(ValueError):
         JoinTree(Connective.JOIN, (family("K", 3),))
+
+
+def test_matvec_rejects_a_wrong_length_operand():
+    tree = JoinTree(Connective.JOIN, (family("C", 4), family("O", 2)))
+    assert np.array_equal(tree.matvec(np.ones(6), "laplacian"), np.zeros(6))
+    for operator in (tree, family("C", 4)):
+        for size in (operator.order - 1, operator.order + 1):
+            with pytest.raises(ValueError, match="shape"):
+                operator.matvec(np.ones(size), "laplacian")
+
+
+# ---------------------------------------------------------------------------
+# the compiled product against the recursive definition
+# ---------------------------------------------------------------------------
+
+
+def _recursive_matvec(node, x, kind):
+    """The tree product as it is defined: leaf products plus each join's all-ones blocks."""
+    if isinstance(node, WeightedGraph):
+        return node.matvec(x, kind)
+    total = float(x.sum())
+    out = np.empty(node.order)
+    lo = 0
+    for child in node.children:
+        hi = lo + child.order
+        block = x[lo:hi]
+        out[lo:hi] = _recursive_matvec(child, block, kind)
+        if node.connective is Connective.JOIN:
+            rest = total - float(block.sum())
+            if kind == "laplacian":
+                out[lo:hi] += (node.order - child.order) * block - rest
+            else:
+                out[lo:hi] += rest
+        lo = hi
+    return out
+
+
+@st.composite
+def _leaves(draw, loops: bool):
+    order = draw(st.integers(1, 4))
+    pairs = [(u, v) for u in range(order) for v in range(u + 1, order)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weight = st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])
+    looped = draw(st.lists(st.integers(0, order - 1), unique=True)) if loops else []
+    return WeightedGraph(
+        order,
+        [(u, v, draw(weight)) for u, v in chosen],
+        [(v, draw(st.sampled_from([-2.0, 0.5, 3.0]))) for v in looped],
+    )
+
+
+def _trees(loops: bool):
+    connective = st.sampled_from(list(Connective))
+    nodes = st.recursive(
+        _leaves(loops),
+        lambda inner: st.one_of(
+            st.builds(lambda c, kids: JoinTree(c, tuple(kids)), connective,
+                      st.lists(inner, min_size=2, max_size=3)),
+            st.builds(lambda c, kid, r: JoinTree(c, (kid,) * r), connective,
+                      inner, st.integers(2, 4)),
+        ),
+        max_leaves=5,
+    )
+    return st.builds(lambda c, kids: JoinTree(c, tuple(kids)), connective,
+                     st.lists(nodes, min_size=2, max_size=3))
+
+
+_KIND_AND_TREE = st.sampled_from(["laplacian", "adjacency"]).flatmap(
+    lambda kind: st.tuples(st.just(kind), _trees(loops=kind == "adjacency"))
+)
+
+
+@settings(deadline=None)
+@given(_KIND_AND_TREE, st.integers(0, 2**32 - 1))
+def test_compiled_product_equals_the_recursive_one(kind_and_tree, seed):
+    kind, tree = kind_and_tree
+    assume(tree.order <= 64)
+    x = np.random.default_rng(seed).standard_normal(tree.order)
+    got = tree.matvec(x, kind)
+    # the same floating-point operations in the same order, so bit for bit
+    assert np.array_equal(got, _recursive_matvec(tree, x, kind))
+    np.testing.assert_allclose(got, _dense(tree.build(), kind) @ x, rtol=1e-12, atol=1e-12)
+
+
+def test_tree_compiles_on_the_first_product_and_skips_leaf_products(monkeypatch):
+    def no_leaf_products(self, x, kind):
+        raise AssertionError("a compiled tree makes no WeightedGraph.matvec call")
+
+    inner = JoinTree(Connective.UNION, (family("C", 4), family("O_loops", 2, 1.0)))
+    tree = JoinTree(Connective.JOIN, (inner, family("K", 3), inner))
+    vec = np.random.default_rng(3).standard_normal(tree.order)
+    assert "_compiled" not in vars(tree)
+    expected = _recursive_matvec(tree, vec, "adjacency")
+    monkeypatch.setattr(WeightedGraph, "matvec", no_leaf_products)
+    assert np.array_equal(tree.matvec(vec, "adjacency"), expected)
+    assert "_compiled" in vars(tree)
+
+
+def test_self_join_confirmation_scales_with_the_support_not_the_copies():
+    cert = self_join_analysis(family("C", 4), 1023, 0, 2)
+    assert cert.pst and cert.confirmation >= 1 - 1e-9
+    assert cert.details["confirmation_route"] == "lanczos"
+    assert cert.details["krylov_dimension"] == 3
+
+
+def test_compiled_product_of_a_plan_nested_past_the_recursion_limit():
+    # a left-nested plan nests one tree level per part; 1,500 single-vertex
+    # parts make the threshold graph whose vertex v is joined to all before it
+    # exactly when part v + 1 is joined
+    n = 1500
+    conns = [None] + [
+        Connective.JOIN if j % 2 == n % 2 else Connective.UNION for j in range(2, n + 1)
+    ]
+    tree = iterated_tree(IteratedJoinSpec([(family("O", 1), c) for c in conns]))
+    a = np.zeros((n, n))
+    for v, conn in enumerate(conns):
+        if conn is Connective.JOIN:
+            a[:v, v] = a[v, :v] = 1.0
+    x = np.random.default_rng(8).standard_normal(n)
+    lap = np.diag(a.sum(axis=1)) - a
+    np.testing.assert_allclose(tree.matvec(x, "adjacency"), a @ x, rtol=1e-12, atol=1e-10)
+    np.testing.assert_allclose(tree.matvec(x, "laplacian"), lap @ x, rtol=1e-12, atol=1e-10)

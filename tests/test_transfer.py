@@ -702,3 +702,48 @@ def test_numeric_confirmation_builds_nothing_and_full_builds_once(monkeypatch, n
     full = call(verify="full")
     assert len(built) == 1
     assert full.pst and full.confirmation >= 1 - 1e-9
+
+
+# strong_cospectral calls per analysis: one for the part pair, plus, in
+# pst_induced, one for the part's own certificate
+PARTITION_CALLS = {
+    "join_pst laplacian": (lambda: join_pst(family("C", 4), family("O", 2), 0, 2), 1),
+    "join_pst adjacency": (
+        lambda: join_pst(family("C", 4), family("K", 2), 0, 2, matrix="adjacency"), 1
+    ),
+    "self_join_analysis": (lambda: self_join_analysis(family("C", 4), 3, 0, 2), 1),
+    "pst_induced": (lambda: pst_induced(family("C", 4), family("O", 2), 0, 2), 2),
+}
+
+
+@pytest.mark.parametrize("name", list(PARTITION_CALLS))
+def test_part_sign_partition_is_computed_once_per_analysis(monkeypatch, name):
+    call, expected = PARTITION_CALLS[name]
+    calls = []
+    real = transfer.strong_cospectral
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(transfer, "strong_cospectral", counting)
+    call()
+    assert len(calls) == expected
+
+
+def test_full_verification_refuses_a_large_join_before_building(monkeypatch):
+    builds = []
+    real = graphs.JoinTree.build
+
+    def counting(self):
+        builds.append(self)
+        return real(self)
+
+    monkeypatch.setattr(graphs.JoinTree, "build", counting)
+    assert transfer.FULL_VERIFY_MAX_ORDER == 4096
+    with pytest.raises(PreconditionError, match="4096"):
+        join_pst(family("O", 2), family("O", 5000), 0, 1, verify="full")
+    with pytest.raises(PreconditionError):
+        self_join_analysis(family("O", 2), 2049, 0, 1, verify="full")
+    assert builds == []
+    assert not join_pst(family("O", 2), family("O", 5000), 0, 1).pst
