@@ -147,8 +147,7 @@ def bound_sweep(
             f"the deviation reaches {max_abs}, above the bound {bound}"
         )
     condition = equality_condition(x, y, matrix)
-    mags = np.abs(correction)
-    equality_times = [float(t) for t, a_ in zip(times, mags) if abs(a_ - bound) <= 1e-9]
+    equality_times = times[np.abs(np.abs(correction) - bound) <= 1e-9].tolist()
     idx = int(np.abs(deviation).argmax())
     return BoundReport(
         matrix=matrix,

@@ -395,6 +395,22 @@ class JoinTree:
         object.__setattr__(self, "children", tuple(self.children))
         object.__setattr__(self, "order", sum(c.order for c in self.children))
 
+    def _postorder(self):
+        """Every node with its first vertex, children before their parent, in order.
+
+        The walk keeps its own stack rather than recursing, since iterated
+        plans nest one level per part.
+        """
+        pending: list[tuple[JoinTree | WeightedGraph, int, bool]] = [(self, 0, False)]
+        while pending:
+            node, lo, expanded = pending.pop()
+            if expanded or isinstance(node, WeightedGraph):
+                yield node, lo
+                continue
+            pending.append((node, lo, True))
+            offsets = itertools.accumulate((c.order for c in node.children[:-1]), initial=lo)
+            pending.extend(reversed([(c, at, False) for c, at in zip(node.children, offsets)]))
+
     @functools.cached_property
     def _compiled(self) -> tuple[_EdgeArrays, list[tuple[int, int, tuple[int, ...], int]]]:
         """The leaves' edge arrays shifted to their offsets, and the join nodes.
@@ -405,21 +421,13 @@ class JoinTree:
         """
         leaves: list[tuple[int, WeightedGraph]] = []
         joins: list[tuple[int, int, tuple[int, ...], int]] = []
-        # depth-first without recursion, since iterated plans nest one level per part
-        pending: list[tuple[JoinTree | WeightedGraph, int, bool]] = [(self, 0, False)]
-        while pending:
-            node, lo, expanded = pending.pop()
+        for node, lo in self._postorder():
             if isinstance(node, WeightedGraph):
                 leaves.append((lo, node))
-            elif expanded:
-                if node.connective is Connective.JOIN:
-                    orders = tuple(c.order for c in node.children)
-                    common = orders[0] if len(set(orders)) == 1 else 0
-                    joins.append((lo, lo + node.order, orders, common))
-            else:
-                pending.append((node, lo, True))
-                offsets = itertools.accumulate((c.order for c in node.children[:-1]), initial=lo)
-                pending.extend(reversed([(c, at, False) for c, at in zip(node.children, offsets)]))
+            elif node.connective is Connective.JOIN:
+                orders = tuple(c.order for c in node.children)
+                common = orders[0] if len(set(orders)) == 1 else 0
+                joins.append((lo, lo + node.order, orders, common))
         starts = [lo for lo, _ in leaves]
         parts = [leaf._edge_arrays() for _, leaf in leaves]
 
@@ -476,10 +484,36 @@ class JoinTree:
         return out
 
     def build(self) -> WeightedGraph:
-        """The graph itself, through join or disjoint_union."""
-        glue = join if self.connective is Connective.JOIN else disjoint_union
-        parts = [c.build() if isinstance(c, JoinTree) else c for c in self.children]
-        return functools.reduce(glue, parts)
+        """The graph itself, as join and disjoint_union would fold it.
+
+        Each node folds its children left to right: a child's edges, then,
+        at a join, the edges from every earlier child's vertex to it. The
+        edge and loop lists are kept in the built graph's numbering and
+        extended in place, so a left-nested plan builds in time linear in
+        its edges, and the graph is made once, with its edges in the same
+        order as the fold of join and disjoint_union makes them.
+        """
+        built: list[tuple[list, list]] = []
+        for node, lo in self._postorder():
+            if isinstance(node, WeightedGraph):
+                built.append((
+                    [(u + lo, v + lo, w) for (u, v), w in node.edges.items()],
+                    [(v + lo, w) for v, w in node.loops.items()],
+                ))
+                continue
+            count = len(node.children)
+            (edges, loops), *rest = built[-count:]
+            at = lo + node.children[0].order
+            for child, (more, more_loops) in zip(node.children[1:], rest):
+                edges += more
+                if node.connective is Connective.JOIN:
+                    ends = range(at, at + child.order)
+                    edges += [(u, v, 1.0) for u in range(lo, at) for v in ends]
+                loops += more_loops
+                at += child.order
+            built[-count:] = [(edges, loops)]
+        edges, loops = built[0]
+        return WeightedGraph(self.order, edges, loops)
 
 
 def self_join(x: WeightedGraph, r: int) -> WeightedGraph:

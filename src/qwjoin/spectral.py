@@ -287,11 +287,17 @@ def carry_through_plan(
     far. Each later join carries the result with the built graph as the
     left side; later unions leave it alone. isolated_pair says part j is an
     edgeless two-vertex part and own is the partition of its pair.
+
+    A dead plan stops at its first dead stage: once the carried value is
+    None after stage j, no later join can revive it, except the join that
+    meets an edgeless first pair while the built graph is that pair alone.
     """
     carried = own
     acc_order = 0
     acc_connected = True
     for idx, (graph, conn) in enumerate(spec.parts, start=1):
+        if idx > j and carried is None and not (isolated_pair and acc_order == 2):
+            return None
         if idx == j and conn is Connective.JOIN:
             params = JoinParams(graph.order, acc_order)
             carried = carry_join(own, params, "laplacian", is_connected(graph), isolated_pair, tol)

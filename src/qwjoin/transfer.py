@@ -211,6 +211,21 @@ def strong_cospectral(
     return SupportPartition(plus, minus)
 
 
+def pair_partition(
+    graph: WeightedGraph, matrix: str, u: int, v: int, tol: float = SUPPORT_TOL
+) -> SupportPartition | None:
+    """strong_cospectral on the graph's spectrum, computed once per pair.
+
+    The result is cached on the graph next to its spectrum; each caller
+    gets its own copy, so mutating one cannot change a later analysis.
+    """
+    part = graph.cached(
+        ("pair_partition", matrix, u, v, tol),
+        lambda: strong_cospectral(spectrum(graph, matrix), u, v, tol),
+    )
+    return None if part is None else SupportPartition(list(part.plus), list(part.minus))
+
+
 def join_strong_cospectral(
     x: WeightedGraph,
     y: WeightedGraph,
@@ -247,7 +262,7 @@ def join_strong_cospectral(
     if u >= m:
         return join_strong_cospectral(y, x, u - m, v - m, matrix=matrix, tol=tol)
     isolated_pair = x.order == 2 and not x.edges
-    part = None if isolated_pair else strong_cospectral(spectrum(x, matrix), u, v, tol=tol)
+    part = None if isolated_pair else pair_partition(x, matrix, u, v, tol)
     return carry_join(part, params, matrix, is_connected(x), isolated_pair, tol)
 
 
@@ -825,7 +840,6 @@ def _join_pst_laplacian(
 ) -> PSTCertificate:
     m, n = params.m, params.n
     details: dict = {}
-    part_decomp = spectrum(x, "laplacian")
     is_o2 = x.order == 2 and not x.edges
     verdict = False
     branch = None
@@ -837,7 +851,7 @@ def _join_pst_laplacian(
         if not verdict:
             reason = "the cone size is not 2 modulo 4"
     else:
-        part_sc = strong_cospectral(part_decomp, u, v)
+        part_sc = pair_partition(x, "laplacian", u, v)
         if part_sc is None:
             branch = "not-cospectral"
             reason = "the pair is not strongly cospectral within the part"
@@ -931,7 +945,7 @@ def _join_pst_adjacency(
     if is_o2k:
         branch = "isolated-pair"
     else:
-        part_sc = strong_cospectral(spectrum(x, "adjacency"), u, v)
+        part_sc = pair_partition(x, "adjacency", u, v)
         if part_sc is None:
             gate = False
             branch = "not-cospectral"
@@ -1130,8 +1144,7 @@ def pst_preserved(
     m, n = params.m, params.n
     if u == v or not (0 <= u < m and 0 <= v < m):
         raise ValueError("the pair must be two distinct part vertices")
-    part_decomp = spectrum(x, matrix)
-    base = pst_certificate(part_decomp, u, v)
+    base = pst_certificate(spectrum(x, matrix), u, v)
     if not base.pst:
         raise PreconditionError("the pair has no transfer within the part")
     details: dict = {
@@ -1287,8 +1300,7 @@ def pst_induced(
     if u == v or not (0 <= u < m and 0 <= v < m):
         raise ValueError("the pair must be two distinct part vertices")
     jcert = join_pst(x, y, u, v, matrix=matrix)
-    part_decomp = spectrum(x, matrix)
-    part_cert = pst_certificate(part_decomp, u, v)
+    part_cert = pst_certificate(spectrum(x, matrix), u, v)
     induced = jcert.pst and not part_cert.pst
     mechanism = "general"
     details: dict = {}
@@ -1465,7 +1477,7 @@ def self_join_analysis(
         if not verdict:
             reason = "an odd number of copies leaves the crossing valuations unequal"
     else:
-        part_sc = strong_cospectral(part_decomp, u, v)
+        part_sc = pair_partition(x, matrix, u, v)
         support = eigenvalue_support(part_decomp, u)
         ints = _as_int_list(support)
         if matrix == "laplacian":
@@ -1621,7 +1633,7 @@ def iterated_join_sign_partition(
         if graph.loops:
             raise PreconditionError("Laplacian join analysis requires simple parts")
     isolated_pair = part.order == 2 and not part.edges
-    own = None if isolated_pair else strong_cospectral(spectrum(part, "laplacian"), u, v, tol)
+    own = None if isolated_pair else pair_partition(part, "laplacian", u, v, tol)
     return carry_through_plan(spec, j, own, isolated_pair, tol)
 
 
@@ -1708,8 +1720,10 @@ def threshold_transfer_search(max_parts: int = 4, max_size: int = 6) -> list[dic
     The pair under test is one representative pair of the first part
     (vertices of an empty part are interchangeable), so the sweep probes
     the congruence pattern on the part sizes directly. The empty parts are
-    built once, so each is decomposed once per search. Hits are returned in
-    deterministic enumeration order.
+    built once, so each is decomposed, and its pair partitioned, once per
+    search. A plan whose pair is not strongly cospectral at some stage
+    stops there, so only plans that reach a live partition are evaluated
+    and confirmed. Hits are returned in deterministic enumeration order.
     """
     empties = {size: family("O", size) for size in range(1, max_size + 1)}
     all_sizes = [

@@ -1,3 +1,7 @@
+import functools
+import inspect
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,6 +15,7 @@ from qwjoin import (
     is_regular,
     is_simple,
     iterated_join,
+    iterated_join_analysis,
     iterated_tree,
     iterated_vertex,
     join,
@@ -296,6 +301,14 @@ def _recursive_matvec(node, x, kind):
     return out
 
 
+def _recursive_build(node):
+    """The tree's graph as it is defined: each node folds its children by join or union."""
+    if isinstance(node, WeightedGraph):
+        return node
+    glue = join if node.connective is Connective.JOIN else disjoint_union
+    return functools.reduce(glue, map(_recursive_build, node.children))
+
+
 @st.composite
 def _leaves(draw, loops: bool):
     order = draw(st.integers(1, 4))
@@ -343,6 +356,17 @@ def test_compiled_product_equals_the_recursive_one(kind_and_tree, seed):
     np.testing.assert_allclose(got, _dense(tree.build(), kind) @ x, rtol=1e-12, atol=1e-12)
 
 
+@settings(deadline=None)
+@given(_KIND_AND_TREE)
+def test_build_equals_the_recursive_fold(kind_and_tree):
+    _, tree = kind_and_tree
+    built, want = tree.build(), _recursive_build(tree)
+    # the same edges and loops with the same weights, in the same order
+    assert built.order == want.order
+    assert list(built.edges.items()) == list(want.edges.items())
+    assert list(built.loops.items()) == list(want.loops.items())
+
+
 def test_tree_compiles_on_the_first_product_and_skips_leaf_products(monkeypatch):
     def no_leaf_products(self, x, kind):
         raise AssertionError("a compiled tree makes no WeightedGraph.matvec call")
@@ -381,3 +405,36 @@ def test_compiled_product_of_a_plan_nested_past_the_recursion_limit():
     lap = np.diag(a.sum(axis=1)) - a
     np.testing.assert_allclose(tree.matvec(x, "adjacency"), a @ x, rtol=1e-12, atol=1e-10)
     np.testing.assert_allclose(tree.matvec(x, "laplacian"), lap @ x, rtol=1e-12, atol=1e-10)
+
+
+def _alternating_plan(first: WeightedGraph, count: int) -> IteratedJoinSpec:
+    conns = [None] + [
+        Connective.JOIN if j % 2 == count % 2 else Connective.UNION
+        for j in range(2, count + 1)
+    ]
+    return IteratedJoinSpec(
+        [(first, conns[0])] + [(family("O", 1), c) for c in conns[1:]]
+    )
+
+
+def test_build_of_a_plan_nested_past_a_lowered_recursion_limit():
+    # 160 parts nest 159 tree levels, more than the 60 frames left above the caller
+    count = 160
+    plan = _alternating_plan(family("O", 1), count)
+    stem = _alternating_plan(family("O", 2), count)
+    # the fold as written out stage by stage, with no tree at all
+    want = functools.reduce(
+        lambda acc, part: (join if part[1] is Connective.JOIN else disjoint_union)(acc, part[0]),
+        plan.parts[1:],
+        plan.parts[0][0],
+    )
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        built = iterated_join(plan)
+        cert = iterated_join_analysis(stem, 1, 0, 1, verify="full")
+    finally:
+        sys.setrecursionlimit(limit)
+    # the same joins in the same order, so the same edges in the same order
+    assert list(built.edges.items()) == list(want.edges.items())
+    assert cert == iterated_join_analysis(stem, 1, 0, 1)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 
 import qwjoin.graphs as graphs
 import qwjoin.transfer as transfer
+from qwjoin import spectral
 from qwjoin import (
     InconsistencyError,
     PreconditionError,
@@ -631,6 +633,130 @@ def test_threshold_search_two_parts():
         assert h["time_value"] == pytest.approx(math.pi / 2)
 
 
+def _count_strong_cospectral(monkeypatch) -> list:
+    calls = []
+    real = transfer.strong_cospectral
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(transfer, "strong_cospectral", counting)
+    return calls
+
+
+def test_threshold_search_partitions_each_first_part_once(monkeypatch):
+    calls = _count_strong_cospectral(monkeypatch)
+    hits = threshold_transfer_search(4, 6)
+    assert [h["sizes"] for h in hits] == [[2, 2], [2, 6], [2, 2, 4, 4], [2, 6, 4, 4]]
+    # the first parts O3..O6, whose pair (0, 1) is dead from stage 1; the
+    # isolated pair of O2 needs no partition
+    assert len(calls) == 4
+    assert sorted(decomp.size for decomp, *_ in calls) == [3, 4, 5, 6]
+
+
+def _full_stage_walk(spec, j, own, isolated_pair):
+    """carry_through_plan without its early exit: every stage is carried."""
+    carried, acc_order, acc_connected = own, 0, True
+    for idx, (graph, conn) in enumerate(spec.parts, start=1):
+        if idx == j and conn is graphs.Connective.JOIN:
+            params = spectral.JoinParams(graph.order, acc_order)
+            carried = spectral.carry_join(
+                own, params, "laplacian", graphs.is_connected(graph), isolated_pair
+            )
+        elif idx > j and conn is graphs.Connective.JOIN:
+            params = spectral.JoinParams(acc_order, graph.order)
+            carried = spectral.carry_join(
+                carried, params, "laplacian", acc_connected, isolated_pair and acc_order == 2
+            )
+        acc_order += graph.order
+        acc_connected = graphs.is_connected(graph) if idx == 1 else conn is graphs.Connective.JOIN
+    return carried
+
+
+def test_early_exit_carry_equals_the_full_stage_walk():
+    parts = [("O", 1), ("O", 2), ("O", 3), ("K", 2), ("P", 3), ("C", 4)]
+    walked = 0
+    for count in range(2, 5):
+        conns = [None] + [
+            graphs.Connective.JOIN if i % 2 == count % 2 else graphs.Connective.UNION
+            for i in range(2, count + 1)
+        ]
+        for chosen in itertools.product(parts, repeat=count):
+            spec = graphs.IteratedJoinSpec([(family(*p), c) for p, c in zip(chosen, conns)])
+            for j, (part, _) in enumerate(spec.parts, start=1):
+                isolated_pair = part.order == 2 and not part.edges
+                for u, v in itertools.combinations(range(part.order), 2):
+                    own = None if isolated_pair else transfer.pair_partition(
+                        part, "laplacian", u, v
+                    )
+                    want = _full_stage_walk(spec, j, own, isolated_pair)
+                    got = spectral.carry_through_plan(spec, j, own, isolated_pair)
+                    assert got == want, (chosen, j, u, v)
+                    assert iterated_join_sign_partition(spec, j, u, v) == want
+                    walked += 1
+    assert walked > 5000
+
+
+def test_a_dead_plan_carries_nothing_past_its_dead_stage(monkeypatch):
+    calls = []
+    real = spectral.carry_join
+
+    def counting(part, *args, **kwargs):
+        calls.append(part)
+        return real(part, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "carry_join", counting)
+    dead = parse_iterated_spec("O3 v O1 u O4 v O4")
+    assert iterated_join_sign_partition(dead, 1, 0, 1) is None
+    assert calls == []
+    # the edgeless first pair revives at the first join, and lives on
+    revived = parse_iterated_spec("O2 v O1 u O4 v O4")
+    assert iterated_join_sign_partition(revived, 1, 0, 1) is not None
+    assert len(calls) == 2
+
+
+def test_mutating_a_partition_leaves_later_analyses_alone():
+    x, o2 = family("C", 4), family("O", 2)
+    fresh = join_pst(family("C", 4), family("O", 2), 0, 2)
+    part = transfer.pair_partition(x, "laplacian", 0, 2)
+    part.plus.append(99.0)
+    part.minus.clear()
+    cert = join_pst(x, o2, 0, 2)
+    assert cert == fresh
+    cert.partition.plus.append(99.0)
+    cert.partition.minus.clear()
+    assert join_pst(x, o2, 0, 2) == fresh
+    assert transfer.pair_partition(x, "laplacian", 0, 2) == strong_cospectral(
+        laplacian_decomp(family("C", 4)), 0, 2
+    )
+    spec = parse_iterated_spec("C4 v O2 u O4 v O2")
+    first = iterated_join_analysis(spec, 1, 0, 2)
+    first.partition.plus.clear()
+    assert iterated_join_analysis(spec, 1, 0, 2) == iterated_join_analysis(
+        parse_iterated_spec("C4 v O2 u O4 v O2"), 1, 0, 2
+    )
+
+
+def test_threshold_search_five_parts_is_the_stacked_cone_set():
+    hits = threshold_transfer_search(5, 8)
+    sizes = [
+        list(s)
+        for count in range(2, 6)
+        for s in itertools.product(range(1, 9), repeat=count)
+        if count % 2 == 0 and s[0] == 2 and s[1] % 4 == 2 and all(t % 4 == 0 for t in s[2:])
+    ]
+    assert [h["sizes"] for h in hits] == sizes
+    # the hit list as the search made it before dead plans stopped early
+    assert hits == [
+        {"sizes": s, "part": 1, "time_value": 1.5707963267948966, "time": [1, 2, 1]}
+        for s in (
+            [2, 2], [2, 6], [2, 2, 4, 4], [2, 2, 4, 8], [2, 2, 8, 4], [2, 2, 8, 8],
+            [2, 6, 4, 4], [2, 6, 4, 8], [2, 6, 8, 4], [2, 6, 8, 8],
+        )
+    ]
+
+
 # ---------------------------------------------------------------------------
 # confirmation on the implicit join
 # ---------------------------------------------------------------------------
@@ -676,18 +802,21 @@ def test_confirmation_catches_a_wrong_transfer_time(monkeypatch, name):
 def count_whole_builds(monkeypatch, order: int) -> list:
     """Graphs of the given order returned by the join builders, as they are made."""
     built = []
-    for name in ("join", "disjoint_union", "self_join", "iterated_join"):
-        real = getattr(graphs, name)
 
-        def counting(*args, _real=real):
-            graph = _real(*args)
+    def counting(real):
+        def call(*args):
+            graph = real(*args)
             if graph.order == order and all(graph is not g for g in built):
                 built.append(graph)
             return graph
 
+        return call
+
+    for name in ("join", "disjoint_union", "self_join", "iterated_join"):
         for module in (graphs, transfer):
             if hasattr(module, name):
-                monkeypatch.setattr(module, name, counting)
+                monkeypatch.setattr(module, name, counting(getattr(graphs, name)))
+    monkeypatch.setattr(graphs.JoinTree, "build", counting(graphs.JoinTree.build))
     return built
 
 
@@ -719,14 +848,7 @@ PARTITION_CALLS = {
 @pytest.mark.parametrize("name", list(PARTITION_CALLS))
 def test_part_sign_partition_is_computed_once_per_analysis(monkeypatch, name):
     call, expected = PARTITION_CALLS[name]
-    calls = []
-    real = transfer.strong_cospectral
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(transfer, "strong_cospectral", counting)
+    calls = _count_strong_cospectral(monkeypatch)
     call()
     assert len(calls) == expected
 
