@@ -352,13 +352,16 @@ def cmd_bound_sweep(args) -> int:
     if args.csv:
         with open(args.csv, "w") as handle:
             handle.write("t,mag_join,mag_base,F\n")
-            for t, mj, mb, f in zip(
+            columns = (
                 report.times,
                 report.join_magnitudes,
                 report.part_magnitudes,
                 report.deviation,
-            ):
-                handle.write(f"{float(t)!r},{float(mj)!r},{float(mb)!r},{float(f)!r}\n")
+            )
+            handle.writelines(
+                f"{t!r},{mj!r},{mb!r},{f!r}\n"
+                for t, mj, mb, f in zip(*(c.tolist() for c in columns))
+            )
         print(f"sweep written to {args.csv}")
     return 0
 

@@ -351,22 +351,11 @@ def family(name: str, *params) -> WeightedGraph:
 
 def join(x: WeightedGraph, y: WeightedGraph) -> WeightedGraph:
     """Join of two graphs: every cross pair gets an edge of weight 1."""
-    m = x.order
-    edges = [(u, v, w) for (u, v), w in x.edges.items()]
-    edges += [(u + m, v + m, w) for (u, v), w in y.edges.items()]
-    edges += [(u, m + v, 1.0) for u in range(m) for v in range(y.order)]
-    loops = [(v, w) for v, w in x.loops.items()]
-    loops += [(v + m, w) for v, w in y.loops.items()]
-    return WeightedGraph(m + y.order, edges, loops)
+    return JoinTree(Connective.JOIN, (x, y)).build()
 
 
 def disjoint_union(x: WeightedGraph, y: WeightedGraph) -> WeightedGraph:
-    m = x.order
-    edges = [(u, v, w) for (u, v), w in x.edges.items()]
-    edges += [(u + m, v + m, w) for (u, v), w in y.edges.items()]
-    loops = [(v, w) for v, w in x.loops.items()]
-    loops += [(v + m, w) for v, w in y.loops.items()]
-    return WeightedGraph(m + y.order, edges, loops)
+    return JoinTree(Connective.UNION, (x, y)).build()
 
 
 @dataclass(frozen=True, eq=False)
@@ -484,14 +473,15 @@ class JoinTree:
         return out
 
     def build(self) -> WeightedGraph:
-        """The graph itself, as join and disjoint_union would fold it.
+        """The graph itself; join and disjoint_union build through it.
 
         Each node folds its children left to right: a child's edges, then,
-        at a join, the edges from every earlier child's vertex to it. The
-        edge and loop lists are kept in the built graph's numbering and
-        extended in place, so a left-nested plan builds in time linear in
-        its edges, and the graph is made once, with its edges in the same
-        order as the fold of join and disjoint_union makes them.
+        at a join, the edges from every earlier child's vertex to it, so
+        the edges and loops of a nested tree come out in the order that
+        folding join and disjoint_union node by node gives. The lists are
+        kept in the built graph's numbering and extended in place, so a
+        left-nested plan builds in time linear in its edges, and the graph
+        is made once.
         """
         built: list[tuple[list, list]] = []
         for node, lo in self._postorder():

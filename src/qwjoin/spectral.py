@@ -296,14 +296,14 @@ def carry_through_plan(
     acc_order = 0
     acc_connected = True
     for idx, (graph, conn) in enumerate(spec.parts, start=1):
-        if idx > j and carried is None and not (isolated_pair and acc_order == 2):
+        side_isolated = isolated_pair and acc_order == 2
+        if idx > j and carried is None and not side_isolated:
             return None
         if idx == j and conn is Connective.JOIN:
             params = JoinParams(graph.order, acc_order)
             carried = carry_join(own, params, "laplacian", is_connected(graph), isolated_pair, tol)
         elif idx > j and conn is Connective.JOIN:
             params = JoinParams(acc_order, graph.order)
-            side_isolated = isolated_pair and acc_order == 2
             carried = carry_join(carried, params, "laplacian", acc_connected, side_isolated, tol)
         acc_order += graph.order
         acc_connected = is_connected(graph) if idx == 1 else conn is Connective.JOIN

@@ -1144,7 +1144,8 @@ def pst_preserved(
     m, n = params.m, params.n
     if u == v or not (0 <= u < m and 0 <= v < m):
         raise ValueError("the pair must be two distinct part vertices")
-    base = pst_certificate(spectrum(x, matrix), u, v)
+    part_decomp = spectrum(x, matrix)
+    base = pst_certificate(part_decomp, u, v)
     if not base.pst:
         raise PreconditionError("the pair has no transfer within the part")
     details: dict = {
@@ -1300,7 +1301,8 @@ def pst_induced(
     if u == v or not (0 <= u < m and 0 <= v < m):
         raise ValueError("the pair must be two distinct part vertices")
     jcert = join_pst(x, y, u, v, matrix=matrix)
-    part_cert = pst_certificate(spectrum(x, matrix), u, v)
+    part_decomp = spectrum(x, matrix)
+    part_cert = pst_certificate(part_decomp, u, v)
     induced = jcert.pst and not part_cert.pst
     mechanism = "general"
     details: dict = {}

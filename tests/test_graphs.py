@@ -301,12 +301,26 @@ def _recursive_matvec(node, x, kind):
     return out
 
 
+def _glue(x, y, joined):
+    """join (or disjoint_union) written out: x's edges, y's shifted, then the cross edges."""
+    m = x.order
+    edges = [(u, v, w) for (u, v), w in x.edges.items()]
+    edges += [(u + m, v + m, w) for (u, v), w in y.edges.items()]
+    if joined:
+        edges += [(u, m + v, 1.0) for u in range(m) for v in range(y.order)]
+    loops = [(v, w) for v, w in x.loops.items()]
+    loops += [(v + m, w) for v, w in y.loops.items()]
+    return WeightedGraph(m + y.order, edges, loops)
+
+
 def _recursive_build(node):
     """The tree's graph as it is defined: each node folds its children by join or union."""
     if isinstance(node, WeightedGraph):
         return node
-    glue = join if node.connective is Connective.JOIN else disjoint_union
-    return functools.reduce(glue, map(_recursive_build, node.children))
+    joined = node.connective is Connective.JOIN
+    return functools.reduce(
+        lambda x, y: _glue(x, y, joined), map(_recursive_build, node.children)
+    )
 
 
 @st.composite

@@ -1,18 +1,20 @@
-"""Write BENCH_<PR>.json: the benchmark's end-to-end and per-layer medians.
+"""Write BENCH_<PR>.json: the benchmark's end-to-end and per-layer metrics.
 
 Usage, from anywhere:
 
     python3 tools/bench_json.py --checkout DIR [--baseline DIR] --out BENCH_8.json
-        [--workload NAME ...] [--runs 3] [--seconds 20] [--seed 53]
 
 For every workload declared in the checkout's BENCHMARK.json, the script runs
 the checkout's own ``benchmark/run.py`` with ``--trace 0`` (end-to-end view)
-and ``--trace 1`` (per-layer view), ``--runs`` times each, and records the
-median of every metric. With ``--baseline`` the same runs are made in the
-baseline checkout too, alternating baseline and change run by run so that a
-slow spell of the host hits both alike, and each metric gets its relative
-change. The benchmark files are only read and run, never written; the runs
-leave their outputs in each checkout's ignored ``benchmark/out/``.
+and ``--trace 1`` (per-layer view), RUNS times each with seed SEED, for the
+run length the checkout's BENCHMARK.json sets, and records every run's value
+of each metric with their median and quartiles. With ``--baseline`` the same
+runs are made in the baseline checkout too, in pairs whose order swaps from
+one pair to the next, so that neither side always runs first; each metric
+then also gets the baseline's median and quartiles and the relative change
+of the medians, so a change can be read against the baseline's spread. The
+benchmark files are only read and run, never written; the runs leave their
+outputs in each checkout's ignored ``benchmark/out/``.
 
 Make both checkouts the same way, for example both with ``git archive``:
 the same source run from a git working tree and from a fresh copy of its
@@ -31,20 +33,28 @@ import sys
 from pathlib import Path
 
 VIEWS = {0: "end_to_end", 1: "per_layer"}
+RUNS = 3
+SEED = 53
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(checkout: Path, workload: str, seconds: float, trace: int) -> dict:
     """One benchmark run; its last output line is the result object."""
     proc = subprocess.run(
-        [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
+        [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(SEED),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def spread(values: list[float]) -> dict:
+    """The values in run order, their median and their first and third quartiles."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"values": values, "median": median, "q1": q1, "q3": q3}
+
+
 def summarize(results: list[dict]) -> dict:
-    """Median of each metric over runs, with the runs' correctness and failures."""
+    """Each metric's runs and spread, with the runs' correctness and failures."""
     names = results[0]["metrics"]
     return {
         "runs": len(results),
@@ -53,7 +63,7 @@ def summarize(results: list[dict]) -> dict:
         "attempted": sum(r["attempted"] for r in results),
         "metrics": {
             name: {
-                "median": statistics.median(r["metrics"][name]["value"] for r in results),
+                **spread([r["metrics"][name]["value"] for r in results]),
                 "unit": results[0]["metrics"][name]["unit"],
             }
             for name in names
@@ -62,11 +72,12 @@ def summarize(results: list[dict]) -> dict:
 
 
 def compare(change: dict, base: dict) -> None:
-    """Put each baseline median and the relative change next to the change's median."""
+    """Put the baseline's spread and the relative change of the medians next to the change's."""
     for name, metric in change["metrics"].items():
-        before = base["metrics"][name]["median"]
-        metric["baseline"] = before
-        metric["relative_change"] = (metric["median"] - before) / before if before else None
+        before = base["metrics"][name]
+        metric["baseline"] = {key: before[key] for key in ("median", "q1", "q3")}
+        median = before["median"]
+        metric["relative_change"] = (metric["median"] - median) / median if median else None
 
 
 def main(argv=None) -> int:
@@ -74,32 +85,28 @@ def main(argv=None) -> int:
     parser.add_argument("--checkout", type=Path, required=True)
     parser.add_argument("--baseline", type=Path)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--workload", action="append")
-    parser.add_argument("--runs", type=int, default=3)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--seed", type=int, default=53)
     args = parser.parse_args(argv)
     spec = json.loads((args.checkout / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    checkouts = {"change": args.checkout.resolve()}
+    seconds = spec["run_seconds"]
+    roles = [("change", args.checkout.resolve())]
     if args.baseline:
-        checkouts = {"baseline": args.baseline.resolve(), **checkouts}
+        roles.insert(0, ("baseline", args.baseline.resolve()))
     report: dict = {
         "host": {
             "python": platform.python_version(),
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
         },
-        "settings": {"runs": args.runs, "seconds": args.seconds, "seed": args.seed},
+        "settings": {"runs": RUNS, "seconds": seconds, "seed": SEED},
         "workloads": {},
     }
-    for workload in workloads:
+    for workload in (w["name"] for w in spec["workloads"]):
         entry = report["workloads"][workload] = {}
         for trace, view in VIEWS.items():
-            results: dict[str, list[dict]] = {role: [] for role in checkouts}
-            for _ in range(args.runs):
-                for role, path in checkouts.items():
-                    results[role].append(run_once(path, workload, args.seed, args.seconds, trace))
+            results: dict[str, list[dict]] = {role: [] for role, _ in roles}
+            for run in range(RUNS):
+                for role, path in roles if run % 2 == 0 else roles[::-1]:
+                    results[role].append(run_once(path, workload, seconds, trace))
             summaries = {role: summarize(runs) for role, runs in results.items()}
             if args.baseline:
                 compare(summaries["change"], summaries["baseline"])
