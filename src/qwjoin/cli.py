@@ -352,16 +352,13 @@ def cmd_bound_sweep(args) -> int:
     if args.csv:
         with open(args.csv, "w") as handle:
             handle.write("t,mag_join,mag_base,F\n")
-            columns = (
+            for t, mj, mb, f in zip(
                 report.times,
                 report.join_magnitudes,
                 report.part_magnitudes,
                 report.deviation,
-            )
-            handle.writelines(
-                f"{t!r},{mj!r},{mb!r},{f!r}\n"
-                for t, mj, mb, f in zip(*(c.tolist() for c in columns))
-            )
+            ):
+                handle.write(f"{float(t)!r},{float(mj)!r},{float(mb)!r},{float(f)!r}\n")
         print(f"sweep written to {args.csv}")
     return 0
 
