@@ -70,6 +70,31 @@ def _lattice_base(params, matrix: str) -> float | None:
     return math.pi / g
 
 
+def _sweep_times(
+    base: float | None, stride: int, t_max: float | None, samples: int
+) -> tuple[np.ndarray, list[float]]:
+    """A uniform grid on [0, t_max] joined with the lattice times j * stride * base.
+
+    t_max defaults to 4 pi when there is a lattice and to 20 otherwise. It
+    must be finite and positive, and the lattice may hold at most samples
+    points; both are checked before any time is built.
+    """
+    if t_max is None:
+        t_max = 4 * math.pi if base is not None else 20.0
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise ValueError(f"t_max must be finite and positive, got {t_max}")
+    lattice: list[float] = []
+    if base is not None:
+        step = stride * base
+        if t_max / step >= samples + 1:
+            raise ValueError(
+                f"t_max = {t_max} holds more than {samples} lattice times of step "
+                f"{step:.6g}; lower t_max or raise samples"
+            )
+        lattice = [j * step for j in range(1, int(t_max / step) + 1)]
+    return np.union1d(np.linspace(0.0, t_max, samples), np.asarray(lattice)), lattice
+
+
 def equality_condition(
     x: WeightedGraph, y: WeightedGraph, matrix: str = "laplacian"
 ) -> dict:
@@ -124,14 +149,7 @@ def bound_sweep(
     m = params.m
     if not (0 <= u < m and 0 <= v < m):
         raise ValueError("the pair must lie in the left part")
-    base = _lattice_base(params, matrix)
-    if t_max is None:
-        t_max = 4 * math.pi if base is not None else 20.0
-    grid = np.linspace(0.0, t_max, samples)
-    structured: list[float] = []
-    if base is not None:
-        structured = [j * base for j in range(1, int(t_max / base) + 1)]
-    times = np.union1d(grid, np.asarray(structured))
+    times, structured = _sweep_times(_lattice_base(params, matrix), 1, t_max, samples)
     decomp = spectrum(x, matrix)
     part = transition_entries(decomp, u, v, times)
     correction = alpha(params, times, matrix)
@@ -181,14 +199,7 @@ def mimicry_sweep(
     """
     params = join_params(x, y, matrix)
     m = params.m
-    base = _lattice_base(params, matrix)
-    if t_max is None:
-        t_max = 4 * math.pi if base is not None else 20.0
-    grid = np.linspace(0.0, t_max, samples)
-    lattice: list[float] = []
-    if base is not None:
-        lattice = [j * 2 * base for j in range(1, int(t_max / (2 * base)) + 1)]
-    times = np.union1d(grid, np.asarray(lattice))
+    times, lattice = _sweep_times(_lattice_base(params, matrix), 2, t_max, samples)
     decomp = spectrum(x, matrix)
     projectors = np.stack(decomp.projectors)
     phases = np.exp(1j * np.outer(times, decomp.eigenvalues))

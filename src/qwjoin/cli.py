@@ -10,6 +10,8 @@ cross-check fails.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import re
 import sys
@@ -49,6 +51,8 @@ from .transfer import (
 from .bounds import bound_sweep, equality_condition
 
 _COMPACT_FAMILY = re.compile(r"^(O_loops|K_minus_e|CP|O|K|P|C|Q)(\d+)$")
+# bound-sweep CSV rows formatted per slab: bounded memory, one repr per column
+_CSV_SLAB_ROWS = 512
 
 
 def _parse_graph_arg(text: str) -> WeightedGraph:
@@ -138,10 +142,21 @@ def _check_pair(pair, order: int) -> tuple[int, int]:
     return u, v
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """A text file open for writing; a path that cannot be written is a precondition failure."""
+    try:
+        with open(path, "w") as handle:
+            yield handle
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _maybe_write(args, kind: str, payload) -> None:
     if getattr(args, "out", None):
         text = report_to_json(AnalysisReport(kind=kind, payload=payload))
-        Path(args.out).write_text(text + "\n")
+        with _writing(args.out) as handle:
+            handle.write(text + "\n")
         print(f"report written to {args.out}")
 
 
@@ -350,20 +365,32 @@ def cmd_bound_sweep(args) -> int:
     else:
         print("the bound is not attained (offset valuations differ)")
     if args.csv:
-        with open(args.csv, "w") as handle:
+        columns = (
+            report.times,
+            report.join_magnitudes,
+            report.part_magnitudes,
+            report.deviation,
+        )
+        with _writing(args.csv) as handle:
             handle.write("t,mag_join,mag_base,F\n")
-            for t, mj, mb, f in zip(
-                report.times,
-                report.join_magnitudes,
-                report.part_magnitudes,
-                report.deviation,
-            ):
-                handle.write(f"{float(t)!r},{float(mj)!r},{float(mb)!r},{float(f)!r}\n")
+            for lo in range(0, len(report.times), _CSV_SLAB_ROWS):
+                # the repr of a list of floats is their reprs joined by ", "
+                texts = [
+                    repr(col[lo : lo + _CSV_SLAB_ROWS].tolist())[1:-1].split(", ")
+                    for col in columns
+                ]
+                handle.write("\n".join(map(",".join, zip(*texts))) + "\n")
         print(f"sweep written to {args.csv}")
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later call.
+
+    Parsing leaves no state in it: no action has a mutable default, and
+    set_defaults stores only each subcommand's handler.
+    """
     parser = argparse.ArgumentParser(
         prog="qwjoin",
         description="continuous-time quantum walk analysis on joins of graphs",

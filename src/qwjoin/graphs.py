@@ -274,6 +274,13 @@ def is_connected(graph: WeightedGraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _count(value) -> int:
+    """A family parameter that counts something: an integer, or a float equal to one."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"a family count must be an integer, got {value!r}")
+    return int(value)
+
+
 def family(name: str, *params) -> WeightedGraph:
     """Build a named unweighted family member.
 
@@ -285,28 +292,28 @@ def family(name: str, *params) -> WeightedGraph:
     """
     if name == "O":
         (n,) = params
-        return WeightedGraph(int(n))
+        return WeightedGraph(_count(n))
     if name == "O_loops":
         n, k = params
-        n = int(n)
+        n = _count(n)
         return WeightedGraph(n, loops=[(v, float(k)) for v in range(n)])
     if name == "K":
         (n,) = params
-        n = int(n)
+        n = _count(n)
         return WeightedGraph(n, [(u, v, 1.0) for u in range(n) for v in range(u + 1, n)])
     if name == "P":
         (n,) = params
-        n = int(n)
+        n = _count(n)
         return WeightedGraph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
     if name == "C":
         (n,) = params
-        n = int(n)
+        n = _count(n)
         if n < 3:
             raise ValueError("a cycle needs at least 3 vertices")
         return WeightedGraph(n, [(i, (i + 1) % n, 1.0) for i in range(n)])
     if name == "CP":
         (m,) = params
-        m = int(m)
+        m = _count(m)
         if m < 2 or m % 2:
             raise ValueError("the cocktail party graph needs an even order >= 2")
         half = m // 2
@@ -319,7 +326,7 @@ def family(name: str, *params) -> WeightedGraph:
         return WeightedGraph(m, edges)
     if name == "Q":
         (p,) = params
-        p = int(p)
+        p = _count(p)
         if p < 0:
             raise ValueError("the cube dimension must be nonnegative")
         n = 1 << p
@@ -332,13 +339,13 @@ def family(name: str, *params) -> WeightedGraph:
         return WeightedGraph(n, edges)
     if name == "K_minus_e":
         (d,) = params
-        d = int(d)
+        d = _count(d)
         if d < 3:
             raise ValueError("complete-minus-an-edge needs at least 3 vertices")
         return join(family("O", 2), family("K", d - 2))
     if name == "K_bipartite":
         a, b = params
-        a, b = int(a), int(b)
+        a, b = _count(a), _count(b)
         edges = [(u, a + v, 1.0) for u in range(a) for v in range(b)]
         return WeightedGraph(a + b, edges)
     raise ValueError(f"unknown family {name!r}")

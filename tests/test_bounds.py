@@ -105,3 +105,23 @@ def test_bound_sweep_detects_a_lying_alpha(monkeypatch):
     monkeypatch.setattr(bounds_mod, "alpha", lying_alpha)
     with pytest.raises(InconsistencyError):
         bound_sweep(family("C", 4), family("O", 2), 0, 1)
+
+
+@pytest.mark.parametrize("sweep", [bound_sweep, mimicry_sweep], ids=["bound", "mimicry"])
+@pytest.mark.parametrize("t_max", [math.inf, math.nan, 0.0, -1.0, 1e9], ids=str)
+def test_sweeps_check_t_max_before_building_times(monkeypatch, sweep, t_max):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a time grid was built before t_max was checked")
+
+    monkeypatch.setattr(bounds_mod.np, "linspace", no_grid)
+    args = (family("C", 4), family("O", 2)) + ((0, 2) if sweep is bound_sweep else ())
+    with pytest.raises(ValueError, match="t_max"):
+        sweep(*args, t_max=t_max)
+
+
+def test_lattice_may_hold_as_many_times_as_samples():
+    # C4 v O2 has the lattice step pi/2, so t_max = 8 pi holds 16 lattice times
+    rep = bound_sweep(family("C", 4), family("O", 2), 0, 2, t_max=8 * math.pi, samples=16)
+    assert len(rep.structured_times) == 16
+    with pytest.raises(ValueError, match="more than 15 lattice times"):
+        bound_sweep(family("C", 4), family("O", 2), 0, 2, t_max=8 * math.pi, samples=15)

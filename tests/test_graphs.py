@@ -93,6 +93,17 @@ def test_family_constructors():
     assert is_regular(family("Q", 3)) == 3.0
 
 
+def test_family_counts_must_be_integers():
+    assert family("C", 4.0) == family("C", 4)
+    assert family("O_loops", 2.0, 0.5).loops == {0: 0.5, 1: 0.5}
+    for name, params in [
+        ("C", (4.5,)), ("O", (2.5,)), ("Q", (float("inf"),)), ("K", (float("nan"),)),
+        ("O_loops", (2.5, 1.0)), ("K_bipartite", (2, 3.5)),
+    ]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            family(name, *params)
+
+
 def test_cocktail_party_small_cases_match_known_graphs():
     assert family("CP", 4) == family("C", 4)
     assert family("CP", 2) == family("O", 2)

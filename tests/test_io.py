@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import time
@@ -6,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import qwjoin.cli as cli
 import qwjoin.transfer as transfer
 from qwjoin import (
     WeightedGraph,
@@ -18,6 +20,7 @@ from qwjoin import (
     save_graph,
     to_jsonable,
 )
+from qwjoin.bounds import BoundReport, bound_sweep
 from qwjoin.cli import main
 from qwjoin.graphio import AnalysisReport, graph_from_dict, graph_to_dict
 from qwjoin.transfer import SupportPartition, SymbolicTime
@@ -141,6 +144,134 @@ def test_cli_bound_sweep_csv(tmp_path, capsys):
     # every row parses as four floats
     for row in rows[1:4]:
         assert len([float(cell) for cell in row.split(",")]) == 4
+
+
+def _reference_csv(report) -> str:
+    """The sweep CSV written one row at a time, as a plain loop would."""
+    rows = ["t,mag_join,mag_base,F\n"]
+    for t, mj, mb, f in zip(
+        report.times, report.join_magnitudes, report.part_magnitudes, report.deviation
+    ):
+        rows.append(f"{float(t)!r},{float(mj)!r},{float(mb)!r},{float(f)!r}\n")
+    return "".join(rows)
+
+
+def _report_with_rows(rows: int) -> BoundReport:
+    """Random columns of mixed magnitude, with every fifth row set to awkward floats."""
+    rng = np.random.default_rng(rows)
+    cols = rng.standard_normal((4, rows)) * 10.0 ** rng.integers(-30, 30, (4, rows))
+    cols[:, ::5] = np.array([-0.0, 5e-324, 1e-05, 1e16])[:, None]
+    return BoundReport(
+        matrix="laplacian", pair=(0, 2), bound=1.0, times=cols[0],
+        join_magnitudes=cols[1], part_magnitudes=cols[2], deviation=cols[3],
+        max_abs_deviation=0.0, argmax_time=0.0, equality_possible=None,
+        equality_times=[], structured_times=[],
+    )
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [1, cli._CSV_SLAB_ROWS - 1, cli._CSV_SLAB_ROWS, cli._CSV_SLAB_ROWS + 1,
+     2 * cli._CSV_SLAB_ROWS + 3],
+)
+def test_cli_bound_sweep_csv_matches_the_per_row_writer(tmp_path, capsys, monkeypatch, rows):
+    report = _report_with_rows(rows)
+    monkeypatch.setattr(cli, "bound_sweep", lambda *args, **kwargs: report)
+    csv_path = tmp_path / "sweep.csv"
+    assert main([
+        "bound-sweep", "--left", "C4", "--right", "O2", "--pair", "0", "2",
+        "--csv", str(csv_path),
+    ]) == 0
+    assert csv_path.read_bytes() == _reference_csv(report).encode()
+
+
+@pytest.mark.parametrize(
+    "argv, sweep",
+    [
+        (["--left", "C4", "--right", "O2", "--pair", "0", "2"],
+         lambda: bound_sweep(family("C", 4), family("O", 2), 0, 2)),
+        # no lattice: the adjacency offsets of C4 v O1 are not integers
+        (["--left", "C4", "--right", "O1", "--pair", "0", "2", "--matrix", "adjacency",
+          "--samples", "1"],
+         lambda: bound_sweep(family("C", 4), family("O", 1), 0, 2, "adjacency", samples=1)),
+    ],
+    ids=["default", "one-sample"],
+)
+def test_cli_bound_sweep_csv_of_a_real_sweep(tmp_path, capsys, argv, sweep):
+    csv_path = tmp_path / "sweep.csv"
+    assert main(["bound-sweep", *argv, "--csv", str(csv_path)]) == 0
+    assert csv_path.read_bytes() == _reference_csv(sweep()).encode()
+
+
+def test_cli_builds_its_parser_once(capsys, monkeypatch):
+    cli.build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    seen = []
+    for argv in (
+        ["analyze", "--family", "C 4"],
+        ["pst-search", "--mode", "double-cone", "--n-max", "4"],
+        ["analyze", "--family", "P 3"],
+    ):
+        assert main(argv) == 0
+        seen.append(len(built))
+    assert seen[0] > 0 and seen == [seen[0]] * 3
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_cli_parse_state_does_not_leak_between_calls(capsys):
+    search = ["pst-search", "--mode", "double-cone", "--n-max", "8"]
+    assert main([*search, "--all"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 8
+    assert main(search) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [rec["n"] for rec in lines] == [2, 6] and all(rec["pst"] for rec in lines)
+
+    join_k4 = ["join", "--left", "K 4", "--right", "K 4", "--pair", "0", "1"]
+    assert main([*join_k4, "--ratio"]) == 0
+    assert "period ratio" in capsys.readouterr().out
+    assert main(join_k4) == 0
+    assert "period ratio" not in capsys.readouterr().out
+
+
+def test_cli_parser_survives_an_argparse_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--pair", "0", "1"])
+    assert exc.value.code == 2
+    assert "one of the arguments --graph --family is required" in capsys.readouterr().err
+    assert main(["analyze", "--family", "C 4", "--pair", "0", "2"]) == 0
+    assert "pair (0, 2): strongly cospectral" in capsys.readouterr().out
+
+
+SWEEP_C4 = ["bound-sweep", "--left", "C4", "--right", "O2", "--pair", "0", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([*SWEEP_C4, "--csv", "{missing}/x.csv"], "cannot write"),
+        (["analyze", "--family", "C 4", "--out", "{missing}/x.json"], "cannot write"),
+        ([*SWEEP_C4, "--t-max", "inf"], "finite and positive"),
+        ([*SWEEP_C4, "--t-max", "nan"], "finite and positive"),
+        ([*SWEEP_C4, "--t-max", "0"], "finite and positive"),
+        ([*SWEEP_C4, "--t-max", "-1"], "finite and positive"),
+        ([*SWEEP_C4, "--t-max", "1e9"], "lattice times"),
+        (["analyze", "--family", "C 4.5"], "must be an integer"),
+    ],
+    ids=["csv-unwritable", "out-unwritable", "t-max-inf", "t-max-nan", "t-max-0",
+         "t-max-negative", "t-max-huge", "family-count-4.5"],
+)
+def test_cli_bad_outputs_and_sweep_inputs_exit_2(tmp_path, capsys, argv, message):
+    missing = tmp_path / "missing"
+    assert main([a.format(missing=missing) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("precondition violated: ") and message in err
 
 
 def test_cli_precondition_exit_code(capsys):

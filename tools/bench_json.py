@@ -12,9 +12,12 @@ of each metric with their median and quartiles. With ``--baseline`` the same
 runs are made in the baseline checkout too, in pairs whose order swaps from
 one pair to the next, so that neither side always runs first; each metric
 then also gets the baseline's median and quartiles and the relative change
-of the medians, so a change can be read against the baseline's spread. The
-benchmark files are only read and run, never written; the runs leave their
-outputs in each checkout's ignored ``benchmark/out/``.
+of the medians, so a change can be read against the baseline's spread. A run
+that reports ``correct: false`` or a failed call stops the script with exit
+status 1 and a message naming the workload, the view, the side and the run
+index; no report is written then. The benchmark files are only read and run,
+never written; the runs leave their outputs in each checkout's ignored
+``benchmark/out/``.
 
 Make both checkouts the same way, for example both with ``git archive``:
 the same source run from a git working tree and from a fresh copy of its
@@ -106,7 +109,13 @@ def main(argv=None) -> int:
             results: dict[str, list[dict]] = {role: [] for role, _ in roles}
             for run in range(RUNS):
                 for role, path in roles if run % 2 == 0 else roles[::-1]:
-                    results[role].append(run_once(path, workload, seconds, trace))
+                    result = run_once(path, workload, seconds, trace)
+                    if not result["correct"] or result["failed"]:
+                        sys.exit(
+                            f"{workload} {view}: {role} run {run} is not clean "
+                            f"(correct {result['correct']}, {result['failed']} failed calls)"
+                        )
+                    results[role].append(result)
             summaries = {role: summarize(runs) for role, runs in results.items()}
             if args.baseline:
                 compare(summaries["change"], summaries["baseline"])
