@@ -7,6 +7,14 @@ checked against an independent computation (an exact eigenvalue lattice, a
 generic valuation pattern, or a numerically computed walk), and any
 disagreement raises InconsistencyError rather than being smoothed over.
 
+The Laplacian and adjacency joins are one statement on the part side.
+Negated and shifted by n, L(X v Y) is the adjacency-type join of -L(X),
+with distinguished eigenvalue k = 0, and -L(Y) + (n - m)I, of row sum
+ell = n - m; its fresh eigenvalues are lam_plus = n and lam_minus = -m,
+and sqrt(D) = m + n. So the adjacency rules applied to the negated
+Laplacian part eigenvalues are the Laplacian rules, and the period-ratio
+table (_ratio_formula) is written once for both matrices.
+
 The walk check (_confirm_transfer) never builds the join either: it runs
 Lanczos from e_u on a JoinTree, whose products cost the parts' edges plus
 the order, and exponentiates the small tridiagonal matrix with a series,
@@ -321,16 +329,7 @@ def _exact_min_period(values) -> tuple[Fraction, int] | None:
 
 
 def is_periodic(decomp: SpectralDecomposition, u: int, tol: float = SUPPORT_TOL) -> bool:
-    support = eigenvalue_support(decomp, u, tol)
-    if len(support) <= 1:
-        return True
-    exact = _exact_min_period(support)
-    if exact is None:
-        return False
-    mult, div = exact
-    rho = math.pi * float(mult) / math.sqrt(div)
-    phases = np.exp(1j * rho * np.asarray(support))
-    return bool(abs(np.mean(phases)) >= 1 - 1e-6)
+    return minimum_period(eigenvalue_support(decomp, u, tol)).periodic
 
 
 def minimum_period(
@@ -425,143 +424,75 @@ def graph_periodic(graph: WeightedGraph, matrix: str = "laplacian") -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _laplacian_ratio_formula(
-    others: list[Fraction], m: int, n: int, connected: bool
-) -> tuple[str, Fraction]:
-    """Closed-form period ratio for a Laplacian join, by support shape."""
-    mf = Fraction(m)
-    nf = Fraction(n)
-    special = mf in others
+def _ratio_formula(
+    others: list[float] | list[Fraction],
+    support_quadratic: bool,
+    connected: bool,
+    k: float | Fraction,
+    lam_plus: float | Fraction,
+    lam_minus: float | Fraction,
+    discriminant: Fraction | int,
+) -> tuple[str, Fraction, int]:
+    """Closed-form period ratio for an adjacency-type join, by support shape.
+
+    others is the part vertex's support without k; discriminant is
+    D = (k - ell)^2 + 4mn, exactly. Float values have their ratios
+    reconstructed as rationals; Fraction values (the negated Laplacian
+    data, see the module docstring) keep the arithmetic exact.
+    """
+    exact = isinstance(others[0], Fraction)
+    root_d = lam_plus - lam_minus if exact else math.sqrt(float(discriminant))
+
+    def as_fraction(x) -> Fraction | None:
+        return x if isinstance(x, Fraction) else reconstruct_rational(x)
+
+    def rat(x) -> Fraction:
+        fr = as_fraction(x)
+        if fr is None:
+            raise InconsistencyError(f"expected a rational ratio, got {x!r}")
+        return fr
+
+    def over_root(a, b) -> tuple[Fraction, int]:
+        """|a - b| / sqrt(D) as a rational over the root of a squarefree divisor.
+
+        The magnitude matters in the pair-special case: the other eigenvalue
+        can lie below lam_minus (in the negated Laplacian data, a weighted
+        part eigenvalue above m).
+        """
+        if support_quadratic or exact:
+            return rat(abs(a - b) / root_d), 1
+        fa, fb = as_fraction(a), as_fraction(b)
+        if fa is None or fb is None:
+            raise InconsistencyError("missing an exact value for a rational support")
+        s, g = squarefree_part(discriminant.numerator * discriminant.denominator)
+        return abs(fa - fb) * discriminant.denominator / g, s
+
+    def same(a, b) -> bool:
+        return a == b if exact else _close(a, b)
+
+    special = any(same(v, lam_minus) for v in others)
     ordered = sorted(others, reverse=True)
     r = len(ordered)
     if connected:
         if r == 1:
             lam = ordered[0]
             if special:
-                return "connected-single-special", Fraction(m, m + n)
-            q = ((mf + nf) / (lam + nf)).denominator
-            return "connected-single", lam * q / (lam + nf)
-        if special and r == 2:
-            lam = next(l for l in ordered if l != mf)
-            q = ((mf + nf) / (lam + nf)).denominator
-            qp = (mf / lam).denominator
-            return "connected-pair-special", lam * q / (qp * (lam + nf))
-        if not special:
-            lam1, lam2 = ordered[0], ordered[1]
-            base = lam1 - lam2
-            qs = [((lam1 - l) / base).denominator for l in ordered[2:]]
-            q_zero = (lam1 / base).denominator
-            q_m = ((lam1 - mf) / base).denominator
-            q_n = ((lam1 + nf) / base).denominator
-            r1 = lcm_all(qs) if qs else 1
-            r2 = lcm_all([r1, q_m])
-            num = q_m * q_n * math.gcd(r1, q_zero)
-            den = q_zero * math.gcd(r1, q_m) * math.gcd(r2, q_n)
-            return "connected-general", Fraction(num, den)
-        rest = sorted((l for l in others if l != mf), reverse=True)
-        ordered2 = rest + [mf]
-        lam1, lam2 = ordered2[0], ordered2[1]
-        base = lam1 - lam2
-        qs = [((lam1 - l) / base).denominator for l in ordered2[2:]]
-        q_last = qs[-1]
-        q_zero = (lam1 / base).denominator
-        q_n = ((lam1 + nf) / base).denominator
-        r1 = lcm_all(qs)
-        num = q_last * q_n * math.gcd(r1, q_zero)
-        den = q_zero * math.gcd(r1, q_last) * math.gcd(r1, q_n)
-        return "connected-special-among-many", Fraction(num, den)
-    if r == 1:
-        lam = ordered[0]
-        if special:
-            return "disconnected-single-special", Fraction(m, math.gcd(m, n))
-        q3 = ((lam - mf) / lam).denominator
-        q4 = ((lam + nf) / lam).denominator
-        return "disconnected-single", Fraction(lcm_all([q3, q4]))
-    if special and r == 2:
-        lam = next(l for l in ordered if l != mf)
-        qp = (mf / lam).denominator
-        q5 = ((lam + nf) / lam).denominator
-        return "disconnected-pair-special", Fraction(lcm_all([qp, q5]), qp)
-    if not special:
-        lam1, lam2 = ordered[0], ordered[1]
-        base = lam1 - lam2
-        qs = [((lam1 - l) / base).denominator for l in ordered[2:]]
-        qs.append((lam1 / base).denominator)
-        q = lcm_all(qs)
-        q_m = ((lam1 - mf) / base).denominator
-        q_n = ((lam1 + nf) / base).denominator
-        return "disconnected-general", Fraction(lcm_all([q, q_m, q_n]), q)
-    lam1 = ordered[0]
-    qs = [((lam1 - l) / lam1).denominator for l in ordered[1:]]
-    q = lcm_all(qs)
-    q_n = ((lam1 + nf) / lam1).denominator
-    return "disconnected-special-among-many", Fraction(lcm_all(qs + [q_n]), q)
-
-
-def _adjacency_ratio_formula(
-    others_f: list[float],
-    others_frac: list[Fraction | None],
-    support_quadratic: bool,
-    kf: Fraction,
-    lf: Fraction,
-    m: int,
-    n: int,
-    connected: bool,
-    lam_plus: float,
-    lam_minus: float,
-) -> tuple[str, Fraction, int]:
-    """Closed-form period ratio for an adjacency join, by support shape."""
-    d_frac = (kf - lf) ** 2 + 4 * m * n
-    root_d = math.sqrt(float(d_frac))
-    k_float = float(kf)
-
-    def rat(xf: float) -> Fraction:
-        fr = reconstruct_rational(xf)
-        if fr is None:
-            raise InconsistencyError(f"expected a rational ratio, got {xf!r}")
-        return fr
-
-    def over_root(xf: float, exact: Fraction | None) -> tuple[Fraction, int]:
-        if support_quadratic:
-            return rat(xf / root_d), 1
-        if exact is None:
-            raise InconsistencyError("missing an exact value for a rational support")
-        s, g = squarefree_part(d_frac.numerator * d_frac.denominator)
-        return exact * d_frac.denominator / g, s
-
-    def frac_of(value: float) -> Fraction | None:
-        for vf, fr in zip(others_f, others_frac):
-            if _close(vf, value):
-                return fr
-        return None
-
-    special = any(_close(v, lam_minus) for v in others_f)
-    ordered = sorted(others_f, reverse=True)
-    r = len(ordered)
-    if connected:
-        if r == 1:
-            lam = ordered[0]
-            exact = (kf - frac_of(lam)) if frac_of(lam) is not None else None
-            if special:
-                fr0, dv = over_root(k_float - lam, exact)
-                return "connected-single-special", fr0, dv
+                return ("connected-single-special", *over_root(k, lam))
             q = rat((lam_plus - lam) / root_d).denominator
-            fr0, dv = over_root(k_float - lam, exact)
+            fr0, dv = over_root(k, lam)
             return "connected-single", q * fr0, dv
         if special and r == 2:
-            lam = next(v for v in ordered if not _close(v, lam_minus))
-            lam_m = next(v for v in ordered if _close(v, lam_minus))
+            lam = next(v for v in ordered if not same(v, lam_minus))
+            lam_m = next(v for v in ordered if same(v, lam_minus))
             q = rat((lam_plus - lam) / root_d).denominator
-            qp = rat((lam - k_float) / (lam - lam_m)).denominator
-            f_lam, f_lm = frac_of(lam), frac_of(lam_m)
-            exact = (f_lam - f_lm) if f_lam is not None and f_lm is not None else None
-            fr0, dv = over_root(lam - lam_m, exact)
+            qp = rat((lam - k) / (lam - lam_m)).denominator
+            fr0, dv = over_root(lam, lam_m)
             return "connected-pair-special", fr0 * q / qp, dv
         if not special:
             lam1, lam2 = ordered[0], ordered[1]
             base = lam1 - lam2
             qs = [rat((lam1 - l) / base).denominator for l in ordered[2:]]
-            q_k = rat((lam1 - k_float) / base).denominator
+            q_k = rat((lam1 - k) / base).denominator
             q_lm = rat((lam1 - lam_minus) / base).denominator
             q_lp = rat((lam1 - lam_plus) / base).denominator
             r1 = lcm_all(qs) if qs else 1
@@ -569,13 +500,13 @@ def _adjacency_ratio_formula(
             num = q_lm * q_lp * math.gcd(r1, q_k)
             den = q_k * math.gcd(r1, q_lm) * math.gcd(r2, q_lp)
             return "connected-general", Fraction(num, den), 1
-        rest = sorted((v for v in others_f if not _close(v, lam_minus)), reverse=True)
-        ordered2 = rest + [next(v for v in ordered if _close(v, lam_minus))]
+        rest = sorted((v for v in others if not same(v, lam_minus)), reverse=True)
+        ordered2 = rest + [next(v for v in ordered if same(v, lam_minus))]
         lam1, lam2 = ordered2[0], ordered2[1]
         base = lam1 - lam2
         qs = [rat((lam1 - l) / base).denominator for l in ordered2[2:]]
         q_last = qs[-1]
-        q_k = rat((lam1 - k_float) / base).denominator
+        q_k = rat((lam1 - k) / base).denominator
         q_lp = rat((lam1 - lam_plus) / base).denominator
         r1 = lcm_all(qs)
         num = q_last * q_lp * math.gcd(r1, q_k)
@@ -583,27 +514,28 @@ def _adjacency_ratio_formula(
         return "connected-special-among-many", Fraction(num, den), 1
     if r == 1:
         lam = ordered[0]
-        base = k_float - lam
-        q3 = rat((k_float - lam_plus) / base).denominator
-        q4 = rat((k_float - lam_minus) / base).denominator
-        return "disconnected-single", Fraction(lcm_all([q3, q4])), 1
+        base = k - lam
+        q3 = rat((k - lam_plus) / base).denominator
+        q4 = rat((k - lam_minus) / base).denominator
+        case = "disconnected-single-special" if special else "disconnected-single"
+        return case, Fraction(lcm_all([q3, q4])), 1
     if special and r == 2:
-        lam = next(v for v in ordered if not _close(v, lam_minus))
-        base = k_float - lam
-        q2 = rat((k_float - lam_minus) / base).denominator
-        q5 = rat((k_float - lam_plus) / base).denominator
+        lam = next(v for v in ordered if not same(v, lam_minus))
+        base = k - lam
+        q2 = rat((k - lam_minus) / base).denominator
+        q5 = rat((k - lam_plus) / base).denominator
         return "disconnected-pair-special", Fraction(lcm_all([q2, q5]), q2), 1
     if not special:
         lam1, lam2 = ordered[0], ordered[1]
         base = lam1 - lam2
         qs = [rat((lam1 - l) / base).denominator for l in ordered[2:]]
-        qs.append(rat((lam1 - k_float) / base).denominator)
+        qs.append(rat((lam1 - k) / base).denominator)
         q = lcm_all(qs)
         q_lm = rat((lam1 - lam_minus) / base).denominator
         q_lp = rat((lam1 - lam_plus) / base).denominator
         return "disconnected-general", Fraction(lcm_all([q, q_lm, q_lp]), q), 1
     lam1 = ordered[0]
-    base = lam1 - k_float
+    base = lam1 - k
     qs = [rat((lam1 - l) / base).denominator for l in ordered[1:]]
     q = lcm_all(qs)
     q_lp = rat((lam1 - lam_plus) / base).denominator
@@ -658,8 +590,10 @@ def join_period_ratio(
         fracs = [reconstruct_rational(v) for v in others]
         if any(f is None for f in fracs):
             raise InconsistencyError("a periodic Laplacian support must be rational")
-        case, formula = _laplacian_ratio_formula(fracs, m, n, connected)
-        f_div = 1
+        # the negated, shifted Laplacian join (module docstring), kept exact
+        case, formula, f_div = _ratio_formula(
+            [-f for f in fracs], False, connected, 0, n, -m, (m + n) ** 2
+        )
     else:
         kf = reconstruct_rational(float(params.k))  # type: ignore[arg-type]
         lf = reconstruct_rational(float(params.ell))  # type: ignore[arg-type]
@@ -667,17 +601,9 @@ def join_period_ratio(
             raise PreconditionError(
                 "the closed-form period analysis needs rational regular degrees"
             )
-        case, formula, f_div = _adjacency_ratio_formula(
-            others,
-            [reconstruct_rational(v) for v in others],
-            dx > 1,
-            kf,
-            lf,
-            m,
-            n,
-            connected,
-            params.lam_plus,
-            params.lam_minus,
+        case, formula, f_div = _ratio_formula(
+            others, dx > 1, connected, kf, params.lam_plus, params.lam_minus,
+            (kf - lf) ** 2 + 4 * m * n,
         )
     if (formula, f_div) != (ratio, divisor):
         raise InconsistencyError(
@@ -767,6 +693,38 @@ def _evaluate_pattern(partition: SupportPartition) -> _PatternOutcome:
     return _PatternOutcome(True, klass, delta, SymbolicTime(1, g, delta), alpha, None)
 
 
+def _certificate(
+    u: int,
+    v: int,
+    matrix: str | None,
+    partition: SupportPartition | None,
+    outcome: _PatternOutcome | None,
+    reason: str | None = None,
+    details: dict | None = None,
+) -> PSTCertificate:
+    """The certificate of a pair whose sign partition scored outcome.
+
+    partition and outcome are None when the pair is not strongly
+    cospectral. A negative verdict carries reason, else the pattern's own.
+    """
+    ok = outcome is not None and outcome.ok
+    if reason is None and outcome is not None:
+        reason = outcome.reason
+    return PSTCertificate(
+        ok,
+        u,
+        v,
+        matrix=matrix,
+        strong_cospectral=partition is not None,
+        partition=partition,
+        eigenvalue_class=outcome.eigenvalue_class if outcome else None,
+        delta=outcome.delta if outcome else None,
+        time=outcome.time if ok else None,
+        reason=None if ok else reason,
+        details={} if details is None else details,
+    )
+
+
 def pst_certificate(
     decomp: SpectralDecomposition, u: int, v: int, tol: float = SUPPORT_TOL
 ) -> PSTCertificate:
@@ -777,22 +735,9 @@ def pst_certificate(
     """
     partition = strong_cospectral(decomp, u, v, tol)
     if partition is None:
-        return PSTCertificate(
-            False, u, v, strong_cospectral=False,
-            reason="the vertices are not strongly cospectral",
-        )
+        return _certificate(u, v, None, None, None, "the vertices are not strongly cospectral")
     outcome = _evaluate_pattern(partition)
-    cert = PSTCertificate(
-        outcome.ok,
-        u,
-        v,
-        strong_cospectral=True,
-        partition=partition,
-        eigenvalue_class=outcome.eigenvalue_class,
-        delta=outcome.delta,
-        time=outcome.time if outcome.ok else None,
-        reason=None if outcome.ok else outcome.reason,
-    )
+    cert = _certificate(u, v, None, partition, outcome)
     if outcome.ok:
         mag = float(abs(transition_entries(decomp, u, v, [outcome.time.value])[0]))
         if mag < 1 - 1e-6:
@@ -835,6 +780,28 @@ def _tree_balanced(lams: list[int], mus: list[int], n: int) -> bool:
     return all(_nu2_inf((lam + n) >> beta) > s0 for lam in lams)
 
 
+def _laplacian_tree(
+    plus: list[int], minus: list[int], m: int, n: int, connected: bool
+) -> tuple[bool, str]:
+    """The Laplacian join transfer tree on an integral part partition.
+
+    n is the order of the other side: the cone, or the other r - 1 copies
+    of a self-join. Returns the verdict and the branch that decided it.
+    """
+    lam_pool = sorted({l for l in plus if l != 0} | {m})
+    if not connected:
+        ok = _tree_dominant_plus(lam_pool, minus, n)
+        return ok, "dominant-plus-disconnected" if ok else "no-valuation-pattern"
+    for branch, test in (
+        ("dominant-plus", _tree_dominant_plus),
+        ("dominant-minus", _tree_dominant_minus),
+        ("balanced-shifted", _tree_balanced),
+    ):
+        if test(lam_pool, minus, n):
+            return True, branch
+    return False, "no-valuation-pattern"
+
+
 def _join_pst_laplacian(
     x: WeightedGraph, u: int, v: int, params: JoinParams
 ) -> PSTCertificate:
@@ -868,24 +835,8 @@ def _join_pst_laplacian(
                 branch = "trivial-partition"
                 reason = "the sign partition has no flipping eigenvalues"
             else:
-                lam_pool = sorted({l for l in ints_plus if l != 0} | {m})
-                if is_connected(x):
-                    ok_a = _tree_dominant_plus(lam_pool, ints_minus, n)
-                    ok_b = _tree_dominant_minus(lam_pool, ints_minus, n)
-                    ok_c = _tree_balanced(lam_pool, ints_minus, n)
-                    verdict = ok_a or ok_b or ok_c
-                    branch = (
-                        "dominant-plus" if ok_a
-                        else "dominant-minus" if ok_b
-                        else "balanced-shifted" if ok_c
-                        else "no-valuation-pattern"
-                    )
-                else:
-                    verdict = _tree_dominant_plus(lam_pool, ints_minus, n)
-                    branch = (
-                        "dominant-plus-disconnected" if verdict else "no-valuation-pattern"
-                    )
-                if not verdict and reason is None:
+                verdict, branch = _laplacian_tree(ints_plus, ints_minus, m, n, is_connected(x))
+                if not verdict:
                     reason = "no dyadic valuation pattern matches the support"
     jpart = carry_join(part_sc, params, "laplacian", is_connected(x), is_o2)
     outcome = _evaluate_pattern(jpart) if jpart is not None else None
@@ -900,29 +851,13 @@ def _join_pst_laplacian(
         if verdict:
             raise InconsistencyError("transfer certified despite an odd join order")
     details["branch"] = branch
-    time = outcome.time if verdict else None
     if verdict:
         ivals = _as_int_list(jpart.plus + jpart.minus)
         if ivals is None:
             raise InconsistencyError("a certified Laplacian join support must be integral")
-        g = gcd_all(ivals)
-        if SymbolicTime(1, g, 1) != time:
-            raise InconsistencyError(
-                "the support gcd time disagrees with the pattern time"
-            )
-    return PSTCertificate(
-        verdict,
-        u,
-        v,
-        matrix="laplacian",
-        strong_cospectral=jpart is not None,
-        partition=jpart,
-        eigenvalue_class=outcome.eigenvalue_class if outcome else None,
-        delta=outcome.delta if outcome else None,
-        time=time,
-        reason=None if verdict else reason,
-        details=details,
-    )
+        if SymbolicTime(1, gcd_all(ivals), 1) != outcome.time:
+            raise InconsistencyError("the support gcd time disagrees with the pattern time")
+    return _certificate(u, v, "laplacian", jpart, outcome, reason, details)
 
 
 def _join_pst_adjacency(
@@ -963,8 +898,8 @@ def _join_pst_adjacency(
             else "quadratic-class" if outcome and outcome.eigenvalue_class == "quadratic"
             else "no-valuation-pattern"
         )
-    if not verdict and reason is None:
-        reason = outcome.reason if outcome else "the pair is not strongly cospectral in the join"
+    if gate and jpart is None:
+        reason = "the pair is not strongly cospectral in the join"
     if verdict and outcome.eigenvalue_class == "integer" and not d_square:
         raise InconsistencyError(
             "integral transfer certified although the join discriminant is not square"
@@ -974,19 +909,7 @@ def _join_pst_adjacency(
         if verdict:
             raise InconsistencyError("transfer certified despite an odd degree sum")
     details["branch"] = branch
-    return PSTCertificate(
-        verdict,
-        u,
-        v,
-        matrix="adjacency",
-        strong_cospectral=jpart is not None,
-        partition=jpart,
-        eigenvalue_class=outcome.eigenvalue_class if outcome else None,
-        delta=outcome.delta if outcome else None,
-        time=outcome.time if verdict else None,
-        reason=None if verdict else reason,
-        details=details,
-    )
+    return _certificate(u, v, "adjacency", jpart, outcome, reason, details)
 
 
 def _confirm_transfer(
@@ -1073,30 +996,14 @@ def join_pst(
     if (u < m) != (v < m):
         partition = join_strong_cospectral(x, y, u, v, matrix=matrix)
         if partition is None:
-            return PSTCertificate(
-                False,
-                u,
-                v,
-                matrix=matrix,
-                strong_cospectral=False,
-                reason="vertices on opposite sides of a join are never strongly cospectral",
+            return _certificate(
+                u, v, matrix, None, None,
+                "vertices on opposite sides of a join are never strongly cospectral",
             )
         # single-vertex parts: the join is one weighted edge, the only
         # cross pair that is strongly cospectral; score its pattern directly
         outcome = _evaluate_pattern(partition)
-        cert = PSTCertificate(
-            outcome.ok,
-            u,
-            v,
-            matrix=matrix,
-            strong_cospectral=True,
-            partition=partition,
-            eigenvalue_class=outcome.eigenvalue_class,
-            delta=outcome.delta,
-            time=outcome.time if outcome.ok else None,
-            reason=outcome.reason,
-            details={"branch": "single-edge"},
-        )
+        cert = _certificate(u, v, matrix, partition, outcome, details={"branch": "single-edge"})
     elif u >= m:
         inner = join_pst(y, x, u - m, v - m, matrix=matrix, verify=verify)
         return replace(inner, u=u, v=v, details={**inner.details, "side": "right"})
@@ -1215,20 +1122,7 @@ def pst_preserved(
             raise InconsistencyError(
                 f"the preservation rule says {verdict} but the join analysis says {check.pst}"
             )
-        return PSTCertificate(
-            verdict,
-            u,
-            v,
-            matrix=matrix,
-            strong_cospectral=check.strong_cospectral,
-            partition=check.partition,
-            eigenvalue_class=check.eigenvalue_class,
-            delta=check.delta,
-            time=check.time,
-            confirmation=check.confirmation,
-            reason=reason,
-            details=details,
-        )
+        return replace(check, reason=reason, details=details)
     if pad is not None:
         raise PreconditionError("padding is a Laplacian construction")
     k_int = nearest_integer(float(params.k))
@@ -1267,20 +1161,7 @@ def pst_preserved(
         if nu2(g) != nu2(h):
             raise InconsistencyError("the join time divisor changes the dyadic valuation")
         details["time_divisors"] = [h, g]
-    return PSTCertificate(
-        verdict,
-        u,
-        v,
-        matrix=matrix,
-        strong_cospectral=check.strong_cospectral,
-        partition=check.partition,
-        eigenvalue_class=check.eigenvalue_class,
-        delta=check.delta,
-        time=check.time,
-        confirmation=check.confirmation,
-        reason=reason,
-        details=details,
-    )
+    return replace(check, reason=reason, details=details)
 
 
 def pst_induced(
@@ -1502,36 +1383,7 @@ def self_join_analysis(
                 branch = "trivial-partition"
                 reason = "the sign partition has no flipping eigenvalues"
             elif matrix == "laplacian":
-                lam_pool = sorted({l for l in plus_i if l != 0} | {m})
-                shift = (r - 1) * m
-                ok_a = _tree_dominant_plus(lam_pool, minus_i, m)
-                if is_connected(x):
-                    ok_b = (
-                        r % 2 == 0
-                        and len({nu2(l) for l in lam_pool}) == 1
-                        and all(nu2(mu) > nu2(lam_pool[0]) for mu in minus_i)
-                    )
-                    beta = nu2(m)
-                    ok_c = (
-                        r % 2 == 0
-                        and all(nu2(t) == beta for t in lam_pool + minus_i)
-                        and len({_nu2_inf((mu + shift) >> beta) for mu in minus_i}) == 1
-                        and all(
-                            _nu2_inf((lam + shift) >> beta)
-                            > _nu2_inf((minus_i[0] + shift) >> beta)
-                            for lam in lam_pool
-                        )
-                    )
-                    verdict = ok_a or ok_b or ok_c
-                    branch = (
-                        "dominant-plus" if ok_a
-                        else "dominant-minus" if ok_b
-                        else "balanced-shifted" if ok_c
-                        else "no-valuation-pattern"
-                    )
-                else:
-                    verdict = ok_a
-                    branch = "dominant-plus-disconnected" if ok_a else "no-valuation-pattern"
+                verdict, branch = _laplacian_tree(plus_i, minus_i, m, (r - 1) * m, is_connected(x))
             else:
                 lams = [l for l in plus_i if l != k_int]
                 crossings = [k_int - mu for mu in minus_i]
@@ -1579,35 +1431,21 @@ def self_join_analysis(
             f"says {generic_ok}"
         )
     details["branch"] = branch
-    time = outcome.time if verdict else None
     if verdict and not isolated_pair:
-        support_i = _as_int_list(eigenvalue_support(part_decomp, u))
         if matrix == "laplacian":
             if is_connected(x):
-                pool = [r * m] + [l - m for l in support_i if l != 0]
+                pool = [r * m] + [l - m for l in ints if l != 0]
             else:
-                pool = [m] + [l for l in support_i if l != 0]
+                pool = [m] + [l for l in ints if l != 0]
         else:
             if is_connected(x):
-                pool = [r * m] + [k_int - m - l for l in support_i if l != k_int]
+                pool = [r * m] + [k_int - m - l for l in ints if l != k_int]
             else:
-                pool = [m] + [k_int - l for l in support_i if l != k_int]
+                pool = [m] + [k_int - l for l in ints if l != k_int]
         g = gcd_all([abs(t) for t in pool])
-        if SymbolicTime(1, g, 1) != time:
+        if SymbolicTime(1, g, 1) != outcome.time:
             raise InconsistencyError("the self-join time disagrees with the pattern time")
-    cert = PSTCertificate(
-        verdict,
-        u,
-        v,
-        matrix=matrix,
-        strong_cospectral=partition is not None,
-        partition=partition,
-        eigenvalue_class=outcome.eigenvalue_class if outcome else None,
-        delta=outcome.delta if outcome else None,
-        time=time,
-        reason=None if verdict else reason,
-        details=details,
-    )
+    cert = _certificate(u, v, matrix, partition, outcome, reason, details)
     return _confirm_transfer(JoinTree(Connective.JOIN, (x,) * r), u, v, verify, cert, "self-join")
 
 
@@ -1655,14 +1493,9 @@ def iterated_join_analysis(
     partition = iterated_join_sign_partition(spec, j, u, v)
     details: dict = {"part": j, "orders": spec.orders}
     if partition is None:
-        return PSTCertificate(
-            False,
-            u,
-            v,
-            matrix=matrix,
-            strong_cospectral=False,
-            reason="the pair is not strongly cospectral in the built graph",
-            details=details,
+        return _certificate(
+            u, v, matrix, None, None,
+            "the pair is not strongly cospectral in the built graph", details,
         )
     outcome = _evaluate_pattern(partition)
     verdict = outcome.ok
@@ -1688,19 +1521,7 @@ def iterated_join_analysis(
         }
         if verdict and outcome.time != SymbolicTime(1, 2, 1):
             raise InconsistencyError("a stacked-cone transfer time must be pi over 2")
-    cert = PSTCertificate(
-        verdict,
-        u,
-        v,
-        matrix=matrix,
-        strong_cospectral=True,
-        partition=partition,
-        eigenvalue_class=outcome.eigenvalue_class,
-        delta=outcome.delta,
-        time=outcome.time if verdict else None,
-        reason=None if verdict else outcome.reason,
-        details=details,
-    )
+    cert = _certificate(u, v, matrix, partition, outcome, details=details)
     return _confirm_transfer(
         iterated_tree(spec), iterated_vertex(spec, j, u), iterated_vertex(spec, j, v),
         verify, cert, "iterated",

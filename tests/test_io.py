@@ -284,13 +284,24 @@ def test_cli_precondition_exit_code(capsys):
     ]) == 2
 
 
-def test_cli_inconsistency_exit_code(capsys, monkeypatch):
-    def wrong_formula(fracs, m, n, connected):
-        return "connected-general", Fraction(9)
+def _lying_ratio_table(*args):
+    return "connected-general", Fraction(9), 1
 
-    monkeypatch.setattr(transfer, "_laplacian_ratio_formula", wrong_formula)
+
+def test_cli_inconsistency_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(transfer, "_ratio_formula", _lying_ratio_table)
     code = main([
         "join", "--left", "K 4", "--right", "K 4", "--pair", "0", "1", "--ratio",
+    ])
+    assert code == 3
+    assert "internal cross-check failed" in capsys.readouterr().err
+
+
+def test_cli_inconsistency_exit_code_adjacency(capsys, monkeypatch):
+    monkeypatch.setattr(transfer, "_ratio_formula", _lying_ratio_table)
+    code = main([
+        "join", "--left", "Q 3", "--right", "Q 3", "--pair", "0", "1", "--ratio",
+        "--matrix", "adjacency",
     ])
     assert code == 3
     assert "internal cross-check failed" in capsys.readouterr().err

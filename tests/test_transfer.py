@@ -266,6 +266,20 @@ RATIO_FIXTURES = [
      Fraction(2), 6, "connected-single"),
     (family("C", 4), family("O", 2), 0, "adjacency",
      Fraction(1), 1, "connected-pair-special"),
+    # lam_minus alone beside the distinguished eigenvalue of a disconnected
+    # part: one "-special" label for both matrices, ratio m/gcd(m, n)
+    (disjoint_union(family("K", 2), family("K", 2)), family("O_loops", 1, 1.0), 0,
+     "adjacency", Fraction(1), 1, "disconnected-single-special"),
+    (disjoint_union(WeightedGraph(2, [(0, 1, 1.5)]), family("O", 1)), family("O", 4), 0,
+     "laplacian", Fraction(3), 1, "disconnected-single-special"),
+    (disjoint_union(WeightedGraph(2, [(0, 1, 1.5)]), family("O", 1)), family("O", 6), 0,
+     "laplacian", Fraction(1), 1, "disconnected-single-special"),
+    # the other eigenvalue below lam_minus (adjacency) or above m
+    # (Laplacian): the ratio takes |lam - lam_minus|
+    (WeightedGraph(4, [(0, 1, 3.0), (1, 2, 3.0), (2, 3, 3.0), (0, 3, 3.0)]), family("K", 3), 0,
+     "adjacency", Fraction(3), 1, "connected-pair-special"),
+    (WeightedGraph(3, [(0, 1, 3.0), (1, 2, 3.0)]), family("O", 4), 0,
+     "laplacian", Fraction(3), 1, "connected-pair-special"),
 ]
 
 
@@ -313,12 +327,27 @@ def test_join_period_ratio_preconditions():
 
 def test_join_period_ratio_cross_check_guards(monkeypatch):
     # a lying closed-form route must trip the exact-lattice comparison
-    def wrong_formula(fracs, m, n, connected):
-        return "connected-general", Fraction(7, 3)
+    def wrong_formula(*args):
+        return "connected-general", Fraction(7, 3), 1
 
-    monkeypatch.setattr(transfer, "_laplacian_ratio_formula", wrong_formula)
+    monkeypatch.setattr(transfer, "_ratio_formula", wrong_formula)
     with pytest.raises(InconsistencyError):
         join_period_ratio(family("K", 4), family("K", 4), 0)
+
+
+@pytest.mark.parametrize(
+    "x, u, case, ratio",
+    [
+        (family("K_bipartite", 1, 3), 1, "connected-pair-special", Fraction(1)),
+        (family("C", 6), 0, "connected-general", Fraction(1)),
+    ],
+    ids=["pair-special", "general"],
+)
+def test_join_period_ratio_exact_on_large_cones(x, u, case, ratio):
+    # m + n is above the 10**6 denominator bound of rational reconstruction,
+    # so ratios over m + n (K1,3 at a leaf) need the exact Laplacian route
+    rr = join_period_ratio(x, family("O", 1_000_003), u)
+    assert (rr.case, rr.ratio, rr.sqrt_divisor) == (case, ratio, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +585,22 @@ def test_self_join_partition_matches_oracle(matrix):
                     if want is not None:
                         assert sets_close(cert.partition.plus, want[0])
                         assert sets_close(cert.partition.minus, want[1])
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("index", range(len(SELF_JOIN_PARTS["laplacian"])))
+def test_self_join_matches_the_cone_over_the_other_copies(index, r):
+    # the other r - 1 copies enter the Laplacian rule only through their order
+    x = SELF_JOIN_PARTS["laplacian"][index]
+    rest = family("O", (r - 1) * x.order)
+    for u, v in itertools.combinations(range(x.order), 2):
+        own = self_join_analysis(x, r, u, v)
+        cone = join_pst(x, rest, u, v)
+        assert (own.pst, own.time) == (cone.pst, cone.time), (u, v)
+        assert (own.partition is None) == (cone.partition is None)
+        if own.partition is not None:
+            assert sets_close(own.partition.plus, cone.partition.plus)
+            assert sets_close(own.partition.minus, cone.partition.minus)
 
 
 def test_self_join_full_verification_randomized():
