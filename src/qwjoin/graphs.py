@@ -133,19 +133,19 @@ class WeightedGraph:
 
     def _edge_arrays(self) -> _EdgeArrays:
         """Edge endpoints and weights, loop vertices and weights, as cached arrays."""
-
-        def build():
+        arrays = self._cache.get("edge_arrays")
+        if arrays is None:
             ends = np.array(list(self.edges), dtype=np.intp).reshape(-1, 2)
-            arrays = (
+            parts = (
                 ends[:, 0],
                 ends[:, 1],
                 np.fromiter(self.edges.values(), float, len(self.edges)),
                 np.fromiter(self.loops.keys(), np.intp, len(self.loops)),
                 np.fromiter(self.loops.values(), float, len(self.loops)),
             )
-            return _EdgeArrays(self.order, *(_read_only(a) for a in arrays))
-
-        return self.cached("edge_arrays", build)
+            arrays = _EdgeArrays(self.order, *(_read_only(a) for a in parts))
+            self._cache["edge_arrays"] = arrays
+        return arrays
 
     def matvec(self, x: np.ndarray, kind: str) -> np.ndarray:
         """The adjacency or Laplacian matrix times the real vector x.
@@ -154,6 +154,12 @@ class WeightedGraph:
         never forms the dense matrix. x must have shape (order,).
         """
         return self._edge_arrays().matvec(x, kind)
+
+    def _multiplier(self, kind: str):
+        """matvec for one kind, checked now, as a function of a float (order,) vector."""
+        arrays = self._edge_arrays()
+        laplacian = arrays.is_laplacian(kind)
+        return lambda x: arrays.apply(x, laplacian)
 
     def adjacency(self) -> np.ndarray:
         """The adjacency matrix, as a read-only array."""
@@ -184,6 +190,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# the arrays of a compiled tree without edges (or without loops)
+_NO_VERTICES = _read_only(np.empty(0, dtype=np.intp))
+_NO_WEIGHTS = _read_only(np.empty(0))
+
+
 @dataclass(frozen=True, eq=False)
 class _EdgeArrays:
     """Edge and loop arrays in one vertex numbering, and the product they define.
@@ -203,10 +214,10 @@ class _EdgeArrays:
 
     def _edge_product(self, x: np.ndarray) -> np.ndarray:
         """The edges' part of the adjacency matrix times x, loops left out."""
-        out = np.zeros(self.order)
-        if len(self.weights):  # cones over edgeless graphs skip the edge pass
-            out += np.bincount(self.rows, self.weights * x[self.cols], self.order)
-            out += np.bincount(self.cols, self.weights * x[self.rows], self.order)
+        if not len(self.weights):  # cones over edgeless graphs skip the edge pass
+            return np.zeros(self.order)
+        out = np.bincount(self.rows, self.weights * x[self.cols], self.order)
+        out += np.bincount(self.cols, self.weights * x[self.rows], self.order)
         return out
 
     @functools.cached_property
@@ -215,20 +226,39 @@ class _EdgeArrays:
         out[self.loop_at] += 2.0 * self.loop_weights
         return _read_only(out)
 
-    def matvec(self, x: np.ndarray, kind: str) -> np.ndarray:
-        """The adjacency or Laplacian matrix of these edges and loops times x."""
+    def is_laplacian(self, kind: str) -> bool:
+        """Whether kind names the Laplacian; raises unless the product kind applies."""
         if kind not in ("adjacency", "laplacian"):
             raise ValueError(f"unknown matrix kind {kind!r}")
         if kind == "laplacian" and len(self.loop_at):
             raise PreconditionError("the Laplacian is defined here for simple graphs only")
+        return kind == "laplacian"
+
+    def operand(self, x) -> np.ndarray:
+        """x as a float vector; raises unless its shape is (order,)."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.order,):
             raise ValueError(f"expected a vector of shape ({self.order},), got {x.shape}")
+        return x
+
+    def apply(self, x: np.ndarray, laplacian: bool) -> np.ndarray:
+        """The product for a checked kind and a float vector of shape (order,).
+
+        Without edges the Laplacian product is degrees * x: subtracting +0.0
+        leaves every value, -0.0 included, as it is.
+        """
+        if laplacian:
+            if not len(self.weights):
+                return self.degrees * x
+            return self.degrees * x - self._edge_product(x)
         out = self._edge_product(x)
-        if kind == "laplacian":
-            return self.degrees * x - out
         out[self.loop_at] += self.loop_weights * x[self.loop_at]
         return out
+
+    def matvec(self, x: np.ndarray, kind: str) -> np.ndarray:
+        """The adjacency or Laplacian matrix of these edges and loops times x."""
+        laplacian = self.is_laplacian(kind)
+        return self.apply(self.operand(x), laplacian)
 
 
 def is_simple(graph: WeightedGraph) -> bool:
@@ -413,37 +443,93 @@ class JoinTree:
 
         Each join node is (lo, hi, child orders, common child order or 0), in
         post-order, so inner joins come before the joins that contain them.
-        Built on the first product and kept on this tree.
+        One walk over the tree lists both. Consecutive children that are the
+        same graph (r copies of x in a self-join) are one run, whose arrays
+        are looked up once and repeated r times. Built on the first product
+        and kept on this tree.
         """
-        leaves: list[tuple[int, WeightedGraph]] = []
+        runs: list[tuple[_EdgeArrays, int]] = []  # (leaf arrays, copies), in vertex order
+        starts: list[int] = []  # the first vertex of every leaf copy
         joins: list[tuple[int, int, tuple[int, ...], int]] = []
-        for node, lo in self._postorder():
+        # (node, first vertex, copies); a tree with 0 copies is still to be
+        # expanded, with 1 its children are done and it only records its join
+        pending: list[tuple[JoinTree | WeightedGraph, int, int]] = [(self, 0, 0)]
+        while pending:
+            node, lo, copies = pending.pop()
             if isinstance(node, WeightedGraph):
-                leaves.append((lo, node))
-            elif node.connective is Connective.JOIN:
+                runs.append((node._edge_arrays(), copies))
+                starts.extend(range(lo, lo + copies * node.order, node.order))
+                continue
+            if copies:
                 orders = tuple(c.order for c in node.children)
                 common = orders[0] if len(set(orders)) == 1 else 0
                 joins.append((lo, lo + node.order, orders, common))
-        starts = [lo for lo, _ in leaves]
-        parts = [leaf._edge_arrays() for _, leaf in leaves]
+                continue
+            if node.connective is Connective.JOIN:
+                pending.append((node, lo, 1))
+            items = []
+            for _, same in itertools.groupby(node.children, key=id):
+                same = list(same)
+                child = same[0]
+                if isinstance(child, WeightedGraph):
+                    items.append((child, lo, len(same)))
+                else:
+                    items += [(child, lo + i * child.order, 0) for i in range(len(same))]
+                lo += len(same) * child.order
+            pending.extend(reversed(items))
+        counts = [copies for _, copies in runs]
 
-        def stack(name: str, counts: list[int] | None = None) -> np.ndarray:
-            out = np.concatenate([getattr(part, name) for part in parts])
-            if counts is not None and len(out):
-                out += np.repeat(starts, counts)
+        def tile(arrays: list[np.ndarray]) -> np.ndarray:
+            """One array per run, repeated once per copy, end to end."""
+            return np.concatenate(list(itertools.chain.from_iterable(
+                map(itertools.repeat, arrays, counts))))
+
+        def shifts(sizes: list[int]) -> np.ndarray:
+            """Each copy's first vertex, once for each of its run's sizes entries."""
+            return np.repeat(starts, np.repeat(sizes, counts))
+
+        rows, cols, weights = _NO_VERTICES, _NO_VERTICES, _NO_WEIGHTS
+        if any(len(arrays.weights) for arrays, _ in runs):
+            offsets = shifts([len(arrays.weights) for arrays, _ in runs])
+            rows = tile([arrays.rows for arrays, _ in runs]) + offsets
+            cols = tile([arrays.cols for arrays, _ in runs]) + offsets
+            weights = tile([arrays.weights for arrays, _ in runs])
+        loop_at, loop_weights = _NO_VERTICES, _NO_WEIGHTS
+        if any(len(arrays.loop_weights) for arrays, _ in runs):
+            loop_at = tile([arrays.loop_at for arrays, _ in runs])
+            loop_at += shifts([len(arrays.loop_weights) for arrays, _ in runs])
+            loop_weights = tile([arrays.loop_weights for arrays, _ in runs])
+        edges = _EdgeArrays(self.order, rows, cols, weights, loop_at, loop_weights)
+        # a vertex's degree sums its own leaf's edges in the leaf's order, so
+        # the leaves' cached degrees, end to end, are the tree's, bit for bit
+        vars(edges)["degrees"] = _read_only(tile([arrays.degrees for arrays, _ in runs]))
+        return edges, joins
+
+    def _multiplier(self, kind: str):
+        """matvec for one kind, checked now, as a function of a float (order,) vector."""
+        edges, joins = self._compiled
+        laplacian = edges.is_laplacian(kind)
+        add_up = np.add.reduce  # what ndarray.sum calls, without its Python wrapper
+
+        def product(x: np.ndarray) -> np.ndarray:
+            out = edges.apply(x, laplacian)
+            for lo, hi, orders, common in joins:
+                size = hi - lo
+                total = float(add_up(x[lo:hi]))
+                if common:
+                    blocks = x[lo:hi].reshape(-1, common)
+                    rest = (total - add_up(blocks, axis=1))[:, None]
+                    view = out[lo:hi].reshape(-1, common)
+                    view += (size - common) * blocks - rest if laplacian else rest
+                    continue
+                for n in orders:
+                    block = x[lo:lo + n]
+                    rest = total - float(add_up(block))
+                    out[lo:lo + n] += (size - n) * block - rest if laplacian else rest
+                    lo += n
             return out
 
-        edge_counts = [len(part.weights) for part in parts]
-        loop_counts = [len(part.loop_weights) for part in parts]
-        edges = _EdgeArrays(
-            self.order,
-            stack("rows", edge_counts),
-            stack("cols", edge_counts),
-            stack("weights"),
-            stack("loop_at", loop_counts),
-            stack("loop_weights"),
-        )
-        return edges, joins
+        return product
 
     def matvec(self, x: np.ndarray, kind: str) -> np.ndarray:
         """The built graph's adjacency or Laplacian matrix times the real vector x.
@@ -457,27 +543,11 @@ class JoinTree:
         reshape, the others from one slice each, so a product makes a fixed
         number of NumPy calls per join node (or per child of unequal order),
         not one product per leaf, in the same floating-point order as
-        multiplying leaf by leaf.
+        multiplying leaf by leaf. krylov_entry takes the product from
+        _multiplier once per run, so kind is checked once, not per product.
         """
-        edges, joins = self._compiled
-        x = np.asarray(x, dtype=float)
-        out = edges.matvec(x, kind)
-        laplacian = kind == "laplacian"
-        for lo, hi, orders, common in joins:
-            size = hi - lo
-            total = float(x[lo:hi].sum())
-            if common:
-                blocks = x[lo:hi].reshape(-1, common)
-                rest = (total - blocks.sum(axis=1))[:, None]
-                view = out[lo:hi].reshape(-1, common)
-                view += (size - common) * blocks - rest if laplacian else rest
-                continue
-            for n in orders:
-                block = x[lo:lo + n]
-                rest = total - float(block.sum())
-                out[lo:lo + n] += (size - n) * block - rest if laplacian else rest
-                lo += n
-        return out
+        product = self._multiplier(kind)
+        return product(self._compiled[0].operand(x))
 
     def build(self) -> WeightedGraph:
         """The graph itself; join and disjoint_union build through it.

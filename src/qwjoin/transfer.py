@@ -1046,6 +1046,13 @@ def pst_preserved(
     order collides with a flipping eigenvalue, pad requests the analysis of
     the part padded by that many isolated vertices before joining. Every
     verdict is cross-checked against the join analysis.
+
+    The Laplacian valuation rules are derived for unweighted parts. A part
+    with another edge weight is labelled "general" (details["rule"]) and
+    takes the join analysis's verdict: K2 with weight 2 keeps its transfer
+    against O2 (at pi/2) although nu2(m) = 1 does not exceed nu2(4), the
+    divisor of its own time pi/4. Padding a weighted part raises
+    PreconditionError.
     """
     params = join_params(x, y, matrix)
     m, n = params.m, params.n
@@ -1058,6 +1065,11 @@ def pst_preserved(
     details: dict = {
         "part_time": [base.time.pi_numerator, base.time.pi_denominator, base.time.sqrt_divisor]
     }
+    if matrix == "laplacian" and any(w != 1.0 for w in x.edges.values()):
+        if pad is not None:
+            raise PreconditionError("padding is defined here for unweighted parts")
+        details["rule"] = "general"
+        return replace(join_pst(x, y, u, v, matrix=matrix), details=details)
     if matrix == "laplacian":
         if base.time.pi_numerator != 1 or base.time.sqrt_divisor != 1:
             raise InconsistencyError("a Laplacian transfer time must be pi over an integer")
@@ -1228,7 +1240,10 @@ def pst_induced(
                             identity = all(
                                 _nu2_inf(p + z) > q0 for p in ps
                             ) and _nu2_inf(y_half + z) > q0
-                    if identity != jcert.pst:
+                    # the identity says when the join creates transfer for a
+                    # pair with none in the part; a pair that has its own (in a
+                    # disconnected part, or in K2 with weight 3) gets none created
+                    if not part_cert.pst and identity != induced:
                         raise InconsistencyError(
                             "the uniform-valuation rule disagrees with the join analysis"
                         )

@@ -14,11 +14,21 @@ for a change that is meant to alter output, either whole or run by run:
 
     PYTHONPATH=src python tests/test_golden.py --regenerate
     PYTHONPATH=src python tests/test_golden.py --regenerate NAME...
+
+Before regenerating, see what moved. --diff replays the runs (all, or the
+named ones) and writes nothing; for each run whose bytes moved it prints
+every changed report leaf with its JSON path, old and new value (and |Δ|
+for numbers) and every changed transcript line, and exits 1 if any run
+moved:
+
+    PYTHONPATH=src python tests/test_golden.py --diff [NAME...]
 """
 
 import contextlib
+import difflib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -212,11 +222,59 @@ def _regenerate(names) -> None:
             (GOLDEN / f"{name}.json").write_text(report)
 
 
+def _leaf_changes(old, new, path: str = ""):
+    """(path, old, new) for every JSON leaf that differs; a missing side is reported as None."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in list(old) + [k for k in new if k not in old]:
+            yield from _leaf_changes(old.get(key), new.get(key), f"{path}.{key}" if path else key)
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from _leaf_changes(a, b, f"{path}[{i}]")
+    elif old != new or type(old) is not type(new):
+        yield path, old, new
+
+
+def _diff(names) -> int:
+    """Print what moved in each named run (every run when none is named); 1 if any moved."""
+    moved = 0
+    for name in sorted(names or RUNS):
+        with tempfile.TemporaryDirectory() as workdir:
+            transcript, report = _replay(name, Path(workdir))
+        old_transcript = (GOLDEN / f"{name}.txt").read_text()
+        expected = GOLDEN / f"{name}.json"
+        old_report = expected.read_text() if expected.exists() else None
+        if transcript == old_transcript and report == old_report:
+            continue
+        moved += 1
+        print(f"{name}:")
+        lines = difflib.unified_diff(
+            old_transcript.splitlines(), transcript.splitlines(), lineterm="", n=0
+        )
+        for line in lines:
+            if not line.startswith(("---", "+++")):
+                print(f"  transcript {line}")
+        if report != old_report:
+            if report is None or old_report is None:
+                print(f"  report.json {'removed' if report is None else 'added'}")
+                continue
+            for path, a, b in _leaf_changes(json.loads(old_report), json.loads(report)):
+                numbers = all(isinstance(z, (int, float)) and not isinstance(z, bool) for z in (a, b))
+                delta = f"  |Δ| {abs(b - a):.3g}" if numbers else ""
+                print(f"  {path}: {a!r} -> {b!r}{delta}")
+            if json.loads(old_report) == json.loads(report):
+                print("  report.json: same values, different bytes")
+    print(f"{moved} of {len(names or RUNS)} runs moved")
+    return 1 if moved else 0
+
+
 if __name__ == "__main__":
-    unknown = sorted(set(sys.argv[2:]) - set(RUNS))
-    if sys.argv[1:2] != ["--regenerate"] or unknown:
+    mode, named = sys.argv[1:2], set(sys.argv[2:])
+    unknown = sorted(named - set(RUNS))
+    if mode not in (["--regenerate"], ["--diff"]) or unknown:
         sys.exit(
-            "usage: PYTHONPATH=src python tests/test_golden.py --regenerate [NAME...]"
+            "usage: PYTHONPATH=src python tests/test_golden.py --regenerate|--diff [NAME...]"
             + (f"\nunknown runs: {' '.join(unknown)}" if unknown else "")
         )
-    _regenerate(set(sys.argv[2:]))
+    if mode == ["--diff"]:
+        sys.exit(_diff(named))
+    _regenerate(named)

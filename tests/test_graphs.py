@@ -24,7 +24,7 @@ from qwjoin import (
     self_join_analysis,
 )
 from qwjoin.errors import PreconditionError
-from qwjoin.graphs import Connective, IteratedJoinSpec, JoinTree
+from qwjoin.graphs import Connective, IteratedJoinSpec, JoinTree, _EdgeArrays
 
 from conftest import random_simple, random_weighted
 
@@ -404,6 +404,72 @@ def test_tree_compiles_on_the_first_product_and_skips_leaf_products(monkeypatch)
     monkeypatch.setattr(WeightedGraph, "matvec", no_leaf_products)
     assert np.array_equal(tree.matvec(vec, "adjacency"), expected)
     assert "_compiled" in vars(tree)
+
+
+def _reference_compile(tree):
+    """The compiled arrays and join list as defined: every leaf copy in vertex order, shifted."""
+    leaves, joins = [], []
+
+    def visit(node, lo):
+        if isinstance(node, WeightedGraph):
+            leaves.append((lo, node._edge_arrays()))
+            return
+        at = lo
+        for child in node.children:
+            visit(child, at)
+            at += child.order
+        if node.connective is Connective.JOIN:
+            orders = tuple(c.order for c in node.children)
+            joins.append((lo, at, orders, orders[0] if len(set(orders)) == 1 else 0))
+
+    visit(tree, 0)
+    arrays = {
+        name: np.concatenate([getattr(a, name) + (lo if shift else 0) for lo, a in leaves])
+        for name, shift in [("rows", True), ("cols", True), ("weights", False),
+                            ("loop_at", True), ("loop_weights", False)]
+    }
+    return arrays, joins, np.concatenate([a.degrees for _, a in leaves])
+
+
+_LOOPED = WeightedGraph(3, [(0, 1, 1.5), (1, 2, 2.0)], loops=[(0, -3.0), (2, 0.5)])
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [JoinTree(Connective.JOIN, (family("C", 4),) * r) for r in (2, 7, 31)]
+    + [JoinTree(Connective.JOIN, (_LOOPED,) * 7)]
+    + [iterated_tree(parse_iterated_spec(plan))
+       for plan in ("O2 v O2 u O4 v O4 u O8 v O236", "C4 v K3 u P3 v O2 u Q3 v C4")],
+    ids=["C4 x2", "C4 x7", "C4 x31", "looped x7", "stacked O", "stacked mixed"],
+)
+def test_compiled_arrays_equal_the_reference_concatenation(tree):
+    edges, joins = tree._compiled
+    arrays, want_joins, want_degrees = _reference_compile(tree)
+    for name, want in arrays.items():
+        got = getattr(edges, name)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), name
+    assert joins == want_joins
+    # the degrees reused from the leaves are the ones the edge pass computes
+    fresh = _EdgeArrays(*(getattr(edges, name) for name in
+                          ("order", "rows", "cols", "weights", "loop_at", "loop_weights")))
+    assert np.array_equal(edges.degrees, want_degrees)
+    assert np.array_equal(edges.degrees, fresh.degrees)
+
+
+def test_stacked_edgeless_plan_compiles_its_three_joins():
+    edges, joins = iterated_tree(parse_iterated_spec("O2 v O2 u O4 v O4 u O8 v O236"))._compiled
+    assert joins == [(0, 4, (2, 2), 2), (0, 12, (8, 4), 0), (0, 256, (20, 236), 0)]
+    assert edges.order == 256 and len(edges.rows) == 0 and len(edges.loop_at) == 0
+
+
+@pytest.mark.parametrize("leaf, kind", [(family("C", 4), "laplacian"), (family("C", 4), "adjacency"),
+                                        (_LOOPED, "adjacency")])
+def test_31_copy_product_equals_the_recursive_one(leaf, kind):
+    tree = JoinTree(Connective.JOIN, (leaf,) * 31)
+    for seed in range(5):
+        x = np.random.default_rng(seed).standard_normal(tree.order)
+        assert np.array_equal(tree.matvec(x, kind), _recursive_matvec(tree, x, kind))
 
 
 def test_self_join_confirmation_scales_with_the_support_not_the_copies():

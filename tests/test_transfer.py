@@ -489,6 +489,26 @@ def test_pst_preserved_adjacency_collision():
     assert not cert.pst
 
 
+def _weighted_k2(weight):
+    return WeightedGraph(2, [(0, 1, float(weight))])
+
+
+# weighted Laplacian parts: the valuation rule, derived for unweighted parts,
+# says False for each (K2 with weight 2 has part time pi/4, so nu2(h) = 2)
+@pytest.mark.parametrize("weight, n", [(2, 2), (2, 6), (3, 6)])
+def test_pst_preserved_weighted_part_takes_the_join_verdict(weight, n):
+    x, y = _weighted_k2(weight), family("O", n)
+    cert = pst_preserved(x, y, 0, 1)
+    check = join_pst(x, y, 0, 1)
+    assert cert.pst and check.pst
+    assert cert.time == check.time == SymbolicTime(1, 2 if weight == 2 else 4, 1)
+    assert cert.details["rule"] == "general"
+    # the part's own transfer is kept, not induced
+    assert not pst_induced(x, y, 0, 1).induced
+    with pytest.raises(PreconditionError):
+        pst_preserved(x, y, 0, 1, pad=2)
+
+
 # ---------------------------------------------------------------------------
 # induced transfer
 # ---------------------------------------------------------------------------
@@ -512,6 +532,24 @@ def test_pst_induced_uniform_valuation():
 def test_pst_induced_negative():
     rep = pst_induced(family("K", 2), family("O", 2), 0, 1)
     assert not rep.induced
+
+
+# disconnected parts whose pair already has transfer, which the join keeps:
+# nothing is induced, and the uniform-valuation rule must not object
+@pytest.mark.parametrize(
+    "x, y, pair",
+    [
+        (disjoint_union(family("K", 2), family("K", 2)), family("O", 4), (0, 1)),
+        (WeightedGraph(4, [(2, 3, 1.0)]), family("O", 4), (2, 3)),
+        (WeightedGraph(4, [(2, 3, 1.0)]), family("C", 4), (2, 3)),
+    ],
+    ids=["2K2 v O4", "K2+O2 v O4", "K2+O2 v C4"],
+)
+def test_pst_induced_keeps_the_part_transfer_of_a_disconnected_part(x, y, pair):
+    rep = pst_induced(x, y, *pair)
+    assert not rep.induced and rep.mechanism == "uniform-valuation"
+    assert rep.part_certificate.pst
+    assert rep.join_certificate.pst and join_pst(x, y, *pair).pst
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from qwjoin import (
     transition_matrix,
     unitary_exp,
 )
-from qwjoin.walk import KRYLOV_TOL, transition_entries
+from qwjoin.walk import _TAYLOR_RADII, KRYLOV_TOL, transition_entries
 
 from conftest import oracle_transition, random_circulant, random_simple, random_weighted
 
@@ -83,6 +84,46 @@ def test_unitary_exp_independent_route():
         assert np.allclose(
             unitary_exp(m, t), transition_matrix(decompose(m), t), atol=1e-9
         )
+
+
+def _seeded_tridiagonal(rng, order):
+    off = rng.standard_normal(order - 1)
+    return np.diag(rng.standard_normal(order)) + np.diag(off, 1) + np.diag(off, -1)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5, 8, 16, 64])
+def test_unitary_exp_matches_scipy_expm_on_tridiagonals(order):
+    rng = np.random.default_rng(order)
+    for theta in [0.0, 1e-12, 1e-7, 1e-3, 0.05, 0.3, 0.8, 1.5, 2.0, 7.0, 1e2, 1.1e3, 3e4, 1e6]:
+        for sign in (1.0, -1.0):
+            tri = _seeded_tridiagonal(rng, order)
+            # t scaled so that ||tT||_1 is theta
+            t = sign * theta / float(np.abs(tri).sum(axis=0).max())
+            got = unitary_exp(tri, t)
+            scale = 1e-12 * max(1.0, theta)
+            assert np.abs(got - oracle_transition(tri, t)).max() <= scale
+            assert np.abs(got.conj().T @ got - np.eye(order)).max() <= scale
+
+
+def test_taylor_radii_keep_the_tail_below_unit_roundoff():
+    # sum_{k > d} theta^k / k!, in exact arithmetic, at each tabulated radius
+    unit = Fraction(2) ** -53
+    for degree, radius in _TAYLOR_RADII:
+        theta = Fraction(radius)
+        term = theta ** (degree + 1) / math.factorial(degree + 1)
+        tail, k = Fraction(0), degree + 1
+        while term > unit * Fraction(1, 10**6):
+            tail += term
+            k += 1
+            term = term * theta / k
+        assert tail + 2 * term <= unit
+
+
+def test_unitary_exp_of_a_non_finite_matrix_is_nan():
+    for entry in (np.inf, np.nan):
+        assert np.isnan(unitary_exp(np.array([[1.0, entry], [entry, 0.0]]), 0.5)).all()
+    # a finite matrix whose scaled norm overflows
+    assert np.isnan(unitary_exp(np.array([[1e300]]), 1e100)).all()
 
 
 def test_join_entry_laplacian_closed_form():
@@ -232,3 +273,15 @@ def test_krylov_entry_rejects_non_finite_products():
         krylov_entry(Broken(), 0, 1, 1.0)
     with pytest.raises(ValueError):
         krylov_entry(family("P", 3), 0, 3, 1.0)
+
+
+def test_krylov_entry_rejects_an_overflowing_exponent():
+    # finite Lanczos coefficients, but |t| * ||T||_1 overflows
+    class Huge:
+        order = 3
+
+        def matvec(self, x, kind):
+            return 1e300 * x
+
+    with pytest.raises(NumericError):
+        krylov_entry(Huge(), 0, 1, 1e100)
