@@ -257,11 +257,12 @@ def _diff(names) -> int:
             if report is None or old_report is None:
                 print(f"  report.json {'removed' if report is None else 'added'}")
                 continue
-            for path, a, b in _leaf_changes(json.loads(old_report), json.loads(report)):
+            old_data, new_data = json.loads(old_report), json.loads(report)
+            for path, a, b in _leaf_changes(old_data, new_data):
                 numbers = all(isinstance(z, (int, float)) and not isinstance(z, bool) for z in (a, b))
                 delta = f"  |Δ| {abs(b - a):.3g}" if numbers else ""
                 print(f"  {path}: {a!r} -> {b!r}{delta}")
-            if json.loads(old_report) == json.loads(report):
+            if old_data == new_data:
                 print("  report.json: same values, different bytes")
     print(f"{moved} of {len(names or RUNS)} runs moved")
     return 1 if moved else 0
