@@ -496,8 +496,8 @@ class JoinTree:
             weights = tile([arrays.weights for arrays, _ in runs])
         loop_at, loop_weights = _NO_VERTICES, _NO_WEIGHTS
         if any(len(arrays.loop_weights) for arrays, _ in runs):
-            loop_at = tile([arrays.loop_at for arrays, _ in runs])
-            loop_at += shifts([len(arrays.loop_weights) for arrays, _ in runs])
+            loop_shifts = shifts([len(arrays.loop_weights) for arrays, _ in runs])
+            loop_at = tile([arrays.loop_at for arrays, _ in runs]) + loop_shifts
             loop_weights = tile([arrays.loop_weights for arrays, _ in runs])
         edges = _EdgeArrays(self.order, rows, cols, weights, loop_at, loop_weights)
         # a vertex's degree sums its own leaf's edges in the leaf's order, so
