@@ -334,6 +334,10 @@ def cmd_pst_search(args) -> int:
                 print(json.dumps(line, sort_keys=True))
                 emitted += 1
     else:
+        if args.matrix != "laplacian":
+            raise PreconditionError("the threshold search is provided for the Laplacian only")
+        if args.all:
+            raise ValueError("--all does not apply to the threshold search, which emits hits only")
         for hit in threshold_transfer_search(args.max_parts, args.max_size):
             print(json.dumps(hit, sort_keys=True))
             emitted += 1

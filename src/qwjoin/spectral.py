@@ -6,7 +6,8 @@ orthogonal projector. spectrum() decomposes a graph's matrix once and caches
 the result on the (immutable) graph.
 
 carry_join is the one place where a part's support or sign partition is
-carried across a join; carry_through_plan folds it over an iterated plan.
+carried across a join; carry_stage takes it across one stage of an
+iterated plan, and carry_through_plan folds that over the whole plan.
 """
 
 from __future__ import annotations
@@ -47,12 +48,6 @@ class SpectralDecomposition:
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        out = np.zeros_like(self.matrix)
-        for lam, proj in zip(self.eigenvalues, self.projectors):
-            out += lam * proj
-        return out
 
     def entry_vector(self, u: int, v: int) -> np.ndarray:
         """The (u, v) entry of each projector, as one array."""
@@ -273,6 +268,34 @@ def join_support(
 # ---------------------------------------------------------------------------
 
 
+def carry_stage(
+    state: tuple[SupportPartition | None, int, bool],
+    graph: WeightedGraph,
+    conn: Connective,
+    isolated_pair: bool = False,
+    tol: float = SUPPORT_TOL,
+) -> tuple[SupportPartition | None, int, bool] | None:
+    """Carry a pair partition across one stage after its own part's.
+
+    state is (partition, order, connected): the partition carried so far
+    and the order and connectivity of the graph built so far. A union
+    leaves the partition alone; a join carries it with the built graph as
+    the left side. A None partition is dead and carries nothing, except at
+    the join that meets an edgeless first pair (isolated_pair) while the
+    built graph is that pair alone. The result is the state after the
+    stage, or None when the plan is dead: the built graph then holds more
+    than the pair, so no later join can revive it.
+    """
+    carried, order, connected = state
+    side_isolated = isolated_pair and order == 2
+    if conn is Connective.JOIN and (carried is not None or side_isolated):
+        params = JoinParams(order, graph.order)
+        carried = carry_join(carried, params, "laplacian", connected, side_isolated, tol)
+    if carried is None:
+        return None
+    return carried, order + graph.order, conn is Connective.JOIN
+
+
 def carry_through_plan(
     spec: IteratedJoinSpec,
     j: int,
@@ -284,30 +307,21 @@ def carry_through_plan(
 
     Stages before j carry nothing. At stage j a union keeps own, and a join
     carries it with part j as the left side against the graph built so
-    far. Each later join carries the result with the built graph as the
-    left side; later unions leave it alone. isolated_pair says part j is an
-    edgeless two-vertex part and own is the partition of its pair.
-
-    A dead plan stops at its first dead stage: once the carried value is
-    None after stage j, no later join can revive it, except the join that
-    meets an edgeless first pair while the built graph is that pair alone.
+    far. Each later stage goes through carry_stage, so a dead plan stops at
+    its first dead stage. isolated_pair says part j is an edgeless
+    two-vertex part and own is the partition of its pair.
     """
-    carried = own
-    acc_order = 0
-    acc_connected = True
-    for idx, (graph, conn) in enumerate(spec.parts, start=1):
-        side_isolated = isolated_pair and acc_order == 2
-        if idx > j and carried is None and not side_isolated:
+    graph, conn = spec.parts[j - 1]
+    order = sum(g.order for g, _ in spec.parts[: j - 1])
+    if conn is Connective.JOIN:
+        params = JoinParams(graph.order, order)
+        own = carry_join(own, params, "laplacian", is_connected(graph), isolated_pair, tol)
+    state = (own, order + graph.order, is_connected(graph) if j == 1 else conn is Connective.JOIN)
+    for graph, conn in spec.parts[j:]:
+        state = carry_stage(state, graph, conn, isolated_pair, tol)
+        if state is None:
             return None
-        if idx == j and conn is Connective.JOIN:
-            params = JoinParams(graph.order, acc_order)
-            carried = carry_join(own, params, "laplacian", is_connected(graph), isolated_pair, tol)
-        elif idx > j and conn is Connective.JOIN:
-            params = JoinParams(acc_order, graph.order)
-            carried = carry_join(carried, params, "laplacian", acc_connected, side_isolated, tol)
-        acc_order += graph.order
-        acc_connected = is_connected(graph) if idx == 1 else conn is Connective.JOIN
-    return carried
+    return state[0]
 
 
 def iterated_join_support(

@@ -25,7 +25,6 @@ to order FULL_VERIFY_MAX_ORDER.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -63,6 +62,7 @@ from .spectral import (
     _contains,
     _merge_close,
     carry_join,
+    carry_stage,
     carry_through_plan,
     eigenvalue_support,
     join_params,
@@ -1469,6 +1469,16 @@ def self_join_analysis(
 # ---------------------------------------------------------------------------
 
 
+def _own_partition(part: WeightedGraph, u: int, v: int, tol: float = SUPPORT_TOL):
+    """(partition, isolated_pair) of a part's pair before any stage carries it.
+
+    An edgeless two-vertex part (isolated_pair) has no partition of its
+    own; its first join supplies one.
+    """
+    isolated_pair = part.order == 2 and not part.edges
+    return (None if isolated_pair else pair_partition(part, "laplacian", u, v, tol)), isolated_pair
+
+
 def iterated_join_sign_partition(
     spec: IteratedJoinSpec, j: int, u: int, v: int, tol: float = SUPPORT_TOL
 ) -> SupportPartition | None:
@@ -1487,9 +1497,7 @@ def iterated_join_sign_partition(
     for graph, _ in parts:
         if graph.loops:
             raise PreconditionError("Laplacian join analysis requires simple parts")
-    isolated_pair = part.order == 2 and not part.edges
-    own = None if isolated_pair else pair_partition(part, "laplacian", u, v, tol)
-    return carry_through_plan(spec, j, own, isolated_pair, tol)
+    return carry_through_plan(spec, j, *_own_partition(part, u, v, tol), tol)
 
 
 def iterated_join_analysis(
@@ -1506,10 +1514,27 @@ def iterated_join_analysis(
     if verify not in ("numeric", "full", "none"):
         raise ValueError(f"unknown verify mode {verify!r}")
     partition = iterated_join_sign_partition(spec, j, u, v)
+    return _iterated_certificate(spec, j, u, v, partition, verify)
+
+
+def _iterated_certificate(
+    spec: IteratedJoinSpec,
+    j: int,
+    u: int,
+    v: int,
+    partition: SupportPartition | None,
+    verify: str,
+) -> PSTCertificate:
+    """The certificate of a pair whose carried sign partition is partition.
+
+    The pattern scores the partition; a stacked cone's verdict is checked
+    against its congruences. The plan's tree is built only when a
+    confirmation runs: for a positive verdict, or for verify="full".
+    """
     details: dict = {"part": j, "orders": spec.orders}
     if partition is None:
         return _certificate(
-            u, v, matrix, None, None,
+            u, v, "laplacian", None, None,
             "the pair is not strongly cospectral in the built graph", details,
         )
     outcome = _evaluate_pattern(partition)
@@ -1536,20 +1561,13 @@ def iterated_join_analysis(
         }
         if verdict and outcome.time != SymbolicTime(1, 2, 1):
             raise InconsistencyError("a stacked-cone transfer time must be pi over 2")
-    cert = _certificate(u, v, matrix, partition, outcome, details=details)
+    cert = _certificate(u, v, "laplacian", partition, outcome, details=details)
+    if not (cert.pst or verify == "full"):
+        return cert
     return _confirm_transfer(
         iterated_tree(spec), iterated_vertex(spec, j, u), iterated_vertex(spec, j, v),
         verify, cert, "iterated",
     )
-
-
-def _empty_spec(sizes, empties: dict[int, WeightedGraph]) -> IteratedJoinSpec:
-    count = len(sizes)
-    parts: list[tuple[WeightedGraph, Connective | None]] = [(empties[sizes[0]], None)]
-    for idx, size in enumerate(sizes[1:], start=2):
-        conn = Connective.JOIN if idx % 2 == count % 2 else Connective.UNION
-        parts.append((empties[size], conn))
-    return IteratedJoinSpec(parts)
 
 
 def threshold_transfer_search(max_parts: int = 4, max_size: int = 6) -> list[dict]:
@@ -1558,34 +1576,43 @@ def threshold_transfer_search(max_parts: int = 4, max_size: int = 6) -> list[dic
     The pair under test is one representative pair of the first part
     (vertices of an empty part are interchangeable), so the sweep probes
     the congruence pattern on the part sizes directly. The empty parts are
-    built once, so each is decomposed, and its pair partitioned, once per
-    search. A plan whose pair is not strongly cospectral at some stage
-    stops there, so only plans that reach a live partition are evaluated
-    and confirmed. Hits are returned in deterministic enumeration order.
+    built once, so each is decomposed, and its pair partitioned, once.
+
+    Each plan length is one depth-first walk over size prefixes, in
+    itertools.product order. A prefix carries its parent's partition one
+    stage forward (carry_stage), and a dead prefix is pruned with its whole
+    subtree. Each live plan is certified from its carried partition as
+    iterated_join_analysis certifies it: scored by the pattern,
+    cross-checked against the stacked-cone congruences and, if a hit,
+    confirmed on the walk. Hits are returned in enumeration order.
     """
     empties = {size: family("O", size) for size in range(1, max_size + 1)}
-    all_sizes = [
-        sizes
-        for count in range(2, max_parts + 1)
-        for sizes in itertools.product(range(1, max_size + 1), repeat=count)
-        if sizes[0] >= 2
-    ]
+    hits = []
 
-    def scan(sizes) -> list[dict]:
-        cert = iterated_join_analysis(_empty_spec(sizes, empties), 1, 0, 1)
-        if not cert.pst:
-            return []
-        return [
-            {
-                "sizes": list(sizes),
-                "part": 1,
-                "time_value": cert.time.value,
-                "time": [
-                    cert.time.pi_numerator,
-                    cert.time.pi_denominator,
-                    cert.time.sqrt_divisor,
-                ],
-            }
+    def walk(parts: list, state, conns: list, isolated_pair: bool):
+        if not conns:
+            yield IteratedJoinSpec(parts), state[0]
+            return
+        for graph in empties.values():
+            after = carry_stage(state, graph, conns[0], isolated_pair)
+            if after is not None:
+                yield from walk(parts + [(graph, conns[0])], after, conns[1:], isolated_pair)
+
+    for count in range(2, max_parts + 1):
+        conns = [
+            Connective.JOIN if idx % 2 == count % 2 else Connective.UNION
+            for idx in range(2, count + 1)
         ]
-
-    return [hit for hits in map(scan, all_sizes) for hit in hits]
+        for first in range(2, max_size + 1):
+            graph = empties[first]
+            own, isolated_pair = _own_partition(graph, 0, 1)
+            if own is None and not isolated_pair:
+                continue
+            root = (own, first, is_connected(graph))
+            for spec, partition in walk([(graph, None)], root, conns, isolated_pair):
+                cert = _iterated_certificate(spec, 1, 0, 1, partition, "numeric")
+                if cert.pst:
+                    t = cert.time
+                    time = [t.pi_numerator, t.pi_denominator, t.sqrt_divisor]
+                    hits.append({"sizes": spec.orders, "part": 1, "time_value": t.value, "time": time})
+    return hits

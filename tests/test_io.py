@@ -263,9 +263,12 @@ SWEEP_C4 = ["bound-sweep", "--left", "C4", "--right", "O2", "--pair", "0", "2"]
         ([*SWEEP_C4, "--t-max", "-1"], "finite and positive"),
         ([*SWEEP_C4, "--t-max", "1e9"], "lattice times"),
         (["analyze", "--family", "C 4.5"], "must be an integer"),
+        (["pst-search", "--mode", "threshold", "--matrix", "adjacency"], "Laplacian only"),
+        (["pst-search", "--mode", "threshold", "--all"], "--all"),
     ],
     ids=["csv-unwritable", "out-unwritable", "t-max-inf", "t-max-nan", "t-max-0",
-         "t-max-negative", "t-max-huge", "family-count-4.5"],
+         "t-max-negative", "t-max-huge", "family-count-4.5", "threshold-adjacency",
+         "threshold-all"],
 )
 def test_cli_bad_outputs_and_sweep_inputs_exit_2(tmp_path, capsys, argv, message):
     missing = tmp_path / "missing"

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -819,6 +820,115 @@ def test_mutating_a_partition_leaves_later_analyses_alone():
     assert iterated_join_analysis(spec, 1, 0, 2) == iterated_join_analysis(
         parse_iterated_spec("C4 v O2 u O4 v O2"), 1, 0, 2
     )
+
+
+def _threshold_plans(max_parts, max_size):
+    """Every plan the threshold search covers, as (sizes, spec), in its order."""
+    empties = {size: family("O", size) for size in range(1, max_size + 1)}
+    for count in range(2, max_parts + 1):
+        conns = [None] + [
+            graphs.Connective.JOIN if idx % 2 == count % 2 else graphs.Connective.UNION
+            for idx in range(2, count + 1)
+        ]
+        for sizes in itertools.product(range(1, max_size + 1), repeat=count):
+            if sizes[0] >= 2:
+                parts = [(empties[s], c) for s, c in zip(sizes, conns)]
+                yield list(sizes), graphs.IteratedJoinSpec(parts)
+
+
+def _per_plan_search(max_parts, max_size):
+    """The reference search: one full analysis per plan, dead plans included."""
+    hits = []
+    for sizes, spec in _threshold_plans(max_parts, max_size):
+        cert = iterated_join_analysis(spec, 1, 0, 1)
+        if cert.pst:
+            time = [cert.time.pi_numerator, cert.time.pi_denominator, cert.time.sqrt_divisor]
+            hits.append({"sizes": sizes, "part": 1, "time_value": cert.time.value, "time": time})
+    return hits
+
+
+@pytest.mark.parametrize("max_parts, max_size", [(2, 6), (3, 4), (4, 6), (5, 4), (4, 9)])
+def test_threshold_walk_returns_the_per_plan_hits(max_parts, max_size):
+    assert threshold_transfer_search(max_parts, max_size) == _per_plan_search(max_parts, max_size)
+
+
+def test_threshold_walk_carries_each_plans_partition(monkeypatch):
+    certified = {}
+    real = transfer._iterated_certificate
+
+    def recording(spec, j, u, v, partition, verify):
+        certified[tuple(spec.orders)] = partition
+        return real(spec, j, u, v, partition, verify)
+
+    monkeypatch.setattr(transfer, "_iterated_certificate", recording)
+    threshold_transfer_search(5, 6)
+    dead = 0
+    for sizes, spec in _threshold_plans(5, 6):
+        want = iterated_join_sign_partition(spec, 1, 0, 1)
+        # a plan the walk pruned is never certified, and must be dead
+        assert certified.get(tuple(sizes)) == want, sizes
+        dead += want is None
+    assert len(certified) == 222 and dead == 7770 - 222
+
+
+def _count_carry_joins(monkeypatch) -> list:
+    calls = []
+    real = spectral.carry_join
+
+    def counting(part, *args, **kwargs):
+        calls.append(part)
+        return real(part, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "carry_join", counting)
+    return calls
+
+
+def test_threshold_walk_carries_each_prefix_once(monkeypatch):
+    calls = _count_carry_joins(monkeypatch)
+    threshold_transfer_search(4, 6)
+    # the joins at stage 2 of [2, s] (twice: two- and four-part plans) and at
+    # stage 4 of [2, s, t, w]; the per-plan loop carries stage 2 once per plan
+    assert len(calls) == 6 + 6 + 216
+    walked = len(calls)
+    calls.clear()
+    _per_plan_search(4, 6)
+    assert len(calls) == 6 + 2 * 216 and walked < len(calls)
+
+
+@pytest.mark.parametrize("flip", [0, 221], ids=["first live plan", "last live plan"])
+def test_threshold_walk_cross_checks_every_live_plan(monkeypatch, flip):
+    verdicts = []
+    real = transfer._evaluate_pattern
+
+    def flipping(partition):
+        outcome = real(partition)
+        verdicts.append(outcome.ok)
+        if len(verdicts) - 1 == flip:
+            return replace(outcome, ok=not outcome.ok)
+        return outcome
+
+    monkeypatch.setattr(transfer, "_evaluate_pattern", flipping)
+    with pytest.raises(InconsistencyError, match="stacked-cone congruences"):
+        threshold_transfer_search(4, 6)
+    # the flipped plan ([2, 1] or [2, 6, 6, 6]) is live but not a hit
+    assert verdicts[flip] is False
+    monkeypatch.setattr(transfer, "_evaluate_pattern", real)
+    verdicts.clear()
+    monkeypatch.setattr(transfer, "_evaluate_pattern", lambda p: verdicts.append(1) or real(p))
+    threshold_transfer_search(4, 6)
+    assert len(verdicts) == 222
+
+
+def test_threshold_search_six_parts_is_the_stacked_cone_set():
+    hits = threshold_transfer_search(6, 6)
+    sizes = [
+        list(s)
+        for count in range(2, 7)
+        for s in itertools.product(range(1, 7), repeat=count)
+        if count % 2 == 0 and s[0] == 2 and s[1] % 4 == 2 and all(t % 4 == 0 for t in s[2:])
+    ]
+    assert [h["sizes"] for h in hits] == sizes
+    assert all(h["time"] == [1, 2, 1] for h in hits)
 
 
 def test_threshold_search_five_parts_is_the_stacked_cone_set():

@@ -11,11 +11,12 @@ run length the checkout's BENCHMARK.json sets, and records every run's value
 of each metric with their median and quartiles. With ``--baseline`` the same
 runs are made in the baseline checkout too, in pairs whose order swaps from
 one pair to the next, so that neither side always runs first; each metric
-then also gets the baseline's median and quartiles and the relative change
-of the medians, so a change can be read against the baseline's spread. A run
-that reports ``correct: false`` or a failed call stops the script with exit
-status 1 and a message naming the workload, the view, the side and the run
-index; no report is written then. The benchmark files are only read and run,
+then also gets the baseline's median and quartiles, the relative change of
+the medians and whether the two sides' quartile ranges overlap, so a change
+can be read against the baseline's spread. A run that reports ``correct:
+false`` or a failed call stops the script with exit status 1 and a message
+naming the workload, the view, the side and the run index; no report is
+written then. The benchmark files are only read and run,
 never written; the runs leave their outputs in each checkout's ignored
 ``benchmark/out/``.
 
@@ -75,12 +76,18 @@ def summarize(results: list[dict]) -> dict:
 
 
 def compare(change: dict, base: dict) -> None:
-    """Put the baseline's spread and the relative change of the medians next to the change's."""
+    """Put the baseline's spread and the relative change of the medians next to the change's.
+
+    ranges_overlap says whether the change's and the baseline's quartile
+    ranges [q1, q3] overlap. When they do, the runs' spread covers the
+    relative change, which then reads as noise rather than a difference.
+    """
     for name, metric in change["metrics"].items():
         before = base["metrics"][name]
         metric["baseline"] = {key: before[key] for key in ("median", "q1", "q3")}
         median = before["median"]
         metric["relative_change"] = (metric["median"] - median) / median if median else None
+        metric["ranges_overlap"] = metric["q1"] <= before["q3"] and before["q1"] <= metric["q3"]
 
 
 def main(argv=None) -> int:
