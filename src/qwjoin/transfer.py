@@ -15,6 +15,11 @@ and sqrt(D) = m + n. So the adjacency rules applied to the negated
 Laplacian part eigenvalues are the Laplacian rules, and the period-ratio
 table (_ratio_formula) is written once for both matrices.
 
+One transfer tree (_transfer_tree) serves Laplacian joins and regular
+adjacency joins, self-joins among them: on a K-regular graph
+exp(itA) = exp(itK) exp(-itL) with L = KI - A (Godsil, "State transfer on
+graphs", 2012), so the adjacency tree is the Laplacian one run on k - theta.
+
 The walk check (_confirm_transfer) never builds the join either: it runs
 Lanczos from e_u on a JoinTree, whose products cost the parts' edges plus
 the order, and exponentiates the small tridiagonal matrix with a series,
@@ -234,6 +239,18 @@ def pair_partition(
     return None if part is None else SupportPartition(list(part.plus), list(part.minus))
 
 
+def _own_partition(
+    part: WeightedGraph, matrix: str, u: int, v: int, tol: float = SUPPORT_TOL
+) -> tuple[SupportPartition | None, bool]:
+    """(partition, isolated_pair) of a part's pair before any join carries it.
+
+    An edgeless two-vertex part (isolated_pair) has no partition of its
+    own; its first join supplies one.
+    """
+    isolated_pair = part.order == 2 and not part.edges
+    return (None if isolated_pair else pair_partition(part, matrix, u, v, tol)), isolated_pair
+
+
 def join_strong_cospectral(
     x: WeightedGraph,
     y: WeightedGraph,
@@ -269,9 +286,8 @@ def join_strong_cospectral(
         return None
     if u >= m:
         return join_strong_cospectral(y, x, u - m, v - m, matrix=matrix, tol=tol)
-    isolated_pair = x.order == 2 and not x.edges
-    part = None if isolated_pair else pair_partition(x, matrix, u, v, tol)
-    return carry_join(part, params, matrix, is_connected(x), isolated_pair, tol)
+    own, isolated_pair = _own_partition(x, matrix, u, v, tol)
+    return carry_join(own, params, matrix, is_connected(x), isolated_pair, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -780,136 +796,119 @@ def _tree_balanced(lams: list[int], mus: list[int], n: int) -> bool:
     return all(_nu2_inf((lam + n) >> beta) > s0 for lam in lams)
 
 
-def _laplacian_tree(
-    plus: list[int], minus: list[int], m: int, n: int, connected: bool
-) -> tuple[bool, str]:
-    """The Laplacian join transfer tree on an integral part partition.
+def _transfer_tree(
+    own: SupportPartition | None, isolated_pair: bool, m: int, n: int, connected: bool
+) -> tuple[bool, str, str | None]:
+    """The gates and the transfer tree of a Laplacian join: (verdict, branch, reason).
 
-    n is the order of the other side: the cone, or the other r - 1 copies
-    of a self-join. Returns the verdict and the branch that decided it.
+    own is the pair's sign partition within its part, of order m, in
+    Laplacian coordinates: the Laplacian eigenvalues, or k - theta for a
+    k-regular part of a regular adjacency join. n is the order of the other
+    side: the cone, or the other r - 1 copies of a self-join. reason is
+    None for a positive verdict.
     """
+    if isolated_pair:
+        ok = n % 4 == 2
+        return ok, "isolated-pair", None if ok else "the cone size is not 2 modulo 4"
+    if own is None:
+        return False, "not-cospectral", "the pair is not strongly cospectral within the part"
+    if _contains(own.minus, float(m)):
+        return False, "order-collision", "the part order lands on a sign-flipping eigenvalue"
+    plus, minus = _as_int_list(own.plus), _as_int_list(own.minus)
+    if plus is None or minus is None:
+        return False, "non-integer-support", "the part support is not integral"
+    if not minus:
+        return False, "trivial-partition", "the sign partition has no flipping eigenvalues"
     lam_pool = sorted({l for l in plus if l != 0} | {m})
-    if not connected:
-        ok = _tree_dominant_plus(lam_pool, minus, n)
-        return ok, "dominant-plus-disconnected" if ok else "no-valuation-pattern"
-    for branch, test in (
-        ("dominant-plus", _tree_dominant_plus),
-        ("dominant-minus", _tree_dominant_minus),
-        ("balanced-shifted", _tree_balanced),
-    ):
+    branches = (
+        [("dominant-plus", _tree_dominant_plus), ("dominant-minus", _tree_dominant_minus),
+         ("balanced-shifted", _tree_balanced)]
+        if connected else [("dominant-plus-disconnected", _tree_dominant_plus)]
+    )
+    for branch, test in branches:
         if test(lam_pool, minus, n):
-            return True, branch
-    return False, "no-valuation-pattern"
+            return True, branch, None
+    return False, "no-valuation-pattern", "no dyadic valuation pattern matches the support"
 
 
-def _join_pst_laplacian(
-    x: WeightedGraph, u: int, v: int, params: JoinParams
+def _integer_discriminant(params: JoinParams) -> tuple[int, int, int, int] | None:
+    """(k, ell, D = (k - ell)^2 + 4mn, isqrt(D)) for integer degrees, else None."""
+    k = nearest_integer(float(params.k))  # type: ignore[arg-type]
+    ell = nearest_integer(float(params.ell))  # type: ignore[arg-type]
+    if k is None or ell is None:
+        return None
+    d = (k - ell) ** 2 + 4 * params.m * params.n
+    return k, ell, d, math.isqrt(d)
+
+
+def _join_certificate(
+    x: WeightedGraph, u: int, v: int, params: JoinParams, matrix: str
 ) -> PSTCertificate:
+    """Certificate of a pair of x, the left part of the join that params describes.
+
+    carry_join carries the pair's partition and the pattern scores it. A
+    Laplacian join, and an adjacency join whose built graph is regular
+    (k - ell = m - n), also run the transfer tree: its verdict must agree
+    with the pattern's, and a certified time must be pi over the gcd of the
+    join support's differences. Other adjacency joins take the pattern's
+    verdict, behind the not-cospectral and collision gates.
+    """
     m, n = params.m, params.n
     details: dict = {}
-    is_o2 = x.order == 2 and not x.edges
-    verdict = False
-    branch = None
-    reason = None
-    part_sc = None
-    if is_o2:
-        branch = "isolated-pair"
-        verdict = n % 4 == 2
-        if not verdict:
-            reason = "the cone size is not 2 modulo 4"
+    if matrix == "laplacian":
+        regular, square = True, True
+        odd = "an odd join order" if (m + n) % 2 else None
     else:
-        part_sc = pair_partition(x, "laplacian", u, v)
-        if part_sc is None:
-            branch = "not-cospectral"
-            reason = "the pair is not strongly cospectral within the part"
-        elif _contains(part_sc.minus, float(m)):
-            branch = "order-collision"
-            reason = "the part order lands on a sign-flipping eigenvalue"
-        else:
-            ints_plus = _as_int_list(part_sc.plus)
-            ints_minus = _as_int_list(part_sc.minus)
-            if ints_plus is None or ints_minus is None:
-                branch = "non-integer-support"
-                reason = "the part support is not integral"
-            elif not ints_minus:
-                branch = "trivial-partition"
-                reason = "the sign partition has no flipping eigenvalues"
-            else:
-                verdict, branch = _laplacian_tree(ints_plus, ints_minus, m, n, is_connected(x))
-                if not verdict:
-                    reason = "no dyadic valuation pattern matches the support"
-    jpart = carry_join(part_sc, params, "laplacian", is_connected(x), is_o2)
-    outcome = _evaluate_pattern(jpart) if jpart is not None else None
-    generic_ok = bool(outcome and outcome.ok)
-    if generic_ok != verdict:
-        raise InconsistencyError(
-            f"the transfer tree branch {branch!r} says {verdict} but the join "
-            f"support pattern says {generic_ok}"
-        )
-    if (m + n) % 2 == 1:
-        details["parity_note"] = "an odd join order rules out transfer for every pair"
-        if verdict:
-            raise InconsistencyError("transfer certified despite an odd join order")
-    details["branch"] = branch
-    if verdict:
-        ivals = _as_int_list(jpart.plus + jpart.minus)
-        if ivals is None:
-            raise InconsistencyError("a certified Laplacian join support must be integral")
-        if SymbolicTime(1, gcd_all(ivals), 1) != outcome.time:
-            raise InconsistencyError("the support gcd time disagrees with the pattern time")
-    return _certificate(u, v, "laplacian", jpart, outcome, reason, details)
-
-
-def _join_pst_adjacency(
-    x: WeightedGraph, u: int, v: int, params: JoinParams
-) -> PSTCertificate:
-    m, n = params.m, params.n
-    k_int = nearest_integer(float(params.k))
-    l_int = nearest_integer(float(params.ell))
-    if k_int is None or l_int is None:
-        raise PreconditionError("adjacency transfer analysis needs integer regular degrees")
-    d_int = (k_int - l_int) ** 2 + 4 * m * n
-    root = math.isqrt(d_int)
-    d_square = root * root == d_int
-    details: dict = {"discriminant": d_int, "discriminant_square": d_square}
-    is_o2k = x.order == 2 and not x.edges
-    gate = True
-    branch = None
-    reason = None
-    part_sc = None
-    if is_o2k:
-        branch = "isolated-pair"
-    else:
-        part_sc = pair_partition(x, "adjacency", u, v)
-        if part_sc is None:
-            gate = False
-            branch = "not-cospectral"
-            reason = "the pair is not strongly cospectral within the part"
-        elif _contains(part_sc.minus, params.lam_minus):
-            gate = False
-            branch = "eigenvalue-collision"
-            reason = "a fresh join eigenvalue lands on a sign-flipping eigenvalue"
-    jpart = carry_join(part_sc, params, "adjacency", is_connected(x), is_o2k) if gate else None
+        disc = _integer_discriminant(params)
+        if disc is None:
+            raise PreconditionError("adjacency transfer analysis needs integer regular degrees")
+        k, ell, d, root = disc
+        square = root * root == d
+        details = {"discriminant": d, "discriminant_square": square}
+        regular = k - ell == m - n
+        odd = "an odd degree sum" if (k + ell) % 2 else None
+    own, isolated_pair = _own_partition(x, matrix, u, v)
+    connected = is_connected(x)
+    jpart = carry_join(own, params, matrix, connected, isolated_pair)
     outcome = _evaluate_pattern(jpart) if jpart is not None else None
     verdict = bool(outcome and outcome.ok)
-    if gate and branch is None:
-        branch = (
-            "integer-class" if outcome and outcome.eigenvalue_class == "integer"
-            else "quadratic-class" if outcome and outcome.eigenvalue_class == "quadratic"
-            else "no-valuation-pattern"
-        )
-    if gate and jpart is None:
-        reason = "the pair is not strongly cospectral in the join"
-    if verdict and outcome.eigenvalue_class == "integer" and not d_square:
+    if regular:
+        if matrix == "adjacency" and own is not None:
+            # Laplacian coordinates: the k-regular part's eigenvalue theta is k - theta
+            own = SupportPartition([k - t for t in own.plus], [k - t for t in own.minus])
+        ok, branch, reason = _transfer_tree(own, isolated_pair, m, n, connected)
+        if ok != verdict:
+            raise InconsistencyError(
+                f"the transfer tree branch {branch!r} says {ok} but the join "
+                f"support pattern says {verdict}"
+            )
+        if verdict:
+            ivals = _as_int_list(jpart.plus + jpart.minus)
+            if ivals is None:
+                raise InconsistencyError("a certified join support must be integral")
+            if SymbolicTime(1, gcd_all([w - ivals[0] for w in ivals]), 1) != outcome.time:
+                raise InconsistencyError("the support gcd time disagrees with the pattern time")
+    elif isolated_pair:
+        branch, reason = "isolated-pair", None
+    elif own is None:
+        branch, reason = "not-cospectral", "the pair is not strongly cospectral within the part"
+    elif _contains(own.minus, params.lam_minus):
+        branch = "eigenvalue-collision"
+        reason = "a fresh join eigenvalue lands on a sign-flipping eigenvalue"
+    else:
+        klass = outcome.eigenvalue_class if outcome else None
+        branch = f"{klass}-class" if klass else "no-valuation-pattern"
+        reason = None if jpart is not None else "the pair is not strongly cospectral in the join"
+    if verdict and outcome.eigenvalue_class == "integer" and not square:
         raise InconsistencyError(
             "integral transfer certified although the join discriminant is not square"
         )
-    if (k_int + l_int) % 2 == 1:
-        details["parity_note"] = "an odd degree sum rules out transfer for every pair"
+    if odd:
+        details["parity_note"] = f"{odd} rules out transfer for every pair"
         if verdict:
-            raise InconsistencyError("transfer certified despite an odd degree sum")
+            raise InconsistencyError(f"transfer certified despite {odd}")
     details["branch"] = branch
-    return _certificate(u, v, "adjacency", jpart, outcome, reason, details)
+    return _certificate(u, v, matrix, jpart, outcome, reason, details)
 
 
 def _confirm_transfer(
@@ -1007,10 +1006,8 @@ def join_pst(
     elif u >= m:
         inner = join_pst(y, x, u - m, v - m, matrix=matrix, verify=verify)
         return replace(inner, u=u, v=v, details={**inner.details, "side": "right"})
-    elif matrix == "laplacian":
-        cert = _join_pst_laplacian(x, u, v, params)
     else:
-        cert = _join_pst_adjacency(x, u, v, params)
+        cert = _join_certificate(x, u, v, params, matrix)
     return _confirm_transfer(JoinTree(Connective.JOIN, (x, y)), u, v, verify, cert, "join")
 
 
@@ -1137,15 +1134,13 @@ def pst_preserved(
         return replace(check, reason=reason, details=details)
     if pad is not None:
         raise PreconditionError("padding is a Laplacian construction")
-    k_int = nearest_integer(float(params.k))
-    l_int = nearest_integer(float(params.ell))
-    if k_int is None or l_int is None:
+    disc = _integer_discriminant(params)
+    if disc is None:
         raise PreconditionError("adjacency preservation needs integer regular degrees")
+    k_int, l_int, d_int, root = disc
     minus_i = _as_int_list(base.partition.minus)
     if minus_i is None:
         raise PreconditionError("adjacency preservation needs an integral part support")
-    d_int = (k_int - l_int) ** 2 + 4 * m * n
-    root = math.isqrt(d_int)
     if root * root != d_int:
         verdict = False
         reason = "the join discriminant is not a perfect square"
@@ -1199,7 +1194,7 @@ def pst_induced(
     induced = jcert.pst and not part_cert.pst
     mechanism = "general"
     details: dict = {}
-    is_isolated_pair = x.order == 2 and not x.edges
+    part_sc, is_isolated_pair = _own_partition(x, matrix, u, v)
     if matrix == "laplacian":
         if is_isolated_pair:
             mechanism = "isolated-pair-cone"
@@ -1207,7 +1202,6 @@ def pst_induced(
             if identity != jcert.pst or part_cert.pst:
                 raise InconsistencyError("the isolated-pair rule disagrees with the join analysis")
         else:
-            part_sc = part_cert.partition
             ints = None
             if part_sc is not None:
                 plus_i = _as_int_list(part_sc.plus)
@@ -1280,12 +1274,10 @@ def pst_induced(
                     if induced:
                         mechanism = "shifted-valuation"
     else:
-        k_int = nearest_integer(float(params.k))
-        l_int = nearest_integer(float(params.ell))
-        if is_isolated_pair and k_int is not None and l_int is not None:
+        # join_pst has refused non-integer degrees already
+        k_int, l_int, d_int, root = _integer_discriminant(params)
+        if is_isolated_pair:
             mechanism = "isolated-pair-cone"
-            d_int = (k_int - l_int) ** 2 + 4 * m * n
-            root = math.isqrt(d_int)
             if root * root == d_int:
                 s_plus = (root - k_int + l_int) // 2
                 s_minus = -(root + k_int - l_int) // 2
@@ -1296,26 +1288,22 @@ def pst_induced(
                     )
             else:
                 details["quadratic_cone"] = True
-        elif not is_isolated_pair and k_int is not None:
-            part_sc = part_cert.partition
-            if part_sc is not None and is_connected(x):
-                plus_i = _as_int_list(part_sc.plus)
-                minus_i = _as_int_list(part_sc.minus)
-                if plus_i is not None and minus_i is not None and minus_i:
-                    without_k = SupportPartition(
-                        [l for l in part_sc.plus if not _close(l, float(k_int))],
-                        list(part_sc.minus),
-                    )
-                    with_k = _evaluate_pattern(part_sc)
-                    reduced = (
-                        _evaluate_pattern(without_k) if without_k.plus else None
-                    )
-                    if reduced is not None and reduced.ok and not with_k.ok:
-                        mechanism = "regularity-collision"
-                        if part_cert.pst:
-                            raise InconsistencyError(
-                                "a regularity collision should rule out transfer in the part"
-                            )
+        elif part_sc is not None and is_connected(x):
+            plus_i = _as_int_list(part_sc.plus)
+            minus_i = _as_int_list(part_sc.minus)
+            if plus_i is not None and minus_i is not None and minus_i:
+                without_k = SupportPartition(
+                    [l for l in part_sc.plus if not _close(l, float(k_int))],
+                    list(part_sc.minus),
+                )
+                with_k = _evaluate_pattern(part_sc)
+                reduced = _evaluate_pattern(without_k) if without_k.plus else None
+                if reduced is not None and reduced.ok and not with_k.ok:
+                    mechanism = "regularity-collision"
+                    if part_cert.pst:
+                        raise InconsistencyError(
+                            "a regularity collision should rule out transfer in the part"
+                        )
     return InducedTransferReport(induced, mechanism, jcert, part_cert, details)
 
 
@@ -1334,9 +1322,11 @@ def self_join_analysis(
 ) -> PSTCertificate:
     """Transfer between two first-copy vertices in the r-fold self-join.
 
-    The verdict comes from the recorded case conditions on the part's
-    support, is replayed through the generic pattern on the transformed
-    sign partition, and positives are confirmed on the self-join's walk.
+    The self-join is x joined to the other r - 1 copies, which enter only
+    through their order (r - 1)m and, for a k-regular x under the adjacency
+    matrix, their degree k + (r - 2)m. So the certificate is the join's
+    (a regular join under the adjacency matrix), and positives are
+    confirmed on the self-join's walk.
     """
     if verify not in ("numeric", "full", "none"):
         raise ValueError(f"unknown verify mode {verify!r}")
@@ -1346,137 +1336,25 @@ def self_join_analysis(
     m = x.order
     if u == v or not (0 <= u < m and 0 <= v < m):
         raise ValueError("the pair must be two distinct part vertices")
-    isolated_pair = x.order == 2 and not x.edges
-    details: dict = {"copies": r}
-    # the sign partition comes from the join of x with the other r - 1
-    # copies, a graph of order (r - 1)m and, for a k-regular x, degree k + (r - 2)m
     if matrix == "laplacian":
         if x.loops:
             raise PreconditionError("Laplacian self-join analysis requires a simple part")
         params = JoinParams(m, (r - 1) * m)
     elif matrix == "adjacency":
-        k_val = is_regular(x)
-        if k_val is None:
+        k = is_regular(x)
+        if k is None:
             raise PreconditionError("adjacency self-join analysis requires a regular part")
-        k_int = nearest_integer(float(k_val))
-        if k_int is None:
-            raise PreconditionError("adjacency self-join analysis needs an integer degree")
-        params = JoinParams(m, (r - 1) * m, k_val, k_val + (r - 2) * m)
+        params = JoinParams(m, (r - 1) * m, k, k + (r - 2) * m)
     else:
         raise ValueError(f"unknown matrix kind {matrix!r}")
-    part_decomp = spectrum(x, matrix)
-    verdict = False
-    branch = None
-    reason = None
-    part_sc = None
-    if isolated_pair:
-        branch = "isolated-pair"
-        verdict = r % 2 == 0
-        if not verdict:
-            reason = "an odd number of copies leaves the crossing valuations unequal"
-    else:
-        part_sc = pair_partition(x, matrix, u, v)
-        support = eigenvalue_support(part_decomp, u)
-        ints = _as_int_list(support)
-        if matrix == "laplacian":
-            excluded = part_sc is not None and _contains(part_sc.minus, float(m))
-        else:
-            excluded = part_sc is not None and _contains(part_sc.minus, float(k_int - m))
-        if part_sc is None:
-            branch = "not-cospectral"
-            reason = "the pair is not strongly cospectral within the part"
-        elif excluded:
-            branch = "eigenvalue-collision"
-            reason = "a fresh self-join eigenvalue lands on a sign-flipping eigenvalue"
-        elif ints is None:
-            branch = "non-integer-support"
-            reason = "the part support is not integral"
-        else:
-            plus_i = _as_int_list(part_sc.plus)
-            minus_i = _as_int_list(part_sc.minus)
-            if not minus_i:
-                branch = "trivial-partition"
-                reason = "the sign partition has no flipping eigenvalues"
-            elif matrix == "laplacian":
-                verdict, branch = _laplacian_tree(plus_i, minus_i, m, (r - 1) * m, is_connected(x))
-            else:
-                lams = [l for l in plus_i if l != k_int]
-                crossings = [k_int - mu for mu in minus_i]
-                ok_a = (
-                    len({nu2(c) for c in crossings}) == 1
-                    and nu2(m) > nu2(crossings[0])
-                    and all(nu2(k_int - l) > nu2(crossings[0]) for l in lams)
-                )
-                if is_connected(x):
-                    cs = {nu2(k_int - l) for l in lams} | {nu2(m)}
-                    ok_b = (
-                        r % 2 == 0
-                        and len(cs) == 1
-                        and all(nu2(c) > cs.pop() for c in crossings)
-                    )
-                    beta = nu2(m)
-                    ok_c = (
-                        all(nu2(k_int - t) == beta for t in lams + minus_i)
-                        and len({_nu2_inf((k_int - m - mu) >> beta) for mu in minus_i}) == 1
-                        and all(
-                            _nu2_inf((k_int - m - l) >> beta)
-                            > _nu2_inf((k_int - m - minus_i[0]) >> beta)
-                            for l in lams
-                        )
-                        and nu2(r) > _nu2_inf((k_int - m - minus_i[0]) >> beta)
-                    )
-                    verdict = ok_a or ok_b or ok_c
-                    branch = (
-                        "dominant-order" if ok_a
-                        else "dominant-crossing" if ok_b
-                        else "balanced-shifted" if ok_c
-                        else "no-valuation-pattern"
-                    )
-                else:
-                    verdict = ok_a
-                    branch = "dominant-order-disconnected" if ok_a else "no-valuation-pattern"
-        if not verdict and reason is None:
-            reason = "no dyadic valuation pattern matches the support"
-    partition = carry_join(part_sc, params, matrix, is_connected(x), isolated_pair)
-    outcome = _evaluate_pattern(partition) if partition is not None else None
-    generic_ok = bool(outcome and outcome.ok)
-    if generic_ok != verdict:
-        raise InconsistencyError(
-            f"the self-join branch {branch!r} says {verdict} but the support pattern "
-            f"says {generic_ok}"
-        )
-    details["branch"] = branch
-    if verdict and not isolated_pair:
-        if matrix == "laplacian":
-            if is_connected(x):
-                pool = [r * m] + [l - m for l in ints if l != 0]
-            else:
-                pool = [m] + [l for l in ints if l != 0]
-        else:
-            if is_connected(x):
-                pool = [r * m] + [k_int - m - l for l in ints if l != k_int]
-            else:
-                pool = [m] + [k_int - l for l in ints if l != k_int]
-        g = gcd_all([abs(t) for t in pool])
-        if SymbolicTime(1, g, 1) != outcome.time:
-            raise InconsistencyError("the self-join time disagrees with the pattern time")
-    cert = _certificate(u, v, matrix, partition, outcome, reason, details)
+    cert = _join_certificate(x, u, v, params, matrix)
+    cert = replace(cert, details={"copies": r, **cert.details})
     return _confirm_transfer(JoinTree(Connective.JOIN, (x,) * r), u, v, verify, cert, "self-join")
 
 
 # ---------------------------------------------------------------------------
 # iterated joins
 # ---------------------------------------------------------------------------
-
-
-def _own_partition(part: WeightedGraph, u: int, v: int, tol: float = SUPPORT_TOL):
-    """(partition, isolated_pair) of a part's pair before any stage carries it.
-
-    An edgeless two-vertex part (isolated_pair) has no partition of its
-    own; its first join supplies one.
-    """
-    isolated_pair = part.order == 2 and not part.edges
-    return (None if isolated_pair else pair_partition(part, "laplacian", u, v, tol)), isolated_pair
 
 
 def iterated_join_sign_partition(
@@ -1497,7 +1375,7 @@ def iterated_join_sign_partition(
     for graph, _ in parts:
         if graph.loops:
             raise PreconditionError("Laplacian join analysis requires simple parts")
-    return carry_through_plan(spec, j, *_own_partition(part, u, v, tol), tol)
+    return carry_through_plan(spec, j, *_own_partition(part, "laplacian", u, v, tol), tol)
 
 
 def iterated_join_analysis(
@@ -1605,7 +1483,7 @@ def threshold_transfer_search(max_parts: int = 4, max_size: int = 6) -> list[dic
         ]
         for first in range(2, max_size + 1):
             graph = empties[first]
-            own, isolated_pair = _own_partition(graph, 0, 1)
+            own, isolated_pair = _own_partition(graph, "laplacian", 0, 1)
             if own is None and not isolated_pair:
                 continue
             root = (own, first, is_connected(graph))

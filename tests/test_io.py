@@ -381,8 +381,8 @@ def test_cli_analyze_52_bit_discriminant(tmp_path, capsys):
 @pytest.mark.parametrize(
     "closed_form, argv",
     [
-        ("_join_pst_laplacian", ["join", "--left", "O 2", "--right", "O 6", "--pair", "0", "1"]),
-        ("_evaluate_pattern", ["join", "--left", "O 2", "--self", "4", "--pair", "0", "1"]),
+        ("_join_certificate", ["join", "--left", "O 2", "--right", "O 6", "--pair", "0", "1"]),
+        ("_join_certificate", ["join", "--left", "O 2", "--self", "4", "--pair", "0", "1"]),
         (
             "_evaluate_pattern",
             ["join", "--iterated", "O2 v K2", "--part", "1", "--pair", "0", "1"],
@@ -394,3 +394,14 @@ def test_cli_wrong_transfer_time_exit_code(capsys, monkeypatch, closed_form, arg
     monkeypatch.setattr(transfer, closed_form, with_wrong_time(getattr(transfer, closed_form)))
     assert main(argv) == 3
     assert "only reaches magnitude" in capsys.readouterr().err
+
+
+def test_cli_adjacency_self_join_of_a_weighted_k4(tmp_path, capsys):
+    # a regular part whose pair has two flipping eigenvalues
+    path = tmp_path / "k4.json"
+    path.write_text(json.dumps({"order": 4, "edges": [
+        [0, 1, 1.0], [2, 3, 1.0], [0, 2, 7.0], [1, 3, 7.0], [0, 3, 3.0], [1, 2, 3.0],
+    ]}))
+    argv = ["join", "--left", str(path), "--self", "2", "--pair", "0", "1", "--matrix", "adjacency"]
+    assert main(argv) == 0
+    assert "perfect state transfer 0 <-> 1: True" in capsys.readouterr().out

@@ -3,6 +3,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 
+import networkx
 import numpy as np
 import pytest
 
@@ -21,6 +22,7 @@ from qwjoin import (
     graph_matrix,
     graph_periodic,
     is_periodic,
+    is_regular,
     iterated_join_analysis,
     iterated_join_sign_partition,
     join,
@@ -578,6 +580,25 @@ def test_self_join_adjacency_with_loops():
         self_join_analysis(family("O_loops", 2, 0.5), 2, 0, 1, matrix="adjacency")
 
 
+def weighted_k4(a, b, c):
+    """K4 whose three perfect matchings weigh a, b and c: regular of degree a + b + c."""
+    return WeightedGraph(4, [(0, 1, a), (2, 3, a), (0, 2, b), (1, 3, b), (0, 3, c), (1, 2, c)])
+
+
+@pytest.mark.parametrize("r", [2, 4])
+def test_adjacency_self_join_with_two_flipping_eigenvalues(r):
+    # regular parts whose pair has more than one flipping eigenvalue
+    x = weighted_k4(1.0, 7.0, 3.0)
+    adjacency = self_join_analysis(x, r, 0, 1, matrix="adjacency")
+    laplacian = self_join_analysis(x, r, 0, 1)
+    assert adjacency.pst and adjacency.time == SymbolicTime(1, 4, 1)
+    assert (adjacency.pst, adjacency.time) == (laplacian.pst, laplacian.time)
+    # the triangular prism, labelled as in the graph atlas
+    edges = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 3), (2, 5), (3, 4), (4, 5)]
+    prism = WeightedGraph(6, [(a, b, 2.0) for a, b in edges])
+    assert not self_join_analysis(prism, r, 0, 1, matrix="adjacency").pst
+
+
 def test_self_join_needs_copies():
     with pytest.raises(ValueError):
         self_join_analysis(family("P", 3), 1, 0, 2)
@@ -626,12 +647,26 @@ def test_self_join_partition_matches_oracle(matrix):
                         assert sets_close(cert.partition.minus, want[1])
 
 
+# loopless regular parts: the atlas's regular graphs on 2-6 vertices with
+# edge weights 1 and 2, and K4 with matching weights from {1, 3, 7}
+REGULAR_PARTS = [
+    WeightedGraph(g.number_of_nodes(), [(a, b, w) for a, b in g.edges()])
+    for g in networkx.graph_atlas_g()
+    if 2 <= g.number_of_nodes() <= 6 and len(set(dict(g.degree()).values())) == 1
+    for w in ((1.0, 2.0) if g.number_of_edges() else (1.0,))
+] + [weighted_k4(*abc) for abc in itertools.product((1.0, 3.0, 7.0), repeat=3)]
+
+
 @pytest.mark.parametrize("r", [2, 3, 4])
-@pytest.mark.parametrize("index", range(len(SELF_JOIN_PARTS["laplacian"])))
+@pytest.mark.parametrize("index", range(len(SELF_JOIN_PARTS["laplacian"]) + len(REGULAR_PARTS)))
 def test_self_join_matches_the_cone_over_the_other_copies(index, r):
-    # the other r - 1 copies enter the Laplacian rule only through their order
-    x = SELF_JOIN_PARTS["laplacian"][index]
+    # the other r - 1 copies enter the Laplacian rule only through their
+    # order. On a regular part the adjacency walk of the self-join, and of
+    # the regular join of the part with the other copies built, is the
+    # Laplacian walk up to a phase, so both matrices give one verdict and time.
+    x = (SELF_JOIN_PARTS["laplacian"] + REGULAR_PARTS)[index]
     rest = family("O", (r - 1) * x.order)
+    others = self_join(x, r - 1) if is_regular(x) is not None else None
     for u, v in itertools.combinations(range(x.order), 2):
         own = self_join_analysis(x, r, u, v)
         cone = join_pst(x, rest, u, v)
@@ -640,6 +675,13 @@ def test_self_join_matches_the_cone_over_the_other_copies(index, r):
         if own.partition is not None:
             assert sets_close(own.partition.plus, cone.partition.plus)
             assert sets_close(own.partition.minus, cone.partition.minus)
+        if others is not None:
+            for cert in (
+                self_join_analysis(x, r, u, v, matrix="adjacency"),
+                join_pst(x, others, u, v, matrix="adjacency"),
+                join_pst(x, others, u, v),
+            ):
+                assert (cert.pst, cert.time) == (own.pst, own.time), (u, v, cert.matrix)
 
 
 def test_self_join_full_verification_randomized():
@@ -967,11 +1009,11 @@ def test_double_cone_on_a_million_vertices():
 # positive certificates, and the closed form each takes its time from
 CONFIRMED = {
     "join_pst": (
-        "_join_pst_laplacian",
+        "_join_certificate",
         lambda **kw: join_pst(family("O", 2), family("O", 6), 0, 1, **kw),
     ),
     "self_join_analysis": (
-        "_evaluate_pattern",
+        "_join_certificate",
         lambda **kw: self_join_analysis(family("O", 2), 4, 0, 1, **kw),
     ),
     "iterated_join_analysis": (
