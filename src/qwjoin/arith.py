@@ -5,7 +5,8 @@ recognized as integers or rationals before use) and all arithmetic stays in
 the 64-bit range or raises IntegerOverflowError. Floating point enters at two
 boundaries: nearest_integer, which asks only whether a float is an integer,
 and reconstruct_rational, which recovers a fraction. Both accept the same
-values as integers.
+values as integers. classify_eigenvalues also runs one floating-point test
+before its search, which only rules families out, with a rounding bound.
 """
 
 from __future__ import annotations
@@ -278,8 +279,7 @@ class QuadraticEigenvalue:
         _check64(self.b)
         if self.delta < 1:
             raise ValueError("delta must be a positive integer")
-        s, f = squarefree_part(self.delta)
-        if f != 1:
+        if self.delta > 1 and squarefree_part(self.delta)[1] != 1:
             raise ValueError(f"delta={self.delta} is not squarefree")
         if self.delta == 1 and (self.a + self.b) % 2:
             raise ValueError("delta=1 requires a + b even so the value is an integer")
@@ -302,37 +302,60 @@ class QuadraticEigenvalue:
         raise ValueError(f"{self} is not an integer eigenvalue")
 
 
-def classify_eigenvalues(values, tol: float = 1e-7) -> list[QuadraticEigenvalue] | None:
-    """Recognize a full list of eigenvalues as integers or one quadratic family.
+def _close(value: float, x: float) -> bool:
+    """The acceptance gate of every classification: within 1e-9 * max(1, |x|)."""
+    return abs(value - x) <= 1e-9 * max(1.0, abs(x))
 
-    All-or-nothing: either every value is matched (shared a and delta for the
-    quadratic case, delta > 1 squarefree) or None is returned. Each
-    reconstruction must land within 1e-9 * max(1, |value|) of its source.
+
+def _integer_values(values: list[float], tol: float) -> list[int] | None:
+    """The integers of a support that is all integers, else None.
+
+    Each value must pass nearest_integer and then the gate; the integer r
+    stands for QuadraticEigenvalue(2r, 0, 1), whose 64-bit check on 2r is
+    made here too, and whose value (2r + 0.0)/2.0 is float(r).
     """
-    values = [float(v) for v in values]
-    if not values:
-        raise ValueError("classify_eigenvalues requires at least one value")
-
-    def close(quad: QuadraticEigenvalue, x: float) -> bool:
-        return abs(quad.value - x) <= 1e-9 * max(1.0, abs(x))
-
-    # Integer recognition first.
-    as_int: list[QuadraticEigenvalue] = []
+    out = []
     for v in values:
         r = nearest_integer(v, tol)
         if r is None:
-            as_int = []
-            break
-        quad = QuadraticEigenvalue(a=2 * r, b=0, delta=1)
-        if not close(quad, v):
-            as_int = []
-            break
-        as_int.append(quad)
-    if as_int:
-        return as_int
+            return None
+        _check64(2 * r)
+        if not _close(float(r), v):
+            return None
+        out.append(r)
+    return out
 
-    # Quadratic family: candidate shared a from pair sums (i == j covers the
-    # lone rational member a/2).
+
+# the unit roundoff of a float
+_U = 2.0**-53
+
+
+def _may_be_one_family(finite: list[float]) -> bool:
+    """False only when finite values can share no quadratic family.
+
+    See classify_eigenvalues for the condition and its bound.
+    """
+    v0 = finite[0]
+    rounding = 8 * _U * (max(abs(v) for v in finite) + 1.0)
+    eta0 = 1e-9 * max(1.0, abs(v0)) + rounding
+    for v in finite[1:]:
+        d = 2.0 * (v - v0)
+        eps = 2.0 * (1e-9 * max(1.0, abs(v)) + rounding + eta0) + 2 * _U * abs(d)
+        sq = d * d
+        if abs(sq - round(sq)) > eps * (2.0 * abs(d) + eps) + 2 * _U * sq:
+            return False
+    return True
+
+
+def _quadratic_family(values: list[float], tol: float) -> tuple[int, int, list[int]] | None:
+    """(a, delta, [b_i]) of the one quadratic family the values form, else None."""
+    finite = [v for v in values if math.isfinite(v)]
+    # the search below could only have answered None (classify_eigenvalues)
+    if finite and max(finite) - min(finite) <= 2.0**30 and not _may_be_one_family(finite):
+        return None
+
+    # candidate shared a from pair sums (i == j covers the lone rational
+    # member a/2)
     candidates: set[int] = set()
     for i in range(len(values)):
         for j in range(i, len(values)):
@@ -340,35 +363,90 @@ def classify_eigenvalues(values, tol: float = 1e-7) -> list[QuadraticEigenvalue]
             if r is not None:
                 candidates.add(r)
     for a in sorted(candidates, key=lambda c: (abs(c), c)):
-        family: list[QuadraticEigenvalue] = []
+        bs: list[int] = []
         delta: int | None = None
-        ok = True
         for v in values:
             x = 2.0 * v - a
             if abs(x) <= tol * max(1.0, abs(v)):
-                family.append(None)  # placeholder: b = 0 member
+                bs.append(0)
                 continue
             y = x * x
             ry = nearest_integer(y, tol * max(1.0, y))
             if ry is None or ry <= 0:
-                ok = False
                 break
             s, f = squarefree_part(ry)
-            if s == 1:
-                ok = False  # would be rational, and integer recognition failed
-                break
+            if s == 1 or delta not in (None, s):
+                break  # rational (integer recognition failed), or a second family
+            delta = s
+            bs.append(f if x > 0 else -f)
+        else:
             if delta is None:
-                delta = s
-            elif delta != s:
-                ok = False
-                break
-            family.append(QuadraticEigenvalue(a=a, b=f if x > 0 else -f, delta=s))
-        if not ok or delta is None:
-            continue
-        result = [
-            QuadraticEigenvalue(a=a, b=0, delta=delta) if q is None else q
-            for q in family
-        ]
-        if all(close(q, v) for q, v in zip(result, values)):
-            return result
+                continue
+            root = math.sqrt(delta)
+            if all(_close((a + b * root) / 2.0, v) for b, v in zip(bs, values)):
+                return a, delta, bs
     return None
+
+
+def _classify_coordinates(values, tol: float = 1e-7) -> tuple[int, int, list[int]] | None:
+    """classify_eigenvalues without the objects: (a, delta, coordinates).
+
+    delta == 1: the coordinates are the integer values themselves (a is 0);
+    delta > 1: they are the b of each member (a + b*sqrt(delta))/2.
+    """
+    values = [float(v) for v in values]
+    if not values:
+        raise ValueError("classify_eigenvalues requires at least one value")
+    ints = _integer_values(values, tol)
+    if ints is not None:
+        return 0, 1, ints
+    return _quadratic_family(values, tol)
+
+
+def classify_eigenvalues(values, tol: float = 1e-7) -> list[QuadraticEigenvalue] | None:
+    """Recognize a full list of eigenvalues as integers or one quadratic family.
+
+    All-or-nothing: either every value is matched (shared a and delta for the
+    quadratic case, delta > 1 squarefree) or None is returned. Each
+    reconstruction Q_i must land within g_i = 1e-9 * max(1, |v_i|) of its
+    source v_i (the gate). Integers are tried first, value by value.
+
+    Before the quadratic search, which tries every pair sum as the shared a,
+    an O(n) necessary condition runs. Members of one family satisfy
+    (2(Q_i - Q_0))**2 = (b_i - b_0)**2 * delta, an integer, so the computed
+    D_i**2, D_i = fl(2(v_i - v_0)), must lie near one. How near, with u =
+    2**-53 and M the largest |v_i|:
+    - a candidate a is the integer nearest a pair sum, so |a| <= 2M + 1/2,
+      and |b*sqrt(delta)| = |2Q_i - a| is about 4M at most; computing the
+      value (a + b*sqrt(delta))/2 then errs by about u(6M + 1) at most,
+      under 8u(M + 1);
+    - so an accepted v_i lies within eta_i = g_i + 8u(M + 1) of Q_i, and
+      D_i within eps_i = 2(eta_i + eta_0) + 2u|D_i| of 2(Q_i - Q_0), the
+      last term for the rounding of the subtraction;
+    - hence |D_i**2 - (b_i - b_0)**2 delta| <= eps_i(2|D_i| + eps_i), and
+      squaring in floating point adds at most u*D_i**2.
+    A value farther from every integer than eps_i(2|D_i| + eps_i) + 2u*D_i**2
+    rules out every family the search could accept, and None is returned at
+    once. The factors 8 and 2 leave room over the rounding they cover, which
+    absorbs the rounding of the gate comparison and of the bound itself.
+
+    The test runs only while the finite values span at most 2**30, so that
+    it never answers None where the search raises IntegerOverflowError:
+    - each squared offset (2v - a)**2 of the search stays below 2**63;
+    - a pair sum beyond the 64-bit range needs a value of magnitude near
+      2**62 or more; every finite value within 2**30 of it lies beyond
+      2**53 in magnitude, so all are integers, every D_i**2 is one, and the
+      test passes them on to the search, which raises.
+    Infinite values are left out of the test (the search reads them as b = 0
+    members), and a NaN fails the search at every candidate. The bound grows
+    as 1e-9 * M * |D_i|: for the irrational pair 3000007.5000000414,
+    -3000006.500000042, which the search misreads as half-integers, it
+    exceeds 1, so the test leaves that reading as it is.
+    """
+    coords = _classify_coordinates(values, tol)
+    if coords is None:
+        return None
+    a, delta, cs = coords
+    if delta == 1:
+        return [QuadraticEigenvalue(2 * c, 0, 1) for c in cs]
+    return [QuadraticEigenvalue(a, b, delta) for b in cs]

@@ -37,7 +37,8 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import (
-    classify_eigenvalues,
+    _checked_float,
+    _classify_coordinates,
     gcd_all,
     lcm_all,
     nearest_integer,
@@ -295,18 +296,21 @@ def join_strong_cospectral(
 # ---------------------------------------------------------------------------
 
 
-def _classify_differences(values):
-    """classify_eigenvalues, retried after removing a global shift.
+def _classify_differences(values) -> tuple[int, list[int]] | None:
+    """(delta, coordinates) of a support classified up to a common shift.
 
-    Phase alignment and transfer patterns depend only on eigenvalue
-    differences, so a support that is an integer or quadratic family up to
-    a common real offset (loop weights produce these) classifies too.
+    As classify_eigenvalues, retried after removing a global shift: phase
+    alignment and transfer patterns depend only on eigenvalue differences,
+    so a support that is an integer or quadratic family up to a common real
+    offset (loop weights produce these) classifies too. delta == 1: the
+    coordinates are the integers; delta > 1: the b of each member
+    (a + b*sqrt(delta))/2. No QuadraticEigenvalue is built.
     """
-    quads = classify_eigenvalues(values)
-    if quads is not None:
-        return quads
-    base = min(values)
-    return classify_eigenvalues([v - base for v in values])
+    coords = _classify_coordinates(values)
+    if coords is None:
+        base = min(values)
+        coords = _classify_coordinates([v - base for v in values])
+    return None if coords is None else coords[1:]
 
 
 def _exact_min_period(values) -> tuple[Fraction, int] | None:
@@ -317,31 +321,33 @@ def _exact_min_period(values) -> tuple[Fraction, int] | None:
     ratios were not recognized as rational.
     """
     vals = list(values)
-    quads = _classify_differences(vals)
-    if quads is not None:
-        delta = quads[0].delta
-        if delta > 1:
-            bs = [q.b for q in quads]
-            g = gcd_all([bs[0] - b for b in bs[1:]])
-            return Fraction(4, g), delta
-        ints = [q.as_integer() for q in quads]
-        g = gcd_all([ints[0] - w for w in ints[1:]])
-        return Fraction(2, g), 1
-    fracs = [reconstruct_rational(v) for v in vals]
-    if all(f is not None for f in fracs):
-        diffs = [fracs[0] - f for f in fracs[1:]]
-        if any(d.denominator > 10**4 for d in diffs):
-            # rational eigenvalues of a matrix N/c live in (1/c)Z, so an
-            # honest rational spectrum keeps its denominators near the
-            # weight denominators; a large one is the signature of a
-            # best-approximation convergent of an irrational value
+    family = _classify_differences(vals)
+    if family is not None:
+        delta, coords = family
+        g = gcd_all([coords[0] - c for c in coords[1:]])
+        return Fraction(4 if delta > 1 else 2, g), delta
+    # the route below stops at the first value that fails; every value still
+    # gets reconstruct_rational's 64-bit range check, as when all were built
+    for v in vals:
+        _checked_float(v, 1.0)
+    first = reconstruct_rational(vals[0])
+    if first is None:
+        return None
+    diffs = []
+    for v in vals[1:]:
+        f = reconstruct_rational(v)
+        # rational eigenvalues of a matrix N/c live in (1/c)Z, so an honest
+        # rational spectrum keeps its denominators near the weight
+        # denominators; a large one is the signature of a best-approximation
+        # convergent of an irrational value
+        if f is None or (first - f).denominator > 10**4:
             return None
-        common = lcm_all([d.denominator for d in diffs])
-        if common > 10**4:
-            return None
-        ints = [int(d * common) for d in diffs]
-        return Fraction(2 * common, gcd_all(ints)), 1
-    return None
+        diffs.append(first - f)
+    common = lcm_all([d.denominator for d in diffs])
+    if common > 10**4:
+        return None
+    ints = [int(d * common) for d in diffs]
+    return Fraction(2 * common, gcd_all(ints)), 1
 
 
 def is_periodic(decomp: SpectralDecomposition, u: int, tol: float = SUPPORT_TOL) -> bool:
@@ -662,8 +668,8 @@ def _evaluate_pattern(partition: SupportPartition) -> _PatternOutcome:
             False, None, None, None, None, "the sign partition has no flipping eigenvalues"
         )
     values = list(partition.plus) + list(partition.minus)
-    quads = _classify_differences(values)
-    if quads is None:
+    family = _classify_differences(values)
+    if family is None:
         return _PatternOutcome(
             False,
             None,
@@ -672,13 +678,11 @@ def _evaluate_pattern(partition: SupportPartition) -> _PatternOutcome:
             None,
             "support eigenvalues are neither all integers nor a single quadratic family",
         )
-    delta = quads[0].delta
+    delta, coords = family
     if delta == 1:
-        coords = [q.a // 2 for q in quads]
         klass = "integer"
     else:
-        bs = [q.b for q in quads]
-        if len({b & 1 for b in bs}) > 1:
+        if len({b & 1 for b in coords}) > 1:
             return _PatternOutcome(
                 False,
                 "quadratic",
@@ -687,7 +691,7 @@ def _evaluate_pattern(partition: SupportPartition) -> _PatternOutcome:
                 None,
                 "quadratic coordinates of mixed parity leave non-integer half-differences",
             )
-        coords = [(b - bs[0]) // 2 for b in bs]
+        coords = [(b - coords[0]) // 2 for b in coords]
         klass = "quadratic"
     n_plus = len(partition.plus)
     plus_c, minus_c = coords[:n_plus], coords[n_plus:]
@@ -749,7 +753,17 @@ def pst_certificate(
     A positive verdict is confirmed on the walk itself at the certified
     time; disagreement raises InconsistencyError.
     """
-    partition = strong_cospectral(decomp, u, v, tol)
+    return _pst_certificate(decomp, u, v, strong_cospectral(decomp, u, v, tol))
+
+
+def _pst_certificate(
+    decomp: SpectralDecomposition, u: int, v: int, partition: SupportPartition | None
+) -> PSTCertificate:
+    """pst_certificate of a pair whose sign partition is already known.
+
+    A part's pair takes it from pair_partition, which partitions each pair
+    once per graph.
+    """
     if partition is None:
         return _certificate(u, v, None, None, None, "the vertices are not strongly cospectral")
     outcome = _evaluate_pattern(partition)
@@ -1055,8 +1069,7 @@ def pst_preserved(
     m, n = params.m, params.n
     if u == v or not (0 <= u < m and 0 <= v < m):
         raise ValueError("the pair must be two distinct part vertices")
-    part_decomp = spectrum(x, matrix)
-    base = pst_certificate(part_decomp, u, v)
+    base = _pst_certificate(spectrum(x, matrix), u, v, pair_partition(x, matrix, u, v))
     if not base.pst:
         raise PreconditionError("the pair has no transfer within the part")
     details: dict = {
@@ -1189,8 +1202,7 @@ def pst_induced(
     if u == v or not (0 <= u < m and 0 <= v < m):
         raise ValueError("the pair must be two distinct part vertices")
     jcert = join_pst(x, y, u, v, matrix=matrix)
-    part_decomp = spectrum(x, matrix)
-    part_cert = pst_certificate(part_decomp, u, v)
+    part_cert = _pst_certificate(spectrum(x, matrix), u, v, pair_partition(x, matrix, u, v))
     induced = jcert.pst and not part_cert.pst
     mechanism = "general"
     details: dict = {}

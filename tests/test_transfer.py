@@ -1068,15 +1068,16 @@ def test_numeric_confirmation_builds_nothing_and_full_builds_once(monkeypatch, n
     assert full.pst and full.confirmation >= 1 - 1e-9
 
 
-# strong_cospectral calls per analysis: one for the part pair, plus, in
-# pst_induced, one for the part's own certificate
+# strong_cospectral calls per analysis: one for the part pair, which the
+# part's own certificate in pst_preserved and pst_induced reads again
 PARTITION_CALLS = {
     "join_pst laplacian": (lambda: join_pst(family("C", 4), family("O", 2), 0, 2), 1),
     "join_pst adjacency": (
         lambda: join_pst(family("C", 4), family("K", 2), 0, 2, matrix="adjacency"), 1
     ),
     "self_join_analysis": (lambda: self_join_analysis(family("C", 4), 3, 0, 2), 1),
-    "pst_induced": (lambda: pst_induced(family("C", 4), family("O", 2), 0, 2), 2),
+    "pst_induced": (lambda: pst_induced(family("C", 4), family("O", 2), 0, 2), 1),
+    "pst_preserved": (lambda: pst_preserved(family("Q", 3), family("O", 8), 0, 7), 1),
 }
 
 
