@@ -297,14 +297,11 @@ def join_strong_cospectral(
 
 
 def _classify_differences(values) -> tuple[int, list[int]] | None:
-    """(delta, coordinates) of a support classified up to a common shift.
+    """classify_eigenvalues' (delta, coordinates), retried after removing a global shift.
 
-    As classify_eigenvalues, retried after removing a global shift: phase
-    alignment and transfer patterns depend only on eigenvalue differences,
-    so a support that is an integer or quadratic family up to a common real
-    offset (loop weights produce these) classifies too. delta == 1: the
-    coordinates are the integers; delta > 1: the b of each member
-    (a + b*sqrt(delta))/2. No QuadraticEigenvalue is built.
+    Phase alignment and transfer patterns depend only on eigenvalue
+    differences, so a support that is an integer or quadratic family up to
+    a common real offset (loop weights produce these) classifies too.
     """
     coords = _classify_coordinates(values)
     if coords is None:
@@ -756,14 +753,8 @@ def pst_certificate(
     return _pst_certificate(decomp, u, v, strong_cospectral(decomp, u, v, tol))
 
 
-def _pst_certificate(
-    decomp: SpectralDecomposition, u: int, v: int, partition: SupportPartition | None
-) -> PSTCertificate:
-    """pst_certificate of a pair whose sign partition is already known.
-
-    A part's pair takes it from pair_partition, which partitions each pair
-    once per graph.
-    """
+def _pst_certificate(decomp, u: int, v: int, partition) -> PSTCertificate:
+    """pst_certificate of a pair whose sign partition (or None) is known."""
     if partition is None:
         return _certificate(u, v, None, None, None, "the vertices are not strongly cospectral")
     outcome = _evaluate_pattern(partition)
