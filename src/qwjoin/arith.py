@@ -349,9 +349,8 @@ def _may_be_one_family(finite: list[float]) -> bool:
 
 def _quadratic_family(values: list[float], tol: float) -> tuple[int, int, list[int]] | None:
     """(a, delta, [b_i]) of the one quadratic family the values form, else None."""
-    finite = [v for v in values if math.isfinite(v)]
     # the search below could only have answered None (classify_eigenvalues)
-    if finite and max(finite) - min(finite) <= 2.0**30 and not _may_be_one_family(finite):
+    if max(values) - min(values) <= 2.0**30 and not _may_be_one_family(values):
         return None
 
     # candidate shared a from pair sums (i == j covers the lone rational
@@ -397,6 +396,8 @@ def _classify_coordinates(values, tol: float = 1e-7) -> tuple[int, int, list[int
     values = [float(v) for v in values]
     if not values:
         raise ValueError("classify_eigenvalues requires at least one value")
+    if not all(math.isfinite(v) for v in values):
+        return None
     ints = _integer_values(values, tol)
     if ints is not None:
         return 0, 1, ints
@@ -430,15 +431,15 @@ def classify_eigenvalues(values, tol: float = 1e-7) -> list[QuadraticEigenvalue]
     once. The factors 8 and 2 leave room over the rounding they cover, which
     absorbs the rounding of the gate comparison and of the bound itself.
 
-    The test runs only while the finite values span at most 2**30, so that
+    The test runs only while the values span at most 2**30, so that
     it never answers None where the search raises IntegerOverflowError:
     - each squared offset (2v - a)**2 of the search stays below 2**63;
     - a pair sum beyond the 64-bit range needs a value of magnitude near
-      2**62 or more; every finite value within 2**30 of it lies beyond
+      2**62 or more; every value within 2**30 of it lies beyond
       2**53 in magnitude, so all are integers, every D_i**2 is one, and the
       test passes them on to the search, which raises.
-    Infinite values are left out of the test (the search reads them as b = 0
-    members), and a NaN fails the search at every candidate. The bound grows
+    A value that is not finite is no eigenvalue of a finite matrix, so it
+    makes the answer None before either pass. The bound grows
     as 1e-9 * M * |D_i|: for the irrational pair 3000007.5000000414,
     -3000006.500000042, which the search misreads as half-integers, it
     exceeds 1, so the test leaves that reading as it is.

@@ -18,7 +18,7 @@ from .arith import nearest_integer, nu2
 from .errors import InconsistencyError
 from .graphs import WeightedGraph
 from .spectral import join_params, spectrum
-from .walk import alpha, in_T, transition_entries
+from .walk import alpha, in_T, transition_entries, transition_matrix
 
 
 @dataclass
@@ -200,10 +200,7 @@ def mimicry_sweep(
     params = join_params(x, y, matrix)
     m = params.m
     times, lattice = _sweep_times(_lattice_base(params, matrix), 2, t_max, samples)
-    decomp = spectrum(x, matrix)
-    projectors = np.stack(decomp.projectors)
-    phases = np.exp(1j * np.outer(times, decomp.eigenvalues))
-    part_block = np.einsum("tk,kuv->tuv", phases, projectors)
+    part_block = transition_matrix(x, times, matrix)
     correction = alpha(params, times, matrix)[:, None, None]
     if matrix == "laplacian":
         join_block = np.exp(1j * params.n * times)[:, None, None] * (part_block + correction)

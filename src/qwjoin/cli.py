@@ -31,6 +31,7 @@ from .spectral import (
     join_params,
     join_support,
     spectrum,
+    strong_cospectral,
 )
 from .transfer import (
     APEXES,
@@ -45,7 +46,6 @@ from .transfer import (
     minimum_period,
     pst_certificate,
     self_join_analysis,
-    strong_cospectral,
     threshold_transfer_search,
 )
 from .bounds import bound_sweep, equality_condition

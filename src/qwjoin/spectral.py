@@ -1,9 +1,10 @@
 """Spectral decompositions, eigenvalue supports and the join rule.
 
 The eigensolver is LAPACK's symmetric solver (numpy.linalg.eigh). Repeated
-eigenvalues are grouped by gap so each distinct eigenvalue gets a single
-orthogonal projector. spectrum() decomposes a graph's matrix once and caches
-the result on the (immutable) graph.
+eigenvalues are grouped by gap, and each distinct eigenvalue keeps the
+orthonormal block of eigenvectors that spans its eigenspace. Supports and
+sign partitions read rows of those blocks. spectrum() decomposes a graph's
+matrix once and caches the result on the (immutable) graph.
 
 carry_join is the one place where a part's support or sign partition is
 carried across a join; carry_stage takes it across one stage of an
@@ -34,58 +35,69 @@ def graph_matrix(graph: WeightedGraph, kind: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Distinct eigenvalues (descending) with their orthogonal projectors.
+    """Distinct eigenvalues (descending) with an orthonormal eigenbasis of each.
 
-    The matrix and the projectors are read-only arrays, because spectrum()
-    hands one cached decomposition to every caller.
+    bases[i] is the n x multiplicities[i] block V_i of eigenvectors, whose
+    projector is V_i V_i^T. The matrix and the blocks are read-only arrays,
+    because spectrum() hands one cached decomposition to every caller.
     """
 
     matrix: np.ndarray
     eigenvalues: list[float]
     multiplicities: list[int]
-    projectors: list[np.ndarray]
+    bases: list[np.ndarray]
 
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
 
+    @property
+    def projectors(self) -> list[np.ndarray]:
+        """The read-only eigenprojector V_i V_i^T of each eigenvalue, formed on each access."""
+        out = [basis @ basis.T for basis in self.bases]
+        for proj in out:
+            proj.flags.writeable = False
+        return out
+
     def entry_vector(self, u: int, v: int) -> np.ndarray:
-        """The (u, v) entry of each projector, as one array."""
-        return np.array([proj[u, v] for proj in self.projectors])
+        """The (u, v) entry V_i[u] . V_i[v] of each projector, as one array."""
+        return np.array([np.dot(basis[u], basis[v]) for basis in self.bases])
 
 
 def decompose(matrix: np.ndarray) -> SpectralDecomposition:
-    mat = np.asarray(matrix, dtype=float)
+    mat = np.array(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("decompose expects a square matrix")
     if not np.all(np.isfinite(mat)):
         raise ValueError("decompose expects finite entries")
     scale = max(1.0, float(np.abs(mat).max()))
-    if float(np.abs(mat - mat.T).max()) > 1e-10 * scale:
-        raise ValueError("decompose expects a symmetric matrix")
-    mat = (mat + mat.T) / 2.0
+    with np.errstate(over="ignore"):  # an overflowing difference is asymmetry too
+        if float(np.abs(mat - mat.T).max()) > 1e-10 * scale:
+            raise ValueError("decompose expects a symmetric matrix")
+    if not np.array_equal(mat, mat.T):
+        # halve before adding: the sum of two entries near 1e308 overflows
+        mat = mat / 2.0 + mat.T / 2.0
     try:
         raw_vals, raw_vecs = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
         raise NumericError(
             f"the eigensolver failed ({exc}) on\n" + np.array2string(mat)
         ) from exc
-    raw_vals, raw_vecs = raw_vals[::-1], raw_vecs[:, ::-1]
-    gap = _GROUP_GAP_REL * scale
-    eigenvalues: list[float] = []
-    multiplicities: list[int] = []
-    projectors: list[np.ndarray] = []
-    start = 0
-    for i in range(1, len(raw_vals) + 1):
-        if i == len(raw_vals) or raw_vals[i - 1] - raw_vals[i] > gap:
-            block = raw_vecs[:, start:i]
-            eigenvalues.append(float(np.mean(raw_vals[start:i])))
-            multiplicities.append(i - start)
-            projectors.append(block @ block.T)
-            start = i
-    for array in (mat, *projectors):
+    raw_vals = raw_vals[::-1]
+    # C order: each block's rows are contiguous, so entry_vector's dots run in BLAS
+    vectors = np.ascontiguousarray(raw_vecs[:, ::-1])
+    for array in (mat, vectors):
         array.flags.writeable = False
-    return SpectralDecomposition(mat, eigenvalues, multiplicities, projectors)
+    # entries near the float range can give gaps and group means beyond it
+    with np.errstate(over="ignore", invalid="ignore"):
+        cuts = np.flatnonzero(raw_vals[:-1] - raw_vals[1:] > _GROUP_GAP_REL * scale) + 1
+        groups = list(zip([0, *cuts.tolist()], [*cuts.tolist(), len(raw_vals)]))
+        eigenvalues = [float(np.mean(raw_vals[a:b])) for a, b in groups]
+    if not (np.all(np.isfinite(eigenvalues)) and np.all(np.isfinite(vectors))):
+        raise ValueError("the matrix entries are too large: its eigenvalues leave the float range")
+    multiplicities = [b - a for a, b in groups]
+    bases = [vectors[:, a:b] for a, b in groups]
+    return SpectralDecomposition(mat, eigenvalues, multiplicities, bases)
 
 
 def spectrum(graph: WeightedGraph, kind: str) -> SpectralDecomposition:
@@ -97,25 +109,51 @@ def spectrum(graph: WeightedGraph, kind: str) -> SpectralDecomposition:
     return graph.cached(("spectrum", kind), lambda: decompose(graph_matrix(graph, kind)))
 
 
-def eigenvalue_support(
-    decomp: SpectralDecomposition, u: int, tol: float = SUPPORT_TOL
-) -> list[float]:
+def eigenvalue_support(decomp: SpectralDecomposition, u: int) -> list[float]:
     """Eigenvalues whose projector sees vertex u, in descending order."""
     if not 0 <= u < decomp.size:
         raise ValueError(f"vertex {u} out of range")
     return [
         lam
-        for lam, proj in zip(decomp.eigenvalues, decomp.projectors)
-        if float(np.linalg.norm(proj[:, u])) > tol
+        for lam, basis in zip(decomp.eigenvalues, decomp.bases)
+        if float(np.linalg.norm(basis[u])) > SUPPORT_TOL
     ]
 
 
-def _merge_close(values, tol: float = SUPPORT_TOL) -> list[float]:
+def strong_cospectral(decomp: SpectralDecomposition, u: int, v: int) -> SupportPartition | None:
+    """Sign partition of the common support, or None when the pair fails.
+
+    The pair is strongly cospectral exactly when every projector sends the
+    two vertex states to the same vector up to sign. Since
+    ||P_i(e_u -+ e_v)|| = ||V_i[u] -+ V_i[v]||, that reads rows u and v of
+    each eigenbasis.
+    """
+    if u == v:
+        raise ValueError("strong cospectrality concerns two distinct vertices")
+    if not (0 <= u < decomp.size and 0 <= v < decomp.size):
+        raise ValueError("vertex out of range")
+    plus: list[float] = []
+    minus: list[float] = []
+    for lam, basis in zip(decomp.eigenvalues, decomp.bases):
+        cu = basis[u]
+        cv = basis[v]
+        if np.linalg.norm(cu) <= SUPPORT_TOL and np.linalg.norm(cv) <= SUPPORT_TOL:
+            continue
+        if np.linalg.norm(cu - cv) <= SUPPORT_TOL:
+            plus.append(lam)
+        elif np.linalg.norm(cu + cv) <= SUPPORT_TOL:
+            minus.append(lam)
+        else:
+            return None
+    return SupportPartition(plus, minus)
+
+
+def _merge_close(values) -> list[float]:
     """Sort descending and merge values that agree within tolerance."""
     ordered = sorted((float(v) for v in values), reverse=True)
     out: list[float] = []
     for v in ordered:
-        if out and out[-1] - v <= tol * max(1.0, abs(v), abs(out[-1])):
+        if out and out[-1] - v <= SUPPORT_TOL * max(1.0, abs(v), abs(out[-1])):
             continue
         out.append(v)
     return out
@@ -125,8 +163,8 @@ def _close(a: float, b: float, tol: float = SUPPORT_TOL) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
-def _contains(values, x: float, tol: float = SUPPORT_TOL) -> bool:
-    return any(_close(v, x, tol) for v in values)
+def _contains(values, x: float) -> bool:
+    return any(_close(v, x) for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +243,6 @@ def carry_join(
     matrix: str,
     connected: bool,
     isolated_pair: bool = False,
-    tol: float = SUPPORT_TOL,
 ) -> SupportPartition | None:
     """The join rule: carry a left part's vertex support or pair partition into the join.
 
@@ -229,13 +266,13 @@ def carry_join(
         fresh = [params.lam_plus, params.lam_minus]
     if isolated_pair:
         return SupportPartition(fresh, [d + shift])
-    if part is None or any(_contains(part.minus, f - shift, tol) for f in fresh):
+    if part is None or any(_contains(part.minus, f - shift) for f in fresh):
         return None
-    plus = [lam + shift for lam in part.plus if not _close(lam, d, tol)] + fresh
+    plus = [lam + shift for lam in part.plus if not _close(lam, d)] + fresh
     if not connected:
         plus.append(d + shift)
     minus = [mu + shift for mu in part.minus]
-    return SupportPartition(_merge_close(plus, tol), _merge_close(minus, tol))
+    return SupportPartition(_merge_close(plus), _merge_close(minus))
 
 
 def join_support(
@@ -244,7 +281,6 @@ def join_support(
     u: int,
     matrix: str = "laplacian",
     side: str = "left",
-    tol: float = SUPPORT_TOL,
 ) -> list[float]:
     """Eigenvalue support of a join vertex, from one part's spectrum alone.
 
@@ -254,13 +290,13 @@ def join_support(
     """
     params = join_params(x, y, matrix)
     if side == "right":
-        return join_support(y, x, u, matrix=matrix, side="left", tol=tol)
+        return join_support(y, x, u, matrix=matrix, side="left")
     if side != "left":
         raise ValueError(f"unknown side {side!r}")
     if not 0 <= u < x.order:
         raise ValueError(f"vertex {u} out of range for the left part")
-    own = eigenvalue_support(spectrum(x, matrix), u, tol=tol)
-    return carry_join(SupportPartition(own, []), params, matrix, is_connected(x), tol=tol).plus
+    own = eigenvalue_support(spectrum(x, matrix), u)
+    return carry_join(SupportPartition(own, []), params, matrix, is_connected(x)).plus
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +309,6 @@ def carry_stage(
     graph: WeightedGraph,
     conn: Connective,
     isolated_pair: bool = False,
-    tol: float = SUPPORT_TOL,
 ) -> tuple[SupportPartition | None, int, bool] | None:
     """Carry a pair partition across one stage after its own part's.
 
@@ -290,7 +325,7 @@ def carry_stage(
     side_isolated = isolated_pair and order == 2
     if conn is Connective.JOIN and (carried is not None or side_isolated):
         params = JoinParams(order, graph.order)
-        carried = carry_join(carried, params, "laplacian", connected, side_isolated, tol)
+        carried = carry_join(carried, params, "laplacian", connected, side_isolated)
     if carried is None:
         return None
     return carried, order + graph.order, conn is Connective.JOIN
@@ -301,7 +336,6 @@ def carry_through_plan(
     j: int,
     own: SupportPartition | None,
     isolated_pair: bool = False,
-    tol: float = SUPPORT_TOL,
 ) -> SupportPartition | None:
     """Carry part j's Laplacian support or pair partition through the build.
 
@@ -315,10 +349,10 @@ def carry_through_plan(
     order = sum(g.order for g, _ in spec.parts[: j - 1])
     if conn is Connective.JOIN:
         params = JoinParams(graph.order, order)
-        own = carry_join(own, params, "laplacian", is_connected(graph), isolated_pair, tol)
+        own = carry_join(own, params, "laplacian", is_connected(graph), isolated_pair)
     state = (own, order + graph.order, is_connected(graph) if j == 1 else conn is Connective.JOIN)
     for graph, conn in spec.parts[j:]:
-        state = carry_stage(state, graph, conn, isolated_pair, tol)
+        state = carry_stage(state, graph, conn, isolated_pair)
         if state is None:
             return None
     return state[0]
@@ -329,7 +363,6 @@ def iterated_join_support(
     j: int,
     u: int,
     matrix: str = "laplacian",
-    tol: float = SUPPORT_TOL,
 ) -> list[float]:
     """Support of vertex u of part j in the iterated join, via the fold.
 
@@ -350,5 +383,5 @@ def iterated_join_support(
     part = parts[j - 1][0]
     if not 0 <= u < part.order:
         raise ValueError(f"vertex {u} out of range for part {j}")
-    own = eigenvalue_support(spectrum(part, "laplacian"), u, tol=tol)
-    return carry_through_plan(spec, j, SupportPartition(own, []), tol=tol).plus
+    own = eigenvalue_support(spectrum(part, "laplacian"), u)
+    return carry_through_plan(spec, j, SupportPartition(own, [])).plus

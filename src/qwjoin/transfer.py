@@ -60,7 +60,6 @@ from .graphs import (
     iterated_vertex,
 )
 from .spectral import (
-    SUPPORT_TOL,
     JoinParams,
     SpectralDecomposition,
     SupportPartition,
@@ -74,6 +73,7 @@ from .spectral import (
     join_params,
     join_support,
     spectrum,
+    strong_cospectral,
 )
 from .walk import krylov_entry, transition_entries
 
@@ -197,51 +197,21 @@ class InducedTransferReport:
 # ---------------------------------------------------------------------------
 
 
-def strong_cospectral(
-    decomp: SpectralDecomposition, u: int, v: int, tol: float = SUPPORT_TOL
-) -> SupportPartition | None:
-    """Sign partition of the common support, or None when the pair fails.
-
-    The pair is strongly cospectral exactly when every projector sends the
-    two vertex states to the same vector up to sign.
-    """
-    if u == v:
-        raise ValueError("strong cospectrality concerns two distinct vertices")
-    if not (0 <= u < decomp.size and 0 <= v < decomp.size):
-        raise ValueError("vertex out of range")
-    plus: list[float] = []
-    minus: list[float] = []
-    for lam, proj in zip(decomp.eigenvalues, decomp.projectors):
-        cu = proj[:, u]
-        cv = proj[:, v]
-        if np.linalg.norm(cu) <= tol and np.linalg.norm(cv) <= tol:
-            continue
-        if np.linalg.norm(cu - cv) <= tol:
-            plus.append(lam)
-        elif np.linalg.norm(cu + cv) <= tol:
-            minus.append(lam)
-        else:
-            return None
-    return SupportPartition(plus, minus)
-
-
-def pair_partition(
-    graph: WeightedGraph, matrix: str, u: int, v: int, tol: float = SUPPORT_TOL
-) -> SupportPartition | None:
+def pair_partition(graph: WeightedGraph, matrix: str, u: int, v: int) -> SupportPartition | None:
     """strong_cospectral on the graph's spectrum, computed once per pair.
 
     The result is cached on the graph next to its spectrum; each caller
     gets its own copy, so mutating one cannot change a later analysis.
     """
     part = graph.cached(
-        ("pair_partition", matrix, u, v, tol),
-        lambda: strong_cospectral(spectrum(graph, matrix), u, v, tol),
+        ("pair_partition", matrix, u, v),
+        lambda: strong_cospectral(spectrum(graph, matrix), u, v),
     )
     return None if part is None else SupportPartition(list(part.plus), list(part.minus))
 
 
 def _own_partition(
-    part: WeightedGraph, matrix: str, u: int, v: int, tol: float = SUPPORT_TOL
+    part: WeightedGraph, matrix: str, u: int, v: int
 ) -> tuple[SupportPartition | None, bool]:
     """(partition, isolated_pair) of a part's pair before any join carries it.
 
@@ -249,7 +219,7 @@ def _own_partition(
     own; its first join supplies one.
     """
     isolated_pair = part.order == 2 and not part.edges
-    return (None if isolated_pair else pair_partition(part, matrix, u, v, tol)), isolated_pair
+    return (None if isolated_pair else pair_partition(part, matrix, u, v)), isolated_pair
 
 
 def join_strong_cospectral(
@@ -258,7 +228,6 @@ def join_strong_cospectral(
     u: int,
     v: int,
     matrix: str = "laplacian",
-    tol: float = SUPPORT_TOL,
 ) -> SupportPartition | None:
     """Sign partition of a join pair, computed from one part's spectrum.
 
@@ -282,13 +251,13 @@ def join_strong_cospectral(
                 return SupportPartition([0.0], [2.0])
             a = x.loops.get(0, 0.0)
             b = y.loops.get(0, 0.0)
-            if _close(a, b, tol):
+            if _close(a, b):
                 return SupportPartition([a + 1.0], [a - 1.0])
         return None
     if u >= m:
-        return join_strong_cospectral(y, x, u - m, v - m, matrix=matrix, tol=tol)
-    own, isolated_pair = _own_partition(x, matrix, u, v, tol)
-    return carry_join(own, params, matrix, is_connected(x), isolated_pair, tol)
+        return join_strong_cospectral(y, x, u - m, v - m, matrix=matrix)
+    own, isolated_pair = _own_partition(x, matrix, u, v)
+    return carry_join(own, params, matrix, is_connected(x), isolated_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +316,8 @@ def _exact_min_period(values) -> tuple[Fraction, int] | None:
     return Fraction(2 * common, gcd_all(ints)), 1
 
 
-def is_periodic(decomp: SpectralDecomposition, u: int, tol: float = SUPPORT_TOL) -> bool:
-    return minimum_period(eigenvalue_support(decomp, u, tol)).periodic
+def is_periodic(decomp: SpectralDecomposition, u: int) -> bool:
+    return minimum_period(eigenvalue_support(decomp, u)).periodic
 
 
 def minimum_period(
@@ -742,15 +711,13 @@ def _certificate(
     )
 
 
-def pst_certificate(
-    decomp: SpectralDecomposition, u: int, v: int, tol: float = SUPPORT_TOL
-) -> PSTCertificate:
+def pst_certificate(decomp: SpectralDecomposition, u: int, v: int) -> PSTCertificate:
     """Transfer certificate for a vertex pair of a decomposed matrix.
 
     A positive verdict is confirmed on the walk itself at the certified
     time; disagreement raises InconsistencyError.
     """
-    return _pst_certificate(decomp, u, v, strong_cospectral(decomp, u, v, tol))
+    return _pst_certificate(decomp, u, v, strong_cospectral(decomp, u, v))
 
 
 def _pst_certificate(decomp, u: int, v: int, partition) -> PSTCertificate:
@@ -1361,7 +1328,7 @@ def self_join_analysis(
 
 
 def iterated_join_sign_partition(
-    spec: IteratedJoinSpec, j: int, u: int, v: int, tol: float = SUPPORT_TOL
+    spec: IteratedJoinSpec, j: int, u: int, v: int
 ) -> SupportPartition | None:
     """Sign partition of a same-part pair carried through the build stages.
 
@@ -1378,7 +1345,7 @@ def iterated_join_sign_partition(
     for graph, _ in parts:
         if graph.loops:
             raise PreconditionError("Laplacian join analysis requires simple parts")
-    return carry_through_plan(spec, j, *_own_partition(part, "laplacian", u, v, tol), tol)
+    return carry_through_plan(spec, j, *_own_partition(part, "laplacian", u, v))
 
 
 def iterated_join_analysis(

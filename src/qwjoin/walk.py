@@ -34,18 +34,22 @@ from .arith import nearest_integer
 from .graphs import WeightedGraph
 
 
-def transition_matrix(obj, t: float, matrix: str = "laplacian") -> np.ndarray:
-    """exp(itM) from a graph or a ready SpectralDecomposition."""
+def transition_matrix(obj, t, matrix: str = "laplacian") -> np.ndarray:
+    """exp(itM) from a graph or a ready SpectralDecomposition; broadcasts over array times.
+
+    It is V diag(e^{it lambda}) V^T, V the eigenbases side by side. An array
+    of times gives one matrix per time, stacked along the leading axes.
+    """
     if isinstance(obj, SpectralDecomposition):
         decomp = obj
     elif isinstance(obj, WeightedGraph):
         decomp = spectrum(obj, matrix)
     else:
         raise TypeError("expected a WeightedGraph or a SpectralDecomposition")
-    out = np.zeros_like(decomp.matrix, dtype=complex)
-    for lam, proj in zip(decomp.eigenvalues, decomp.projectors):
-        out += cmath.exp(1j * t * lam) * proj
-    return out
+    basis = np.hstack(decomp.bases)
+    lams = np.repeat(decomp.eigenvalues, decomp.multiplicities)
+    phases = np.exp(1j * np.multiply.outer(np.asarray(t, dtype=float), lams))
+    return (phases[..., None, :] * basis) @ basis.T
 
 
 def transition_entries(

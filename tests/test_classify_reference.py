@@ -37,6 +37,7 @@ from qwjoin.arith import (
     squarefree_part,
 )
 from qwjoin.spectral import SupportPartition, _merge_close, eigenvalue_support, spectrum
+from qwjoin.errors import IntegerOverflowError
 from qwjoin.transfer import SymbolicTime, _PatternOutcome
 
 
@@ -229,15 +230,29 @@ def outcome(fn, *args):
 
 
 def assert_same_classification(values, split: int = 0):
-    """All three functions agree with their references on values."""
+    """All three functions agree with their references on finite values.
+
+    A support with a value that is not finite classifies as nothing, where
+    the references read an infinite value as a b = 0 member of a quadratic
+    family (and a NaN beside 1e308 as a pair sum past 64 bits).
+    """
     values = list(values)
+    partition = SupportPartition(values[:split], values[split:])
+    if not all(math.isfinite(v) for v in values):
+        assert outcome(classify_eigenvalues, values) == ("returns", None), values
+        # the rational route still range-checks every finite value
+        big = any(math.isfinite(v) and abs(v) > INT64_MAX for v in values)
+        want = ("raises", IntegerOverflowError) if big else ("returns", None)
+        assert outcome(transfer._exact_min_period, values) == want, values
+        got = transfer._evaluate_pattern(partition)
+        assert not got.ok and got.eigenvalue_class is None, values
+        return
     assert outcome(classify_eigenvalues, values) == outcome(
         reference_classify_eigenvalues, values
     ), values
     assert outcome(transfer._exact_min_period, values) == outcome(
         reference_exact_min_period, values
     ), values
-    partition = SupportPartition(values[:split], values[split:])
     assert outcome(transfer._evaluate_pattern, partition) == outcome(
         reference_evaluate_pattern, partition
     ), (values, split)
@@ -322,6 +337,9 @@ def test_classification_matches_the_reference(values, offset, split):
 @settings(max_examples=100, deadline=None)
 @given(supports, st.floats(1e-12, 1e-3))
 def test_classify_matches_the_reference_at_other_tolerances(values, tol):
+    if not all(math.isfinite(v) for v in values):
+        assert classify_eigenvalues(values, tol) is None
+        return
     assert outcome(classify_eigenvalues, values, tol) == outcome(
         reference_classify_eigenvalues, values, tol
     )
@@ -353,8 +371,24 @@ def test_empty_and_invalid_inputs_raise_as_before():
     assert outcome(transfer._exact_min_period, []) == outcome(reference_exact_min_period, [])
     # values near 2**62: the integer pass refuses 2r beyond 64 bits, and the
     # overflow of a pair sum is raised before the family test
-    for values in ([2.0**62, 1.0], [0.5, 2.0**62 - 512], [0.5, 1e308], [math.nan, 1e308]):
+    for values in ([2.0**62, 1.0], [0.5, 2.0**62 - 512], [0.5, 1e308]):
         assert_same_classification(values)
+    # a NaN now makes the answer None before the search, which raised here
+    for values in ([math.nan, 1e308], [1e308, math.nan]):
+        assert_same_classification(values)
+    assert outcome(reference_classify_eigenvalues, [1e308, math.nan]) == (
+        "raises",
+        IntegerOverflowError,
+    )
+
+
+def test_values_that_are_not_finite_classify_as_nothing():
+    root = math.sqrt(2.0)
+    for bad in (math.inf, -math.inf, math.nan):
+        for values in ([bad, root, -root], [root, -root, bad], [bad], [bad, 1.0, 2.0]):
+            assert classify_eigenvalues(values) is None, values
+    # the former search read inf as the member b = 0 of the family a = 0, delta = 2
+    assert reference_classify_eigenvalues([math.inf, root, -root]) is not None
 
 
 # ---------------------------------------------------------------------------

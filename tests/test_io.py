@@ -317,6 +317,22 @@ def test_cli_integer_overflow_exit_code(tmp_path, capsys):
     assert "64-bit range" in capsys.readouterr().err
 
 
+def test_cli_eigenvalues_past_the_float_range_exit_2(tmp_path, capsys):
+    # the Laplacian's eigenvalue 2e308 overflows: no eigenvalue line is printed
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"order": 2, "edges": [[0, 1, 1e308]]}))
+    assert main(["analyze", "--graph", str(path), "--pair", "0", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "eigenvalues" not in captured.out
+    assert "too large" in captured.err
+    # the adjacency eigenvalues +-1e308 are representable and printed as such
+    argv = ["analyze", "--graph", str(path), "--pair", "0", "1", "--matrix", "adjacency"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "eigenvalues: 1e+308 (x1), -1e+308 (x1)" in captured.out
+    assert "64-bit range" in captured.err
+
+
 def test_cli_pair_checked_before_any_work(capsys):
     assert main(["analyze", "--family", "P 3", "--pair", "0", "5"]) == 2
     captured = capsys.readouterr()

@@ -1,3 +1,6 @@
+import itertools
+
+import networkx
 import numpy as np
 import pytest
 import scipy.linalg
@@ -20,6 +23,7 @@ from qwjoin import (
     iterated_vertex,
     join_pst,
     spectrum,
+    strong_cospectral,
     threshold_transfer_search,
 )
 from qwjoin import spectral
@@ -27,6 +31,7 @@ from qwjoin.cli import main
 from qwjoin.errors import NumericError, PreconditionError
 
 from conftest import (
+    oracle_strong_cospectral,
     oracle_support,
     random_circulant,
     random_simple,
@@ -59,18 +64,56 @@ def test_projector_algebra(order, seed):
     rng = np.random.default_rng(seed)
     a = symmetric(rng.normal(size=(order, order)))
     d = decompose(a)
+    # projectors are formed on each access, so bind them once: the loop
+    # below tells them apart by identity
+    projectors = d.projectors
     total = np.zeros_like(a)
     rebuilt = np.zeros_like(a)
-    for lam, proj in zip(d.eigenvalues, d.projectors):
+    for lam, proj in zip(d.eigenvalues, projectors):
         assert np.allclose(proj @ proj, proj, atol=1e-8)
         total += proj
         rebuilt += lam * proj
-    for p1 in d.projectors:
-        for p2 in d.projectors:
+    for p1 in projectors:
+        for p2 in projectors:
             if p1 is not p2:
                 assert np.allclose(p1 @ p2, 0.0, atol=1e-8)
     assert np.allclose(total, np.eye(order), atol=1e-8)
     assert np.allclose(rebuilt, a, atol=1e-7)
+
+
+def test_decomposition_holds_quadratic_memory_in_read_only_blocks():
+    # a random matrix has all eigenvalues distinct, so one dense projector
+    # per eigenvalue would hold order**3 floats
+    order = 300
+    a = symmetric(np.random.default_rng(300).normal(size=(order, order)))
+    d = decompose(a)
+    assert d.multiplicities == [1] * order
+    held = 0
+    for value in vars(d).values():
+        for array in value if isinstance(value, list) else [value]:
+            if isinstance(array, np.ndarray):
+                held += array.nbytes
+    assert held <= 3 * order * order * 8
+    assert [basis.shape for basis in d.bases] == [(order, 1)] * order
+    for basis in d.bases:
+        assert not basis.flags.writeable
+    with pytest.raises(ValueError):
+        d.bases[0][0, 0] = 1.0
+
+
+def test_decompose_symmetrizes_without_overflow():
+    # exactly symmetric input is kept bit for bit
+    a = graph_matrix(family("C", 5), "laplacian")
+    assert np.array_equal(decompose(a).matrix, a)
+    huge = np.array([[0.0, 1e308], [1e308, 0.0]])
+    d = decompose(huge)
+    assert d.eigenvalues == [1e308, -1e308]
+    # a nearly symmetric one is averaged, halves first
+    skew = decompose(np.array([[0.0, 1e308], [1e308 * (1 + 1e-12), 0.0]]))
+    assert skew.matrix[0, 1] == skew.matrix[1, 0] == 1e308 / 2 + 1e308 * (1 + 1e-12) / 2
+    # the Laplacian of that edge has the eigenvalue 2e308, past the float range
+    with pytest.raises(ValueError, match="too large"):
+        decompose(np.array([[1e308, -1e308], [-1e308, 1e308]]))
 
 
 def test_cycle_laplacian_decomposition():
@@ -161,6 +204,31 @@ def test_support_matches_oracle_on_random_graphs():
             d = decompose(m)
             for u in range(g.order):
                 assert sets_close(eigenvalue_support(d, u), oracle_support(m, u))
+
+
+def test_atlas_supports_and_sign_partitions_match_the_oracle():
+    # every graph on 2..6 vertices, weights 1 and 3, under both matrices
+    checks = 0
+    for g in networkx.graph_atlas_g():
+        order = g.number_of_nodes()
+        if not 2 <= order <= 6:
+            continue
+        for weight in (1.0, 3.0):
+            graph = WeightedGraph(order, [(a, b, weight) for a, b in g.edges()])
+            for matrix in ("laplacian", "adjacency"):
+                m = graph_matrix(graph, matrix)
+                d = decompose(m)
+                for u in range(order):
+                    assert sets_close(eigenvalue_support(d, u), oracle_support(m, u))
+                    checks += 1
+                for u, v in itertools.combinations(range(order), 2):
+                    got = strong_cospectral(d, u, v)
+                    want = oracle_strong_cospectral(m, u, v)
+                    assert (got is None) == (want is None), (g.edges(), weight, matrix, u, v)
+                    if got is not None:
+                        assert sets_close(got.plus, want[0]) and sets_close(got.minus, want[1])
+                    checks += 1
+    assert checks > 15000
 
 
 def test_join_params_laplacian():
