@@ -10,7 +10,9 @@ A JoinTree keeps a join or union as structure instead of an edge list: it
 multiplies by the built graph's matrix without building it, at the cost of
 the parts' edges plus the order. Graphs and trees share one product
 kernel over edge arrays; a tree concatenates its leaves' arrays into one
-set on its first product.
+set on its first product. Seen from one vertex, the rest of a join acts
+through all-ones blocks only, so a tree also gives the equitable quotient
+at that vertex, whose order is the vertex's part plus the nesting depth.
 """
 
 from __future__ import annotations
@@ -395,6 +397,75 @@ def disjoint_union(x: WeightedGraph, y: WeightedGraph) -> WeightedGraph:
     return JoinTree(Connective.UNION, (x, y)).build()
 
 
+# The largest quotient JoinTree._quotient returns; above it the dense
+# product B @ x costs more than the tree's own on sparse parts. Measured
+# with krylov_entry at t = pi/2 on an Intel Xeon (one BLAS thread): Q8 v O4
+# (quotient order 257) 0.40 ms against 0.57 ms on the tree, Q9 v O4 (order
+# 513) 1.25 ms against 0.86 ms, and C256 v O4 (order 257, Krylov dimension
+# 130) 26.6 ms against 25.0 ms.
+QUOTIENT_MAX_ORDER = 256
+
+
+@dataclass(frozen=True, eq=False)
+class _Quotient:
+    """A tree's symmetrized equitable quotient at a vertex, and where its cells lie.
+
+    Cells 0..l-1 are the vertices of the leaf that starts at vertex leaf;
+    cell l + i holds the other children of the i-th ancestor, root first,
+    which spans the vertices lo..hi-1 and whose cell has size vertices.
+    """
+
+    matrix: np.ndarray
+    leaf: int
+    ancestors: tuple[tuple[int, int, int], ...]  # (lo, hi, size), root first
+
+    def cell(self, v: int) -> tuple[int, int]:
+        """The index and the size of the cell that holds vertex v."""
+        l = len(self.matrix) - len(self.ancestors)
+        if self.leaf <= v < self.leaf + l:
+            return v - self.leaf, 1
+        for i in range(len(self.ancestors) - 1, -1, -1):  # the deepest range holding v
+            lo, hi, size = self.ancestors[i]
+            if lo <= v < hi:
+                return l + i, size
+        raise ValueError(f"vertex {v} is outside the tree")
+
+
+def _common(values) -> float | None:
+    """The one value all of values share, or None if they differ or one is None."""
+    first = values[0]
+    if first is None or any(x != first for x in values):
+        return None
+    return first
+
+
+def _row_sum(root, known: dict) -> float | None:
+    """The common adjacency row sum of a graph or tree, None when its rows differ.
+
+    A join child of order n and row sum k has row sum k + (N - n) in its
+    parent of order N; a union child keeps k. Sums are compared exactly.
+    known maps id(node) to the sums found so far; the walk keeps its own
+    stack, since iterated plans nest one level per part.
+    """
+    pending = [(root, False)]
+    while pending:
+        node, ready = pending.pop()
+        if id(node) in known:
+            continue
+        if isinstance(node, WeightedGraph):
+            sums = node._edge_arrays().apply(np.ones(node.order), False)
+            known[id(node)] = float(sums[0]) if (sums == sums[0]).all() else None
+        elif ready:
+            sums = [known[id(c)] for c in node.children]
+            if node.connective is Connective.JOIN and None not in sums:
+                sums = [k + (node.order - c.order) for k, c in zip(sums, node.children)]
+            known[id(node)] = _common(sums)
+        else:
+            pending.append((node, True))
+            pending.extend((c, False) for c in node.children)
+    return known[id(root)]
+
+
 @dataclass(frozen=True, eq=False)
 class JoinTree:
     """A join or disjoint union of parts, kept as structure, not as edges.
@@ -404,11 +475,13 @@ class JoinTree:
     JoinTree(Connective.JOIN, (x, y)) stands for join(x, y) and
     JoinTree(Connective.JOIN, (x,) * r) for self_join(x, r). matvec
     multiplies by the built graph's matrix in O(leaf edges + order); build
-    materializes the graph.
+    materializes the graph; _quotient(u, kind) gives the small equitable
+    quotient at u that krylov_entry multiplies instead, when there is one.
 
     The first product compiles the tree (its leaves' arrays, concatenated at
     their offsets, and its join nodes); the compiled form lives and dies
-    with the tree, and a tree that is never multiplied never compiles.
+    with the tree, and a tree that is never multiplied never compiles, so
+    a walk entry read from the quotient compiles nothing.
     """
 
     connective: Connective
@@ -530,6 +603,91 @@ class JoinTree:
             return out
 
         return product
+
+    def _quotient(self, u: int, kind: str) -> _Quotient | None:
+        """The symmetrized equitable quotient of the tree's matrix at vertex u, or None.
+
+        The cells are the vertices of u's leaf, one each, and for every
+        ancestor of that leaf the ancestor's other children. Every vertex of
+        such a cell sees each other cell through all-ones blocks only: under
+        a join it is adjacent to all of a cell deeper than its own, and to
+        all of the ones whose ancestor is a join above it. So the partition
+        is equitable, and the walk from e_u stays constant on every cell.
+        With P the cells' normalized indicators, B = P^T M P couples leaf
+        and cell sizes s_a, s_b by -+sqrt(s_a) and -+sqrt(s_a s_b) under a
+        join (minus for the Laplacian) and not at all under a union, and
+        exp(itM)[v, u] = exp(itB)[cell(v), cell(u)] / sqrt(|cell(v)|).
+
+        It reads the orders and the leaf's edge arrays; under the adjacency
+        matrix the other children must also be regular, with one row sum per
+        cell, since a cell's own row sum is its diagonal. The kind, and
+        loops under the Laplacian anywhere in the tree, are checked first,
+        as the tree's own product checks them. None when the quotient's
+        order would exceed QUOTIENT_MAX_ORDER or a cell is not regular.
+        """
+        if kind not in ("adjacency", "laplacian"):
+            raise ValueError(f"unknown matrix kind {kind!r}")
+        laplacian = kind == "laplacian"
+        if laplacian and any(leaf.loops for leaf in self._leaves()):
+            raise PreconditionError("the Laplacian is defined here for simple graphs only")
+        path = []  # (ancestor, its first vertex, index of the child holding u)
+        node, lo = self, 0
+        while isinstance(node, JoinTree):
+            at = lo
+            for index, child in enumerate(node.children):
+                if u < at + child.order:
+                    break
+                at += child.order
+            path.append((node, lo, index))
+            node, lo = child, at
+        leaf, l = node, node.order
+        q = l + len(path)
+        if q > QUOTIENT_MAX_ORDER:
+            return None
+        sizes = [a.order - a.children[i].order for a, _, i in path]
+        roots = np.sqrt(sizes)
+        sign = -1.0 if laplacian else 1.0
+        arrays = leaf._edge_arrays()
+        b = np.zeros((q, q))
+        b[arrays.rows, arrays.cols] = b[arrays.cols, arrays.rows] = sign * arrays.weights
+        b[arrays.loop_at, arrays.loop_at] = arrays.loop_weights  # none under the Laplacian
+        seen = 0  # under the Laplacian, what a cell sees of the joins above it
+        known: dict = {}
+        for i, (ancestor, _, index) in enumerate(path):
+            c = l + i
+            joined = ancestor.connective is Connective.JOIN
+            if joined:  # all of the leaf and of every deeper cell
+                b[c, :l] = b[:l, c] = sign * roots[i]
+                b[c, c + 1:] = b[c + 1:, c] = sign * roots[i] * roots[i + 1:]
+            if laplacian:
+                b[c, c] = seen + joined * ancestor.children[index].order
+                seen += joined * sizes[i]
+                continue
+            others = ancestor.children[:index] + ancestor.children[index + 1:]
+            sums = [_row_sum(child, known) for child in others]
+            if joined and None not in sums:
+                sums = [k + (sizes[i] - child.order) for k, child in zip(sums, others)]
+            b[c, c] = inner = _common(sums)
+            if inner is None:
+                return None
+        if laplacian:
+            b.flat[: l * (q + 1) : q + 1] = arrays.degrees + seen
+        ancestors = tuple((at, at + a.order, s) for (a, at, _), s in zip(path, sizes))
+        return _Quotient(b, lo, ancestors)
+
+    def _leaves(self):
+        """Each distinct leaf graph once, however often the tree repeats it."""
+        seen: set[int] = set()
+        pending: list = [self]
+        while pending:
+            node = pending.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if isinstance(node, WeightedGraph):
+                yield node
+            else:
+                pending.extend(node.children)
 
     def matvec(self, x: np.ndarray, kind: str) -> np.ndarray:
         """The built graph's adjacency or Laplacian matrix times the real vector x.

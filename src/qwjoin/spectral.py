@@ -92,12 +92,21 @@ def decompose(matrix: np.ndarray) -> SpectralDecomposition:
     with np.errstate(over="ignore", invalid="ignore"):
         cuts = np.flatnonzero(raw_vals[:-1] - raw_vals[1:] > _GROUP_GAP_REL * scale) + 1
         groups = list(zip([0, *cuts.tolist()], [*cuts.tolist(), len(raw_vals)]))
-        eigenvalues = [float(np.mean(raw_vals[a:b])) for a, b in groups]
+        eigenvalues = [_group_mean(raw_vals[a:b]) for a, b in groups]
     if not (np.all(np.isfinite(eigenvalues)) and np.all(np.isfinite(vectors))):
         raise ValueError("the matrix entries are too large: its eigenvalues leave the float range")
     multiplicities = [b - a for a, b in groups]
     bases = [vectors[:, a:b] for a, b in groups]
     return SpectralDecomposition(mat, eigenvalues, multiplicities, bases)
+
+
+def _group_mean(values: np.ndarray) -> float:
+    """np.mean of a group of eigenvalues, or twice the mean of their halves
+    when only the sum overflows (finite values whose np.mean is not)."""
+    mean = float(np.mean(values))
+    if not math.isfinite(mean) and np.isfinite(values).all():
+        mean = 2.0 * float(np.mean(values / 2.0))
+    return mean
 
 
 def spectrum(graph: WeightedGraph, kind: str) -> SpectralDecomposition:

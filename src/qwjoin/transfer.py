@@ -21,11 +21,14 @@ exp(itA) = exp(itK) exp(-itL) with L = KI - A (Godsil, "State transfer on
 graphs", 2012), so the adjacency tree is the Laplacian one run on k - theta.
 
 The walk check (_confirm_transfer) never builds the join either: it runs
-Lanczos from e_u on a JoinTree, whose products cost the parts' edges plus
-the order, and exponentiates the small tridiagonal matrix with a series,
-so it shares no eigensolver with the certificate it checks. Only
-verify="full" builds the joined graph, once, to diagonalize it, and only up
-to order FULL_VERIFY_MAX_ORDER.
+Lanczos from e_u on the JoinTree's equitable quotient at u, a dense matrix
+of order |part| + depth built from the orders and the part's edges, or,
+above graphs.QUOTIENT_MAX_ORDER, on the tree's own product, which costs
+the parts' edges plus the order. It exponentiates the small tridiagonal
+matrix with a series, so it shares no eigensolver with the certificate it
+checks and reads none of the parts' matrices. Only verify="full" builds
+the joined graph, once, to diagonalize it, and only up to order
+FULL_VERIFY_MAX_ORDER.
 """
 
 from __future__ import annotations
@@ -895,9 +898,11 @@ def _confirm_transfer(
 
     u and v index the tree. With verify="numeric" or "full", a positive
     verdict must reach |exp(itM)[v, u]| >= 1 - 1e-6 at the certified time,
-    computed by krylov_entry on the tree; the magnitude becomes the
-    confirmation and the route, Krylov dimension and error bound go into
-    details. verify="full" also diagonalizes the built graph and compares
+    computed by krylov_entry on the tree (on its equitable quotient at u
+    when that is small enough, else on the whole tree); the magnitude
+    becomes the confirmation, and the route, the Krylov dimension, the
+    error bound and the operator ("quotient" or "tree") with its order go
+    into details. verify="full" also diagonalizes the built graph and compares
     the verdict, the time and the sign partition; above
     FULL_VERIFY_MAX_ORDER it raises PreconditionError before any work. Any
     disagreement raises InconsistencyError.
@@ -922,6 +927,8 @@ def _confirm_transfer(
                 "confirmation_route": "lanczos",
                 "krylov_dimension": entry.dimension,
                 "krylov_bound": entry.bound,
+                "krylov_operator": entry.operator,
+                "krylov_operator_order": entry.operator_order,
             },
         )
     if verify == "full":

@@ -7,12 +7,16 @@ carried entirely by the orders (Laplacian) or the regularity data
 (adjacency).
 
 krylov_entry computes one walk entry exp(itM)[v, u] independently of any
-eigensolver: Lanczos from e_u on an operator that only multiplies (a graph
-or a JoinTree, so the join is never built), then unitary_exp on the small
-tridiagonal matrix Lanczos produces. unitary_exp scales and squares a
-Taylor polynomial whose degree and squaring count follow in advance from
-the norm, evaluated by Paterson-Stockmeyer, so it uses matrix products
-only: no eigensolver and no linear solve.
+eigensolver: Lanczos from e_u on an operator that only multiplies, then
+unitary_exp on the small tridiagonal matrix Lanczos produces. On a
+JoinTree the operator is the join's equitable quotient at u, a dense
+matrix of order |leaf of u| + depth, when that order is at most
+graphs.QUOTIENT_MAX_ORDER (and, under the adjacency matrix, every cell is
+regular); otherwise it is the tree's own product. Either way the join is
+never built. unitary_exp scales and squares a Taylor polynomial whose
+degree and squaring count follow in advance from the norm, evaluated by
+Paterson-Stockmeyer, so it uses matrix products only: no eigensolver and
+no linear solve.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .spectral import (
     spectrum,
 )
 from .arith import nearest_integer
-from .graphs import WeightedGraph
+from .graphs import JoinTree, WeightedGraph
 
 
 def transition_matrix(obj, t, matrix: str = "laplacian") -> np.ndarray:
@@ -106,9 +110,10 @@ def unitary_exp(matrix: np.ndarray, t: float) -> np.ndarray:
     theta / 2^s within its radius, so the truncated tail is below unit
     roundoff and small norms take a low degree. The polynomial in
     A = itM / 2^s is evaluated by Paterson and Stockmeyer (SIAM J. Comput.
-    2, 1973): the powers A^2..A^p, all blocks B_j(A) in one product with
-    the coefficient table, then Horner's rule in A^p, so p + q - 2 matrix
-    products with p = ceil(sqrt(d)) and q = ceil(d / p), then s squarings.
+    2, 1973): the powers A^2..A^p, then Horner's rule in A^p, forming each
+    block B_j(A) from the powers only when it is added, so p + q - 2 matrix
+    products with p = ceil(sqrt(d)) and q = ceil(d / p), then s squarings,
+    and at most p + 4 matrices of the order held at once.
     Only matrix products are used, no solve and no eigensolver, so closed
     forms can be checked against an independently computed matrix;
     krylov_entry uses it on the small Lanczos tridiagonal. A matrix with a
@@ -134,11 +139,11 @@ def unitary_exp(matrix: np.ndarray, t: float) -> np.ndarray:
     np.multiply(m, 1j * float(t) * math.ldexp(1.0, -squarings), out=powers[1])
     for k in range(2, p + 1):
         np.matmul(powers[k - 1], powers[1], out=powers[k])
-    terms = (blocks @ powers.reshape(p + 1, n * n)).reshape(q, n, n)
-    out = terms[q - 1]
-    for j in range(q - 2, -1, -1):
+    flat = powers.reshape(p + 1, n * n)
+    out = (blocks[q - 1] @ flat).reshape(n, n)
+    for j in range(q - 2, -1, -1):  # each block B_j(A) is formed when Horner needs it
         out = out @ powers[p]
-        out += terms[j]
+        out += (blocks[j] @ flat).reshape(n, n)
     for _ in range(squarings):
         out = out @ out
     return out
@@ -149,26 +154,37 @@ KRYLOV_TOL = 1e-10
 
 @dataclass(frozen=True)
 class KrylovEntry:
-    """A walk entry from a Krylov space, with its dimension and error bound."""
+    """A walk entry from a Krylov space, with its dimension and error bound.
+
+    operator names what Lanczos multiplied: "quotient" for a JoinTree's
+    equitable quotient, "tree" for a JoinTree's own product, "graph" for any
+    other operator; operator_order is that operator's order.
+    """
 
     value: complex
     dimension: int
     bound: float
+    operator: str
+    operator_order: int
 
 
 def krylov_entry(operator, u: int, v: int, t: float, kind: str = "laplacian") -> KrylovEntry:
     """exp(itM)[v, u] by Lanczos from e_u with full reorthogonalization.
 
     operator has an order and a matvec(x, kind), like WeightedGraph and
-    JoinTree; M is never formed. A graph or a tree checks kind (and, for
-    the Laplacian, the absence of loops) once per call, through its
-    _multiplier(kind), and then multiplies each Lanczos vector without
-    checking it again; any other operator is called through matvec. After
-    k steps, with T the k x k Lanczos tridiagonal and beta the next
-    off-diagonal, the error of V exp(itT) e_1 is at most |t| * beta, so
-    the iteration stops once that bound is below KRYLOV_TOL, or when k
-    reaches the order (the Krylov space is then the whole space, so the
-    result is exact). In exact arithmetic beta vanishes after as many
+    JoinTree; M is never formed. A tree first offers its equitable
+    quotient at u (JoinTree._quotient): Lanczos then multiplies that small
+    dense matrix B, starts from u's cell, and reads v's cell with the scale
+    1/sqrt(|cell|), since exp(itM)e_u is constant on each cell. Without a
+    quotient, a graph or a tree checks kind (and, for the Laplacian, the
+    absence of loops) once per call, through its _multiplier(kind), and
+    then multiplies each Lanczos vector without checking it again; any
+    other operator is called through matvec. After k steps, with T the
+    k x k Lanczos tridiagonal and beta the next off-diagonal, the error of
+    V exp(itT) e_1 is at most |t| * beta, so the iteration stops once that
+    bound is below KRYLOV_TOL, or when k reaches the order of what is
+    multiplied (the Krylov space is then the whole space, so the result
+    is exact). In exact arithmetic beta vanishes after as many
     steps as there are eigenvalues in the support of u. exp(itT) comes
     from unitary_exp, so no eigensolver is involved. The Lanczos vectors
     are the rows of one preallocated array that doubles when full, so a
@@ -178,13 +194,21 @@ def krylov_entry(operator, u: int, v: int, t: float, kind: str = "laplacian") ->
     n = operator.order
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError(f"vertex out of range for order {n}")
-    if hasattr(operator, "_multiplier"):
+    label = "tree" if isinstance(operator, JoinTree) else "graph"
+    quotient = operator._quotient(u, kind) if label == "tree" else None
+    start, target, scale = u, v, 1.0
+    if quotient is not None:
+        label, multiply, n = "quotient", quotient.matrix.__matmul__, len(quotient.matrix)
+        start = quotient.cell(u)[0]
+        target, size = quotient.cell(v)
+        scale = 1.0 / math.sqrt(size)
+    elif hasattr(operator, "_multiplier"):
         multiply = operator._multiplier(kind)
     else:
         def multiply(x):
             return operator.matvec(x, kind)
     basis = np.zeros((min(n, 4), n))  # rows q_0..q_{k-1}; doubles when full
-    basis[0, u] = 1.0
+    basis[0, start] = 1.0
     k = 1
     alphas: list[float] = []
     betas: list[float] = []
@@ -214,10 +238,10 @@ def krylov_entry(operator, u: int, v: int, t: float, kind: str = "laplacian") ->
     tri.flat[1 :: k + 1] = betas
     tri.flat[k :: k + 1] = betas
     phases = unitary_exp(tri, t)[:, 0]
-    value = complex(np.ascontiguousarray(basis[:k, v]) @ phases)
+    value = complex(np.ascontiguousarray(basis[:k, target]) @ phases) * scale
     if not cmath.isfinite(value):
         raise NumericError(f"the Krylov walk entry ({u}, {v}) at t = {t} is not finite")
-    return KrylovEntry(value, k, bound)
+    return KrylovEntry(value, k, bound, label, n)
 
 
 # ---------------------------------------------------------------------------

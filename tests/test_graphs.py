@@ -1,9 +1,11 @@
 import functools
 import inspect
+import math
 import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 from qwjoin import (
@@ -19,12 +21,16 @@ from qwjoin import (
     iterated_tree,
     iterated_vertex,
     join,
+    join_pst,
+    krylov_entry,
     parse_iterated_spec,
     self_join,
     self_join_analysis,
 )
+import qwjoin.graphs as graphs_module
+import qwjoin.transfer as transfer_module
 from qwjoin.errors import PreconditionError
-from qwjoin.graphs import Connective, IteratedJoinSpec, JoinTree, _EdgeArrays
+from qwjoin.graphs import QUOTIENT_MAX_ORDER, Connective, IteratedJoinSpec, JoinTree, _EdgeArrays
 
 from conftest import random_simple, random_weighted
 
@@ -348,10 +354,26 @@ def _leaves(draw, loops: bool):
     )
 
 
+@st.composite
+def _regular_leaves(draw, loops: bool):
+    """Edgeless, cycles and complete graphs of one weight, with equal loops under loops."""
+    order = draw(st.integers(1, 4))
+    weight = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    shape = draw(st.sampled_from(["O", "C", "K"] if order >= 3 else ["O", "K"]))
+    if shape == "O":
+        edges = []
+    elif shape == "C":
+        edges = [(i, (i + 1) % order, weight) for i in range(order)]
+    else:
+        edges = [(u, v, weight) for u in range(order) for v in range(u + 1, order)]
+    loop = draw(st.sampled_from([None, -2.0, 0.5])) if loops else None
+    return WeightedGraph(order, edges, [] if loop is None else [(v, loop) for v in range(order)])
+
+
 def _trees(loops: bool):
     connective = st.sampled_from(list(Connective))
     nodes = st.recursive(
-        _leaves(loops),
+        st.one_of(_leaves(loops), _regular_leaves(loops)),
         lambda inner: st.one_of(
             st.builds(lambda c, kids: JoinTree(c, tuple(kids)), connective,
                       st.lists(inner, min_size=2, max_size=3)),
@@ -529,3 +551,97 @@ def test_build_of_a_plan_nested_past_a_lowered_recursion_limit():
     # the same joins in the same order, so the same edges in the same order
     assert list(built.edges.items()) == list(want.edges.items())
     assert cert == iterated_join_analysis(stem, 1, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# Krylov entries on a tree's equitable quotient
+# ---------------------------------------------------------------------------
+
+
+class _WholeTree:
+    """A tree seen only through its order and matvec, so Lanczos runs on the whole tree."""
+
+    def __init__(self, tree):
+        self.order = tree.order
+        self.matvec = tree.matvec
+
+
+@settings(deadline=None)
+@given(_KIND_AND_TREE, st.sampled_from([0.3, math.pi / 2, 2.9]))
+def test_quotient_entries_match_scipy_and_the_whole_tree_dimension(kind_and_tree, t):
+    kind, tree = kind_and_tree
+    assume(tree.order <= 16)
+    exact = scipy.linalg.expm(1j * t * _dense(tree.build(), kind))
+    whole = _WholeTree(tree)
+    for u in range(tree.order):
+        dimension = krylov_entry(whole, u, u, t, kind).dimension
+        for v in range(tree.order):
+            entry = krylov_entry(tree, u, v, t, kind)
+            assert abs(entry.value - exact[v, u]) <= 1e-9
+            assert entry.dimension == dimension
+            if kind == "laplacian":
+                assert entry.operator == "quotient" and entry.operator_order <= tree.order
+
+
+def test_an_irregular_sibling_under_the_adjacency_takes_the_tree_route():
+    # P3 is not regular, so the cell it forms has no one row sum
+    tree = JoinTree(Connective.JOIN, (family("C", 4), family("P", 3)))
+    exact = scipy.linalg.expm(1j * 0.8 * _dense(tree.build(), "adjacency"))
+    entry = krylov_entry(tree, 0, 2, 0.8, "adjacency")
+    assert "_compiled" in vars(tree)
+    assert (entry.operator, entry.operator_order) == ("tree", 7)
+    assert abs(entry.value - exact[2, 0]) <= 1e-9
+    # from P3's side the other cell is C4, which is regular
+    fresh = JoinTree(Connective.JOIN, (family("C", 4), family("P", 3)))
+    entry = krylov_entry(fresh, 4, 6, 0.8, "adjacency")
+    assert "_compiled" not in vars(fresh)
+    assert (entry.operator, entry.operator_order) == ("quotient", 4)
+    assert abs(entry.value - exact[6, 4]) <= 1e-9
+
+
+def test_a_double_cone_over_four_million_vertices_stays_uncompiled():
+    tree = JoinTree(Connective.JOIN, (family("O", 2), family("O", 4_000_000)))
+    entry = krylov_entry(tree, 0, 1, math.pi / 2, "laplacian")
+    assert "_compiled" not in vars(tree)
+    assert (entry.operator, entry.operator_order, entry.dimension) == ("quotient", 3, 3)
+    # |U(pi/2)[1, 0]| = n / (n + 2) for n = 0 modulo 4: no transfer. Both
+    # routes read 1 - 5.000866e-7 (the whole tree's, in 0.8 s: 1 -
+    # 5.000866008e-7), 8.7e-11 from 2 / (n + 2): the phase t n = 6.3e6 alone
+    # is rounded to about 1e-9 in the exponential of the tridiagonal
+    assert abs((1 - abs(entry.value)) - 5.000866e-7) <= 1e-12
+    assert abs(abs(entry.value) - 4_000_000 / 4_000_002) <= 1e-9
+
+
+def test_the_quotient_keeps_the_tree_preconditions():
+    looped = JoinTree(Connective.JOIN, (family("C", 4), family("O_loops", 2, 1.0)))
+    with pytest.raises(PreconditionError, match="simple graphs only"):
+        krylov_entry(looped, 0, 2, 1.0, "laplacian")
+    with pytest.raises(ValueError, match="unknown matrix kind"):
+        krylov_entry(looped, 0, 2, 1.0, "signless")
+    for u, v in ((0, 6), (6, 0), (-1, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            krylov_entry(looped, u, v, 1.0, "adjacency")
+
+
+@pytest.mark.parametrize("cap", [QUOTIENT_MAX_ORDER, 0], ids=["quotient", "tree"])
+def test_confirmation_reads_no_matrix_and_no_eigensolver(monkeypatch, cap):
+    x, y = family("O", 2), family("C", 6)
+    cert = join_pst(x, y, 0, 1, verify="none")
+    assert cert.pst
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the confirmation must not read this")
+
+    monkeypatch.setattr(graphs_module, "QUOTIENT_MAX_ORDER", cap)
+    monkeypatch.setattr(WeightedGraph, "laplacian", forbidden)
+    monkeypatch.setattr(WeightedGraph, "adjacency", forbidden)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(transfer_module, "spectrum", forbidden)
+    monkeypatch.setattr(transfer_module, "carry_join", forbidden)
+    confirmed = transfer_module._confirm_transfer(
+        JoinTree(Connective.JOIN, (x, y)), 0, 1, "numeric", cert, "join"
+    )
+    assert confirmed.confirmation >= 1 - 1e-9
+    operator = "quotient" if cap else "tree"
+    assert confirmed.details["krylov_operator"] == operator
+    assert confirmed.details["krylov_operator_order"] == (3 if cap else 8)

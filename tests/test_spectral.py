@@ -116,6 +116,12 @@ def test_decompose_symmetrizes_without_overflow():
         decompose(np.array([[1e308, -1e308], [-1e308, 1e308]]))
 
 
+def test_decompose_keeps_a_repeated_eigenvalue_whose_sum_overflows():
+    # the group's np.mean overflows; the mean of its halves does not
+    d = decompose(np.diag([1e308, 1e308]))
+    assert d.eigenvalues == [1e308] and d.multiplicities == [2]
+
+
 def test_cycle_laplacian_decomposition():
     d = decompose(graph_matrix(family("C", 4), "laplacian"))
     assert np.allclose(d.eigenvalues, [4.0, 2.0, 0.0], atol=1e-9)
