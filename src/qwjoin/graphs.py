@@ -667,9 +667,10 @@ class JoinTree:
             sums = [_row_sum(child, known) for child in others]
             if joined and None not in sums:
                 sums = [k + (sizes[i] - child.order) for k, child in zip(sums, others)]
-            b[c, c] = inner = _common(sums)
+            inner = _common(sums)
             if inner is None:
                 return None
+            b[c, c] = inner
         if laplacian:
             b.flat[: l * (q + 1) : q + 1] = arrays.degrees + seen
         ancestors = tuple((at, at + a.order, s) for (a, at, _), s in zip(path, sizes))
