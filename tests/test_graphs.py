@@ -605,9 +605,9 @@ def test_a_double_cone_over_four_million_vertices_stays_uncompiled():
     assert "_compiled" not in vars(tree)
     assert (entry.operator, entry.operator_order, entry.dimension) == ("quotient", 3, 3)
     # |U(pi/2)[1, 0]| = n / (n + 2) for n = 0 modulo 4: no transfer. Both
-    # routes read 1 - 5.000866e-7 (the whole tree's, in 0.8 s: 1 -
-    # 5.000866008e-7), 8.7e-11 from 2 / (n + 2): the phase t n = 6.3e6 alone
-    # is rounded to about 1e-9 in the exponential of the tridiagonal
+    # routes read 1 - 5.000866e-7 (the whole tree's: 1 - 5.000866008e-7),
+    # 8.7e-11 from 2 / (n + 2): the phase t n = 6.3e6 alone is rounded to
+    # about 1e-9 in the exponential of the tridiagonal
     assert abs((1 - abs(entry.value)) - 5.000866e-7) <= 1e-12
     assert abs(abs(entry.value) - 4_000_000 / 4_000_002) <= 1e-9
 
