@@ -20,14 +20,15 @@ adjacency joins, self-joins among them: on a K-regular graph
 exp(itA) = exp(itK) exp(-itL) with L = KI - A (Godsil, "State transfer on
 graphs", 2012), so the adjacency tree is the Laplacian one run on k - theta.
 
-The walk check (_confirm_transfer) never builds the join either: it runs
-Lanczos from e_u on the JoinTree's equitable quotient at u, a dense matrix
-of order |part| + depth built from the orders and the part's edges, or,
-above graphs.QUOTIENT_MAX_ORDER, on the tree's own product, which costs
-the parts' edges plus the order. It exponentiates the small tridiagonal
-matrix with a series, so it shares no eigensolver with the certificate it
-checks and reads none of the parts' matrices. Only verify="full" builds
-the joined graph, once, to diagonalize it, and only up to order
+The walk check (_confirm_transfer) never builds the join either: it works
+on the JoinTree's equitable quotient at u, a dense matrix of order
+|part| + depth built from the orders and the part's edges, exponentiated
+whole up to walk.WHOLE_QUOTIENT_MAX_ORDER and through Lanczos from e_u
+above it, or, above graphs.QUOTIENT_MAX_ORDER, runs Lanczos on the tree's
+own product, which costs the parts' edges plus the order. It exponentiates
+with a series, so it shares no eigensolver with the certificate it checks
+and reads none of the parts' matrices. Only verify="full" builds the
+joined graph, once, to diagonalize it, and only up to order
 FULL_VERIFY_MAX_ORDER.
 """
 
@@ -834,14 +835,22 @@ def _join_certificate(
         regular, square = True, True
         odd = "an odd join order" if (m + n) % 2 else None
     else:
-        disc = _integer_discriminant(params)
-        if disc is None:
-            raise PreconditionError("adjacency transfer analysis needs integer regular degrees")
-        k, ell, d, root = disc
-        square = root * root == d
+        k = float(params.k)  # type: ignore[arg-type]
+        regular = nearest_integer(k - float(params.ell)) == m - n  # type: ignore[arg-type]
+        if regular:  # D = (k - ell)^2 + 4mn = (m + n)^2, whatever the degrees
+            d, square = (m + n) ** 2, True
+            # k + ell = 2k - (m - n): for an integer k, the parity of m + n
+            odd = "an odd degree sum" if (m + n) % 2 else None
+        else:
+            disc = _integer_discriminant(params)
+            if disc is None:
+                raise PreconditionError(
+                    "adjacency transfer analysis needs integer regular degrees"
+                )
+            k_int, ell, d, root = disc
+            square = root * root == d
+            odd = "an odd degree sum" if (k_int + ell) % 2 else None
         details = {"discriminant": d, "discriminant_square": square}
-        regular = k - ell == m - n
-        odd = "an odd degree sum" if (k + ell) % 2 else None
     own, isolated_pair = _own_partition(x, matrix, u, v)
     connected = is_connected(x)
     jpart = carry_join(own, params, matrix, connected, isolated_pair)
@@ -858,10 +867,11 @@ def _join_certificate(
                 f"support pattern says {verdict}"
             )
         if verdict:
-            ivals = _as_int_list(jpart.plus + jpart.minus)
-            if ivals is None:
-                raise InconsistencyError("a certified join support must be integral")
-            if SymbolicTime(1, gcd_all([w - ivals[0] for w in ivals]), 1) != outcome.time:
+            support = jpart.plus + jpart.minus
+            gaps = _as_int_list([w - support[0] for w in support])
+            if gaps is None:
+                raise InconsistencyError("a certified join support must have integer differences")
+            if SymbolicTime(1, gcd_all(gaps), 1) != outcome.time:
                 raise InconsistencyError("the support gcd time disagrees with the pattern time")
     elif isolated_pair:
         branch, reason = "isolated-pair", None
@@ -900,9 +910,11 @@ def _confirm_transfer(
     verdict must reach |exp(itM)[v, u]| >= 1 - 1e-6 at the certified time,
     computed by krylov_entry on the tree (on its equitable quotient at u
     when that is small enough, else on the whole tree); the magnitude
-    becomes the confirmation, and the route, the Krylov dimension, the
-    error bound and the operator ("quotient" or "tree") with its order go
-    into details. verify="full" also diagonalizes the built graph and compares
+    becomes the confirmation, and the route that ran ("whole-quotient" for
+    a quotient of order at most walk.WHOLE_QUOTIENT_MAX_ORDER, exponentiated
+    with no Lanczos loop, else "lanczos"), the Krylov dimension, the error
+    bound and the operator ("quotient" or "tree") with its order go into
+    details. verify="full" also diagonalizes the built graph and compares
     the verdict, the time and the sign partition; above
     FULL_VERIFY_MAX_ORDER it raises PreconditionError before any work. Any
     disagreement raises InconsistencyError.
@@ -924,7 +936,7 @@ def _confirm_transfer(
             confirmation=mag,
             details={
                 **cert.details,
-                "confirmation_route": "lanczos",
+                "confirmation_route": entry.route,
                 "krylov_dimension": entry.dimension,
                 "krylov_bound": entry.bound,
                 "krylov_operator": entry.operator,
@@ -1251,13 +1263,16 @@ def pst_induced(
                     if induced:
                         mechanism = "shifted-valuation"
     else:
-        # join_pst has refused non-integer degrees already
-        k_int, l_int, d_int, root = _integer_discriminant(params)
+        # join_pst has refused every join whose k - ell is not an integer
+        k = float(params.k)  # type: ignore[arg-type]
+        gap = nearest_integer(k - float(params.ell))  # type: ignore[arg-type]
+        d_int = gap * gap + 4 * m * n
+        root = math.isqrt(d_int)
         if is_isolated_pair:
             mechanism = "isolated-pair-cone"
             if root * root == d_int:
-                s_plus = (root - k_int + l_int) // 2
-                s_minus = -(root + k_int - l_int) // 2
+                s_plus = (root - gap) // 2
+                s_minus = -(root + gap) // 2
                 identity = nu2(s_plus) == nu2(s_minus)
                 if identity != jcert.pst:
                     raise InconsistencyError(
@@ -1270,7 +1285,7 @@ def pst_induced(
             minus_i = _as_int_list(part_sc.minus)
             if plus_i is not None and minus_i is not None and minus_i:
                 without_k = SupportPartition(
-                    [l for l in part_sc.plus if not _close(l, float(k_int))],
+                    [l for l in part_sc.plus if not _close(l, k)],
                     list(part_sc.minus),
                 )
                 with_k = _evaluate_pattern(part_sc)

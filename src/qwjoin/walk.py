@@ -12,8 +12,10 @@ unitary_exp on the small tridiagonal matrix Lanczos produces. On a
 JoinTree the operator is the join's equitable quotient at u, a dense
 matrix of order |leaf of u| + depth, when that order is at most
 graphs.QUOTIENT_MAX_ORDER (and, under the adjacency matrix, every cell is
-regular); otherwise it is the tree's own product. Either way the join is
-never built. unitary_exp scales and squares a Taylor polynomial whose
+regular); otherwise it is the tree's own product. A quotient of order at
+most WHOLE_QUOTIENT_MAX_ORDER (16) skips Lanczos: unitary_exp exponentiates
+it whole, which is cheaper there than the Lanczos loop. Either way the join
+is never built. unitary_exp scales and squares a Taylor polynomial whose
 degree and squaring count follow in advance from the norm, evaluated by
 Paterson-Stockmeyer, so it uses matrix products only: no eigensolver and
 no linear solve.
@@ -116,8 +118,9 @@ def unitary_exp(matrix: np.ndarray, t: float) -> np.ndarray:
     and at most p + 4 matrices of the order held at once.
     Only matrix products are used, no solve and no eigensolver, so closed
     forms can be checked against an independently computed matrix;
-    krylov_entry uses it on the small Lanczos tridiagonal. A matrix with a
-    non-finite entry, or a theta that overflows, gives a matrix of NaNs.
+    krylov_entry uses it on the small Lanczos tridiagonal or on a small
+    equitable quotient whole. A matrix with a non-finite entry, or a theta
+    that overflows, gives a matrix of NaNs.
     """
     m = np.asarray(matrix)
     n = m.shape[0]
@@ -151,14 +154,25 @@ def unitary_exp(matrix: np.ndarray, t: float) -> np.ndarray:
 
 KRYLOV_TOL = 1e-10
 
+# The largest equitable quotient krylov_entry exponentiates whole, with no
+# Lanczos loop. Measured with krylov_entry(tree, 0, 1, pi/2) on an Intel Xeon
+# (one BLAS thread, timeit medians), on C_l, seeded circulants and K_l joined
+# with O4 and O500: the whole quotient took 0.40-0.94 times the Lanczos time
+# at orders 5-16 and 0.46-1.07 times at order 17, but 1.04-2.2 times on K_l
+# at orders 21-33 (Krylov dimension 2) and up to 6.7 times at orders 49-65.
+WHOLE_QUOTIENT_MAX_ORDER = 16
+
 
 @dataclass(frozen=True)
 class KrylovEntry:
     """A walk entry from a Krylov space, with its dimension and error bound.
 
-    operator names what Lanczos multiplied: "quotient" for a JoinTree's
-    equitable quotient, "tree" for a JoinTree's own product, "graph" for any
-    other operator; operator_order is that operator's order.
+    route names how the entry was computed: "lanczos" for the Lanczos loop,
+    "whole-quotient" for unitary_exp on a whole equitable quotient (its
+    dimension is then the quotient's order and its bound 0.0). operator
+    names what was multiplied: "quotient" for a JoinTree's equitable
+    quotient, "tree" for a JoinTree's own product, "graph" for any other
+    operator; operator_order is that operator's order.
     """
 
     value: complex
@@ -166,6 +180,7 @@ class KrylovEntry:
     bound: float
     operator: str
     operator_order: int
+    route: str
 
 
 def krylov_entry(operator, u: int, v: int, t: float, kind: str = "laplacian") -> KrylovEntry:
@@ -173,10 +188,14 @@ def krylov_entry(operator, u: int, v: int, t: float, kind: str = "laplacian") ->
 
     operator has an order and a matvec(x, kind), like WeightedGraph and
     JoinTree; M is never formed. A tree first offers its equitable
-    quotient at u (JoinTree._quotient): Lanczos then multiplies that small
-    dense matrix B, starts from u's cell, and reads v's cell with the scale
-    1/sqrt(|cell|), since exp(itM)e_u is constant on each cell. Without a
-    quotient, a graph or a tree checks kind (and, for the Laplacian, the
+    quotient at u (JoinTree._quotient), a small dense matrix B in which
+    u has a cell of its own; the entry is read from v's cell with the
+    scale 1/sqrt(|cell|), since exp(itM)e_u is constant on each cell. A
+    quotient of order at most WHOLE_QUOTIENT_MAX_ORDER is exponentiated
+    whole by unitary_exp, with no Lanczos loop: the result reports route
+    "whole-quotient", the quotient's order as its dimension and 0.0 as its
+    bound. On a larger quotient Lanczos multiplies B from u's cell. Without
+    a quotient, a graph or a tree checks kind (and, for the Laplacian, the
     absence of loops) once per call, through its _multiplier(kind), and
     then multiplies each Lanczos vector without checking it again; any
     other operator is called through matvec. After k steps, with T the
@@ -202,6 +221,11 @@ def krylov_entry(operator, u: int, v: int, t: float, kind: str = "laplacian") ->
         start = quotient.cell(u)[0]
         target, size = quotient.cell(v)
         scale = 1.0 / math.sqrt(size)
+        if n <= WHOLE_QUOTIENT_MAX_ORDER:
+            value = complex(unitary_exp(quotient.matrix, t)[target, start]) * scale
+            if not cmath.isfinite(value):
+                raise NumericError(f"the walk entry ({u}, {v}) at t = {t} is not finite")
+            return KrylovEntry(value, n, 0.0, label, n, "whole-quotient")
     elif hasattr(operator, "_multiplier"):
         multiply = operator._multiplier(kind)
     else:
@@ -241,7 +265,7 @@ def krylov_entry(operator, u: int, v: int, t: float, kind: str = "laplacian") ->
     value = complex(np.ascontiguousarray(basis[:k, target]) @ phases) * scale
     if not cmath.isfinite(value):
         raise NumericError(f"the Krylov walk entry ({u}, {v}) at t = {t} is not finite")
-    return KrylovEntry(value, k, bound, label, n)
+    return KrylovEntry(value, k, bound, label, n, "lanczos")
 
 
 # ---------------------------------------------------------------------------

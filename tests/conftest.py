@@ -121,3 +121,16 @@ def with_wrong_time(real):
         return replace(out, time=WRONG_TIME) if out.time is not None else out
 
     return wrong
+
+
+class MatvecOnly:
+    """An operator seen only through its order and matvec, so krylov_entry runs Lanczos on it."""
+
+    def __init__(self, order, matvec):
+        self.order = order
+        self.matvec = matvec
+
+
+def whole_tree(tree):
+    """A JoinTree as a plain operator: Lanczos multiplies the whole tree, no quotient."""
+    return MatvecOnly(tree.order, tree.matvec)

@@ -31,8 +31,9 @@ import qwjoin.graphs as graphs_module
 import qwjoin.transfer as transfer_module
 from qwjoin.errors import PreconditionError
 from qwjoin.graphs import QUOTIENT_MAX_ORDER, Connective, IteratedJoinSpec, JoinTree, _EdgeArrays
+from qwjoin.walk import KRYLOV_TOL
 
-from conftest import random_simple, random_weighted
+from conftest import MatvecOnly, random_simple, random_weighted, whole_tree
 
 
 def spectrum(graph, matrix="laplacian"):
@@ -497,8 +498,13 @@ def test_31_copy_product_equals_the_recursive_one(leaf, kind):
 def test_self_join_confirmation_scales_with_the_support_not_the_copies():
     cert = self_join_analysis(family("C", 4), 1023, 0, 2)
     assert cert.pst and cert.confirmation >= 1 - 1e-9
-    assert cert.details["confirmation_route"] == "lanczos"
-    assert cert.details["krylov_dimension"] == 3
+    # the quotient of the 4,092-vertex self-join at 0: C4's vertices and one cell
+    assert cert.details["confirmation_route"] == "whole-quotient"
+    assert cert.details["krylov_operator_order"] == 5
+    assert cert.details["krylov_dimension"] == 5
+    # Lanczos on the whole tree stops at the support's three eigenvalues
+    tree = JoinTree(Connective.JOIN, (family("C", 4),) * 1023)
+    assert krylov_entry(whole_tree(tree), 0, 2, cert.time.value).dimension == 3
 
 
 def test_compiled_product_of_a_plan_nested_past_the_recursion_limit():
@@ -558,29 +564,50 @@ def test_build_of_a_plan_nested_past_a_lowered_recursion_limit():
 # ---------------------------------------------------------------------------
 
 
-class _WholeTree:
-    """A tree seen only through its order and matvec, so Lanczos runs on the whole tree."""
-
-    def __init__(self, tree):
-        self.order = tree.order
-        self.matvec = tree.matvec
-
-
 @settings(deadline=None)
 @given(_KIND_AND_TREE, st.sampled_from([0.3, math.pi / 2, 2.9]))
 def test_quotient_entries_match_scipy_and_the_whole_tree_dimension(kind_and_tree, t):
     kind, tree = kind_and_tree
     assume(tree.order <= 16)
     exact = scipy.linalg.expm(1j * t * _dense(tree.build(), kind))
-    whole = _WholeTree(tree)
+    whole = whole_tree(tree)
     for u in range(tree.order):
         dimension = krylov_entry(whole, u, u, t, kind).dimension
+        quotient = tree._quotient(u, kind)
+        if quotient is not None:  # Lanczos on the quotient alone stops where it does on the tree
+            b = quotient.matrix
+            cell = quotient.cell(u)[0]
+            lanczos = krylov_entry(MatvecOnly(len(b), lambda x, kind: b @ x), cell, cell, t, kind)
+            assert lanczos.dimension == dimension
         for v in range(tree.order):
             entry = krylov_entry(tree, u, v, t, kind)
             assert abs(entry.value - exact[v, u]) <= 1e-9
-            assert entry.dimension == dimension
+            if entry.route == "whole-quotient":
+                assert entry.dimension == entry.operator_order and entry.bound == 0.0
+            else:
+                assert entry.dimension == dimension
             if kind == "laplacian":
                 assert entry.operator == "quotient" and entry.operator_order <= tree.order
+
+
+@pytest.mark.parametrize("kind", ["laplacian", "adjacency"])
+@pytest.mark.parametrize("order, route", [(16, "whole-quotient"), (17, "lanczos")])
+def test_quotients_up_to_order_16_are_exponentiated_whole(order, route, kind):
+    # from the part, the quotient has its order - 1 vertices and the one cell K3
+    x = random_weighted(np.random.default_rng(order), order - 1)
+    tree = JoinTree(Connective.JOIN, (x, family("K", 3)))
+    exact = scipy.linalg.expm(1j * 0.9 * _dense(tree.build(), kind))
+    for u in range(tree.order):
+        for v in range(tree.order):
+            entry = krylov_entry(tree, u, v, 0.9, kind)
+            assert abs(entry.value - exact[v, u]) <= 1e-9
+            if u < x.order:
+                assert (entry.operator, entry.operator_order, entry.route) == (
+                    "quotient", order, route)
+            if entry.route == "whole-quotient":
+                assert entry.dimension == entry.operator_order and entry.bound == 0.0
+            else:
+                assert entry.bound < KRYLOV_TOL or entry.dimension == entry.operator_order
 
 
 def test_an_irregular_sibling_under_the_adjacency_takes_the_tree_route():
@@ -604,11 +631,12 @@ def test_a_double_cone_over_four_million_vertices_stays_uncompiled():
     entry = krylov_entry(tree, 0, 1, math.pi / 2, "laplacian")
     assert "_compiled" not in vars(tree)
     assert (entry.operator, entry.operator_order, entry.dimension) == ("quotient", 3, 3)
-    # |U(pi/2)[1, 0]| = n / (n + 2) for n = 0 modulo 4: no transfer. Both
-    # routes read 1 - 5.000866e-7 (the whole tree's: 1 - 5.000866008e-7),
-    # 8.7e-11 from 2 / (n + 2): the phase t n = 6.3e6 alone is rounded to
-    # about 1e-9 in the exponential of the tridiagonal
-    assert abs((1 - abs(entry.value)) - 5.000866e-7) <= 1e-12
+    assert (entry.route, entry.bound) == ("whole-quotient", 0.0)
+    # |U(pi/2)[1, 0]| = n / (n + 2) for n = 0 modulo 4: no transfer. The
+    # whole quotient reads 1 - 5.000909e-7, 9.1e-11 from 2 / (n + 2) (Lanczos
+    # on the whole tree: 1 - 5.000866008e-7): the phase t n = 6.3e6 alone is
+    # rounded to about 1e-9 in the exponential
+    assert abs((1 - abs(entry.value)) - 5.000909e-7) <= 1e-12
     assert abs(abs(entry.value) - 4_000_000 / 4_000_002) <= 1e-9
 
 

@@ -574,10 +574,29 @@ def test_self_join_isolated_pair_parity():
 
 
 def test_self_join_adjacency_with_loops():
-    cert = self_join_analysis(family("O_loops", 2, 3.0), 2, 0, 1, matrix="adjacency")
-    assert cert.pst and cert.time == SymbolicTime(1, 2, 1)
-    with pytest.raises(PreconditionError):
-        self_join_analysis(family("O_loops", 2, 0.5), 2, 0, 1, matrix="adjacency")
+    # the self-join is (weight + 2)-regular, so a non-integer degree is no obstacle
+    for weight in (0.25, 0.5, 1.5, 2.0, 3.0):
+        part = family("O_loops", 2, weight)
+        cert = self_join_analysis(part, 2, 0, 1, matrix="adjacency")
+        assert cert.pst and cert.time == SymbolicTime(1, 2, 1)
+        assert cert.details["discriminant"] == 16
+        exact = oracle_transition(graph_matrix(self_join(part, 2), "adjacency"), math.pi / 2)
+        assert abs(abs(exact[1, 0]) - 1) <= 1e-9
+        assert abs(cert.confirmation - abs(exact[1, 0])) <= 1e-9
+
+
+def test_induced_transfer_on_a_regular_join_with_a_non_integer_degree():
+    part = family("O_loops", 2, 0.5)
+    report = pst_induced(part, part, 0, 1, matrix="adjacency")
+    assert report.induced and report.mechanism == "isolated-pair-cone"
+    exact = oracle_transition(graph_matrix(join(part, part), "adjacency"), math.pi / 2)
+    assert abs(abs(exact[1, 0]) - 1) <= 1e-9
+
+
+def test_an_irregular_adjacency_join_with_a_non_integer_degree_is_refused():
+    # the built join has row sums 3.5 and 2, and the part degree 0.5 is no integer
+    with pytest.raises(PreconditionError, match="integer regular degrees"):
+        join_pst(family("O_loops", 2, 0.5), family("O", 3), 0, 1, matrix="adjacency")
 
 
 def weighted_k4(a, b, c):
@@ -1001,9 +1020,9 @@ def test_double_cone_on_a_million_vertices():
     cert = double_cone_pst(family("O", 1_000_002))
     assert cert.pst and cert.time == SymbolicTime(1, 2, 1)
     assert cert.confirmation >= 1 - 1e-9
-    assert cert.details["confirmation_route"] == "lanczos"
+    assert cert.details["confirmation_route"] == "whole-quotient"
     assert cert.details["krylov_dimension"] == 3
-    assert cert.details["krylov_bound"] < 1e-10
+    assert cert.details["krylov_bound"] == 0.0
 
 
 # positive certificates, and the closed form each takes its time from

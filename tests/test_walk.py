@@ -27,7 +27,13 @@ from qwjoin import (
 )
 from qwjoin.walk import _TAYLOR_RADII, KRYLOV_TOL, transition_entries
 
-from conftest import oracle_transition, random_circulant, random_simple, random_weighted
+from conftest import (
+    oracle_transition,
+    random_circulant,
+    random_simple,
+    random_weighted,
+    whole_tree,
+)
 
 
 def test_transition_matches_scipy_fixed_cases():
@@ -259,7 +265,7 @@ def test_krylov_dimension_is_the_join_support_size(x, y, kind):
     for u in range(tree.order):
         side, local = ("left", u) if u < x.order else ("right", u - x.order)
         support = join_support(x, y, local, matrix=kind, side=side)
-        assert krylov_entry(tree, u, u, 1.0, kind).dimension == len(support)
+        assert krylov_entry(whole_tree(tree), u, u, 1.0, kind).dimension == len(support)
 
 
 def test_krylov_entry_rejects_non_finite_products():
