@@ -3,7 +3,7 @@
 For a pair inside the left part, the join changes each walk entry by one
 additive term that is bounded by 2/m in magnitude, where m is the left
 order. These sweeps measure the resulting deviation of entry magnitudes,
-find when the bound is tight, and verify that the deviation vanishes
+find when the bound is tight, and check that the deviation vanishes
 exactly on the shared time lattice.
 """
 

@@ -27,9 +27,8 @@ whole up to walk.WHOLE_QUOTIENT_MAX_ORDER and through Lanczos from e_u
 above it, or, above graphs.QUOTIENT_MAX_ORDER, runs Lanczos on the tree's
 own product, which costs the parts' edges plus the order. It exponentiates
 with a series, so it shares no eigensolver with the certificate it checks
-and reads none of the parts' matrices. Only verify="full" builds the
-joined graph, once, to diagonalize it, and only up to order
-FULL_VERIFY_MAX_ORDER.
+and reads none of the parts' matrices. Every positive verdict gets this
+check; nothing in this module builds or diagonalizes a joined graph.
 """
 
 from __future__ import annotations
@@ -85,9 +84,9 @@ from .walk import krylov_entry, transition_entries
 # computed once per process.
 APEXES = family("O", 2)
 
-# verify="full" builds the join and diagonalizes it densely, which costs
-# O(order^2) memory and O(order^3) time; above this order it is refused.
-FULL_VERIFY_MAX_ORDER = 4096
+# A certified transfer, or a computed period, must revive the walk entry to
+# at least this magnitude, or the check raises InconsistencyError.
+CONFIRMATION_GATE = 1 - 1e-6
 
 
 def _nu2_inf(value: int):
@@ -103,12 +102,6 @@ def _as_int_list(values) -> list[int] | None:
             return None
         out.append(i)
     return out
-
-
-def _sets_match(a, b, tol: float = 1e-7) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(_close(x, y, tol) for x, y in zip(sorted(a), sorted(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +354,7 @@ def minimum_period(
     rho = symbolic.value
     if decomp is not None and u is not None:
         mag = float(abs(transition_entries(decomp, u, u, [rho])[0]))
-        if mag < 1 - 1e-6:
+        if mag < CONFIRMATION_GATE:
             raise InconsistencyError(
                 f"period {rho} only revives the vertex state to magnitude {mag}"
             )
@@ -732,7 +725,7 @@ def _pst_certificate(decomp, u: int, v: int, partition) -> PSTCertificate:
     cert = _certificate(u, v, None, partition, outcome)
     if outcome.ok:
         mag = float(abs(transition_entries(decomp, u, v, [outcome.time.value])[0]))
-        if mag < 1 - 1e-6:
+        if mag < CONFIRMATION_GATE:
             raise InconsistencyError(
                 f"certified transfer time {outcome.time.value} only reaches magnitude {mag}"
             )
@@ -897,66 +890,38 @@ def _join_certificate(
 
 
 def _confirm_transfer(
-    tree: JoinTree,
-    u: int,
-    v: int,
-    verify: str,
-    cert: PSTCertificate,
-    what: str,
+    tree: JoinTree, u: int, v: int, cert: PSTCertificate, what: str
 ) -> PSTCertificate:
     """Check cert on the walk of the join that tree describes; return it confirmed.
 
-    u and v index the tree. With verify="numeric" or "full", a positive
-    verdict must reach |exp(itM)[v, u]| >= 1 - 1e-6 at the certified time,
-    computed by krylov_entry on the tree (on its equitable quotient at u
-    when that is small enough, else on the whole tree); the magnitude
-    becomes the confirmation, and the route that ran ("whole-quotient" for
-    a quotient of order at most walk.WHOLE_QUOTIENT_MAX_ORDER, exponentiated
-    with no Lanczos loop, else "lanczos"), the Krylov dimension, the error
-    bound and the operator ("quotient" or "tree") with its order go into
-    details. verify="full" also diagonalizes the built graph and compares
-    the verdict, the time and the sign partition; above
-    FULL_VERIFY_MAX_ORDER it raises PreconditionError before any work. Any
-    disagreement raises InconsistencyError.
+    u and v index the tree. A negative verdict is returned unchanged. A
+    positive one must reach |exp(itM)[v, u]| >= CONFIRMATION_GATE at the
+    certified time, computed by krylov_entry on the tree (on its equitable
+    quotient at u when that is small enough, else on the whole tree), or
+    InconsistencyError is raised. The magnitude becomes the confirmation,
+    and the route that ran ("whole-quotient" for a quotient of order at
+    most walk.WHOLE_QUOTIENT_MAX_ORDER, exponentiated with no Lanczos loop,
+    else "lanczos"), the Krylov dimension, the error bound and the operator
+    ("quotient" or "tree") with its order go into details.
     """
-    if verify == "full" and tree.order > FULL_VERIFY_MAX_ORDER:
-        raise PreconditionError(
-            f"verify='full' diagonalizes the built {what} densely; its order "
-            f"{tree.order} is above {FULL_VERIFY_MAX_ORDER}"
-        )
-    if cert.pst and verify in ("numeric", "full"):
-        entry = krylov_entry(tree, u, v, cert.time.value, cert.matrix)
-        mag = abs(entry.value)
-        if mag < 1 - 1e-6:
-            raise InconsistencyError(
-                f"the certified {what} transfer only reaches magnitude {mag}"
-            )
-        cert = replace(
-            cert,
-            confirmation=mag,
-            details={
-                **cert.details,
-                "confirmation_route": entry.route,
-                "krylov_dimension": entry.dimension,
-                "krylov_bound": entry.bound,
-                "krylov_operator": entry.operator,
-                "krylov_operator_order": entry.operator_order,
-            },
-        )
-    if verify == "full":
-        full = pst_certificate(spectrum(tree.build(), cert.matrix), u, v)
-        if full.pst != cert.pst:
-            raise InconsistencyError(
-                f"the closed-form {what} verdict disagrees with the diagonalized graph"
-            )
-        if cert.pst and abs(full.time.value - cert.time.value) > 1e-9:
-            raise InconsistencyError(f"{what} transfer times disagree between the two routes")
-        if cert.pst and not (
-            _sets_match(full.partition.plus, cert.partition.plus)
-            and _sets_match(full.partition.minus, cert.partition.minus)
-        ):
-            raise InconsistencyError(f"{what} sign partitions disagree between the two routes")
-    return cert
+    if not cert.pst:
+        return cert
+    entry = krylov_entry(tree, u, v, cert.time.value, cert.matrix)
+    mag = abs(entry.value)
+    if mag < CONFIRMATION_GATE:
+        raise InconsistencyError(f"the certified {what} transfer only reaches magnitude {mag}")
+    return replace(
+        cert,
+        confirmation=mag,
+        details={
+            **cert.details,
+            "confirmation_route": entry.route,
+            "krylov_dimension": entry.dimension,
+            "krylov_bound": entry.bound,
+            "krylov_operator": entry.operator,
+            "krylov_operator_order": entry.operator_order,
+        },
+    )
 
 
 def join_pst(
@@ -965,17 +930,12 @@ def join_pst(
     u: int,
     v: int,
     matrix: str = "laplacian",
-    verify: str = "numeric",
 ) -> PSTCertificate:
     """Transfer certificate for a join pair, from the parts alone.
 
-    verify="numeric" (default) confirms positive verdicts on an
-    independently computed walk of the joined graph; verify="full" also
-    diagonalizes the join and compares the whole certificate; verify="none"
-    skips both.
+    A positive verdict is confirmed on an independently computed walk of
+    the join (_confirm_transfer), which never builds the joined graph.
     """
-    if verify not in ("numeric", "full", "none"):
-        raise ValueError(f"unknown verify mode {verify!r}")
     params = join_params(x, y, matrix)
     m, n = params.m, params.n
     total = m + n
@@ -995,11 +955,11 @@ def join_pst(
         outcome = _evaluate_pattern(partition)
         cert = _certificate(u, v, matrix, partition, outcome, details={"branch": "single-edge"})
     elif u >= m:
-        inner = join_pst(y, x, u - m, v - m, matrix=matrix, verify=verify)
+        inner = join_pst(y, x, u - m, v - m, matrix=matrix)
         return replace(inner, u=u, v=v, details={**inner.details, "side": "right"})
     else:
         cert = _join_certificate(x, u, v, params, matrix)
-    return _confirm_transfer(JoinTree(Connective.JOIN, (x, y)), u, v, verify, cert, "join")
+    return _confirm_transfer(JoinTree(Connective.JOIN, (x, y)), u, v, cert, "join")
 
 
 def double_cone_pst(
@@ -1124,28 +1084,35 @@ def pst_preserved(
         return replace(check, reason=reason, details=details)
     if pad is not None:
         raise PreconditionError("padding is a Laplacian construction")
-    disc = _integer_discriminant(params)
-    if disc is None:
-        raise PreconditionError("adjacency preservation needs integer regular degrees")
-    k_int, l_int, d_int, root = disc
-    minus_i = _as_int_list(base.partition.minus)
-    if minus_i is None:
-        raise PreconditionError("adjacency preservation needs an integral part support")
+    # the rule reads only the gap g = k - ell and the offsets k - mu of the
+    # flipping eigenvalues mu, as _join_certificate does, so the degrees
+    # themselves need not be integers
+    k = float(params.k)  # type: ignore[arg-type]
+    gap = nearest_integer(k - float(params.ell))  # type: ignore[arg-type]
+    if gap is None:
+        raise PreconditionError("adjacency preservation needs an integer degree gap k - ell")
+    offsets = _as_int_list([k - mu for mu in base.partition.minus])
+    if offsets is None:
+        raise PreconditionError(
+            "adjacency preservation needs integer offsets k - mu of the flipping eigenvalues"
+        )
+    d_int = gap * gap + 4 * m * n
+    root = math.isqrt(d_int)
     if root * root != d_int:
         verdict = False
         reason = "the join discriminant is not a perfect square"
     else:
-        s = (root - k_int + l_int) // 2
+        # the fresh eigenvalues are k + s and ell - s = k - (g + s)
+        s = (root - gap) // 2
+        k_exact = nearest_integer(k)
+        k_exact = k if k_exact is None else k_exact
         details["fresh_shift"] = s
-        details["fresh_eigenvalues"] = [k_int + s, l_int - s]
-        if (l_int - s) in minus_i:
+        details["fresh_eigenvalues"] = [k_exact + s, k_exact - gap - s]
+        if gap + s in offsets:
             verdict = False
             reason = "the smaller fresh eigenvalue collides with a flipping eigenvalue"
         else:
-            verdict = all(
-                _nu2_inf(s) > nu2(k_int - mu) and _nu2_inf(l_int - k_int) > nu2(k_int - mu)
-                for mu in minus_i
-            )
+            verdict = all(_nu2_inf(s) > nu2(o) and _nu2_inf(gap) > nu2(o) for o in offsets)
             reason = None if verdict else "a crossing valuation is not dominated"
     check = join_pst(x, y, u, v, matrix=matrix)
     if check.pst != verdict:
@@ -1310,7 +1277,6 @@ def self_join_analysis(
     u: int,
     v: int,
     matrix: str = "laplacian",
-    verify: str = "numeric",
 ) -> PSTCertificate:
     """Transfer between two first-copy vertices in the r-fold self-join.
 
@@ -1320,8 +1286,6 @@ def self_join_analysis(
     (a regular join under the adjacency matrix), and positives are
     confirmed on the self-join's walk.
     """
-    if verify not in ("numeric", "full", "none"):
-        raise ValueError(f"unknown verify mode {verify!r}")
     r = int(r)
     if r < 2:
         raise ValueError("a self-join needs at least two copies")
@@ -1341,7 +1305,7 @@ def self_join_analysis(
         raise ValueError(f"unknown matrix kind {matrix!r}")
     cert = _join_certificate(x, u, v, params, matrix)
     cert = replace(cert, details={"copies": r, **cert.details})
-    return _confirm_transfer(JoinTree(Connective.JOIN, (x,) * r), u, v, verify, cert, "self-join")
+    return _confirm_transfer(JoinTree(Connective.JOIN, (x,) * r), u, v, cert, "self-join")
 
 
 # ---------------------------------------------------------------------------
@@ -1376,30 +1340,22 @@ def iterated_join_analysis(
     u: int,
     v: int,
     matrix: str = "laplacian",
-    verify: str = "numeric",
 ) -> PSTCertificate:
     """Transfer certificate for a same-part pair of an iterated join."""
     if matrix != "laplacian":
         raise PreconditionError("iterated join analysis is provided for the Laplacian only")
-    if verify not in ("numeric", "full", "none"):
-        raise ValueError(f"unknown verify mode {verify!r}")
     partition = iterated_join_sign_partition(spec, j, u, v)
-    return _iterated_certificate(spec, j, u, v, partition, verify)
+    return _iterated_certificate(spec, j, u, v, partition)
 
 
 def _iterated_certificate(
-    spec: IteratedJoinSpec,
-    j: int,
-    u: int,
-    v: int,
-    partition: SupportPartition | None,
-    verify: str,
+    spec: IteratedJoinSpec, j: int, u: int, v: int, partition: SupportPartition | None
 ) -> PSTCertificate:
     """The certificate of a pair whose carried sign partition is partition.
 
     The pattern scores the partition; a stacked cone's verdict is checked
-    against its congruences. The plan's tree is built only when a
-    confirmation runs: for a positive verdict, or for verify="full".
+    against its congruences. A positive verdict is confirmed on the walk of
+    the plan's tree, which is made only then and never built into a graph.
     """
     details: dict = {"part": j, "orders": spec.orders}
     if partition is None:
@@ -1432,11 +1388,11 @@ def _iterated_certificate(
         if verdict and outcome.time != SymbolicTime(1, 2, 1):
             raise InconsistencyError("a stacked-cone transfer time must be pi over 2")
     cert = _certificate(u, v, "laplacian", partition, outcome, details=details)
-    if not (cert.pst or verify == "full"):
+    if not cert.pst:
         return cert
     return _confirm_transfer(
         iterated_tree(spec), iterated_vertex(spec, j, u), iterated_vertex(spec, j, v),
-        verify, cert, "iterated",
+        cert, "iterated",
     )
 
 
@@ -1480,7 +1436,7 @@ def threshold_transfer_search(max_parts: int = 4, max_size: int = 6) -> list[dic
                 continue
             root = (own, first, is_connected(graph))
             for spec, partition in walk([(graph, None)], root, conns, isolated_pair):
-                cert = _iterated_certificate(spec, 1, 0, 1, partition, "numeric")
+                cert = _iterated_certificate(spec, 1, 0, 1, partition)
                 if cert.pst:
                     t = cert.time
                     time = [t.pi_numerator, t.pi_denominator, t.sqrt_divisor]

@@ -13,6 +13,8 @@ import numpy as np
 import scipy.linalg
 
 from qwjoin import SymbolicTime, WeightedGraph, graph_matrix
+from qwjoin.spectral import SupportPartition
+from qwjoin.transfer import _evaluate_pattern
 
 
 def oracle_transition(matrix, t):
@@ -66,6 +68,29 @@ def oracle_strong_cospectral(matrix, u, v, tol=1e-7):
 def sets_close(a, b, tol=1e-7):
     a, b = sorted(a), sorted(b)
     return len(a) == len(b) and all(abs(x - y) <= tol for x, y in zip(a, b))
+
+
+def assert_agrees_with_the_oracles(cert, matrix, u, v):
+    """A transfer certificate checked on the matrix of the graph it answers for.
+
+    u and v index that graph. The sign partition must be the oracle's,
+    within 1e-7. The verdict and time must be those of the package's
+    valuation pattern scored on the oracle's partition (times within
+    1e-9): only the partition comes from an eigensolver, and that one is
+    scipy's. A positive must reach |exp(itM)[v, u]| >= 1 - 1e-9 by expm.
+    """
+    want = oracle_strong_cospectral(matrix, u, v)
+    assert (cert.partition is None) == (want is None), (cert, want)
+    if want is None:
+        assert not cert.pst
+        return
+    assert sets_close(cert.partition.plus, want[0]), (cert.partition, want)
+    assert sets_close(cert.partition.minus, want[1]), (cert.partition, want)
+    outcome = _evaluate_pattern(SupportPartition(*want))
+    assert cert.pst == outcome.ok, (cert, want)
+    if cert.pst:
+        assert abs(cert.time.value - outcome.time.value) <= 1e-9
+        assert abs(oracle_transition(matrix, cert.time.value)[v, u]) >= 1 - 1e-9
 
 
 def random_simple(rng, order, p=0.5):

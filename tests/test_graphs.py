@@ -2,6 +2,7 @@ import functools
 import inspect
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +34,13 @@ from qwjoin.errors import PreconditionError
 from qwjoin.graphs import QUOTIENT_MAX_ORDER, Connective, IteratedJoinSpec, JoinTree, _EdgeArrays
 from qwjoin.walk import KRYLOV_TOL
 
-from conftest import MatvecOnly, random_simple, random_weighted, whole_tree
+from conftest import (
+    MatvecOnly,
+    assert_agrees_with_the_oracles,
+    random_simple,
+    random_weighted,
+    whole_tree,
+)
 
 
 def spectrum(graph, matrix="laplacian"):
@@ -551,12 +558,16 @@ def test_build_of_a_plan_nested_past_a_lowered_recursion_limit():
     sys.setrecursionlimit(len(inspect.stack(0)) + 60)
     try:
         built = iterated_join(plan)
-        cert = iterated_join_analysis(stem, 1, 0, 1, verify="full")
+        stem_built = iterated_join(stem)
+        cert = iterated_join_analysis(stem, 1, 0, 1)
     finally:
         sys.setrecursionlimit(limit)
     # the same joins in the same order, so the same edges in the same order
     assert list(built.edges.items()) == list(want.edges.items())
     assert cert == iterated_join_analysis(stem, 1, 0, 1)
+    # the stem's second part is O1, not 2 modulo 4: a negative the oracles must share
+    assert not cert.pst
+    assert_agrees_with_the_oracles(cert, graph_matrix(stem_built, "laplacian"), 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +665,7 @@ def test_the_quotient_keeps_the_tree_preconditions():
 @pytest.mark.parametrize("cap", [QUOTIENT_MAX_ORDER, 0], ids=["quotient", "tree"])
 def test_confirmation_reads_no_matrix_and_no_eigensolver(monkeypatch, cap):
     x, y = family("O", 2), family("C", 6)
-    cert = join_pst(x, y, 0, 1, verify="none")
+    cert = join_pst(x, y, 0, 1)
     assert cert.pst
 
     def forbidden(*args, **kwargs):
@@ -666,8 +677,10 @@ def test_confirmation_reads_no_matrix_and_no_eigensolver(monkeypatch, cap):
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
     monkeypatch.setattr(transfer_module, "spectrum", forbidden)
     monkeypatch.setattr(transfer_module, "carry_join", forbidden)
+    # the check runs afresh on a certificate stripped of its confirmation
+    cert = replace(cert, confirmation=None, details={})
     confirmed = transfer_module._confirm_transfer(
-        JoinTree(Connective.JOIN, (x, y)), 0, 1, "numeric", cert, "join"
+        JoinTree(Connective.JOIN, (x, y)), 0, 1, cert, "join"
     )
     assert confirmed.confirmation >= 1 - 1e-9
     operator = "quotient" if cap else "tree"

@@ -23,8 +23,10 @@ from qwjoin import (
     graph_periodic,
     is_periodic,
     is_regular,
+    iterated_join,
     iterated_join_analysis,
     iterated_join_sign_partition,
+    iterated_vertex,
     join,
     join_period_ratio,
     join_periodic,
@@ -45,6 +47,7 @@ from qwjoin.transfer import SymbolicTime
 
 from conftest import (
     WRONG_TIME,
+    assert_agrees_with_the_oracles,
     oracle_eigengroups,
     oracle_strong_cospectral,
     oracle_transition,
@@ -425,29 +428,65 @@ def test_join_pst_complete_minus_edge():
     assert hits == [4, 8, 12, 16]
 
 
-def test_join_pst_verify_modes():
-    unchecked = join_pst(family("O", 2), family("O", 2), 0, 1, verify="none")
-    assert unchecked.pst and unchecked.confirmation is None
-    numeric = join_pst(family("O", 2), family("O", 2), 0, 1, verify="numeric")
-    assert numeric.confirmation >= 1 - 1e-9
-    full = join_pst(family("O", 2), family("O", 2), 0, 1, verify="full")
-    assert full.pst and full.confirmation >= 1 - 1e-9
-    with pytest.raises(ValueError):
-        join_pst(family("O", 2), family("O", 2), 0, 1, verify="sometimes")
-
-
 def test_join_pst_randomized_full_verification():
+    # every certificate, negatives included, against the oracles on the built join
     rng = np.random.default_rng(301)
     for _ in range(60):
         x = random_simple(rng, int(rng.integers(2, 6)))
         y = random_simple(rng, int(rng.integers(1, 6)))
         u, v = sorted(rng.choice(x.order + y.order, size=2, replace=False).tolist())
-        join_pst(x, y, int(u), int(v), verify="full")
+        cert = join_pst(x, y, int(u), int(v))
+        assert_agrees_with_the_oracles(cert, graph_matrix(join(x, y), "laplacian"), u, v)
     for _ in range(40):
         x = random_circulant(rng, int(rng.integers(2, 6)))
         y = random_circulant(rng, int(rng.integers(1, 6)))
         u, v = sorted(rng.choice(x.order + y.order, size=2, replace=False).tolist())
-        join_pst(x, y, int(u), int(v), matrix="adjacency", verify="full")
+        cert = join_pst(x, y, int(u), int(v), matrix="adjacency")
+        assert_agrees_with_the_oracles(cert, graph_matrix(join(x, y), "adjacency"), u, v)
+
+
+# known positives, each with the graph it answers for and the pair in that graph
+KNOWN_POSITIVES = {
+    **{
+        f"O2 v O{n}": (
+            lambda n=n: join_pst(family("O", 2), family("O", n), 0, 1),
+            lambda n=n: join(family("O", 2), family("O", n)), "laplacian", (0, 1),
+        )
+        for n in (2, 6, 10, 14)
+    },
+    # C4 v O_n has transfer at (0, 2) for n = 0 modulo 4 only
+    "C4 v O4": (
+        lambda: join_pst(family("C", 4), family("O", 4), 0, 2),
+        lambda: join(family("C", 4), family("O", 4)), "laplacian", (0, 2),
+    ),
+    **{
+        f"Q3 self-join r={r}": (
+            lambda r=r: self_join_analysis(family("Q", 3), r, 0, 7),
+            lambda r=r: self_join(family("Q", 3), r), "laplacian", (0, 7),
+        )
+        for r in (2, 3, 4)
+    },
+    "O2 v O2 u O4 v O4": (
+        lambda: iterated_join_analysis(parse_iterated_spec("O2 v O2 u O4 v O4"), 1, 0, 1),
+        lambda: iterated_join(parse_iterated_spec("O2 v O2 u O4 v O4")), "laplacian", (0, 1),
+    ),
+    "C4 v C4 adjacency": (
+        lambda: join_pst(family("C", 4), family("C", 4), 0, 2, matrix="adjacency"),
+        lambda: join(family("C", 4), family("C", 4)), "adjacency", (0, 2),
+    ),
+    "O_loops 2 0.5 self-join adjacency": (
+        lambda: self_join_analysis(family("O_loops", 2, 0.5), 2, 0, 1, matrix="adjacency"),
+        lambda: self_join(family("O_loops", 2, 0.5), 2), "adjacency", (0, 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(KNOWN_POSITIVES))
+def test_known_positives_agree_with_the_oracles(name):
+    analysis, build, matrix, (u, v) = KNOWN_POSITIVES[name]
+    cert = analysis()
+    assert cert.pst and cert.confirmation >= 1 - 1e-9
+    assert_agrees_with_the_oracles(cert, graph_matrix(build(), matrix), u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +529,43 @@ def test_pst_preserved_adjacency_collision():
     # K2 v K2 = C4 under the adjacency matrix: lam_minus collides
     cert = pst_preserved(family("K", 2), family("K", 2), 0, 1, matrix="adjacency")
     assert not cert.pst
+
+
+# regular parts with non-integer degrees: C4 and K2 with a loop of 0.5 at every vertex
+C4_LOOPED = WeightedGraph(
+    4, [(a, b, w) for (a, b), w in family("C", 4).edges.items()],
+    loops=[(i, 0.5) for i in range(4)],
+)
+K2_LOOPED = WeightedGraph(2, [(0, 1, 1.0)], loops=[(0, 0.5), (1, 0.5)])
+
+
+def test_pst_preserved_adjacency_reads_the_degree_gap_and_offsets():
+    # k = ell = 2.5: the gap k - ell = 0 and the offset k - mu = 2 are integers
+    y = family("O_loops", 4, 2.5)
+    cert = pst_preserved(C4_LOOPED, y, 0, 2, matrix="adjacency")
+    assert cert.pst and cert.time == SymbolicTime(1, 2, 1)
+    assert cert.confirmation >= 1 - 1e-9
+    assert cert.details["time_divisors"] == [2, 2]
+    exact = oracle_transition(graph_matrix(join(C4_LOOPED, y), "adjacency"), math.pi / 2)
+    assert abs(exact[2, 0]) >= 1 - 1e-9
+    # k = 1.5, ell = 5.5: s = 6, so ell - s = -0.5 is the flipping eigenvalue
+    cone = family("O_loops", 6, 5.5)
+    cert = pst_preserved(K2_LOOPED, cone, 0, 1, matrix="adjacency")
+    assert not cert.pst and "collides with a flipping eigenvalue" in cert.reason
+    assert cert.details["fresh_eigenvalues"] == [7.5, -0.5]
+    assert not join_pst(K2_LOOPED, cone, 0, 1, matrix="adjacency").pst
+
+
+def test_pst_preserved_adjacency_refuses_non_integer_gaps_and_offsets():
+    # k - ell = 1.5 - 1
+    with pytest.raises(PreconditionError, match="integer degree gap"):
+        pst_preserved(K2_LOOPED, family("K", 2), 0, 1, matrix="adjacency")
+    # K2 with weight sqrt(2) against O2 with loops sqrt(2): the gap is 0, the offset 2 sqrt(2)
+    root2 = math.sqrt(2)
+    with pytest.raises(PreconditionError, match="integer offsets"):
+        pst_preserved(
+            _weighted_k2(root2), family("O_loops", 2, root2), 0, 1, matrix="adjacency"
+        )
 
 
 def _weighted_k2(weight):
@@ -657,7 +733,7 @@ def test_self_join_partition_matches_oracle(matrix):
             built = graph_matrix(self_join(x, r), matrix)
             for u in range(x.order):
                 for v in range(u + 1, x.order):
-                    cert = self_join_analysis(x, r, u, v, matrix=matrix, verify="none")
+                    cert = self_join_analysis(x, r, u, v, matrix=matrix)
                     want = oracle_strong_cospectral(built, u, v)
                     assert cert.strong_cospectral == (want is not None), (x, r, u, v)
                     assert (cert.partition is None) == (want is None)
@@ -707,7 +783,9 @@ def test_self_join_full_verification_randomized():
     rng = np.random.default_rng(17)
     for _ in range(25):
         x = random_simple(rng, int(rng.integers(2, 5)))
-        self_join_analysis(x, int(rng.integers(2, 5)), 0, 1, verify="full")
+        r = int(rng.integers(2, 5))
+        cert = self_join_analysis(x, r, 0, 1)
+        assert_agrees_with_the_oracles(cert, graph_matrix(self_join(x, r), "laplacian"), 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -727,8 +805,10 @@ def test_iterated_sign_partition_regression():
 
 def test_iterated_analysis_positive_case():
     spec = parse_iterated_spec("O2 v O2 u O4 v O4")
-    cert = iterated_join_analysis(spec, 1, 0, 1, verify="full")
+    cert = iterated_join_analysis(spec, 1, 0, 1)
     assert cert.pst and cert.time == SymbolicTime(1, 2, 1)
+    u, v = iterated_vertex(spec, 1, 0), iterated_vertex(spec, 1, 1)
+    assert_agrees_with_the_oracles(cert, graph_matrix(iterated_join(spec), "laplacian"), u, v)
 
 
 def test_iterated_sign_partition_matches_oracle():
@@ -917,9 +997,9 @@ def test_threshold_walk_carries_each_plans_partition(monkeypatch):
     certified = {}
     real = transfer._iterated_certificate
 
-    def recording(spec, j, u, v, partition, verify):
+    def recording(spec, j, u, v, partition):
         certified[tuple(spec.orders)] = partition
-        return real(spec, j, u, v, partition, verify)
+        return real(spec, j, u, v, partition)
 
     monkeypatch.setattr(transfer, "_iterated_certificate", recording)
     threshold_transfer_search(5, 6)
@@ -1029,15 +1109,15 @@ def test_double_cone_on_a_million_vertices():
 CONFIRMED = {
     "join_pst": (
         "_join_certificate",
-        lambda **kw: join_pst(family("O", 2), family("O", 6), 0, 1, **kw),
+        lambda: join_pst(family("O", 2), family("O", 6), 0, 1),
     ),
     "self_join_analysis": (
         "_join_certificate",
-        lambda **kw: self_join_analysis(family("O", 2), 4, 0, 1, **kw),
+        lambda: self_join_analysis(family("O", 2), 4, 0, 1),
     ),
     "iterated_join_analysis": (
         "_evaluate_pattern",
-        lambda **kw: iterated_join_analysis(parse_iterated_spec("O2 v K2"), 1, 0, 1, **kw),
+        lambda: iterated_join_analysis(parse_iterated_spec("O2 v K2"), 1, 0, 1),
     ),
 }
 
@@ -1049,18 +1129,19 @@ def test_confirmation_catches_a_wrong_transfer_time(monkeypatch, name):
     monkeypatch.setattr(transfer, closed_form, with_wrong_time(getattr(transfer, closed_form)))
     with pytest.raises(InconsistencyError, match="only reaches magnitude"):
         call()
-    # with the walk check off, nothing else notices
-    assert call(verify="none").time == WRONG_TIME
+    # with the walk check stubbed out, nothing else notices
+    monkeypatch.setattr(transfer, "_confirm_transfer", lambda tree, u, v, cert, what: cert)
+    assert call().time == WRONG_TIME
 
 
-def count_whole_builds(monkeypatch, order: int) -> list:
-    """Graphs of the given order returned by the join builders, as they are made."""
+def count_whole_builds(monkeypatch, order: int | None) -> list:
+    """Graphs returned by the join builders, as they are made: of the given order, or all."""
     built = []
 
     def counting(real):
         def call(*args):
             graph = real(*args)
-            if graph.order == order and all(graph is not g for g in built):
+            if order in (None, graph.order) and all(graph is not g for g in built):
                 built.append(graph)
             return graph
 
@@ -1074,17 +1155,53 @@ def count_whole_builds(monkeypatch, order: int) -> list:
     return built
 
 
-@pytest.mark.parametrize("name", list(CONFIRMED))
-def test_numeric_confirmation_builds_nothing_and_full_builds_once(monkeypatch, name):
-    call = CONFIRMED[name][1]
-    cert = call(verify="numeric")
-    order = {"join_pst": 8, "self_join_analysis": 8, "iterated_join_analysis": 4}[name]
+def record_decompositions(monkeypatch) -> list:
+    """The matrices spectral.decompose is handed, as it is handed them."""
+    seen = []
+    real = spectral.decompose
+
+    def recording(matrix):
+        seen.append(np.asarray(matrix))
+        return real(matrix)
+
+    monkeypatch.setattr(spectral, "decompose", recording)
+    return seen
+
+
+# every public join analysis, with the order of the join it answers for;
+# the search answers for joins of many orders (None)
+ANALYSES = {
+    **{name: (call, 4 if name == "iterated_join_analysis" else 8)
+       for name, (_, call) in CONFIRMED.items()},
+    "join_pst negative": (lambda: join_pst(family("O", 2), family("O", 5000), 0, 1), 5002),
+    "double_cone_pst": (lambda: double_cone_pst(family("O", 6)), 8),
+    "pst_preserved": (lambda: pst_preserved(family("Q", 3), family("O", 8), 0, 7), 16),
+    # padding builds the padded part K2 u O2, of order 4, and no join
+    "pst_preserved padded": (
+        lambda: pst_preserved(family("K", 2), family("O", 4), 0, 1, pad=2), 8
+    ),
+    "pst_induced": (lambda: pst_induced(family("P", 3), family("O", 9), 0, 2), 12),
+    "threshold_transfer_search": (lambda: threshold_transfer_search(4, 6), None),
+}
+
+
+@pytest.mark.parametrize("name", list(ANALYSES))
+def test_no_analysis_builds_or_decomposes_the_join(monkeypatch, name):
+    call, order = ANALYSES[name]
+    first = call()
     built = count_whole_builds(monkeypatch, order)
-    assert call(verify="numeric").confirmation == cert.confirmation
+    decomposed = record_decompositions(monkeypatch)
+    assert call() == first
     assert built == []
-    full = call(verify="full")
-    assert len(built) == 1
-    assert full.pst and full.confirmation >= 1 - 1e-9
+    if order is None:
+        # the search decomposes its edgeless first parts, and nothing else
+        assert decomposed and all(not m.any() for m in decomposed)
+    else:
+        assert all(len(m) != order for m in decomposed)
+    if name in CONFIRMED:
+        assert first.pst and first.confirmation >= 1 - 1e-9
+    if name == "join_pst negative":
+        assert not first.pst
 
 
 # strong_cospectral calls per analysis: one for the part pair, which the
@@ -1106,21 +1223,3 @@ def test_part_sign_partition_is_computed_once_per_analysis(monkeypatch, name):
     calls = _count_strong_cospectral(monkeypatch)
     call()
     assert len(calls) == expected
-
-
-def test_full_verification_refuses_a_large_join_before_building(monkeypatch):
-    builds = []
-    real = graphs.JoinTree.build
-
-    def counting(self):
-        builds.append(self)
-        return real(self)
-
-    monkeypatch.setattr(graphs.JoinTree, "build", counting)
-    assert transfer.FULL_VERIFY_MAX_ORDER == 4096
-    with pytest.raises(PreconditionError, match="4096"):
-        join_pst(family("O", 2), family("O", 5000), 0, 1, verify="full")
-    with pytest.raises(PreconditionError):
-        self_join_analysis(family("O", 2), 2049, 0, 1, verify="full")
-    assert builds == []
-    assert not join_pst(family("O", 2), family("O", 5000), 0, 1).pst
