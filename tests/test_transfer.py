@@ -1173,6 +1173,9 @@ def record_decompositions(monkeypatch) -> list:
 ANALYSES = {
     **{name: (call, 4 if name == "iterated_join_analysis" else 8)
        for name, (_, call) in CONFIRMED.items()},
+    # the edgeless O2 above is never decomposed; C4 and Q3 are
+    "join_pst C4 v O4": (lambda: join_pst(family("C", 4), family("O", 4), 0, 2), 8),
+    "self_join_analysis Q3": (lambda: self_join_analysis(family("Q", 3), 2, 0, 7), 16),
     "join_pst negative": (lambda: join_pst(family("O", 2), family("O", 5000), 0, 1), 5002),
     "double_cone_pst": (lambda: double_cone_pst(family("O", 6)), 8),
     "pst_preserved": (lambda: pst_preserved(family("Q", 3), family("O", 8), 0, 7), 16),
