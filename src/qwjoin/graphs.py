@@ -6,13 +6,13 @@ Laplacian routines require simple graphs). When two graphs are joined, the
 left operand keeps its vertex labels and the right operand is shifted, so
 vertex u of X is vertex u of join(X, Y).
 
-A JoinTree keeps a join or union as structure instead of an edge list: it
-multiplies by the built graph's matrix without building it, at the cost of
-the parts' edges plus the order. Graphs and trees share one product
-kernel over edge arrays; a tree concatenates its leaves' arrays into one
-set on its first product. Seen from one vertex, the rest of a join acts
-through all-ones blocks only, so a tree also gives the equitable quotient
-at that vertex, whose order is the vertex's part plus the nesting depth.
+A JoinTree keeps a join or union as structure instead of an edge list.
+Seen from one vertex, the rest of a join acts through all-ones blocks
+only, so a tree gives the equitable quotient at that vertex, whose order
+is the vertex's part plus the nesting depth, and multiplies by it without
+building the join: dense up to QUOTIENT_MAX_ORDER, matrix-free above it,
+at the cost of the part's edges plus the quotient's order. Graphs and
+quotients share one product kernel over a graph's edge arrays.
 """
 
 from __future__ import annotations
@@ -192,19 +192,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# the arrays of a compiled tree without edges (or without loops)
-_NO_VERTICES = _read_only(np.empty(0, dtype=np.intp))
-_NO_WEIGHTS = _read_only(np.empty(0))
-
-
 @dataclass(frozen=True, eq=False)
 class _EdgeArrays:
-    """Edge and loop arrays in one vertex numbering, and the product they define.
+    """A graph's edge and loop arrays, and the product they define.
 
-    A graph keeps its own; a compiled JoinTree keeps its leaves' arrays
-    concatenated and shifted to the leaves' offsets. Each output index only
-    sums over the edges of the leaf that holds it, in their original order,
-    so both give the same numbers for a leaf's vertices.
+    A graph keeps its own; a JoinTree's quotient reads those of the part
+    that holds its vertex.
     """
 
     order: int
@@ -397,31 +390,95 @@ def disjoint_union(x: WeightedGraph, y: WeightedGraph) -> WeightedGraph:
     return JoinTree(Connective.UNION, (x, y)).build()
 
 
-# The largest quotient JoinTree._quotient returns; above it the dense
-# product B @ x costs more than the tree's own on sparse parts. Measured
-# with krylov_entry at t = pi/2 on an Intel Xeon (one BLAS thread): Q8 v O4
-# (quotient order 257) 0.40 ms against 0.57 ms on the tree, Q9 v O4 (order
-# 513) 1.25 ms against 0.86 ms, and C256 v O4 (order 257, Krylov dimension
-# 130) 26.6 ms against 25.0 ms.
+# The largest quotient multiplied as a dense matrix; above it _Quotient.product
+# multiplies without forming it. Measured at t = pi/2 on an Intel Xeon (one
+# BLAS thread), dense against matrix-free: at quotient order 257 a product
+# takes 9.4-9.8 us against 18-28 us and krylov_entry 0.34 ms against 0.48 ms
+# on Q8 v O4, 22.1 ms against 22.9 ms on C256 v O4 (Krylov dimension 130)
+# and 87 ms against 117 ms on the 256-part stacked cone; at order 513 a
+# product takes 48-63 us against 25-37 us and krylov_entry 1.02 ms against
+# 0.66 ms on Q9 v O4 and 1.17 s against 0.92 s on the 512-part stacked cone.
 QUOTIENT_MAX_ORDER = 256
 
 
 @dataclass(frozen=True, eq=False)
 class _Quotient:
-    """A tree's symmetrized equitable quotient at a vertex, and where its cells lie.
+    """A tree's symmetrized equitable quotient B at a vertex, and where its cells lie.
 
-    Cells 0..l-1 are the vertices of the leaf that starts at vertex leaf;
-    cell l + i holds the other children of the i-th ancestor, root first,
-    which spans the vertices lo..hi-1 and whose cell has size vertices.
+    Cells 0..l-1 are the vertices of the vertex's leaf, whose edge arrays
+    are arrays and whose first vertex is leaf; cell l + i holds the other
+    children of the i-th ancestor, root first, which spans the vertices
+    lo..hi-1 and whose cell has size vertices. With r_i the square root of
+    that size (roots), j_i = 1 when the ancestor is a join, else 0, and
+    sigma = -1 under the Laplacian, +1 under the adjacency matrix, B holds:
+    the leaf's matrix with shift added to its diagonal; diagonal[i] at cell
+    l + i; sigma j_i r_i between cell l + i and each leaf vertex; and
+    sigma j_i r_i r_k between cells l + i and l + k for k > i. links holds
+    the j_i r_i.
     """
 
-    matrix: np.ndarray
+    arrays: _EdgeArrays
+    laplacian: bool
+    shift: int
+    roots: np.ndarray
+    links: np.ndarray
+    diagonal: np.ndarray
     leaf: int
     ancestors: tuple[tuple[int, int, int], ...]  # (lo, hi, size), root first
 
+    @property
+    def order(self) -> int:
+        return self.arrays.order + len(self.ancestors)
+
+    @property
+    def dense(self) -> bool:
+        """Whether B is multiplied as a dense matrix: up to QUOTIENT_MAX_ORDER."""
+        return self.order <= QUOTIENT_MAX_ORDER
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """B as a dense array, formed on first use."""
+        arrays, l, q = self.arrays, self.arrays.order, self.order
+        sign = -1.0 if self.laplacian else 1.0
+        b = np.zeros((q, q))
+        b[arrays.rows, arrays.cols] = b[arrays.cols, arrays.rows] = sign * arrays.weights
+        b[arrays.loop_at, arrays.loop_at] = arrays.loop_weights  # none under the Laplacian
+        for i, link in enumerate(self.links):
+            if link:  # a join: all of the leaf and of every deeper cell
+                c = l + i
+                b[c, :l] = b[:l, c] = sign * link
+                b[c, c + 1:] = b[c + 1:, c] = sign * link * self.roots[i + 1:]
+        b.flat[l * (q + 1) :: q + 1] = self.diagonal
+        if self.laplacian:
+            b.flat[: l * (q + 1) : q + 1] = arrays.degrees + self.shift
+        return b
+
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """B @ x without forming B, for a float vector of shape (order,).
+
+        One pass over the leaf's edges, then two cumulative sums over the
+        cells: what each cell gets from the deeper cells it is joined to,
+        and from the joins above it. So a fixed number of NumPy calls,
+        however deep the tree.
+        """
+        l = self.arrays.order
+        leaf, cells = x[:l], x[l:]
+        sign = -1.0 if self.laplacian else 1.0
+        linked = self.links * cells
+        deeper = np.zeros(len(cells))  # sum over k > i of r_k x_k
+        deeper[:-1] = np.cumsum((self.roots * cells)[:0:-1])[::-1]
+        above = np.zeros(len(cells))  # sum over a < i of j_a r_a x_a
+        above[1:] = np.cumsum(linked[:-1])
+        out = np.empty(len(x))
+        out[:l] = self.arrays.apply(leaf, self.laplacian) + self.shift * leaf
+        out[:l] += sign * linked.sum()
+        out[l:] = self.diagonal * cells + sign * (
+            self.links * (leaf.sum() + deeper) + self.roots * above)
+        return out
+
     def cell(self, v: int) -> tuple[int, int]:
         """The index and the size of the cell that holds vertex v."""
-        l = len(self.matrix) - len(self.ancestors)
+        l = self.arrays.order
         if self.leaf <= v < self.leaf + l:
             return v - self.leaf, 1
         for i in range(len(self.ancestors) - 1, -1, -1):  # the deepest range holding v
@@ -473,15 +530,10 @@ class JoinTree:
     children are WeightedGraphs or JoinTrees, numbered consecutively in the
     given order as join and disjoint_union number them, so
     JoinTree(Connective.JOIN, (x, y)) stands for join(x, y) and
-    JoinTree(Connective.JOIN, (x,) * r) for self_join(x, r). matvec
-    multiplies by the built graph's matrix in O(leaf edges + order); build
-    materializes the graph; _quotient(u, kind) gives the small equitable
-    quotient at u that krylov_entry multiplies instead, when there is one.
-
-    The first product compiles the tree (its leaves' arrays, concatenated at
-    their offsets, and its join nodes); the compiled form lives and dies
-    with the tree, and a tree that is never multiplied never compiles, so
-    a walk entry read from the quotient compiles nothing.
+    JoinTree(Connective.JOIN, (x,) * r) for self_join(x, r). build
+    materializes the graph; _quotient(u, kind) gives the equitable quotient
+    at u, of order |leaf of u| + depth, that krylov_entry multiplies in
+    place of the built graph's matrix.
     """
 
     connective: Connective
@@ -510,100 +562,6 @@ class JoinTree:
             offsets = itertools.accumulate((c.order for c in node.children[:-1]), initial=lo)
             pending.extend(reversed([(c, at, False) for c, at in zip(node.children, offsets)]))
 
-    @functools.cached_property
-    def _compiled(self) -> tuple[_EdgeArrays, list[tuple[int, int, tuple[int, ...], int]]]:
-        """The leaves' edge arrays shifted to their offsets, and the join nodes.
-
-        Each join node is (lo, hi, child orders, common child order or 0), in
-        post-order, so inner joins come before the joins that contain them.
-        One walk over the tree lists both. Consecutive children that are the
-        same graph (r copies of x in a self-join) are one run, whose arrays
-        are looked up once and repeated r times. Built on the first product
-        and kept on this tree.
-        """
-        runs: list[tuple[_EdgeArrays, int]] = []  # (leaf arrays, copies), in vertex order
-        starts: list[int] = []  # the first vertex of every leaf copy
-        joins: list[tuple[int, int, tuple[int, ...], int]] = []
-        # (node, first vertex, copies); a tree with 0 copies is still to be
-        # expanded, with 1 its children are done and it only records its join
-        pending: list[tuple[JoinTree | WeightedGraph, int, int]] = [(self, 0, 0)]
-        while pending:
-            node, lo, copies = pending.pop()
-            if isinstance(node, WeightedGraph):
-                runs.append((node._edge_arrays(), copies))
-                starts.extend(range(lo, lo + copies * node.order, node.order))
-                continue
-            if copies:
-                orders = tuple(c.order for c in node.children)
-                common = orders[0] if len(set(orders)) == 1 else 0
-                joins.append((lo, lo + node.order, orders, common))
-                continue
-            if node.connective is Connective.JOIN:
-                pending.append((node, lo, 1))
-            items = []
-            for _, same in itertools.groupby(node.children, key=id):
-                same = list(same)
-                child = same[0]
-                if isinstance(child, WeightedGraph):
-                    items.append((child, lo, len(same)))
-                else:
-                    items += [(child, lo + i * child.order, 0) for i in range(len(same))]
-                lo += len(same) * child.order
-            pending.extend(reversed(items))
-        counts = [copies for _, copies in runs]
-
-        def tile(arrays: list[np.ndarray]) -> np.ndarray:
-            """One array per run, repeated once per copy, end to end."""
-            return np.concatenate(list(itertools.chain.from_iterable(
-                map(itertools.repeat, arrays, counts))))
-
-        def shifts(sizes: list[int]) -> np.ndarray:
-            """Each copy's first vertex, once for each of its run's sizes entries."""
-            return np.repeat(starts, np.repeat(sizes, counts))
-
-        rows, cols, weights = _NO_VERTICES, _NO_VERTICES, _NO_WEIGHTS
-        if any(len(arrays.weights) for arrays, _ in runs):
-            offsets = shifts([len(arrays.weights) for arrays, _ in runs])
-            rows = tile([arrays.rows for arrays, _ in runs]) + offsets
-            cols = tile([arrays.cols for arrays, _ in runs]) + offsets
-            weights = tile([arrays.weights for arrays, _ in runs])
-        loop_at, loop_weights = _NO_VERTICES, _NO_WEIGHTS
-        if any(len(arrays.loop_weights) for arrays, _ in runs):
-            loop_shifts = shifts([len(arrays.loop_weights) for arrays, _ in runs])
-            loop_at = tile([arrays.loop_at for arrays, _ in runs]) + loop_shifts
-            loop_weights = tile([arrays.loop_weights for arrays, _ in runs])
-        edges = _EdgeArrays(self.order, rows, cols, weights, loop_at, loop_weights)
-        # a vertex's degree sums its own leaf's edges in the leaf's order, so
-        # the leaves' cached degrees, end to end, are the tree's, bit for bit
-        vars(edges)["degrees"] = _read_only(tile([arrays.degrees for arrays, _ in runs]))
-        return edges, joins
-
-    def _multiplier(self, kind: str):
-        """matvec for one kind, checked now, as a function of a float (order,) vector."""
-        edges, joins = self._compiled
-        laplacian = edges.is_laplacian(kind)
-        add_up = np.add.reduce  # what ndarray.sum calls, without its Python wrapper
-
-        def product(x: np.ndarray) -> np.ndarray:
-            out = edges.apply(x, laplacian)
-            for lo, hi, orders, common in joins:
-                size = hi - lo
-                total = float(add_up(x[lo:hi]))
-                if common:
-                    blocks = x[lo:hi].reshape(-1, common)
-                    rest = (total - add_up(blocks, axis=1))[:, None]
-                    view = out[lo:hi].reshape(-1, common)
-                    view += (size - common) * blocks - rest if laplacian else rest
-                    continue
-                for n in orders:
-                    block = x[lo:lo + n]
-                    rest = total - float(add_up(block))
-                    out[lo:lo + n] += (size - n) * block - rest if laplacian else rest
-                    lo += n
-            return out
-
-        return product
-
     def _quotient(self, u: int, kind: str) -> _Quotient | None:
         """The symmetrized equitable quotient of the tree's matrix at vertex u, or None.
 
@@ -621,9 +579,8 @@ class JoinTree:
         It reads the orders and the leaf's edge arrays; under the adjacency
         matrix the other children must also be regular, with one row sum per
         cell, since a cell's own row sum is its diagonal. The kind, and
-        loops under the Laplacian anywhere in the tree, are checked first,
-        as the tree's own product checks them. None when the quotient's
-        order would exceed QUOTIENT_MAX_ORDER or a cell is not regular.
+        loops under the Laplacian anywhere in the tree, are checked first.
+        None when a cell is not regular, whatever the quotient's order.
         """
         if kind not in ("adjacency", "laplacian"):
             raise ValueError(f"unknown matrix kind {kind!r}")
@@ -640,41 +597,28 @@ class JoinTree:
                 at += child.order
             path.append((node, lo, index))
             node, lo = child, at
-        leaf, l = node, node.order
-        q = l + len(path)
-        if q > QUOTIENT_MAX_ORDER:
-            return None
         sizes = [a.order - a.children[i].order for a, _, i in path]
-        roots = np.sqrt(sizes)
-        sign = -1.0 if laplacian else 1.0
-        arrays = leaf._edge_arrays()
-        b = np.zeros((q, q))
-        b[arrays.rows, arrays.cols] = b[arrays.cols, arrays.rows] = sign * arrays.weights
-        b[arrays.loop_at, arrays.loop_at] = arrays.loop_weights  # none under the Laplacian
+        joins = [a.connective is Connective.JOIN for a, _, _ in path]
+        diagonal = []
         seen = 0  # under the Laplacian, what a cell sees of the joins above it
         known: dict = {}
-        for i, (ancestor, _, index) in enumerate(path):
-            c = l + i
-            joined = ancestor.connective is Connective.JOIN
-            if joined:  # all of the leaf and of every deeper cell
-                b[c, :l] = b[:l, c] = sign * roots[i]
-                b[c, c + 1:] = b[c + 1:, c] = sign * roots[i] * roots[i + 1:]
+        for (ancestor, _, index), size, joined in zip(path, sizes, joins):
             if laplacian:
-                b[c, c] = seen + joined * ancestor.children[index].order
-                seen += joined * sizes[i]
+                diagonal.append(seen + joined * ancestor.children[index].order)
+                seen += joined * size
                 continue
             others = ancestor.children[:index] + ancestor.children[index + 1:]
             sums = [_row_sum(child, known) for child in others]
             if joined and None not in sums:
-                sums = [k + (sizes[i] - child.order) for k, child in zip(sums, others)]
+                sums = [k + (size - child.order) for k, child in zip(sums, others)]
             inner = _common(sums)
             if inner is None:
                 return None
-            b[c, c] = inner
-        if laplacian:
-            b.flat[: l * (q + 1) : q + 1] = arrays.degrees + seen
+            diagonal.append(inner)
+        roots = np.sqrt(sizes)
         ancestors = tuple((at, at + a.order, s) for (a, at, _), s in zip(path, sizes))
-        return _Quotient(b, lo, ancestors)
+        return _Quotient(node._edge_arrays(), laplacian, seen, roots, roots * joins,
+                         np.array(diagonal, dtype=float), lo, ancestors)
 
     def _leaves(self):
         """Each distinct leaf graph once, however often the tree repeats it."""
@@ -689,24 +633,6 @@ class JoinTree:
                 yield node
             else:
                 pending.extend(node.children)
-
-    def matvec(self, x: np.ndarray, kind: str) -> np.ndarray:
-        """The built graph's adjacency or Laplacian matrix times the real vector x.
-
-        A union is block-diagonal. A join adds all-ones blocks between its
-        children: with block sums s_i, total sum S and total order N, child i
-        of order n_i gets (S - s_i) added under the adjacency matrix, and
-        (N - n_i) x_i - (S - s_i) under the Laplacian. One pass over all leaf
-        edges gives the blocks; then each join node adds its term, inner
-        nodes first. Children of equal order take their sums from one
-        reshape, the others from one slice each, so a product makes a fixed
-        number of NumPy calls per join node (or per child of unequal order),
-        not one product per leaf, in the same floating-point order as
-        multiplying leaf by leaf. krylov_entry takes the product from
-        _multiplier once per run, so kind is checked once, not per product.
-        """
-        product = self._multiplier(kind)
-        return product(self._compiled[0].operand(x))
 
     def build(self) -> WeightedGraph:
         """The graph itself; join and disjoint_union build through it.

@@ -21,11 +21,12 @@ exp(itA) = exp(itK) exp(-itL) with L = KI - A (Godsil, "State transfer on
 graphs", 2012), so the adjacency tree is the Laplacian one run on k - theta.
 
 The walk check (_confirm_transfer) never builds the join either: it works
-on the JoinTree's equitable quotient at u, a dense matrix of order
-|part| + depth built from the orders and the part's edges, exponentiated
-whole up to walk.WHOLE_QUOTIENT_MAX_ORDER and through Lanczos from e_u
-above it, or, above graphs.QUOTIENT_MAX_ORDER, runs Lanczos on the tree's
-own product, which costs the parts' edges plus the order. It exponentiates
+on the JoinTree's equitable quotient at u, of order |part| + depth, read
+from the orders and the part's edges. It exponentiates the quotient whole
+up to walk.WHOLE_QUOTIENT_MAX_ORDER and runs Lanczos from e_u above it, on
+a dense matrix up to graphs.QUOTIENT_MAX_ORDER and on a matrix-free
+product, which costs the part's edges plus the quotient's order, above
+that. It exponentiates
 with a series, so it shares no eigensolver with the certificate it checks
 and reads none of the parts' matrices. Every positive verdict gets this
 check; nothing in this module builds or diagonalizes a joined graph.
@@ -896,13 +897,14 @@ def _confirm_transfer(
 
     u and v index the tree. A negative verdict is returned unchanged. A
     positive one must reach |exp(itM)[v, u]| >= CONFIRMATION_GATE at the
-    certified time, computed by krylov_entry on the tree (on its equitable
-    quotient at u when that is small enough, else on the whole tree), or
-    InconsistencyError is raised. The magnitude becomes the confirmation,
-    and the route that ran ("whole-quotient" for a quotient of order at
-    most walk.WHOLE_QUOTIENT_MAX_ORDER, exponentiated with no Lanczos loop,
-    else "lanczos"), the Krylov dimension, the error bound and the operator
-    ("quotient" or "tree") with its order go into details.
+    certified time, computed by krylov_entry on the tree's equitable
+    quotient at u, or InconsistencyError is raised. The magnitude becomes
+    the confirmation, and the route that ran ("whole-quotient" for a
+    quotient of order at most walk.WHOLE_QUOTIENT_MAX_ORDER, exponentiated
+    with no Lanczos loop, else "lanczos"), the Krylov dimension, the error
+    bound and the operator with its order go into details: "quotient", or
+    "graph" for a tree that krylov_entry builds because a cell has no
+    common row sum under the adjacency matrix.
     """
     if not cert.pst:
         return cert
@@ -993,7 +995,8 @@ def pst_preserved(
     The pair must have transfer within x. For the Laplacian, when the part
     order collides with a flipping eigenvalue, pad requests the analysis of
     the part padded by that many isolated vertices before joining. Every
-    verdict is cross-checked against the join analysis.
+    verdict is cross-checked against the join analysis, whose details,
+    the confirmation's among them, the certificate keeps beside the rule's.
 
     The Laplacian valuation rules are derived for unweighted parts. A part
     with another edge weight is labelled "general" (details["rule"]) and
@@ -1016,7 +1019,8 @@ def pst_preserved(
         if pad is not None:
             raise PreconditionError("padding is defined here for unweighted parts")
         details["rule"] = "general"
-        return replace(join_pst(x, y, u, v, matrix=matrix), details=details)
+        check = join_pst(x, y, u, v, matrix=matrix)
+        return replace(check, details={**check.details, **details})
     if matrix == "laplacian":
         if base.time.pi_numerator != 1 or base.time.sqrt_divisor != 1:
             raise InconsistencyError("a Laplacian transfer time must be pi over an integer")
@@ -1081,7 +1085,7 @@ def pst_preserved(
             raise InconsistencyError(
                 f"the preservation rule says {verdict} but the join analysis says {check.pst}"
             )
-        return replace(check, reason=reason, details=details)
+        return replace(check, reason=reason, details={**check.details, **details})
     if pad is not None:
         raise PreconditionError("padding is a Laplacian construction")
     # the rule reads only the gap g = k - ell and the offsets k - mu of the
@@ -1125,7 +1129,7 @@ def pst_preserved(
         if nu2(g) != nu2(h):
             raise InconsistencyError("the join time divisor changes the dyadic valuation")
         details["time_divisors"] = [h, g]
-    return replace(check, reason=reason, details=details)
+    return replace(check, reason=reason, details={**check.details, **details})
 
 
 def pst_induced(

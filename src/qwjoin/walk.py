@@ -9,13 +9,14 @@ carried entirely by the orders (Laplacian) or the regularity data
 krylov_entry computes one walk entry exp(itM)[v, u] independently of any
 eigensolver: Lanczos from e_u on an operator that only multiplies, then
 unitary_exp on the small tridiagonal matrix Lanczos produces. On a
-JoinTree the operator is the join's equitable quotient at u, a dense
-matrix of order |leaf of u| + depth, when that order is at most
-graphs.QUOTIENT_MAX_ORDER (and, under the adjacency matrix, every cell is
-regular); otherwise it is the tree's own product. A quotient of order at
-most WHOLE_QUOTIENT_MAX_ORDER (16) skips Lanczos: unitary_exp exponentiates
-it whole, which is cheaper there than the Lanczos loop. Either way the join
-is never built. unitary_exp scales and squares a Taylor polynomial whose
+JoinTree the operator is the join's equitable quotient at u, of order
+|leaf of u| + depth: a dense matrix up to graphs.QUOTIENT_MAX_ORDER, a
+matrix-free product above it. A dense quotient of order at most
+WHOLE_QUOTIENT_MAX_ORDER (16) skips Lanczos: unitary_exp exponentiates it
+whole, which is cheaper there than the Lanczos loop. Either way the join
+is never built; only under the adjacency matrix, when a cell has no
+common row sum, is the tree built and multiplied as a graph.
+unitary_exp scales and squares a Taylor polynomial whose
 degree and squaring count follow in advance from the norm, evaluated by
 Paterson-Stockmeyer, so it uses matrix products only: no eigensolver and
 no linear solve.
@@ -171,8 +172,9 @@ class KrylovEntry:
     "whole-quotient" for unitary_exp on a whole equitable quotient (its
     dimension is then the quotient's order and its bound 0.0). operator
     names what was multiplied: "quotient" for a JoinTree's equitable
-    quotient, "tree" for a JoinTree's own product, "graph" for any other
-    operator; operator_order is that operator's order.
+    quotient, dense or matrix-free, "graph" for any other operator (a
+    JoinTree built into its graph among them); operator_order is that
+    operator's order.
     """
 
     value: complex
@@ -186,51 +188,57 @@ class KrylovEntry:
 def krylov_entry(operator, u: int, v: int, t: float, kind: str = "laplacian") -> KrylovEntry:
     """exp(itM)[v, u] by Lanczos from e_u with full reorthogonalization.
 
-    operator has an order and a matvec(x, kind), like WeightedGraph and
-    JoinTree; M is never formed. A tree first offers its equitable
-    quotient at u (JoinTree._quotient), a small dense matrix B in which
-    u has a cell of its own; the entry is read from v's cell with the
-    scale 1/sqrt(|cell|), since exp(itM)e_u is constant on each cell. A
+    operator is a JoinTree, or has an order and a matvec(x, kind), like
+    WeightedGraph; M is never formed. A tree gives its equitable quotient
+    at u (JoinTree._quotient), a matrix B of order |leaf of u| + depth in
+    which u has a cell of its own; the entry is read from v's cell with the
+    scale 1/sqrt(|cell|), since exp(itM)e_u is constant on each cell. Up to
+    graphs.QUOTIENT_MAX_ORDER B is formed and multiplied densely, and a
     quotient of order at most WHOLE_QUOTIENT_MAX_ORDER is exponentiated
     whole by unitary_exp, with no Lanczos loop: the result reports route
     "whole-quotient", the quotient's order as its dimension and 0.0 as its
-    bound. On a larger quotient Lanczos multiplies B from u's cell. Without
-    a quotient, a graph or a tree checks kind (and, for the Laplacian, the
-    absence of loops) once per call, through its _multiplier(kind), and
-    then multiplies each Lanczos vector without checking it again; any
-    other operator is called through matvec. After k steps, with T the
-    k x k Lanczos tridiagonal and beta the next off-diagonal, the error of
-    V exp(itT) e_1 is at most |t| * beta, so the iteration stops once that
-    bound is below KRYLOV_TOL, or when k reaches the order of what is
-    multiplied (the Krylov space is then the whole space, so the result
-    is exact). In exact arithmetic beta vanishes after as many
-    steps as there are eigenvalues in the support of u. exp(itT) comes
-    from unitary_exp, so no eigensolver is involved. The Lanczos vectors
-    are the rows of one preallocated array that doubles when full, so a
-    step costs O(k n) for the reorthogonalization, with no re-stacking of
-    the basis.
+    bound. Above the cap Lanczos multiplies B without forming it. A tree
+    with no quotient (a cell with no common row sum under the adjacency
+    matrix) is built and taken as a graph. A graph checks kind (and, for
+    the Laplacian, the absence of loops) once per call, through its
+    _multiplier(kind), and then multiplies each Lanczos vector without
+    checking it again; any other operator is called through matvec. After
+    k steps, with T the k x k Lanczos tridiagonal and beta the next
+    off-diagonal, the error of V exp(itT) e_1 is at most |t| * beta, so the
+    iteration stops once that bound is below KRYLOV_TOL, or when k reaches
+    the order of what is multiplied (the Krylov space is then the whole
+    space, so the result is exact). In exact arithmetic beta vanishes after
+    as many steps as there are eigenvalues in the support of u. exp(itT)
+    comes from unitary_exp, so no eigensolver is involved. The Lanczos
+    vectors are the rows of one preallocated array that doubles when full,
+    so a step costs O(k n) for the reorthogonalization, with no re-stacking
+    of the basis.
     """
     n = operator.order
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError(f"vertex out of range for order {n}")
-    label = "tree" if isinstance(operator, JoinTree) else "graph"
-    quotient = operator._quotient(u, kind) if label == "tree" else None
+    quotient = operator._quotient(u, kind) if isinstance(operator, JoinTree) else None
     start, target, scale = u, v, 1.0
     if quotient is not None:
-        label, multiply, n = "quotient", quotient.matrix.__matmul__, len(quotient.matrix)
+        label, n = "quotient", quotient.order
+        multiply = quotient.matrix.__matmul__ if quotient.dense else quotient.product
         start = quotient.cell(u)[0]
         target, size = quotient.cell(v)
         scale = 1.0 / math.sqrt(size)
-        if n <= WHOLE_QUOTIENT_MAX_ORDER:
+        if quotient.dense and n <= WHOLE_QUOTIENT_MAX_ORDER:
             value = complex(unitary_exp(quotient.matrix, t)[target, start]) * scale
             if not cmath.isfinite(value):
                 raise NumericError(f"the walk entry ({u}, {v}) at t = {t} is not finite")
             return KrylovEntry(value, n, 0.0, label, n, "whole-quotient")
-    elif hasattr(operator, "_multiplier"):
-        multiply = operator._multiplier(kind)
     else:
-        def multiply(x):
-            return operator.matvec(x, kind)
+        if isinstance(operator, JoinTree):
+            operator = operator.build()
+        label = "graph"
+        if hasattr(operator, "_multiplier"):
+            multiply = operator._multiplier(kind)
+        else:
+            def multiply(x):
+                return operator.matvec(x, kind)
     basis = np.zeros((min(n, 4), n))  # rows q_0..q_{k-1}; doubles when full
     basis[0, start] = 1.0
     k = 1

@@ -13,6 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from qwjoin import SymbolicTime, WeightedGraph, graph_matrix
+from qwjoin.graphs import Connective
 from qwjoin.spectral import SupportPartition
 from qwjoin.transfer import _evaluate_pattern
 
@@ -156,6 +157,27 @@ class MatvecOnly:
         self.matvec = matvec
 
 
+def recursive_matvec(node, x, kind):
+    """A JoinTree's matrix times x as it is defined: leaf products plus each join's all-ones blocks."""
+    if isinstance(node, WeightedGraph):
+        return node.matvec(x, kind)
+    total = float(x.sum())
+    out = np.empty(node.order)
+    lo = 0
+    for child in node.children:
+        hi = lo + child.order
+        block = x[lo:hi]
+        out[lo:hi] = recursive_matvec(child, block, kind)
+        if node.connective is Connective.JOIN:
+            rest = total - float(block.sum())
+            if kind == "laplacian":
+                out[lo:hi] += (node.order - child.order) * block - rest
+            else:
+                out[lo:hi] += rest
+        lo = hi
+    return out
+
+
 def whole_tree(tree):
     """A JoinTree as a plain operator: Lanczos multiplies the whole tree, no quotient."""
-    return MatvecOnly(tree.order, tree.matvec)
+    return MatvecOnly(tree.order, lambda x, kind: recursive_matvec(tree, x, kind))

@@ -31,7 +31,7 @@ from qwjoin import (
 import qwjoin.graphs as graphs_module
 import qwjoin.transfer as transfer_module
 from qwjoin.errors import PreconditionError
-from qwjoin.graphs import QUOTIENT_MAX_ORDER, Connective, IteratedJoinSpec, JoinTree, _EdgeArrays
+from qwjoin.graphs import QUOTIENT_MAX_ORDER, Connective, IteratedJoinSpec, JoinTree
 from qwjoin.walk import KRYLOV_TOL
 
 from conftest import (
@@ -39,6 +39,7 @@ from conftest import (
     assert_agrees_with_the_oracles,
     random_simple,
     random_weighted,
+    recursive_matvec,
     whole_tree,
 )
 
@@ -210,7 +211,7 @@ def test_iterated_join_builds_the_right_graph():
 
 
 # ---------------------------------------------------------------------------
-# the implicit join operator
+# join trees, and the reference product of the whole tree
 # ---------------------------------------------------------------------------
 
 
@@ -255,12 +256,13 @@ _OPERATOR_CASES = _operator_cases()
     "name, tree, built", _OPERATOR_CASES, ids=[c[0] for c in _OPERATOR_CASES]
 )
 def test_join_tree_matvec_matches_the_built_matrix(name, tree, built, kind):
+    # the reference product that whole_tree gives Lanczos, against the built matrix
     assert tree.order == built.order
     assert tree.build() == built
     rng = np.random.default_rng(tree.order)
     for _ in range(3):
         vec = rng.standard_normal(tree.order)
-        assert np.allclose(tree.matvec(vec, kind), _dense(built, kind) @ vec, atol=1e-12)
+        assert np.allclose(recursive_matvec(tree, vec, kind), _dense(built, kind) @ vec, atol=1e-12)
 
 
 def test_matvec_with_loops_under_the_adjacency_matrix():
@@ -271,10 +273,9 @@ def test_matvec_with_loops_under_the_adjacency_matrix():
         vec = rng.standard_normal(graph.order)
         assert np.allclose(graph.matvec(vec, "adjacency"), _dense(graph, "adjacency") @ vec)
     tree = JoinTree(Connective.JOIN, (apex, family("C", 6)))
-    vec = rng.standard_normal(tree.order)
-    assert np.allclose(tree.matvec(vec, "adjacency"), _dense(tree.build(), "adjacency") @ vec)
+    assert tree.build() == join(apex, family("C", 6))
     with pytest.raises(PreconditionError):
-        tree.matvec(vec, "laplacian")
+        tree._quotient(0, "laplacian")
     with pytest.raises(ValueError):
         looped.matvec(vec[:4], "signless")
 
@@ -292,38 +293,16 @@ def test_join_tree_needs_two_children():
 
 
 def test_matvec_rejects_a_wrong_length_operand():
-    tree = JoinTree(Connective.JOIN, (family("C", 4), family("O", 2)))
-    assert np.array_equal(tree.matvec(np.ones(6), "laplacian"), np.zeros(6))
-    for operator in (tree, family("C", 4)):
-        for size in (operator.order - 1, operator.order + 1):
-            with pytest.raises(ValueError, match="shape"):
-                operator.matvec(np.ones(size), "laplacian")
+    graph = family("C", 4)
+    assert np.array_equal(graph.matvec(np.ones(4), "laplacian"), np.zeros(4))
+    for size in (graph.order - 1, graph.order + 1):
+        with pytest.raises(ValueError, match="shape"):
+            graph.matvec(np.ones(size), "laplacian")
 
 
 # ---------------------------------------------------------------------------
-# the compiled product against the recursive definition
+# the build against the recursive definition
 # ---------------------------------------------------------------------------
-
-
-def _recursive_matvec(node, x, kind):
-    """The tree product as it is defined: leaf products plus each join's all-ones blocks."""
-    if isinstance(node, WeightedGraph):
-        return node.matvec(x, kind)
-    total = float(x.sum())
-    out = np.empty(node.order)
-    lo = 0
-    for child in node.children:
-        hi = lo + child.order
-        block = x[lo:hi]
-        out[lo:hi] = _recursive_matvec(child, block, kind)
-        if node.connective is Connective.JOIN:
-            rest = total - float(block.sum())
-            if kind == "laplacian":
-                out[lo:hi] += (node.order - child.order) * block - rest
-            else:
-                out[lo:hi] += rest
-        lo = hi
-    return out
 
 
 def _glue(x, y, joined):
@@ -400,18 +379,6 @@ _KIND_AND_TREE = st.sampled_from(["laplacian", "adjacency"]).flatmap(
 
 
 @settings(deadline=None)
-@given(_KIND_AND_TREE, st.integers(0, 2**32 - 1))
-def test_compiled_product_equals_the_recursive_one(kind_and_tree, seed):
-    kind, tree = kind_and_tree
-    assume(tree.order <= 64)
-    x = np.random.default_rng(seed).standard_normal(tree.order)
-    got = tree.matvec(x, kind)
-    # the same floating-point operations in the same order, so bit for bit
-    assert np.array_equal(got, _recursive_matvec(tree, x, kind))
-    np.testing.assert_allclose(got, _dense(tree.build(), kind) @ x, rtol=1e-12, atol=1e-12)
-
-
-@settings(deadline=None)
 @given(_KIND_AND_TREE)
 def test_build_equals_the_recursive_fold(kind_and_tree):
     _, tree = kind_and_tree
@@ -420,86 +387,6 @@ def test_build_equals_the_recursive_fold(kind_and_tree):
     assert built.order == want.order
     assert list(built.edges.items()) == list(want.edges.items())
     assert list(built.loops.items()) == list(want.loops.items())
-
-
-def test_tree_compiles_on_the_first_product_and_skips_leaf_products(monkeypatch):
-    def no_leaf_products(self, x, kind):
-        raise AssertionError("a compiled tree makes no WeightedGraph.matvec call")
-
-    inner = JoinTree(Connective.UNION, (family("C", 4), family("O_loops", 2, 1.0)))
-    tree = JoinTree(Connective.JOIN, (inner, family("K", 3), inner))
-    vec = np.random.default_rng(3).standard_normal(tree.order)
-    assert "_compiled" not in vars(tree)
-    expected = _recursive_matvec(tree, vec, "adjacency")
-    monkeypatch.setattr(WeightedGraph, "matvec", no_leaf_products)
-    assert np.array_equal(tree.matvec(vec, "adjacency"), expected)
-    assert "_compiled" in vars(tree)
-
-
-def _reference_compile(tree):
-    """The compiled arrays and join list as defined: every leaf copy in vertex order, shifted."""
-    leaves, joins = [], []
-
-    def visit(node, lo):
-        if isinstance(node, WeightedGraph):
-            leaves.append((lo, node._edge_arrays()))
-            return
-        at = lo
-        for child in node.children:
-            visit(child, at)
-            at += child.order
-        if node.connective is Connective.JOIN:
-            orders = tuple(c.order for c in node.children)
-            joins.append((lo, at, orders, orders[0] if len(set(orders)) == 1 else 0))
-
-    visit(tree, 0)
-    arrays = {
-        name: np.concatenate([getattr(a, name) + (lo if shift else 0) for lo, a in leaves])
-        for name, shift in [("rows", True), ("cols", True), ("weights", False),
-                            ("loop_at", True), ("loop_weights", False)]
-    }
-    return arrays, joins, np.concatenate([a.degrees for _, a in leaves])
-
-
-_LOOPED = WeightedGraph(3, [(0, 1, 1.5), (1, 2, 2.0)], loops=[(0, -3.0), (2, 0.5)])
-
-
-@pytest.mark.parametrize(
-    "tree",
-    [JoinTree(Connective.JOIN, (family("C", 4),) * r) for r in (2, 7, 31)]
-    + [JoinTree(Connective.JOIN, (_LOOPED,) * 7)]
-    + [iterated_tree(parse_iterated_spec(plan))
-       for plan in ("O2 v O2 u O4 v O4 u O8 v O236", "C4 v K3 u P3 v O2 u Q3 v C4")],
-    ids=["C4 x2", "C4 x7", "C4 x31", "looped x7", "stacked O", "stacked mixed"],
-)
-def test_compiled_arrays_equal_the_reference_concatenation(tree):
-    edges, joins = tree._compiled
-    arrays, want_joins, want_degrees = _reference_compile(tree)
-    for name, want in arrays.items():
-        got = getattr(edges, name)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want), name
-    assert joins == want_joins
-    # the degrees reused from the leaves are the ones the edge pass computes
-    fresh = _EdgeArrays(*(getattr(edges, name) for name in
-                          ("order", "rows", "cols", "weights", "loop_at", "loop_weights")))
-    assert np.array_equal(edges.degrees, want_degrees)
-    assert np.array_equal(edges.degrees, fresh.degrees)
-
-
-def test_stacked_edgeless_plan_compiles_its_three_joins():
-    edges, joins = iterated_tree(parse_iterated_spec("O2 v O2 u O4 v O4 u O8 v O236"))._compiled
-    assert joins == [(0, 4, (2, 2), 2), (0, 12, (8, 4), 0), (0, 256, (20, 236), 0)]
-    assert edges.order == 256 and len(edges.rows) == 0 and len(edges.loop_at) == 0
-
-
-@pytest.mark.parametrize("leaf, kind", [(family("C", 4), "laplacian"), (family("C", 4), "adjacency"),
-                                        (_LOOPED, "adjacency")])
-def test_31_copy_product_equals_the_recursive_one(leaf, kind):
-    tree = JoinTree(Connective.JOIN, (leaf,) * 31)
-    for seed in range(5):
-        x = np.random.default_rng(seed).standard_normal(tree.order)
-        assert np.array_equal(tree.matvec(x, kind), _recursive_matvec(tree, x, kind))
 
 
 def test_self_join_confirmation_scales_with_the_support_not_the_copies():
@@ -514,7 +401,7 @@ def test_self_join_confirmation_scales_with_the_support_not_the_copies():
     assert krylov_entry(whole_tree(tree), 0, 2, cert.time.value).dimension == 3
 
 
-def test_compiled_product_of_a_plan_nested_past_the_recursion_limit():
+def test_quotient_product_of_a_plan_nested_past_the_recursion_limit():
     # a left-nested plan nests one tree level per part; 1,500 single-vertex
     # parts make the threshold graph whose vertex v is joined to all before it
     # exactly when part v + 1 is joined
@@ -529,8 +416,56 @@ def test_compiled_product_of_a_plan_nested_past_the_recursion_limit():
             a[:v, v] = a[v, :v] = 1.0
     x = np.random.default_rng(8).standard_normal(n)
     lap = np.diag(a.sum(axis=1)) - a
-    np.testing.assert_allclose(tree.matvec(x, "adjacency"), a @ x, rtol=1e-12, atol=1e-10)
-    np.testing.assert_allclose(tree.matvec(x, "laplacian"), lap @ x, rtol=1e-12, atol=1e-10)
+    # seen from vertex 0 every other cell is one part's vertex, root first,
+    # so the quotient is the matrix itself with the vertices in that order
+    cells = [0, *range(n - 1, 0, -1)]
+    for kind, m in (("adjacency", a), ("laplacian", lap)):
+        quotient = tree._quotient(0, kind)
+        assert quotient.order == n and not quotient.dense
+        want = m[np.ix_(cells, cells)]
+        assert np.array_equal(quotient.matrix, want)
+        np.testing.assert_allclose(quotient.product(x), want @ x, rtol=1e-12, atol=1e-10)
+
+
+def _stacked_cone(count: int) -> IteratedJoinSpec:
+    """O2 v O2 u O4 v O4 u ... with count parts, all past the second of order 4."""
+    conns = [None] + [
+        Connective.JOIN if j % 2 == count % 2 else Connective.UNION
+        for j in range(2, count + 1)
+    ]
+    orders = [2, 2] + [4] * (count - 2)
+    return IteratedJoinSpec([(family("O", k), c) for k, c in zip(orders, conns)])
+
+
+def test_a_plan_past_the_cap_confirms_alike_on_the_dense_quotient(monkeypatch):
+    # 300 parts: a quotient of order 301 at vertex 0, above the cap
+    spec = _stacked_cone(300)
+    tree = iterated_tree(spec)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("this product must not run")
+
+    rng = np.random.default_rng(300)
+    for kind in ("laplacian", "adjacency"):
+        quotient = tree._quotient(0, kind)
+        x = rng.standard_normal(quotient.order)
+        np.testing.assert_allclose(quotient.product(x), quotient.matrix @ x,
+                                   rtol=1e-12, atol=1e-10)
+    with monkeypatch.context() as patch:
+        patch.setattr(graphs_module._Quotient, "matrix", property(forbidden))
+        matrix_free = iterated_join_analysis(spec, 1, 0, 1)
+        free_entry = krylov_entry(tree, 0, 5, 0.7, "adjacency")
+    monkeypatch.setattr(graphs_module, "QUOTIENT_MAX_ORDER", 301)
+    monkeypatch.setattr(graphs_module._Quotient, "product", forbidden)
+    dense = iterated_join_analysis(spec, 1, 0, 1)
+    dense_entry = krylov_entry(tree, 0, 5, 0.7, "adjacency")
+    assert matrix_free.pst and dense.pst and matrix_free.time == dense.time
+    assert abs(matrix_free.confirmation - dense.confirmation) <= 1e-12
+    for cert in (matrix_free, dense):
+        assert cert.details["krylov_operator"] == "quotient"
+        assert cert.details["krylov_operator_order"] == cert.details["krylov_dimension"] == 301
+    assert free_entry.dimension == dense_entry.dimension
+    assert abs(free_entry.value - dense_entry.value) <= 1e-12
 
 
 def _alternating_plan(first: WeightedGraph, count: int) -> IteratedJoinSpec:
@@ -575,18 +510,18 @@ def test_build_of_a_plan_nested_past_a_lowered_recursion_limit():
 # ---------------------------------------------------------------------------
 
 
-@settings(deadline=None)
-@given(_KIND_AND_TREE, st.sampled_from([0.3, math.pi / 2, 2.9]))
-def test_quotient_entries_match_scipy_and_the_whole_tree_dimension(kind_and_tree, t):
-    kind, tree = kind_and_tree
-    assume(tree.order <= 16)
+def _check_quotient_entries(kind, tree, t):
+    """Every entry of a small tree's walk against expm, and each quotient's two products."""
     exact = scipy.linalg.expm(1j * t * _dense(tree.build(), kind))
     whole = whole_tree(tree)
+    rng = np.random.default_rng(tree.order)
     for u in range(tree.order):
         dimension = krylov_entry(whole, u, u, t, kind).dimension
         quotient = tree._quotient(u, kind)
         if quotient is not None:  # Lanczos on the quotient alone stops where it does on the tree
             b = quotient.matrix
+            x = rng.standard_normal(len(b))
+            np.testing.assert_allclose(quotient.product(x), b @ x, rtol=1e-12, atol=1e-12)
             cell = quotient.cell(u)[0]
             lanczos = krylov_entry(MatvecOnly(len(b), lambda x, kind: b @ x), cell, cell, t, kind)
             assert lanczos.dimension == dimension
@@ -595,15 +530,34 @@ def test_quotient_entries_match_scipy_and_the_whole_tree_dimension(kind_and_tree
             assert abs(entry.value - exact[v, u]) <= 1e-9
             if entry.route == "whole-quotient":
                 assert entry.dimension == entry.operator_order and entry.bound == 0.0
+                assert entry.operator_order <= graphs_module.QUOTIENT_MAX_ORDER
             else:
                 assert entry.dimension == dimension
             if kind == "laplacian":
                 assert entry.operator == "quotient" and entry.operator_order <= tree.order
 
 
-@pytest.mark.parametrize("kind", ["laplacian", "adjacency"])
-@pytest.mark.parametrize("order, route", [(16, "whole-quotient"), (17, "lanczos")])
-def test_quotients_up_to_order_16_are_exponentiated_whole(order, route, kind):
+@settings(deadline=None)
+@given(_KIND_AND_TREE, st.sampled_from([0.3, math.pi / 2, 2.9]))
+def test_quotient_entries_match_scipy_and_the_whole_tree_dimension(kind_and_tree, t):
+    kind, tree = kind_and_tree
+    assume(tree.order <= 16)
+    _check_quotient_entries(kind, tree, t)
+
+
+@settings(deadline=None)
+@given(_KIND_AND_TREE, st.sampled_from([0.3, math.pi / 2, 2.9]))
+def test_matrix_free_quotient_entries_match_scipy_and_the_whole_tree_dimension(kind_and_tree, t):
+    # with the cap at 0 every quotient takes the matrix-free product and Lanczos
+    kind, tree = kind_and_tree
+    assume(tree.order <= 16)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphs_module, "QUOTIENT_MAX_ORDER", 0)
+        _check_quotient_entries(kind, tree, t)
+
+
+def _check_quotient_routes(order, route, kind):
+    """Every entry of x v K3, x of order - 1, against expm, and the route from x's side."""
     # from the part, the quotient has its order - 1 vertices and the one cell K3
     x = random_weighted(np.random.default_rng(order), order - 1)
     tree = JoinTree(Connective.JOIN, (x, family("K", 3)))
@@ -621,18 +575,45 @@ def test_quotients_up_to_order_16_are_exponentiated_whole(order, route, kind):
                 assert entry.bound < KRYLOV_TOL or entry.dimension == entry.operator_order
 
 
+@pytest.mark.parametrize("kind", ["laplacian", "adjacency"])
+@pytest.mark.parametrize("order, route", [(16, "whole-quotient"), (17, "lanczos")])
+def test_quotients_up_to_order_16_are_exponentiated_whole(order, route, kind):
+    _check_quotient_routes(order, route, kind)
+
+
+@pytest.mark.parametrize("kind", ["laplacian", "adjacency"])
+@pytest.mark.parametrize("order", [16, 17])
+def test_quotients_above_a_lowered_cap_run_lanczos_on_the_matrix_free_product(
+    monkeypatch, order, kind
+):
+    monkeypatch.setattr(graphs_module, "QUOTIENT_MAX_ORDER", order - 1)
+    _check_quotient_routes(order, "lanczos", kind)
+
+
+# a 0.8-regular weighted circulant whose row sums differ in the last bit,
+# so is_regular accepts it and the exact row-sum test does not
+_NEARLY_REGULAR = WeightedGraph(6, [
+    (0, 1, 0.05), (0, 5, 0.05), (1, 2, 0.05), (2, 3, 0.05), (4, 5, 0.05),
+    (2, 5, 0.7), (3, 4, 0.05), (0, 3, 0.7), (1, 4, 0.7),
+])
+
+
 def test_an_irregular_sibling_under_the_adjacency_takes_the_tree_route():
-    # P3 is not regular, so the cell it forms has no one row sum
+    # the cell P3 forms has no one row sum, nor has the nearly regular
+    # circulant's, so each tree is built and taken as a graph
+    assert is_regular(_NEARLY_REGULAR) == pytest.approx(0.8)
+    assert graphs_module._row_sum(_NEARLY_REGULAR, {}) is None
+    for x, y, u, v in ((family("C", 4), family("P", 3), 0, 2),
+                       (family("O", 2), _NEARLY_REGULAR, 0, 1)):
+        tree = JoinTree(Connective.JOIN, (x, y))
+        exact = scipy.linalg.expm(1j * 0.8 * _dense(tree.build(), "adjacency"))
+        entry = krylov_entry(tree, u, v, 0.8, "adjacency")
+        assert (entry.operator, entry.operator_order) == ("graph", tree.order)
+        assert abs(entry.value - exact[v, u]) <= 1e-9
+    # from P3's side the other cell is C4, which is regular
     tree = JoinTree(Connective.JOIN, (family("C", 4), family("P", 3)))
     exact = scipy.linalg.expm(1j * 0.8 * _dense(tree.build(), "adjacency"))
-    entry = krylov_entry(tree, 0, 2, 0.8, "adjacency")
-    assert "_compiled" in vars(tree)
-    assert (entry.operator, entry.operator_order) == ("tree", 7)
-    assert abs(entry.value - exact[2, 0]) <= 1e-9
-    # from P3's side the other cell is C4, which is regular
-    fresh = JoinTree(Connective.JOIN, (family("C", 4), family("P", 3)))
-    entry = krylov_entry(fresh, 4, 6, 0.8, "adjacency")
-    assert "_compiled" not in vars(fresh)
+    entry = krylov_entry(tree, 4, 6, 0.8, "adjacency")
     assert (entry.operator, entry.operator_order) == ("quotient", 4)
     assert abs(entry.value - exact[6, 4]) <= 1e-9
 
@@ -640,7 +621,6 @@ def test_an_irregular_sibling_under_the_adjacency_takes_the_tree_route():
 def test_a_double_cone_over_four_million_vertices_stays_uncompiled():
     tree = JoinTree(Connective.JOIN, (family("O", 2), family("O", 4_000_000)))
     entry = krylov_entry(tree, 0, 1, math.pi / 2, "laplacian")
-    assert "_compiled" not in vars(tree)
     assert (entry.operator, entry.operator_order, entry.dimension) == ("quotient", 3, 3)
     assert (entry.route, entry.bound) == ("whole-quotient", 0.0)
     # |U(pi/2)[1, 0]| = n / (n + 2) for n = 0 modulo 4: no transfer. The
@@ -662,7 +642,7 @@ def test_the_quotient_keeps_the_tree_preconditions():
             krylov_entry(looped, u, v, 1.0, "adjacency")
 
 
-@pytest.mark.parametrize("cap", [QUOTIENT_MAX_ORDER, 0], ids=["quotient", "tree"])
+@pytest.mark.parametrize("cap", [QUOTIENT_MAX_ORDER, 0], ids=["quotient", "matrix-free"])
 def test_confirmation_reads_no_matrix_and_no_eigensolver(monkeypatch, cap):
     x, y = family("O", 2), family("C", 6)
     cert = join_pst(x, y, 0, 1)
@@ -683,6 +663,7 @@ def test_confirmation_reads_no_matrix_and_no_eigensolver(monkeypatch, cap):
         JoinTree(Connective.JOIN, (x, y)), 0, 1, cert, "join"
     )
     assert confirmed.confirmation >= 1 - 1e-9
-    operator = "quotient" if cap else "tree"
-    assert confirmed.details["krylov_operator"] == operator
-    assert confirmed.details["krylov_operator_order"] == (3 if cap else 8)
+    assert confirmed.details["krylov_operator"] == "quotient"
+    assert confirmed.details["krylov_operator_order"] == 3
+    route = "whole-quotient" if cap else "lanczos"
+    assert confirmed.details["confirmation_route"] == route

@@ -572,6 +572,21 @@ def _weighted_k2(weight):
     return WeightedGraph(2, [(0, 1, float(weight))])
 
 
+@pytest.mark.parametrize("x, y, u, v, matrix", [
+    (C4_LOOPED, family("O_loops", 4, 2.5), 0, 2, "adjacency"),
+    (family("Q", 3), family("O", 8), 0, 7, "laplacian"),
+    (_weighted_k2(2.0), family("O", 2), 0, 1, "laplacian"),
+], ids=["looped C4 adjacency", "Q3 v O8", "weighted K2"])
+def test_pst_preserved_keeps_the_join_details(x, y, u, v, matrix):
+    check = join_pst(x, y, u, v, matrix=matrix)
+    cert = pst_preserved(x, y, u, v, matrix=matrix)
+    assert cert.pst and check.pst and cert.confirmation == check.confirmation
+    assert "confirmation_route" in check.details
+    for key, value in check.details.items():
+        assert cert.details[key] == value, key
+    assert "part_time" in cert.details
+
+
 # weighted Laplacian parts: the valuation rule, derived for unweighted parts,
 # says False for each (K2 with weight 2 has part time pi/4, so nu2(h) = 2)
 @pytest.mark.parametrize("weight, n", [(2, 2), (2, 6), (3, 6)])

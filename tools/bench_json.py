@@ -6,11 +6,13 @@ Usage, from anywhere:
 
 For every workload declared in the checkout's BENCHMARK.json, the script runs
 the checkout's own ``benchmark/run.py`` with ``--trace 0`` (end-to-end view)
-and ``--trace 1`` (per-layer view), RUNS times each with seed SEED, for the
-run length the checkout's BENCHMARK.json sets, and records every run's value
-of each metric with their median and quartiles. With ``--baseline`` the same
-runs are made in the baseline checkout too, in pairs whose order swaps from
-one pair to the next, so that neither side always runs first; each metric
+and ``--trace 1`` (per-layer view), RUNS (10) times each with seed SEED, for
+the run length the checkout's BENCHMARK.json sets, and records every run's
+value of each metric with their median and quartiles. With ``--baseline`` the
+same runs are made in the baseline checkout too, in pairs whose order swaps
+from one pair to the next, so that neither side always runs first. RUNS is
+ten because a gain is judged on at least ten alternating pairs, and because
+three runs could not tell a change in ``setup_s`` from its spread. Each metric
 then also gets the baseline's median and quartiles, the relative change of
 the medians and whether the two sides' quartile ranges overlap, so a change
 can be read against the baseline's spread. A run that reports ``correct:
@@ -37,7 +39,7 @@ import sys
 from pathlib import Path
 
 VIEWS = {0: "end_to_end", 1: "per_layer"}
-RUNS = 3
+RUNS = 10
 SEED = 53
 
 
