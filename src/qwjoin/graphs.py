@@ -390,18 +390,19 @@ def disjoint_union(x: WeightedGraph, y: WeightedGraph) -> WeightedGraph:
     return JoinTree(Connective.UNION, (x, y)).build()
 
 
-# The largest quotient multiplied as a dense matrix; above it _Quotient.product
-# multiplies without forming it. Measured at t = pi/2 on an Intel Xeon (one
-# BLAS thread), dense against matrix-free: at quotient order 257 a product
-# takes 9.4-9.8 us against 18-28 us and krylov_entry 0.34 ms against 0.48 ms
-# on Q8 v O4, 22.1 ms against 22.9 ms on C256 v O4 (Krylov dimension 130)
-# and 87 ms against 117 ms on the 256-part stacked cone; at order 513 a
-# product takes 48-63 us against 25-37 us and krylov_entry 1.02 ms against
-# 0.66 ms on Q9 v O4 and 1.17 s against 0.92 s on the 512-part stacked cone.
+# The largest quotient multiplied as a dense matrix; above it the quotient's
+# multiplier never forms it. Measured at t = pi/2 on an Intel Xeon (one BLAS
+# thread), dense against matrix-free: at quotient order 257 a product takes
+# 9.3-9.6 us against 18-26 us, and krylov_entry 0.37 ms against 0.46 ms on
+# Q8 v O4, 22.0 ms against 22.7 ms on C256 v O4 (Krylov dimension 130) and
+# 85 ms against 90 ms on the 256-part stacked cone; at order 513 a product
+# takes 46-53 us against 22-40 us, and krylov_entry 1.03 ms against 0.71 ms
+# on Q9 v O4 and 209 ms against 195 ms on C512 v O4 (on the 512-part
+# stacked cone, 0.91 s against 0.95 s, the Lanczos loop hides the product).
 QUOTIENT_MAX_ORDER = 256
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class _Quotient:
     """A tree's symmetrized equitable quotient B at a vertex, and where its cells lie.
 
@@ -409,20 +410,18 @@ class _Quotient:
     are arrays and whose first vertex is leaf; cell l + i holds the other
     children of the i-th ancestor, root first, which spans the vertices
     lo..hi-1 and whose cell has size vertices. With r_i the square root of
-    that size (roots), j_i = 1 when the ancestor is a join, else 0, and
-    sigma = -1 under the Laplacian, +1 under the adjacency matrix, B holds:
-    the leaf's matrix with shift added to its diagonal; diagonal[i] at cell
-    l + i; sigma j_i r_i between cell l + i and each leaf vertex; and
-    sigma j_i r_i r_k between cells l + i and l + k for k > i. links holds
-    the j_i r_i.
+    that size, j_i = joins[i] (1 for a join, 0 for a union) and sigma = -1
+    under the Laplacian, +1 under the adjacency matrix, B holds: the leaf's
+    matrix with shift added to its diagonal; diagonal[i] at cell l + i;
+    sigma j_i r_i between cell l + i and each leaf vertex; and
+    sigma j_i r_i r_k between cells l + i and l + k for k > i.
     """
 
     arrays: _EdgeArrays
     laplacian: bool
     shift: int
-    roots: np.ndarray
-    links: np.ndarray
-    diagonal: np.ndarray
+    joins: list[bool]
+    diagonal: list[float]
     leaf: int
     ancestors: tuple[tuple[int, int, int], ...]  # (lo, hi, size), root first
 
@@ -435,46 +434,56 @@ class _Quotient:
         """Whether B is multiplied as a dense matrix: up to QUOTIENT_MAX_ORDER."""
         return self.order <= QUOTIENT_MAX_ORDER
 
-    @functools.cached_property
+    def _roots(self) -> np.ndarray:
+        return np.sqrt([size for _, _, size in self.ancestors])
+
     def matrix(self) -> np.ndarray:
-        """B as a dense array, formed on first use."""
+        """B as a dense array."""
         arrays, l, q = self.arrays, self.arrays.order, self.order
+        roots = self._roots()
         sign = -1.0 if self.laplacian else 1.0
         b = np.zeros((q, q))
         b[arrays.rows, arrays.cols] = b[arrays.cols, arrays.rows] = sign * arrays.weights
         b[arrays.loop_at, arrays.loop_at] = arrays.loop_weights  # none under the Laplacian
-        for i, link in enumerate(self.links):
-            if link:  # a join: all of the leaf and of every deeper cell
+        for i, joined in enumerate(self.joins):
+            if joined:  # all of the leaf and of every deeper cell
                 c = l + i
-                b[c, :l] = b[:l, c] = sign * link
-                b[c, c + 1:] = b[c + 1:, c] = sign * link * self.roots[i + 1:]
+                b[c, :l] = b[:l, c] = sign * roots[i]
+                b[c, c + 1:] = b[c + 1:, c] = sign * roots[i] * roots[i + 1:]
         b.flat[l * (q + 1) :: q + 1] = self.diagonal
         if self.laplacian:
             b.flat[: l * (q + 1) : q + 1] = arrays.degrees + self.shift
         return b
 
-    def product(self, x: np.ndarray) -> np.ndarray:
-        """B @ x without forming B, for a float vector of shape (order,).
+    def multiplier(self):
+        """B @ x as a function of a float vector x of shape (order,), never forming B.
 
-        One pass over the leaf's edges, then two cumulative sums over the
-        cells: what each cell gets from the deeper cells it is joined to,
-        and from the joins above it. So a fixed number of NumPy calls,
-        however deep the tree.
+        A product is one pass over the leaf's edges, then two cumulative
+        sums over the cells: what each cell gets from the deeper cells it
+        is joined to, and from the joins above it. So it makes a fixed
+        number of NumPy calls, however deep the tree.
         """
-        l = self.arrays.order
-        leaf, cells = x[:l], x[l:]
-        sign = -1.0 if self.laplacian else 1.0
-        linked = self.links * cells
-        deeper = np.zeros(len(cells))  # sum over k > i of r_k x_k
-        deeper[:-1] = np.cumsum((self.roots * cells)[:0:-1])[::-1]
-        above = np.zeros(len(cells))  # sum over a < i of j_a r_a x_a
-        above[1:] = np.cumsum(linked[:-1])
-        out = np.empty(len(x))
-        out[:l] = self.arrays.apply(leaf, self.laplacian) + self.shift * leaf
-        out[:l] += sign * linked.sum()
-        out[l:] = self.diagonal * cells + sign * (
-            self.links * (leaf.sum() + deeper) + self.roots * above)
-        return out
+        arrays, l, laplacian, shift = self.arrays, self.arrays.order, self.laplacian, self.shift
+        roots = self._roots()
+        links = roots * self.joins  # the j_i r_i
+        diagonal = np.array(self.diagonal, dtype=float)
+        sign = -1.0 if laplacian else 1.0
+
+        def product(x: np.ndarray) -> np.ndarray:
+            leaf, cells = x[:l], x[l:]
+            linked = links * cells
+            deeper = np.zeros(len(cells))  # sum over k > i of r_k x_k
+            deeper[:-1] = np.cumsum((roots * cells)[:0:-1])[::-1]
+            above = np.zeros(len(cells))  # sum over a < i of j_a r_a x_a
+            above[1:] = np.cumsum(linked[:-1])
+            out = np.empty(len(x))
+            out[:l] = arrays.apply(leaf, laplacian)
+            out[:l] += shift * leaf + sign * linked.sum()
+            out[l:] = diagonal * cells + sign * (
+                links * (leaf.sum() + deeper) + roots * above)
+            return out
+
+        return product
 
     def cell(self, v: int) -> tuple[int, int]:
         """The index and the size of the cell that holds vertex v."""
@@ -615,10 +624,8 @@ class JoinTree:
             if inner is None:
                 return None
             diagonal.append(inner)
-        roots = np.sqrt(sizes)
         ancestors = tuple((at, at + a.order, s) for (a, at, _), s in zip(path, sizes))
-        return _Quotient(node._edge_arrays(), laplacian, seen, roots, roots * joins,
-                         np.array(diagonal, dtype=float), lo, ancestors)
+        return _Quotient(node._edge_arrays(), laplacian, seen, joins, diagonal, lo, ancestors)
 
     def _leaves(self):
         """Each distinct leaf graph once, however often the tree repeats it."""

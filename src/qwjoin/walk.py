@@ -218,27 +218,28 @@ def krylov_entry(operator, u: int, v: int, t: float, kind: str = "laplacian") ->
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError(f"vertex out of range for order {n}")
     quotient = operator._quotient(u, kind) if isinstance(operator, JoinTree) else None
-    start, target, scale = u, v, 1.0
+    if quotient is None and isinstance(operator, JoinTree):  # a cell has no common row sum
+        operator = operator.build()
+    start, target, scale, label = u, v, 1.0, "graph"
     if quotient is not None:
         label, n = "quotient", quotient.order
-        multiply = quotient.matrix.__matmul__ if quotient.dense else quotient.product
         start = quotient.cell(u)[0]
         target, size = quotient.cell(v)
         scale = 1.0 / math.sqrt(size)
-        if quotient.dense and n <= WHOLE_QUOTIENT_MAX_ORDER:
-            value = complex(unitary_exp(quotient.matrix, t)[target, start]) * scale
+        if not quotient.dense:
+            multiply = quotient.multiplier()
+        elif n > WHOLE_QUOTIENT_MAX_ORDER:
+            multiply = quotient.matrix().__matmul__
+        else:
+            value = complex(unitary_exp(quotient.matrix(), t)[target, start]) * scale
             if not cmath.isfinite(value):
                 raise NumericError(f"the walk entry ({u}, {v}) at t = {t} is not finite")
             return KrylovEntry(value, n, 0.0, label, n, "whole-quotient")
+    elif hasattr(operator, "_multiplier"):
+        multiply = operator._multiplier(kind)
     else:
-        if isinstance(operator, JoinTree):
-            operator = operator.build()
-        label = "graph"
-        if hasattr(operator, "_multiplier"):
-            multiply = operator._multiplier(kind)
-        else:
-            def multiply(x):
-                return operator.matvec(x, kind)
+        def multiply(x):
+            return operator.matvec(x, kind)
     basis = np.zeros((min(n, 4), n))  # rows q_0..q_{k-1}; doubles when full
     basis[0, start] = 1.0
     k = 1

@@ -423,8 +423,8 @@ def test_quotient_product_of_a_plan_nested_past_the_recursion_limit():
         quotient = tree._quotient(0, kind)
         assert quotient.order == n and not quotient.dense
         want = m[np.ix_(cells, cells)]
-        assert np.array_equal(quotient.matrix, want)
-        np.testing.assert_allclose(quotient.product(x), want @ x, rtol=1e-12, atol=1e-10)
+        assert np.array_equal(quotient.matrix(), want)
+        np.testing.assert_allclose(quotient.multiplier()(x), want @ x, rtol=1e-12, atol=1e-10)
 
 
 def _stacked_cone(count: int) -> IteratedJoinSpec:
@@ -449,14 +449,14 @@ def test_a_plan_past_the_cap_confirms_alike_on_the_dense_quotient(monkeypatch):
     for kind in ("laplacian", "adjacency"):
         quotient = tree._quotient(0, kind)
         x = rng.standard_normal(quotient.order)
-        np.testing.assert_allclose(quotient.product(x), quotient.matrix @ x,
+        np.testing.assert_allclose(quotient.multiplier()(x), quotient.matrix() @ x,
                                    rtol=1e-12, atol=1e-10)
     with monkeypatch.context() as patch:
-        patch.setattr(graphs_module._Quotient, "matrix", property(forbidden))
+        patch.setattr(graphs_module._Quotient, "matrix", forbidden)
         matrix_free = iterated_join_analysis(spec, 1, 0, 1)
         free_entry = krylov_entry(tree, 0, 5, 0.7, "adjacency")
     monkeypatch.setattr(graphs_module, "QUOTIENT_MAX_ORDER", 301)
-    monkeypatch.setattr(graphs_module._Quotient, "product", forbidden)
+    monkeypatch.setattr(graphs_module._Quotient, "multiplier", forbidden)
     dense = iterated_join_analysis(spec, 1, 0, 1)
     dense_entry = krylov_entry(tree, 0, 5, 0.7, "adjacency")
     assert matrix_free.pst and dense.pst and matrix_free.time == dense.time
@@ -519,9 +519,9 @@ def _check_quotient_entries(kind, tree, t):
         dimension = krylov_entry(whole, u, u, t, kind).dimension
         quotient = tree._quotient(u, kind)
         if quotient is not None:  # Lanczos on the quotient alone stops where it does on the tree
-            b = quotient.matrix
+            b = quotient.matrix()
             x = rng.standard_normal(len(b))
-            np.testing.assert_allclose(quotient.product(x), b @ x, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(quotient.multiplier()(x), b @ x, rtol=1e-12, atol=1e-12)
             cell = quotient.cell(u)[0]
             lanczos = krylov_entry(MatvecOnly(len(b), lambda x, kind: b @ x), cell, cell, t, kind)
             assert lanczos.dimension == dimension
