@@ -167,8 +167,8 @@ def cmd_analyze(args) -> int:
     matrix = args.matrix
     decomp = spectrum(graph, matrix)
     print(
-        f"graph: order {graph.order}, {len(graph.edges)} edges, "
-        f"{len(graph.loops)} loops, "
+        f"graph: order {graph.order}, {len(graph.weights)} edges, "
+        f"{len(graph.loop_weights)} loops, "
         f"{'connected' if is_connected(graph) else 'disconnected'}"
     )
     print(f"matrix: {matrix}")
@@ -488,6 +488,12 @@ def main(argv=None) -> int:
                 )
             if (args.right or args.self_count) and not args.left:
                 raise ValueError("--left is required for this mode")
+            if args.iterated and args.left:
+                raise ValueError("--left does not apply to --iterated")
+            if args.part is not None and not args.iterated:
+                raise ValueError("--part applies to --iterated only")
+            if args.ratio and not args.right:
+                raise ValueError("--ratio applies to a join with --right only")
         return args.func(args)
     except (PreconditionError, ValueError, IntegerOverflowError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)

@@ -43,11 +43,13 @@ _TUPLE_FIELDS = {"pair"}
 
 
 def graph_to_dict(graph: WeightedGraph) -> dict:
+    edges = zip(graph.rows.tolist(), graph.cols.tolist(), graph.weights.tolist())
+    loops = zip(graph.loop_at.tolist(), graph.loop_weights.tolist())
     return {
         "order": graph.order,
         "simple": is_simple(graph),
-        "edges": [[u, v, w] for (u, v), w in sorted(graph.edges.items())],
-        "loops": [[v, w] for v, w in sorted(graph.loops.items())],
+        "edges": [list(edge) for edge in sorted(edges)],  # by endpoints, which are unique
+        "loops": [list(loop) for loop in sorted(loops)],
     }
 
 

@@ -2,8 +2,10 @@
 
 Vertices are 0..order-1. Edges carry positive real weights; loops carry
 nonzero real weights and only matter for adjacency-matrix analyses (the
-Laplacian routines require simple graphs). When two graphs are joined, the
-left operand keeps its vertex labels and the right operand is shifted, so
+Laplacian routines require simple graphs). A graph is its order and the
+arrays of its edges and loops, in the order they were given; every
+numeric path reads the arrays. When two graphs are joined, the left
+operand keeps its vertex labels and the right operand is shifted, so
 vertex u of X is vertex u of join(X, Y).
 
 A JoinTree keeps a join or union as structure instead of an edge list.
@@ -35,60 +37,96 @@ class Connective(enum.Enum):
     UNION = "union"
 
 
-def _normalize_edges(order: int, edges) -> dict[tuple[int, int], float]:
-    out: dict[tuple[int, int], float] = {}
-    for item in edges:
-        u, v, w = item
-        u, v, w = int(u), int(v), float(w)
-        if not (0 <= u < order and 0 <= v < order):
-            raise ValueError(f"edge ({u},{v}) out of range for order {order}")
-        if u == v:
-            raise ValueError(f"loop ({u},{u}) must be supplied via loops, not edges")
-        if not math.isfinite(w) or w <= 0:
-            raise ValueError(f"edge ({u},{v}) needs a positive finite weight, got {w}")
-        key = (u, v) if u < v else (v, u)
-        if key in out:
-            raise ValueError(f"duplicate edge {key}")
-        out[key] = w
+def _table(items, width: int) -> np.ndarray:
+    """items as a new float array, of shape (N, width) unless empty; raises on other shapes."""
+    table = np.array(items if isinstance(items, np.ndarray) else list(items), dtype=float)
+    if len(table) and (table.ndim != 2 or table.shape[1] != width):
+        raise ValueError(f"expected items of {width} entries, got an array of shape {table.shape}")
+    return table
+
+
+def _repeats(keys) -> np.ndarray:
+    """Which items have the key of an earlier item; an item's key is its entry in each of keys."""
+    by_key = np.lexsort(keys[::-1])  # stable, so a key's copies keep their order
+    tied = functools.reduce(np.logical_and, [key[by_key[1:]] == key[by_key[:-1]] for key in keys])
+    out = np.zeros(len(by_key), dtype=bool)
+    out[by_key[1:][tied]] = True
     return out
 
 
-def _normalize_loops(order: int, loops) -> dict[int, float]:
-    out: dict[int, float] = {}
-    items = loops.items() if isinstance(loops, dict) else loops
-    for item in items:
-        v, w = item
-        v, w = int(v), float(w)
-        if not 0 <= v < order:
-            raise ValueError(f"loop vertex {v} out of range for order {order}")
-        if not math.isfinite(w) or w == 0:
-            raise ValueError(f"loop at {v} needs a nonzero finite weight, got {w}")
-        if v in out:
-            raise ValueError(f"duplicate loop at {v}")
-        out[v] = w
-    return out
+def _first_fault(faults) -> tuple[int, int] | None:
+    """(check, item) of the first failure, checking item by item, each check in turn.
+
+    faults holds a mask per check. A last check for repeats may flag items that
+    repeat a failing item: such an item never fails first.
+    """
+    failed = functools.reduce(np.logical_or, faults)
+    if not failed.any():
+        return None
+    i = int(failed.argmax())
+    return next(check for check, mask in enumerate(faults) if mask[i]), i
+
+
+def _edge_columns(order: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows, columns (row < column) and weights of (u, v, w) edges, in the given order."""
+    table = _table(edges, 3)
+    if not len(table):  # most graphs that searches build are edgeless
+        return np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)
+    u, v, weights = np.trunc(table[:, 0]), np.trunc(table[:, 1]), table[:, 2]  # as int() does
+    lo, hi = np.minimum(u, v), np.maximum(u, v)  # NaN if u or v is
+    positive = (weights > 0) & (weights < math.inf)
+    fault = _first_fault([~((lo >= 0) & (hi < order)), u == v, ~positive, _repeats([lo, hi])])
+    if fault is not None:
+        check, i = fault
+        u, v, w = int(u[i]), int(v[i]), float(weights[i])
+        raise ValueError((
+            f"edge ({u},{v}) out of range for order {order}",
+            f"loop ({u},{u}) must be supplied via loops, not edges",
+            f"edge ({u},{v}) needs a positive finite weight, got {w}",
+            f"duplicate edge {(min(u, v), max(u, v))}",
+        )[check])
+    return lo.astype(np.intp), hi.astype(np.intp), np.ascontiguousarray(weights)
+
+
+def _loop_columns(order: int, loops) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices and weights of (v, w) loops, or of a {v: w} dict, in the given order."""
+    table = _table(loops.items() if isinstance(loops, dict) else loops, 2)
+    if not len(table):
+        return np.empty(0, np.intp), np.empty(0)
+    at, weights = np.trunc(table[:, 0]), table[:, 1]
+    nonzero = (weights != 0) & (np.abs(weights) < math.inf)
+    fault = _first_fault([~((at >= 0) & (at < order)), ~nonzero, _repeats([at])])
+    if fault is not None:
+        check, i = fault
+        v, w = int(at[i]), float(weights[i])
+        raise ValueError((
+            f"loop vertex {v} out of range for order {order}",
+            f"loop at {v} needs a nonzero finite weight, got {w}",
+            f"duplicate loop at {v}",
+        )[check])
+    return at.astype(np.intp), np.ascontiguousarray(weights)
 
 
 class WeightedGraph:
     """An undirected weighted graph with optional loops; immutable.
 
-    edges and loops are read-only mappings. The adjacency and Laplacian
-    matrices and the degree vector are built on first use and cached on the
-    graph as read-only arrays; spectral.spectrum caches decompositions the
-    same way.
+    rows, cols (rows < cols) and weights hold the edges, loop_at and
+    loop_weights the loops, as read-only arrays in the order given. edges
+    ({(row, col): weight}) and loops ({vertex: weight}) are read-only
+    mappings of them, built on first read. The matrices and degrees are
+    built on first use and cached on the graph as read-only arrays;
+    spectral.spectrum caches decompositions the same way.
     """
 
-    __slots__ = ("order", "edges", "loops", "_cache")
+    __slots__ = ("order", "rows", "cols", "weights", "loop_at", "loop_weights", "_cache")
 
     def __init__(self, order: int, edges=(), loops=()):
         order = int(order)
         if order < 1:
             raise ValueError("a graph needs at least one vertex")
-        init = object.__setattr__
-        init(self, "order", order)
-        init(self, "edges", MappingProxyType(_normalize_edges(order, edges)))
-        init(self, "loops", MappingProxyType(_normalize_loops(order, loops)))
-        init(self, "_cache", {})
+        columns = map(_read_only, (*_edge_columns(order, edges), *_loop_columns(order, loops)))
+        for name, value in zip(self.__slots__, (order, *columns, {})):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"WeightedGraph is immutable; cannot set {name!r}")
@@ -99,17 +137,11 @@ class WeightedGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedGraph):
             return NotImplemented
-        return (
-            self.order == other.order
-            and self.edges == other.edges
-            and self.loops == other.loops
-        )
+        return (self.order, self.edges, self.loops) == (other.order, other.edges, other.loops)
 
     def __repr__(self) -> str:
-        return (
-            f"WeightedGraph(order={self.order}, edges={len(self.edges)}, "
-            f"loops={len(self.loops)})"
-        )
+        edges, loops = len(self.weights), len(self.loop_weights)
+        return f"WeightedGraph(order={self.order}, edges={edges}, loops={loops})"
 
     def cached(self, key, build):
         """build(), computed on the first call for key and kept on this graph."""
@@ -117,11 +149,25 @@ class WeightedGraph:
             self._cache[key] = build()
         return self._cache[key]
 
+    @property
+    def edges(self) -> MappingProxyType:
+        def build():
+            ends = zip(self.rows.tolist(), self.cols.tolist())
+            return MappingProxyType(dict(zip(ends, self.weights.tolist())))
+
+        return self.cached("edges", build)
+
+    @property
+    def loops(self) -> MappingProxyType:
+        def build():
+            return MappingProxyType(dict(zip(self.loop_at.tolist(), self.loop_weights.tolist())))
+
+        return self.cached("loops", build)
+
     def weight(self, u: int, v: int) -> float:
         if u == v:
             return self.loops.get(u, 0.0)
-        key = (u, v) if u < v else (v, u)
-        return self.edges.get(key, 0.0)
+        return self.edges.get((min(u, v), max(u, v)), 0.0)
 
     def degree(self, u: int) -> float:
         """Weighted degree: twice the loop weight plus incident edge weights."""
@@ -131,81 +177,13 @@ class WeightedGraph:
 
     def degrees(self) -> np.ndarray:
         """All weighted degrees, as a read-only vector."""
-        return self._edge_arrays().degrees
-
-    def _edge_arrays(self) -> _EdgeArrays:
-        """Edge endpoints and weights, loop vertices and weights, as cached arrays."""
-        arrays = self._cache.get("edge_arrays")
-        if arrays is None:
-            ends = np.array(list(self.edges), dtype=np.intp).reshape(-1, 2)
-            parts = (
-                ends[:, 0],
-                ends[:, 1],
-                np.fromiter(self.edges.values(), float, len(self.edges)),
-                np.fromiter(self.loops.keys(), np.intp, len(self.loops)),
-                np.fromiter(self.loops.values(), float, len(self.loops)),
-            )
-            arrays = _EdgeArrays(self.order, *(_read_only(a) for a in parts))
-            self._cache["edge_arrays"] = arrays
-        return arrays
-
-    def matvec(self, x: np.ndarray, kind: str) -> np.ndarray:
-        """The adjacency or Laplacian matrix times the real vector x.
-
-        Reads the edge and loop lists, so it costs O(edges + order) and
-        never forms the dense matrix. x must have shape (order,).
-        """
-        return self._edge_arrays().matvec(x, kind)
-
-    def _multiplier(self, kind: str):
-        """matvec for one kind, checked now, as a function of a float (order,) vector."""
-        arrays = self._edge_arrays()
-        laplacian = arrays.is_laplacian(kind)
-        return lambda x: arrays.apply(x, laplacian)
-
-    def adjacency(self) -> np.ndarray:
-        """The adjacency matrix, as a read-only array."""
 
         def build():
-            a = np.zeros((self.order, self.order))
-            for (u, v), w in self.edges.items():
-                a[u, v] = a[v, u] = w
-            for v, w in self.loops.items():
-                a[v, v] = w
-            return _read_only(a)
+            out = self._edge_product(np.ones(self.order))
+            out[self.loop_at] += 2.0 * self.loop_weights
+            return _read_only(out)
 
-        return self.cached("adjacency", build)
-
-    def laplacian(self) -> np.ndarray:
-        """The Laplacian matrix of a simple graph, as a read-only array."""
-        if self.loops:
-            raise PreconditionError(
-                "the Laplacian is defined here for simple graphs only"
-            )
-        return self.cached(
-            "laplacian", lambda: _read_only(np.diag(self.degrees()) - self.adjacency())
-        )
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-@dataclass(frozen=True, eq=False)
-class _EdgeArrays:
-    """A graph's edge and loop arrays, and the product they define.
-
-    A graph keeps its own; a JoinTree's quotient reads those of the part
-    that holds its vertex.
-    """
-
-    order: int
-    rows: np.ndarray
-    cols: np.ndarray
-    weights: np.ndarray
-    loop_at: np.ndarray
-    loop_weights: np.ndarray
+        return self.cached("degrees", build)
 
     def _edge_product(self, x: np.ndarray) -> np.ndarray:
         """The edges' part of the adjacency matrix times x, loops left out."""
@@ -215,13 +193,7 @@ class _EdgeArrays:
         out += np.bincount(self.cols, self.weights * x[self.rows], self.order)
         return out
 
-    @functools.cached_property
-    def degrees(self) -> np.ndarray:
-        out = self._edge_product(np.ones(self.order))
-        out[self.loop_at] += 2.0 * self.loop_weights
-        return _read_only(out)
-
-    def is_laplacian(self, kind: str) -> bool:
+    def _is_laplacian(self, kind: str) -> bool:
         """Whether kind names the Laplacian; raises unless the product kind applies."""
         if kind not in ("adjacency", "laplacian"):
             raise ValueError(f"unknown matrix kind {kind!r}")
@@ -229,14 +201,7 @@ class _EdgeArrays:
             raise PreconditionError("the Laplacian is defined here for simple graphs only")
         return kind == "laplacian"
 
-    def operand(self, x) -> np.ndarray:
-        """x as a float vector; raises unless its shape is (order,)."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.order,):
-            raise ValueError(f"expected a vector of shape ({self.order},), got {x.shape}")
-        return x
-
-    def apply(self, x: np.ndarray, laplacian: bool) -> np.ndarray:
+    def _product(self, x: np.ndarray, laplacian: bool) -> np.ndarray:
         """The product for a checked kind and a float vector of shape (order,).
 
         Without edges the Laplacian product is degrees * x: subtracting +0.0
@@ -244,45 +209,71 @@ class _EdgeArrays:
         """
         if laplacian:
             if not len(self.weights):
-                return self.degrees * x
-            return self.degrees * x - self._edge_product(x)
+                return self.degrees() * x
+            return self.degrees() * x - self._edge_product(x)
         out = self._edge_product(x)
         out[self.loop_at] += self.loop_weights * x[self.loop_at]
         return out
 
     def matvec(self, x: np.ndarray, kind: str) -> np.ndarray:
-        """The adjacency or Laplacian matrix of these edges and loops times x."""
-        laplacian = self.is_laplacian(kind)
-        return self.apply(self.operand(x), laplacian)
+        """The adjacency or Laplacian matrix times the real vector x.
+
+        Reads the edge and loop arrays, so it costs O(edges + order) and
+        never forms the dense matrix. x must have shape (order,).
+        """
+        laplacian = self._is_laplacian(kind)
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.order,):
+            raise ValueError(f"expected a vector of shape ({self.order},), got {x.shape}")
+        return self._product(x, laplacian)
+
+    def adjacency(self) -> np.ndarray:
+        """The adjacency matrix, as a read-only array."""
+
+        def build():
+            a = np.zeros((self.order, self.order))
+            a[self.rows, self.cols] = a[self.cols, self.rows] = self.weights
+            a[self.loop_at, self.loop_at] = self.loop_weights
+            return _read_only(a)
+
+        return self.cached("adjacency", build)
+
+    def laplacian(self) -> np.ndarray:
+        """The Laplacian matrix of a simple graph, as a read-only array."""
+        self._is_laplacian("laplacian")
+        return self.cached(
+            "laplacian", lambda: _read_only(np.diag(self.degrees()) - self.adjacency())
+        )
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def is_simple(graph: WeightedGraph) -> bool:
-    return not graph.loops
+    return not len(graph.loop_at)
 
 
 def is_regular(graph: WeightedGraph, tol: float = 1e-12) -> float | None:
     """Common adjacency row sum if the graph is regular, else None."""
-    sums = graph.adjacency().sum(axis=1)
+    sums = graph._product(np.ones(graph.order), False)
     k = float(sums[0])
     scale = max(1.0, float(np.abs(sums).max()))
-    if np.max(np.abs(sums - k)) <= tol * scale:
-        return k
-    return None
+    return k if np.max(np.abs(sums - k)) <= tol * scale else None
 
 
 def component_of(graph: WeightedGraph, u: int) -> list[int]:
     """Sorted vertex list of the connected component containing u."""
     if not 0 <= u < graph.order:
         raise ValueError(f"vertex {u} out of range for order {graph.order}")
-    adj: dict[int, list[int]] = {v: [] for v in range(graph.order)}
-    for (a, b) in graph.edges:
+    adj: list[list[int]] = [[] for _ in range(graph.order)]
+    for a, b in zip(graph.rows.tolist(), graph.cols.tolist()):
         adj[a].append(b)
         adj[b].append(a)
-    seen = {u}
-    stack = [u]
+    seen, stack = {u}, [u]
     while stack:
-        x = stack.pop()
-        for y in adj[x]:
+        for y in adj[stack.pop()]:
             if y not in seen:
                 seen.add(y)
                 stack.append(y)
@@ -306,6 +297,22 @@ def _count(value) -> int:
     return int(value)
 
 
+def _unit_edges(rows, cols) -> np.ndarray:
+    """The edges (rows[i], cols[i]) of weight 1, as an (N, 3) array."""
+    return np.column_stack((rows, cols, np.ones(len(rows))))
+
+
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every (u, v) with 0 <= u < v < n, row by row, as two arrays."""
+    return np.nonzero(np.arange(n)[:, None] < np.arange(n))
+
+
+def _cross_edges(lo: int, mid: int, hi: int) -> np.ndarray:
+    """Every edge from lo..mid-1 to mid..hi-1, of weight 1, row by row."""
+    rows = np.repeat(np.arange(lo, mid), hi - mid)
+    return _unit_edges(rows, np.tile(np.arange(mid, hi), mid - lo))
+
+
 def family(name: str, *params) -> WeightedGraph:
     """Build a named unweighted family member.
 
@@ -316,63 +323,48 @@ def family(name: str, *params) -> WeightedGraph:
     K_bipartite a b (complete bipartite).
     """
     if name == "O":
-        (n,) = params
-        return WeightedGraph(_count(n))
+        (n,) = map(_count, params)
+        return WeightedGraph(n)
     if name == "O_loops":
         n, k = params
         n = _count(n)
-        return WeightedGraph(n, loops=[(v, float(k)) for v in range(n)])
+        vertices = np.arange(n)
+        return WeightedGraph(n, loops=np.column_stack((vertices, np.full_like(vertices, k, float))))
     if name == "K":
-        (n,) = params
-        n = _count(n)
-        return WeightedGraph(n, [(u, v, 1.0) for u in range(n) for v in range(u + 1, n)])
+        (n,) = map(_count, params)
+        return WeightedGraph(n, _unit_edges(*_pairs(n)))
     if name == "P":
-        (n,) = params
-        n = _count(n)
-        return WeightedGraph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+        (n,) = map(_count, params)
+        return WeightedGraph(n, _unit_edges(np.arange(n - 1), np.arange(1, n)))
     if name == "C":
-        (n,) = params
-        n = _count(n)
+        (n,) = map(_count, params)
         if n < 3:
             raise ValueError("a cycle needs at least 3 vertices")
-        return WeightedGraph(n, [(i, (i + 1) % n, 1.0) for i in range(n)])
+        return WeightedGraph(n, _unit_edges(np.arange(n), (np.arange(n) + 1) % n))
     if name == "CP":
-        (m,) = params
-        m = _count(m)
+        (m,) = map(_count, params)
         if m < 2 or m % 2:
             raise ValueError("the cocktail party graph needs an even order >= 2")
-        half = m // 2
-        edges = [
-            (u, v, 1.0)
-            for u in range(m)
-            for v in range(u + 1, m)
-            if v - u != half
-        ]
-        return WeightedGraph(m, edges)
+        rows, cols = _pairs(m)
+        kept = cols - rows != m // 2
+        return WeightedGraph(m, _unit_edges(rows[kept], cols[kept]))
     if name == "Q":
-        (p,) = params
-        p = _count(p)
+        (p,) = map(_count, params)
         if p < 0:
             raise ValueError("the cube dimension must be nonnegative")
-        n = 1 << p
-        edges = [
-            (u, u ^ (1 << bit), 1.0)
-            for u in range(n)
-            for bit in range(p)
-            if u < (u ^ (1 << bit))
-        ]
-        return WeightedGraph(n, edges)
+        # u ~ u ^ 2**b for each bit b clear in u, u by u and b by b
+        rows, bits = np.nonzero(((np.arange(1 << p)[:, None] >> np.arange(p)) & 1) == 0)
+        return WeightedGraph(1 << p, _unit_edges(rows, rows ^ (1 << bits)))
     if name == "K_minus_e":
-        (d,) = params
-        d = _count(d)
+        (d,) = map(_count, params)
         if d < 3:
             raise ValueError("complete-minus-an-edge needs at least 3 vertices")
         return join(family("O", 2), family("K", d - 2))
     if name == "K_bipartite":
-        a, b = params
-        a, b = _count(a), _count(b)
-        edges = [(u, a + v, 1.0) for u in range(a) for v in range(b)]
-        return WeightedGraph(a + b, edges)
+        a, b = map(_count, params)
+        if a < 0 or b < 0:
+            raise ValueError("the sides of a complete bipartite graph must be nonnegative")
+        return WeightedGraph(a + b, _cross_edges(0, a, a + b))
     raise ValueError(f"unknown family {name!r}")
 
 
@@ -406,8 +398,8 @@ QUOTIENT_MAX_ORDER = 256
 class _Quotient:
     """A tree's symmetrized equitable quotient B at a vertex, and where its cells lie.
 
-    Cells 0..l-1 are the vertices of the vertex's leaf, whose edge arrays
-    are arrays and whose first vertex is leaf; cell l + i holds the other
+    Cells 0..l-1 are the vertices of graph, the leaf that holds the vertex,
+    whose first vertex in the tree is leaf; cell l + i holds the other
     children of the i-th ancestor, root first, which spans the vertices
     lo..hi-1 and whose cell has size vertices. With r_i the square root of
     that size, j_i = joins[i] (1 for a join, 0 for a union) and sigma = -1
@@ -417,7 +409,7 @@ class _Quotient:
     sigma j_i r_i r_k between cells l + i and l + k for k > i.
     """
 
-    arrays: _EdgeArrays
+    graph: WeightedGraph
     laplacian: bool
     shift: int
     joins: list[bool]
@@ -427,7 +419,7 @@ class _Quotient:
 
     @property
     def order(self) -> int:
-        return self.arrays.order + len(self.ancestors)
+        return self.graph.order + len(self.ancestors)
 
     @property
     def dense(self) -> bool:
@@ -439,12 +431,12 @@ class _Quotient:
 
     def matrix(self) -> np.ndarray:
         """B as a dense array."""
-        arrays, l, q = self.arrays, self.arrays.order, self.order
+        graph, l, q = self.graph, self.graph.order, self.order
         roots = self._roots()
         sign = -1.0 if self.laplacian else 1.0
         b = np.zeros((q, q))
-        b[arrays.rows, arrays.cols] = b[arrays.cols, arrays.rows] = sign * arrays.weights
-        b[arrays.loop_at, arrays.loop_at] = arrays.loop_weights  # none under the Laplacian
+        b[graph.rows, graph.cols] = b[graph.cols, graph.rows] = sign * graph.weights
+        b[graph.loop_at, graph.loop_at] = graph.loop_weights  # none under the Laplacian
         for i, joined in enumerate(self.joins):
             if joined:  # all of the leaf and of every deeper cell
                 c = l + i
@@ -452,7 +444,7 @@ class _Quotient:
                 b[c, c + 1:] = b[c + 1:, c] = sign * roots[i] * roots[i + 1:]
         b.flat[l * (q + 1) :: q + 1] = self.diagonal
         if self.laplacian:
-            b.flat[: l * (q + 1) : q + 1] = arrays.degrees + self.shift
+            b.flat[: l * (q + 1) : q + 1] = graph.degrees() + self.shift
         return b
 
     def multiplier(self):
@@ -463,7 +455,7 @@ class _Quotient:
         is joined to, and from the joins above it. So it makes a fixed
         number of NumPy calls, however deep the tree.
         """
-        arrays, l, laplacian, shift = self.arrays, self.arrays.order, self.laplacian, self.shift
+        graph, l, laplacian, shift = self.graph, self.graph.order, self.laplacian, self.shift
         roots = self._roots()
         links = roots * self.joins  # the j_i r_i
         diagonal = np.array(self.diagonal, dtype=float)
@@ -477,7 +469,7 @@ class _Quotient:
             above = np.zeros(len(cells))  # sum over a < i of j_a r_a x_a
             above[1:] = np.cumsum(linked[:-1])
             out = np.empty(len(x))
-            out[:l] = arrays.apply(leaf, laplacian)
+            out[:l] = graph._product(leaf, laplacian)
             out[:l] += shift * leaf + sign * linked.sum()
             out[l:] = diagonal * cells + sign * (
                 links * (leaf.sum() + deeper) + roots * above)
@@ -487,7 +479,7 @@ class _Quotient:
 
     def cell(self, v: int) -> tuple[int, int]:
         """The index and the size of the cell that holds vertex v."""
-        l = self.arrays.order
+        l = self.graph.order
         if self.leaf <= v < self.leaf + l:
             return v - self.leaf, 1
         for i in range(len(self.ancestors) - 1, -1, -1):  # the deepest range holding v
@@ -500,9 +492,7 @@ class _Quotient:
 def _common(values) -> float | None:
     """The one value all of values share, or None if they differ or one is None."""
     first = values[0]
-    if first is None or any(x != first for x in values):
-        return None
-    return first
+    return None if first is None or any(x != first for x in values) else first
 
 
 def _row_sum(root, known: dict) -> float | None:
@@ -519,7 +509,7 @@ def _row_sum(root, known: dict) -> float | None:
         if id(node) in known:
             continue
         if isinstance(node, WeightedGraph):
-            sums = node._edge_arrays().apply(np.ones(node.order), False)
+            sums = node._product(np.ones(node.order), False)
             known[id(node)] = float(sums[0]) if (sums == sums[0]).all() else None
         elif ready:
             sums = [known[id(c)] for c in node.children]
@@ -591,11 +581,7 @@ class JoinTree:
         loops under the Laplacian anywhere in the tree, are checked first.
         None when a cell is not regular, whatever the quotient's order.
         """
-        if kind not in ("adjacency", "laplacian"):
-            raise ValueError(f"unknown matrix kind {kind!r}")
-        laplacian = kind == "laplacian"
-        if laplacian and any(leaf.loops for leaf in self._leaves()):
-            raise PreconditionError("the Laplacian is defined here for simple graphs only")
+        laplacian = all([leaf._is_laplacian(kind) for leaf in self._leaves()])  # checks each leaf
         path = []  # (ancestor, its first vertex, index of the child holding u)
         node, lo = self, 0
         while isinstance(node, JoinTree):
@@ -625,7 +611,7 @@ class JoinTree:
                 return None
             diagonal.append(inner)
         ancestors = tuple((at, at + a.order, s) for (a, at, _), s in zip(path, sizes))
-        return _Quotient(node._edge_arrays(), laplacian, seen, joins, diagonal, lo, ancestors)
+        return _Quotient(node, laplacian, seen, joins, diagonal, lo, ancestors)
 
     def _leaves(self):
         """Each distinct leaf graph once, however often the tree repeats it."""
@@ -647,17 +633,16 @@ class JoinTree:
         Each node folds its children left to right: a child's edges, then,
         at a join, the edges from every earlier child's vertex to it, so
         the edges and loops of a nested tree come out in the order that
-        folding join and disjoint_union node by node gives. The lists are
-        kept in the built graph's numbering and extended in place, so a
-        left-nested plan builds in time linear in its edges, and the graph
-        is made once.
+        folding join and disjoint_union node by node gives. The chunks of
+        edge and loop arrays are listed in the built graph's numbering and
+        joined once, so a plan builds in time linear in its edges.
         """
         built: list[tuple[list, list]] = []
         for node, lo in self._postorder():
             if isinstance(node, WeightedGraph):
                 built.append((
-                    [(u + lo, v + lo, w) for (u, v), w in node.edges.items()],
-                    [(v + lo, w) for v, w in node.loops.items()],
+                    [np.column_stack((node.rows + lo, node.cols + lo, node.weights))],
+                    [np.column_stack((node.loop_at + lo, node.loop_weights))],
                 ))
                 continue
             count = len(node.children)
@@ -666,13 +651,12 @@ class JoinTree:
             for child, (more, more_loops) in zip(node.children[1:], rest):
                 edges += more
                 if node.connective is Connective.JOIN:
-                    ends = range(at, at + child.order)
-                    edges += [(u, v, 1.0) for u in range(lo, at) for v in ends]
+                    edges.append(_cross_edges(lo, at, at + child.order))
                 loops += more_loops
                 at += child.order
             built[-count:] = [(edges, loops)]
         edges, loops = built[0]
-        return WeightedGraph(self.order, edges, loops)
+        return WeightedGraph(self.order, np.concatenate(edges), np.concatenate(loops))
 
 
 def self_join(x: WeightedGraph, r: int) -> WeightedGraph:

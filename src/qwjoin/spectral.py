@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, PreconditionError
-from .graphs import Connective, IteratedJoinSpec, WeightedGraph, is_connected, is_regular
+from .graphs import Connective, IteratedJoinSpec, WeightedGraph, is_connected, is_regular, is_simple
 
 _GROUP_GAP_REL = 1e-7
 SUPPORT_TOL = 1e-8
@@ -219,7 +219,7 @@ class JoinParams:
 
 def join_params(x: WeightedGraph, y: WeightedGraph, matrix: str) -> JoinParams:
     if matrix == "laplacian":
-        if not (x.loops == {} and y.loops == {}):
+        if not (is_simple(x) and is_simple(y)):
             raise PreconditionError("Laplacian join analysis requires simple parts")
         return JoinParams(x.order, y.order)
     if matrix == "adjacency":
@@ -387,7 +387,7 @@ def iterated_join_support(
     if not 1 <= j <= len(parts):
         raise ValueError(f"part index {j} out of range")
     for graph, _ in parts:
-        if graph.loops:
+        if not is_simple(graph):
             raise PreconditionError("Laplacian join analysis requires simple parts")
     part = parts[j - 1][0]
     if not 0 <= u < part.order:

@@ -60,6 +60,7 @@ from .graphs import (
     family,
     is_connected,
     is_regular,
+    is_simple,
     iterated_tree,
     iterated_vertex,
 )
@@ -216,7 +217,7 @@ def _own_partition(
     An edgeless two-vertex part (isolated_pair) has no partition of its
     own; its first join supplies one.
     """
-    isolated_pair = part.order == 2 and not part.edges
+    isolated_pair = part.order == 2 and not len(part.weights)
     return (None if isolated_pair else pair_partition(part, matrix, u, v)), isolated_pair
 
 
@@ -247,8 +248,8 @@ def join_strong_cospectral(
         if m == 1 and n == 1:
             if matrix == "laplacian":
                 return SupportPartition([0.0], [2.0])
-            a = x.loops.get(0, 0.0)
-            b = y.loops.get(0, 0.0)
+            a = float(x.loop_weights.sum())  # a single vertex's loop, or 0.0
+            b = float(y.loop_weights.sum())
             if _close(a, b):
                 return SupportPartition([a + 1.0], [a - 1.0])
         return None
@@ -690,10 +691,15 @@ def _certificate(
 
     partition and outcome are None when the pair is not strongly
     cospectral. A negative verdict carries reason, else the pattern's own.
+    A support that is integral only after a common shift is "shifted-integer".
     """
     ok = outcome is not None and outcome.ok
     if reason is None and outcome is not None:
         reason = outcome.reason
+    klass = outcome.eigenvalue_class if outcome else None
+    # the differences are integers, so one value decides: the least, which the shift removes
+    if klass == "integer" and nearest_integer(min(partition.plus + partition.minus)) is None:
+        klass = "shifted-integer"
     return PSTCertificate(
         ok,
         u,
@@ -701,7 +707,7 @@ def _certificate(
         matrix=matrix,
         strong_cospectral=partition is not None,
         partition=partition,
-        eigenvalue_class=outcome.eigenvalue_class if outcome else None,
+        eigenvalue_class=klass,
         delta=outcome.delta if outcome else None,
         time=outcome.time if ok else None,
         reason=None if ok else reason,
@@ -1015,7 +1021,7 @@ def pst_preserved(
     details: dict = {
         "part_time": [base.time.pi_numerator, base.time.pi_denominator, base.time.sqrt_divisor]
     }
-    if matrix == "laplacian" and any(w != 1.0 for w in x.edges.values()):
+    if matrix == "laplacian" and (x.weights != 1.0).any():
         if pad is not None:
             raise PreconditionError("padding is defined here for unweighted parts")
         details["rule"] = "general"
@@ -1297,7 +1303,7 @@ def self_join_analysis(
     if u == v or not (0 <= u < m and 0 <= v < m):
         raise ValueError("the pair must be two distinct part vertices")
     if matrix == "laplacian":
-        if x.loops:
+        if not is_simple(x):
             raise PreconditionError("Laplacian self-join analysis requires a simple part")
         params = JoinParams(m, (r - 1) * m)
     elif matrix == "adjacency":
@@ -1333,7 +1339,7 @@ def iterated_join_sign_partition(
     if u == v or not (0 <= u < part.order and 0 <= v < part.order):
         raise ValueError("the pair must be two distinct vertices of the part")
     for graph, _ in parts:
-        if graph.loops:
+        if not is_simple(graph):
             raise PreconditionError("Laplacian join analysis requires simple parts")
     return carry_through_plan(spec, j, *_own_partition(part, "laplacian", u, v))
 
@@ -1372,7 +1378,7 @@ def _iterated_certificate(
     part = spec.parts[j - 1][0]
     sizes = spec.orders
     threshold_shape = all(
-        not g.edges and not g.loops for g, _ in spec.parts
+        not len(g.weights) and is_simple(g) for g, _ in spec.parts
     )
     if threshold_shape and j == 1 and part.order == 2:
         expected = (

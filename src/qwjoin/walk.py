@@ -199,15 +199,13 @@ def krylov_entry(operator, u: int, v: int, t: float, kind: str = "laplacian") ->
     "whole-quotient", the quotient's order as its dimension and 0.0 as its
     bound. Above the cap Lanczos multiplies B without forming it. A tree
     with no quotient (a cell with no common row sum under the adjacency
-    matrix) is built and taken as a graph. A graph checks kind (and, for
-    the Laplacian, the absence of loops) once per call, through its
-    _multiplier(kind), and then multiplies each Lanczos vector without
-    checking it again; any other operator is called through matvec. After
-    k steps, with T the k x k Lanczos tridiagonal and beta the next
-    off-diagonal, the error of V exp(itT) e_1 is at most |t| * beta, so the
-    iteration stops once that bound is below KRYLOV_TOL, or when k reaches
-    the order of what is multiplied (the Krylov space is then the whole
-    space, so the result is exact). In exact arithmetic beta vanishes after
+    matrix) is built and taken as a graph, which, like any other operator,
+    is called through matvec. After k steps, with T the k x k Lanczos
+    tridiagonal and beta the next off-diagonal, the error of V exp(itT) e_1
+    is at most |t| * beta, so the iteration stops once that bound is below
+    KRYLOV_TOL, or when k reaches the order of what is multiplied (the
+    Krylov space is then the whole space, so the result is exact). In
+    exact arithmetic beta vanishes after
     as many steps as there are eigenvalues in the support of u. exp(itT)
     comes from unitary_exp, so no eigensolver is involved. The Lanczos
     vectors are the rows of one preallocated array that doubles when full,
@@ -235,8 +233,6 @@ def krylov_entry(operator, u: int, v: int, t: float, kind: str = "laplacian") ->
             if not cmath.isfinite(value):
                 raise NumericError(f"the walk entry ({u}, {v}) at t = {t} is not finite")
             return KrylovEntry(value, n, 0.0, label, n, "whole-quotient")
-    elif hasattr(operator, "_multiplier"):
-        multiply = operator._multiplier(kind)
     else:
         def multiply(x):
             return operator.matvec(x, kind)

@@ -7,13 +7,14 @@ never has qwjoin on both sides. The package decomposes with numpy.linalg.eigh,
 which calls LAPACK syevd, a different algorithm.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import scipy.linalg
 
 from qwjoin import SymbolicTime, WeightedGraph, graph_matrix
-from qwjoin.graphs import Connective
+from qwjoin.graphs import Connective, JoinTree
 from qwjoin.spectral import SupportPartition
 from qwjoin.transfer import _evaluate_pattern
 
@@ -181,3 +182,115 @@ def recursive_matvec(node, x, kind):
 def whole_tree(tree):
     """A JoinTree as a plain operator: Lanczos multiplies the whole tree, no quotient."""
     return MatvecOnly(tree.order, lambda x, kind: recursive_matvec(tree, x, kind))
+
+
+# ---------------------------------------------------------------------------
+# graphs as dicts: the reference for the array-backed constructor
+# ---------------------------------------------------------------------------
+# Graphs once stored their edges and loops as dicts, filled item by item by
+# the two functions below; the edge and loop orders, the checks and their
+# messages are what WeightedGraph keeps.
+
+
+def reference_edges(order: int, edges) -> dict[tuple[int, int], float]:
+    out: dict[tuple[int, int], float] = {}
+    for item in edges:
+        u, v, w = item
+        u, v, w = int(u), int(v), float(w)
+        if not (0 <= u < order and 0 <= v < order):
+            raise ValueError(f"edge ({u},{v}) out of range for order {order}")
+        if u == v:
+            raise ValueError(f"loop ({u},{u}) must be supplied via loops, not edges")
+        if not math.isfinite(w) or w <= 0:
+            raise ValueError(f"edge ({u},{v}) needs a positive finite weight, got {w}")
+        key = (u, v) if u < v else (v, u)
+        if key in out:
+            raise ValueError(f"duplicate edge {key}")
+        out[key] = w
+    return out
+
+
+def reference_loops(order: int, loops) -> dict[int, float]:
+    out: dict[int, float] = {}
+    items = loops.items() if isinstance(loops, dict) else loops
+    for item in items:
+        v, w = item
+        v, w = int(v), float(w)
+        if not 0 <= v < order:
+            raise ValueError(f"loop vertex {v} out of range for order {order}")
+        if not math.isfinite(w) or w == 0:
+            raise ValueError(f"loop at {v} needs a nonzero finite weight, got {w}")
+        if v in out:
+            raise ValueError(f"duplicate loop at {v}")
+        out[v] = w
+    return out
+
+
+class ReferenceGraph:
+    """A graph as the dict-backed constructor made it: its order, edges and loops."""
+
+    def __init__(self, order, edges=(), loops=()):
+        order = int(order)
+        if order < 1:
+            raise ValueError("a graph needs at least one vertex")
+        self.order = order
+        self.edges = reference_edges(order, edges)
+        self.loops = reference_loops(order, loops)
+
+
+def reference_build(node):
+    """A JoinTree folded with lists, child by child, as the dict-backed build folded it."""
+    if not isinstance(node, JoinTree):
+        return node
+    first, *rest = map(reference_build, node.children)
+    edges = [(u, v, w) for (u, v), w in first.edges.items()]
+    loops = list(first.loops.items())
+    at = first.order
+    for child in rest:
+        edges += [(u + at, v + at, w) for (u, v), w in child.edges.items()]
+        if node.connective is Connective.JOIN:
+            edges += [(u, v, 1.0) for u in range(at) for v in range(at, at + child.order)]
+        loops += [(v + at, w) for v, w in child.loops.items()]
+        at += child.order
+    return ReferenceGraph(at, edges, loops)
+
+
+def reference_family(name, *params) -> ReferenceGraph:
+    """The named families as lists of edges and loops, as the dict-backed family built them."""
+    if name == "O":
+        return ReferenceGraph(params[0])
+    if name == "O_loops":
+        n, k = params
+        return ReferenceGraph(n, loops=[(v, float(k)) for v in range(n)])
+    if name == "K":
+        (n,) = params
+        return ReferenceGraph(n, [(u, v, 1.0) for u in range(n) for v in range(u + 1, n)])
+    if name == "P":
+        (n,) = params
+        return ReferenceGraph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+    if name == "C":
+        (n,) = params
+        return ReferenceGraph(n, [(i, (i + 1) % n, 1.0) for i in range(n)])
+    if name == "CP":
+        (m,) = params
+        pairs = [(u, v) for u in range(m) for v in range(u + 1, m) if v - u != m // 2]
+        return ReferenceGraph(m, [(u, v, 1.0) for u, v in pairs])
+    if name == "Q":
+        (p,) = params
+        n = 1 << p
+        flips = [(u, u ^ (1 << bit)) for u in range(n) for bit in range(p)]
+        return ReferenceGraph(n, [(u, v, 1.0) for u, v in flips if u < v])
+    if name == "K_minus_e":
+        (d,) = params
+        return reference_build(JoinTree(Connective.JOIN, (ReferenceGraph(2), reference_family("K", d - 2))))
+    if name == "K_bipartite":
+        a, b = params
+        return ReferenceGraph(a + b, [(u, a + v, 1.0) for u in range(a) for v in range(b)])
+    raise ValueError(f"unknown family {name!r}")
+
+
+def assert_same_graph(graph, want):
+    """The same order, and the same edges and loops with the same weights in the same order."""
+    assert graph.order == want.order
+    assert list(graph.edges.items()) == list(want.edges.items())
+    assert list(graph.loops.items()) == list(want.loops.items())

@@ -23,6 +23,7 @@ from qwjoin import (
     iterated_vertex,
     join,
     join_pst,
+    join_strong_cospectral,
     krylov_entry,
     parse_iterated_spec,
     self_join,
@@ -36,7 +37,11 @@ from qwjoin.walk import KRYLOV_TOL
 
 from conftest import (
     MatvecOnly,
+    ReferenceGraph,
     assert_agrees_with_the_oracles,
+    assert_same_graph,
+    reference_build,
+    reference_family,
     random_simple,
     random_weighted,
     recursive_matvec,
@@ -301,30 +306,86 @@ def test_matvec_rejects_a_wrong_length_operand():
 
 
 # ---------------------------------------------------------------------------
-# the build against the recursive definition
+# the constructor, the families and the build against the dict-backed reference
 # ---------------------------------------------------------------------------
 
 
-def _glue(x, y, joined):
-    """join (or disjoint_union) written out: x's edges, y's shifted, then the cross edges."""
-    m = x.order
-    edges = [(u, v, w) for (u, v), w in x.edges.items()]
-    edges += [(u + m, v + m, w) for (u, v), w in y.edges.items()]
-    if joined:
-        edges += [(u, m + v, 1.0) for u in range(m) for v in range(y.order)]
-    loops = [(v, w) for v, w in x.loops.items()]
-    loops += [(v + m, w) for v, w in y.loops.items()]
-    return WeightedGraph(m + y.order, edges, loops)
+_LABELS = st.integers(-2, 6) | st.integers(-2, 6).map(float)
+_WEIGHTS = st.sampled_from([0.0, -0.0, -1.5, math.nan, math.inf, -math.inf, 0.5, 1.0, 2.5, 1e-300])
 
 
-def _recursive_build(node):
-    """The tree's graph as it is defined: each node folds its children by join or union."""
-    if isinstance(node, WeightedGraph):
-        return node
-    joined = node.connective is Connective.JOIN
-    return functools.reduce(
-        lambda x, y: _glue(x, y, joined), map(_recursive_build, node.children)
-    )
+@st.composite
+def _graph_inputs(draw):
+    """An order, and edges and loops that may break every rule of the constructor."""
+    order = draw(st.integers(1, 5))
+    edges = draw(st.lists(st.tuples(_LABELS, _LABELS, _WEIGHTS), max_size=8))
+    if edges and draw(st.booleans()):  # one edge again, either way round
+        u, v, w = draw(st.sampled_from(edges))
+        edges.insert(draw(st.integers(0, len(edges))), draw(st.sampled_from([(u, v, w), (v, u, w)])))
+    loops = draw(st.lists(st.tuples(_LABELS, _WEIGHTS), max_size=4))
+    if draw(st.booleans()):
+        loops = dict(loops)
+    return order, edges, loops
+
+
+def _outcome(make, order, edges, loops):
+    try:
+        return make(order, edges, loops)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_graph_inputs(), st.booleans())
+def test_constructor_matches_the_dict_reference(inputs, as_array):
+    order, edges, loops = inputs
+    want = _outcome(ReferenceGraph, order, edges, loops)
+    if as_array:  # an (N, 3) array is an edge list too
+        edges = np.array(edges, dtype=float).reshape(-1, 3)
+    got = _outcome(WeightedGraph, order, edges, loops)
+    if isinstance(want, str):
+        assert got == want  # the same first fault, with the same message
+    else:
+        assert_same_graph(got, want)
+
+
+def test_the_constructor_keeps_its_own_copy_of_an_edge_array():
+    edges = np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 3.0]])
+    graph = WeightedGraph(3, edges)
+    edges[:] = 0.0
+    assert list(graph.rows) == [0, 1] and list(graph.cols) == [1, 2]
+    assert list(graph.weights) == [2.0, 3.0]
+    for column in (graph.rows, graph.cols, graph.weights, graph.loop_at, graph.loop_weights):
+        with pytest.raises(ValueError):
+            column[:1] = 0
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("O", (n,)) for n in range(1, 5)]
+    + [("O_loops", (n, k)) for n in range(1, 5) for k in (-3.0, 0.5)]
+    + [(name, (n,)) for name in ("K", "P") for n in range(1, 7)]
+    + [("C", (n,)) for n in range(3, 8)]
+    + [("CP", (m,)) for m in range(2, 11, 2)]
+    + [("Q", (p,)) for p in range(0, 6)]
+    + [("K_minus_e", (d,)) for d in range(3, 8)]
+    + [("K_bipartite", (a, b)) for a in range(4) for b in range(4) if a + b],
+)
+def test_families_match_the_list_reference(name, params):
+    assert_same_graph(family(name, *params), reference_family(name, *params))
+
+
+def test_analyses_read_the_arrays_not_the_mappings():
+    part, apexes, looped = family("C", 6), family("O", 2), family("O_loops", 1, 0.5)
+    join_pst(part, apexes, 0, 3)
+    assert join_strong_cospectral(looped, looped, 0, 1, matrix="adjacency").plus == [1.5]
+    self_join_analysis(part, 3, 0, 3)
+    self_join_analysis(family("O_loops", 2, 0.5), 2, 0, 1, matrix="adjacency")
+    is_connected(part), is_regular(part), is_simple(looped), part.laplacian()
+    spec = parse_iterated_spec("O2 v O2 u O4 v O4")
+    assert iterated_join_analysis(spec, 1, 0, 1).pst
+    for graph in (part, apexes, looped, *spec.graphs):
+        assert "edges" not in graph._cache and "loops" not in graph._cache
 
 
 @st.composite
@@ -382,11 +443,7 @@ _KIND_AND_TREE = st.sampled_from(["laplacian", "adjacency"]).flatmap(
 @given(_KIND_AND_TREE)
 def test_build_equals_the_recursive_fold(kind_and_tree):
     _, tree = kind_and_tree
-    built, want = tree.build(), _recursive_build(tree)
-    # the same edges and loops with the same weights, in the same order
-    assert built.order == want.order
-    assert list(built.edges.items()) == list(want.edges.items())
-    assert list(built.loops.items()) == list(want.loops.items())
+    assert_same_graph(tree.build(), reference_build(tree))
 
 
 def test_self_join_confirmation_scales_with_the_support_not_the_copies():

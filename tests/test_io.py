@@ -333,6 +333,27 @@ def test_cli_eigenvalues_past_the_float_range_exit_2(tmp_path, capsys):
     assert "64-bit range" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["join", "--left", "P 3", "--right", "O 2", "--part", "1", "--pair", "0", "1"], "--part"),
+        (["join", "--left", "P 3", "--self", "2", "--part", "1", "--pair", "0", "2"], "--part"),
+        (["join", "--left", "P 3", "--self", "2", "--ratio", "--pair", "0", "2"], "--ratio"),
+        (["join", "--iterated", "O2 v O2", "--part", "1", "--ratio", "--pair", "0", "1"],
+         "--ratio"),
+        (["join", "--iterated", "O2 v O2", "--left", "P 3", "--part", "1", "--pair", "0", "1"],
+         "--left"),
+    ],
+    ids=["part-with-right", "part-with-self", "ratio-with-self", "ratio-with-iterated",
+         "left-with-iterated"],
+)
+def test_cli_join_flags_of_another_mode_exit_2(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_cli_pair_checked_before_any_work(capsys):
     assert main(["analyze", "--family", "P 3", "--pair", "0", "5"]) == 2
     captured = capsys.readouterr()

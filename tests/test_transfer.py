@@ -371,6 +371,18 @@ def test_pst_certificate_edge_and_cycle():
     assert cert.confirmation >= 1 - 1e-9
 
 
+def test_a_support_integral_only_after_a_shift_is_labelled_so():
+    # the support plus {2.5, -1.5}, minus {0.5}: its differences are integers, its values not
+    cert = self_join_analysis(family("O_loops", 2, 0.5), 2, 0, 1, matrix="adjacency")
+    assert cert.pst and cert.time == SymbolicTime(1, 2, 1)
+    assert sorted(cert.partition.plus) == [-1.5, 2.5] and cert.partition.minus == [0.5]
+    assert cert.eigenvalue_class == "shifted-integer" and cert.delta == 1
+    assert cert.details["branch"] == "isolated-pair"
+    # the unshifted support keeps its label
+    cert = self_join_analysis(family("O", 2), 2, 0, 1, matrix="adjacency")
+    assert cert.eigenvalue_class == "integer"
+
+
 def test_pst_certificate_quadratic_class():
     d = decompose(graph_matrix(family("P", 3), "adjacency"))
     cert = pst_certificate(d, 0, 2)

@@ -15,7 +15,10 @@ ten because a gain is judged on at least ten alternating pairs, and because
 three runs could not tell a change in ``setup_s`` from its spread. Each metric
 then also gets the baseline's median and quartiles, the relative change of
 the medians and whether the two sides' quartile ranges overlap, so a change
-can be read against the baseline's spread. A run that reports ``correct:
+can be read against the baseline's spread. The report also records, for
+each checkout, the line counts of its ``src/qwjoin/*.py`` files, one per
+file and their total, as ``wc -l`` counts them, so that source size is
+tracked next to time. A run that reports ``correct:
 false`` or a failed call stops the script with exit status 1 and a message
 naming the workload, the view, the side and the run index; no report is
 written then. The benchmark files are only read and run,
@@ -41,6 +44,15 @@ from pathlib import Path
 VIEWS = {0: "end_to_end", 1: "per_layer"}
 RUNS = 10
 SEED = 53
+
+
+def source_lines(checkout: Path) -> dict:
+    """The newline count of each src/qwjoin/*.py file of the checkout, and their total."""
+    files = {
+        path.name: path.read_bytes().count(b"\n")
+        for path in sorted((checkout / "src" / "qwjoin").glob("*.py"))
+    }
+    return {"total": sum(files.values()), "files": files}
 
 
 def run_once(checkout: Path, workload: str, seconds: float, trace: int) -> dict:
@@ -110,6 +122,7 @@ def main(argv=None) -> int:
             "cpus": os.cpu_count(),
         },
         "settings": {"runs": RUNS, "seconds": seconds, "seed": SEED},
+        "source_lines": {role: source_lines(path) for role, path in roles},
         "workloads": {},
     }
     for workload in (w["name"] for w in spec["workloads"]):
