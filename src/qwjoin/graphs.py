@@ -8,13 +8,18 @@ numeric path reads the arrays. When two graphs are joined, the left
 operand keeps its vertex labels and the right operand is shifted, so
 vertex u of X is vertex u of join(X, Y).
 
+equitable_partition finds, by colour refinement and an exact check, the
+coarsest equitable partition of a graph in which one vertex is a cell of
+its own; the walk from that vertex is constant on every cell.
+
 A JoinTree keeps a join or union as structure instead of an edge list.
 Seen from one vertex, the rest of a join acts through all-ones blocks
 only, so a tree gives the equitable quotient at that vertex, whose order
-is the vertex's part plus the nesting depth, and multiplies by it without
-building the join: dense up to QUOTIENT_MAX_ORDER, matrix-free above it,
-at the cost of the part's edges plus the quotient's order. Graphs and
-quotients share one product kernel over a graph's edge arrays.
+is the number of cells of the vertex's part plus the nesting depth, and
+multiplies by it without building the join: dense up to
+QUOTIENT_MAX_ORDER, matrix-free above it, at the cost of the cells' edges
+plus the quotient's order. Graphs and quotients share one product kernel
+over a graph's edge arrays.
 """
 
 from __future__ import annotations
@@ -67,11 +72,21 @@ def _first_fault(faults) -> tuple[int, int] | None:
     return next(check for check, mask in enumerate(faults) if mask[i]), i
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# the columns of every graph with no edges or no loops: read-only, so shared
+_NO_VERTICES = _read_only(np.empty(0, np.intp))
+_NO_WEIGHTS = _read_only(np.empty(0))
+
+
 def _edge_columns(order: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rows, columns (row < column) and weights of (u, v, w) edges, in the given order."""
     table = _table(edges, 3)
     if not len(table):  # most graphs that searches build are edgeless
-        return np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)
+        return _NO_VERTICES, _NO_VERTICES, _NO_WEIGHTS
     u, v, weights = np.trunc(table[:, 0]), np.trunc(table[:, 1]), table[:, 2]  # as int() does
     lo, hi = np.minimum(u, v), np.maximum(u, v)  # NaN if u or v is
     positive = (weights > 0) & (weights < math.inf)
@@ -85,14 +100,15 @@ def _edge_columns(order: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray
             f"edge ({u},{v}) needs a positive finite weight, got {w}",
             f"duplicate edge {(min(u, v), max(u, v))}",
         )[check])
-    return lo.astype(np.intp), hi.astype(np.intp), np.ascontiguousarray(weights)
+    rows, cols = _read_only(np.array((lo, hi), dtype=np.intp))  # rows of a read-only array
+    return rows, cols, _read_only(np.ascontiguousarray(weights))
 
 
 def _loop_columns(order: int, loops) -> tuple[np.ndarray, np.ndarray]:
     """The vertices and weights of (v, w) loops, or of a {v: w} dict, in the given order."""
     table = _table(loops.items() if isinstance(loops, dict) else loops, 2)
     if not len(table):
-        return np.empty(0, np.intp), np.empty(0)
+        return _NO_VERTICES, _NO_WEIGHTS
     at, weights = np.trunc(table[:, 0]), table[:, 1]
     nonzero = (weights != 0) & (np.abs(weights) < math.inf)
     fault = _first_fault([~((at >= 0) & (at < order)), ~nonzero, _repeats([at])])
@@ -104,7 +120,7 @@ def _loop_columns(order: int, loops) -> tuple[np.ndarray, np.ndarray]:
             f"loop at {v} needs a nonzero finite weight, got {w}",
             f"duplicate loop at {v}",
         )[check])
-    return at.astype(np.intp), np.ascontiguousarray(weights)
+    return _read_only(at.astype(np.intp)), _read_only(np.ascontiguousarray(weights))
 
 
 class WeightedGraph:
@@ -124,9 +140,16 @@ class WeightedGraph:
         order = int(order)
         if order < 1:
             raise ValueError("a graph needs at least one vertex")
-        columns = map(_read_only, (*_edge_columns(order, edges), *_loop_columns(order, loops)))
-        for name, value in zip(self.__slots__, (order, *columns, {})):
-            object.__setattr__(self, name, value)
+        rows, cols, weights = _edge_columns(order, edges)
+        loop_at, loop_weights = _loop_columns(order, loops)
+        put = object.__setattr__
+        put(self, "order", order)
+        put(self, "rows", rows)
+        put(self, "cols", cols)
+        put(self, "weights", weights)
+        put(self, "loop_at", loop_at)
+        put(self, "loop_weights", loop_weights)
+        put(self, "_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"WeightedGraph is immutable; cannot set {name!r}")
@@ -246,11 +269,6 @@ class WeightedGraph:
         )
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 def is_simple(graph: WeightedGraph) -> bool:
     return not len(graph.loop_at)
 
@@ -263,26 +281,42 @@ def is_regular(graph: WeightedGraph, tol: float = 1e-12) -> float | None:
     return k if np.max(np.abs(sums - k)) <= tol * scale else None
 
 
+def _component_labels(graph: WeightedGraph) -> np.ndarray:
+    """Each vertex's label, the least vertex of its connected component.
+
+    Every vertex starts as the root of its own label. Each round hooks
+    every root to the least root across an edge from it, then jumps each
+    vertex to its root, until no edge joins two labels. Hooks only point
+    down, so no cycle forms, and each round with an edge between two
+    labels removes a root. A walk of one BFS level per round would take
+    a round per step along a long path; the jumps take a path whole.
+    """
+    ends = np.concatenate((graph.rows, graph.cols))
+    across = np.concatenate((graph.cols, graph.rows))
+    label = np.arange(graph.order)
+    mine, theirs = ends, across  # the labels at each edge's ends
+    while not (mine == theirs).all():
+        np.minimum.at(label, mine, theirs)
+        jumped = label[label]
+        while not (jumped == label).all():
+            label, jumped = jumped, jumped[jumped]
+        mine, theirs = label[ends], label[across]
+    return label
+
+
 def component_of(graph: WeightedGraph, u: int) -> list[int]:
     """Sorted vertex list of the connected component containing u."""
     if not 0 <= u < graph.order:
         raise ValueError(f"vertex {u} out of range for order {graph.order}")
-    adj: list[list[int]] = [[] for _ in range(graph.order)]
-    for a, b in zip(graph.rows.tolist(), graph.cols.tolist()):
-        adj[a].append(b)
-        adj[b].append(a)
-    seen, stack = {u}, [u]
-    while stack:
-        for y in adj[stack.pop()]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return sorted(seen)
+    label = _component_labels(graph)
+    return np.flatnonzero(label == label[u]).tolist()
 
 
 def is_connected(graph: WeightedGraph) -> bool:
     """Whether the graph is connected; computed once and cached on the graph."""
-    return graph.cached("connected", lambda: len(component_of(graph, 0)) == graph.order)
+    # a connected graph has at least order - 1 edges; most searched parts are edgeless
+    return graph.cached("connected", lambda: len(graph.weights) >= graph.order - 1
+                        and not _component_labels(graph).any())
 
 
 # ---------------------------------------------------------------------------
@@ -394,22 +428,160 @@ def disjoint_union(x: WeightedGraph, y: WeightedGraph) -> WeightedGraph:
 QUOTIENT_MAX_ORDER = 256
 
 
+def _cell_weights(rng: np.random.Generator, count: int) -> np.ndarray:
+    """One random integer per cell, as floats: a refinement round's hash weights.
+
+    Integers keep a vertex's hash, the sum of its edge weights times its
+    neighbours' cell weights, exact for integer and dyadic edge weights, so
+    vertices alike in the partition hash alike whatever the order of their
+    edges.
+    """
+    return rng.integers(1, 1 << 31, count).astype(float)
+
+
+def _cell_rows(graph: WeightedGraph, cell: np.ndarray, count: int):
+    """Each vertex's nonzero weight into each cell, loops included, sorted by vertex, then cell.
+
+    Three arrays: the vertex, the cell and the weight, summed over the
+    vertex's edges into that cell.
+    """
+    ends = np.concatenate((graph.rows, graph.cols, graph.loop_at))
+    across = np.concatenate((graph.cols, graph.rows, graph.loop_at))
+    weights = np.concatenate((graph.weights, graph.weights, graph.loop_weights))
+    keys = ends * count + cell[across]
+    by_key = np.argsort(keys, kind="stable")
+    keys = keys[by_key]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    sums = np.add.reduceat(weights[by_key], starts) if len(keys) else weights
+    keys = keys[starts][sums != 0]
+    return keys // count, keys % count, sums[sums != 0]
+
+
+@dataclass(frozen=True, eq=False)
+class EquitablePartition:
+    """An equitable partition of a graph's vertices, and its symmetrized quotient.
+
+    cell[x] is the cell of vertex x, cells numbered in the order of their
+    first vertices, and sizes[a] the size of cell a. With Q_ab the weight
+    from any vertex of cell a into cell b, block is the graph on the cells
+    with an edge of weight Q_ab sqrt(s_a / s_b) between cells a < b and a
+    loop Q_aa at a, so that its adjacency matrix is P^T A P for P the
+    cells' normalized indicators; laplacian_diagonal holds a cell's degree
+    minus Q_aa, the diagonal of P^T L P. A partition into single vertices
+    keeps the graph itself as its block.
+    """
+
+    cell: np.ndarray
+    sizes: np.ndarray
+    block: WeightedGraph
+    laplacian_diagonal: np.ndarray
+
+    @functools.cached_property
+    def roots(self) -> np.ndarray:
+        """The square roots of the cell sizes."""
+        return np.sqrt(self.sizes)
+
+    def product(self, x: np.ndarray, laplacian: bool) -> np.ndarray:
+        """P^T M P times a float vector x over the cells, never forming the block."""
+        if laplacian:
+            return self.laplacian_diagonal * x - self.block._edge_product(x)
+        return self.block._product(x, False)
+
+
+def _refine(graph: WeightedGraph, u: int) -> EquitablePartition:
+    """The coarsest equitable partition with u alone in its cell; see equitable_partition."""
+    n = graph.order
+    rng = np.random.default_rng(u)
+    cell = (np.arange(n) == u).astype(np.intp)
+    count = min(n, 2)
+    while count < n:
+        while True:  # colour refinement: split by hashed rows until a round splits nothing
+            hashed = graph._product(_cell_weights(rng, count)[cell], False)
+            _, cell = np.unique(cell + 1j * hashed, return_inverse=True, equal_nan=False)
+            split, count = count, int(cell.max()) + 1
+            if count == split or count == n:
+                break
+        if count == n:
+            break
+        vertex, into, weight = _cell_rows(graph, cell, count)
+        _, first = np.unique(cell, return_index=True)  # the least vertex of each cell
+        per = np.bincount(vertex, minlength=n)
+        start = np.cumsum(per) - per
+        mine = first[cell[vertex]]
+        offset = np.arange(len(vertex)) - start[vertex]
+        partner = np.where(offset < per[mine], start[mine] + offset, 0)
+        differs = (offset >= per[mine]) | (into != into[partner]) | (weight != weight[partner])
+        unlike = (per != per[first[cell]]) | (np.bincount(vertex, differs, n) > 0)
+        if not unlike.any():  # exactly equitable: every row equals its first vertex's
+            break
+        # a hash collision merged unlike rows: split them from their cell's first vertex
+        _, cell = np.unique(cell * 2 + unlike, return_inverse=True)
+        count = int(cell.max()) + 1
+    if count == n:  # one cell per vertex: the graph is its own block
+        return EquitablePartition(
+            np.arange(n), np.ones(n, np.intp), graph, graph.degrees())
+    _, first, inverse = np.unique(cell, return_index=True, return_inverse=True)
+    rank = np.empty(count, np.intp)
+    rank[np.argsort(first)] = np.arange(count)  # number the cells by their first vertex
+    first = np.sort(first)
+    cell = rank[inverse]
+    sizes = np.bincount(cell, minlength=count)
+    at_first = (np.arange(n) == first[cell])[vertex]
+    a, b, q = cell[vertex[at_first]], rank[into[at_first]], weight[at_first]
+    upper, inner = a < b, a == b
+    weights = q[upper] * np.sqrt(sizes[a[upper]] / sizes[b[upper]])
+    diagonal = np.zeros(count)
+    diagonal[a[inner]] = q[inner]
+    block = WeightedGraph(count, np.column_stack((a[upper], b[upper], weights)),
+                          np.column_stack((a[inner], q[inner])))
+    return EquitablePartition(
+        cell, sizes, block, graph.degrees()[first] - diagonal)
+
+
+def equitable_partition(graph: WeightedGraph, u: int) -> EquitablePartition:
+    """The coarsest equitable partition of the graph in which u is a cell of its own.
+
+    A partition is equitable when every vertex of a cell a has the same
+    weight Q_ab into each cell b, loops counted once in their own cell.
+    Then M P = P Q for the characteristic matrix P under the adjacency
+    matrix and, since a degree is a row's sum, under the Laplacian, so
+    exp(itM)e_u is constant on every cell (Godsil & Royle, Algebraic Graph
+    Theory, 2001, section 9.3).
+
+    Colour refinement proposes the partition: each round gives every cell
+    a random integer weight, hashes each vertex by the adjacency product
+    of those weights (one bincount over the edges), and splits cells by
+    their hashes with one np.unique, until a round splits nothing. An
+    exact check then proves it: each vertex's weights into the cells,
+    summed per cell, must equal those of its cell's first vertex. A hash
+    collision that merged unlike vertices fails the check; they are split
+    from the first vertex and refinement resumes. One cell per vertex is
+    always equitable, so a graph with no symmetry ends there. The result
+    is computed once per vertex and kept on the graph.
+    """
+    if not 0 <= u < graph.order:
+        raise ValueError(f"vertex {u} out of range for order {graph.order}")
+    return graph.cached(("equitable_partition", u), lambda: _refine(graph, u))
+
+
 @dataclass(eq=False)
 class _Quotient:
     """A tree's symmetrized equitable quotient B at a vertex, and where its cells lie.
 
-    Cells 0..l-1 are the vertices of graph, the leaf that holds the vertex,
-    whose first vertex in the tree is leaf; cell l + i holds the other
-    children of the i-th ancestor, root first, which spans the vertices
-    lo..hi-1 and whose cell has size vertices. With r_i the square root of
-    that size, j_i = joins[i] (1 for a join, 0 for a union) and sigma = -1
-    under the Laplacian, +1 under the adjacency matrix, B holds: the leaf's
-    matrix with shift added to its diagonal; diagonal[i] at cell l + i;
-    sigma j_i r_i between cell l + i and each leaf vertex; and
-    sigma j_i r_i r_k between cells l + i and l + k for k > i.
+    Cells 0..l-1 are the cells of partition, the equitable partition of
+    the leaf that holds the vertex with the vertex in a cell of its own;
+    the leaf's first vertex in the tree is leaf. Cell l + i holds the
+    other children of the i-th ancestor, root first, which spans the
+    vertices lo..hi-1 and whose cell has size vertices. With r_i the
+    square root of that size, j_i = joins[i] (1 for a join, 0 for a union),
+    sigma = -1 under the Laplacian, +1 under the adjacency matrix, and s_a
+    the size of leaf cell a, B holds: the partition's block with shift
+    added to its diagonal; diagonal[i] at cell l + i; sigma j_i r_i
+    sqrt(s_a) between cell l + i and leaf cell a; and sigma j_i r_i r_k
+    between cells l + i and l + k for k > i.
     """
 
-    graph: WeightedGraph
+    partition: EquitablePartition
     laplacian: bool
     shift: int
     joins: list[bool]
@@ -419,7 +591,7 @@ class _Quotient:
 
     @property
     def order(self) -> int:
-        return self.graph.order + len(self.ancestors)
+        return self.partition.block.order + len(self.ancestors)
 
     @property
     def dense(self) -> bool:
@@ -431,32 +603,33 @@ class _Quotient:
 
     def matrix(self) -> np.ndarray:
         """B as a dense array."""
-        graph, l, q = self.graph, self.graph.order, self.order
-        roots = self._roots()
+        block, l, q = self.partition.block, self.partition.block.order, self.order
+        roots, cell_roots = self._roots(), self.partition.roots
         sign = -1.0 if self.laplacian else 1.0
         b = np.zeros((q, q))
-        b[graph.rows, graph.cols] = b[graph.cols, graph.rows] = sign * graph.weights
-        b[graph.loop_at, graph.loop_at] = graph.loop_weights  # none under the Laplacian
+        b[block.rows, block.cols] = b[block.cols, block.rows] = sign * block.weights
+        b[block.loop_at, block.loop_at] = block.loop_weights  # the Laplacian's comes below
         for i, joined in enumerate(self.joins):
             if joined:  # all of the leaf and of every deeper cell
                 c = l + i
-                b[c, :l] = b[:l, c] = sign * roots[i]
+                b[c, :l] = b[:l, c] = sign * roots[i] * cell_roots
                 b[c, c + 1:] = b[c + 1:, c] = sign * roots[i] * roots[i + 1:]
         b.flat[l * (q + 1) :: q + 1] = self.diagonal
         if self.laplacian:
-            b.flat[: l * (q + 1) : q + 1] = graph.degrees() + self.shift
+            b.flat[: l * (q + 1) : q + 1] = self.partition.laplacian_diagonal + self.shift
         return b
 
     def multiplier(self):
         """B @ x as a function of a float vector x of shape (order,), never forming B.
 
-        A product is one pass over the leaf's edges, then two cumulative
-        sums over the cells: what each cell gets from the deeper cells it
-        is joined to, and from the joins above it. So it makes a fixed
-        number of NumPy calls, however deep the tree.
+        A product is one pass over the edges of the partition's block, then
+        two cumulative sums over the ancestor cells: what each cell gets
+        from the deeper cells it is joined to, and from the joins above it.
+        So it makes a fixed number of NumPy calls, however deep the tree.
         """
-        graph, l, laplacian, shift = self.graph, self.graph.order, self.laplacian, self.shift
-        roots = self._roots()
+        partition, laplacian, shift = self.partition, self.laplacian, self.shift
+        l = partition.block.order
+        roots, cell_roots = self._roots(), partition.roots
         links = roots * self.joins  # the j_i r_i
         diagonal = np.array(self.diagonal, dtype=float)
         sign = -1.0 if laplacian else 1.0
@@ -469,19 +642,21 @@ class _Quotient:
             above = np.zeros(len(cells))  # sum over a < i of j_a r_a x_a
             above[1:] = np.cumsum(linked[:-1])
             out = np.empty(len(x))
-            out[:l] = graph._product(leaf, laplacian)
-            out[:l] += shift * leaf + sign * linked.sum()
+            out[:l] = partition.product(leaf, laplacian)
+            out[:l] += shift * leaf + sign * linked.sum() * cell_roots
             out[l:] = diagonal * cells + sign * (
-                links * (leaf.sum() + deeper) + roots * above)
+                links * ((cell_roots * leaf).sum() + deeper) + roots * above)
             return out
 
         return product
 
     def cell(self, v: int) -> tuple[int, int]:
         """The index and the size of the cell that holds vertex v."""
-        l = self.graph.order
-        if self.leaf <= v < self.leaf + l:
-            return v - self.leaf, 1
+        partition = self.partition
+        if self.leaf <= v < self.leaf + len(partition.cell):
+            a = int(partition.cell[v - self.leaf])
+            return a, int(partition.sizes[a])
+        l = partition.block.order
         for i in range(len(self.ancestors) - 1, -1, -1):  # the deepest range holding v
             lo, hi, size = self.ancestors[i]
             if lo <= v < hi:
@@ -531,8 +706,8 @@ class JoinTree:
     JoinTree(Connective.JOIN, (x, y)) stands for join(x, y) and
     JoinTree(Connective.JOIN, (x,) * r) for self_join(x, r). build
     materializes the graph; _quotient(u, kind) gives the equitable quotient
-    at u, of order |leaf of u| + depth, that krylov_entry multiplies in
-    place of the built graph's matrix.
+    at u, of order (cells of u's leaf) + depth, that krylov_entry multiplies
+    in place of the built graph's matrix.
     """
 
     connective: Connective
@@ -564,18 +739,20 @@ class JoinTree:
     def _quotient(self, u: int, kind: str) -> _Quotient | None:
         """The symmetrized equitable quotient of the tree's matrix at vertex u, or None.
 
-        The cells are the vertices of u's leaf, one each, and for every
-        ancestor of that leaf the ancestor's other children. Every vertex of
-        such a cell sees each other cell through all-ones blocks only: under
-        a join it is adjacent to all of a cell deeper than its own, and to
-        all of the ones whose ancestor is a join above it. So the partition
-        is equitable, and the walk from e_u stays constant on every cell.
-        With P the cells' normalized indicators, B = P^T M P couples leaf
-        and cell sizes s_a, s_b by -+sqrt(s_a) and -+sqrt(s_a s_b) under a
-        join (minus for the Laplacian) and not at all under a union, and
-        exp(itM)[v, u] = exp(itB)[cell(v), cell(u)] / sqrt(|cell(v)|).
+        The cells are those of equitable_partition on u's leaf, with u in a
+        cell of its own, and for every ancestor of that leaf the ancestor's
+        other children. Every vertex of an ancestor's cell sees each other
+        cell through all-ones blocks only: under a join it is adjacent to
+        all of a cell deeper than its own, and to all of the ones whose
+        ancestor is a join above it; a leaf cell sees them the same way. So
+        the partition is equitable, and the walk from e_u stays constant on
+        every cell. With P the cells' normalized indicators, B = P^T M P
+        couples cells of sizes s_a, s_b by -+sqrt(s_a s_b) under a join
+        (minus for the Laplacian) and not at all under a union, holds the
+        leaf's block within the leaf, and exp(itM)[v, u] =
+        exp(itB)[cell(v), cell(u)] / sqrt(|cell(v)|).
 
-        It reads the orders and the leaf's edge arrays; under the adjacency
+        It reads the orders and the leaf's partition; under the adjacency
         matrix the other children must also be regular, with one row sum per
         cell, since a cell's own row sum is its diagonal. The kind, and
         loops under the Laplacian anywhere in the tree, are checked first.
@@ -611,7 +788,8 @@ class JoinTree:
                 return None
             diagonal.append(inner)
         ancestors = tuple((at, at + a.order, s) for (a, at, _), s in zip(path, sizes))
-        return _Quotient(node, laplacian, seen, joins, diagonal, lo, ancestors)
+        partition = equitable_partition(node, u - lo)
+        return _Quotient(partition, laplacian, seen, joins, diagonal, lo, ancestors)
 
     def _leaves(self):
         """Each distinct leaf graph once, however often the tree repeats it."""

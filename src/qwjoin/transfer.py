@@ -21,8 +21,9 @@ exp(itA) = exp(itK) exp(-itL) with L = KI - A (Godsil, "State transfer on
 graphs", 2012), so the adjacency tree is the Laplacian one run on k - theta.
 
 The walk check (_confirm_transfer) never builds the join either: it works
-on the JoinTree's equitable quotient at u, of order |part| + depth, read
-from the orders and the part's edges. It exponentiates the quotient whole
+on the JoinTree's equitable quotient at u, of order (cells of the part) +
+depth, read from the orders and the part's coarsest equitable partition
+with u alone in its cell. It exponentiates the quotient whole
 up to walk.WHOLE_QUOTIENT_MAX_ORDER and runs Lanczos from e_u above it, on
 a dense matrix up to graphs.QUOTIENT_MAX_ORDER and on a matrix-free
 product, which costs the part's edges plus the quotient's order, above

@@ -10,8 +10,9 @@ krylov_entry computes one walk entry exp(itM)[v, u] independently of any
 eigensolver: Lanczos from e_u on an operator that only multiplies, then
 unitary_exp on the small tridiagonal matrix Lanczos produces. On a
 JoinTree the operator is the join's equitable quotient at u, of order
-|leaf of u| + depth: a dense matrix up to graphs.QUOTIENT_MAX_ORDER, a
-matrix-free product above it. A dense quotient of order at most
+(cells of u's leaf) + depth, the cells being the leaf's coarsest equitable
+partition with u alone in its cell (graphs.equitable_partition): a dense
+matrix up to graphs.QUOTIENT_MAX_ORDER, a matrix-free product above it. A dense quotient of order at most
 WHOLE_QUOTIENT_MAX_ORDER (16) skips Lanczos: unitary_exp exponentiates it
 whole, which is cheaper there than the Lanczos loop. Either way the join
 is never built; only under the adjacency matrix, when a cell has no
@@ -190,8 +191,8 @@ def krylov_entry(operator, u: int, v: int, t: float, kind: str = "laplacian") ->
 
     operator is a JoinTree, or has an order and a matvec(x, kind), like
     WeightedGraph; M is never formed. A tree gives its equitable quotient
-    at u (JoinTree._quotient), a matrix B of order |leaf of u| + depth in
-    which u has a cell of its own; the entry is read from v's cell with the
+    at u (JoinTree._quotient), a matrix B of order (cells of u's leaf) +
+    depth in which u has a cell of its own; the entry is read from v's cell with the
     scale 1/sqrt(|cell|), since exp(itM)e_u is constant on each cell. Up to
     graphs.QUOTIENT_MAX_ORDER B is formed and multiplied densely, and a
     quotient of order at most WHOLE_QUOTIENT_MAX_ORDER is exponentiated

@@ -449,10 +449,11 @@ def test_build_equals_the_recursive_fold(kind_and_tree):
 def test_self_join_confirmation_scales_with_the_support_not_the_copies():
     cert = self_join_analysis(family("C", 4), 1023, 0, 2)
     assert cert.pst and cert.confirmation >= 1 - 1e-9
-    # the quotient of the 4,092-vertex self-join at 0: C4's vertices and one cell
+    # the quotient of the 4,092-vertex self-join at 0: C4's cells {0}, {1, 3}
+    # and {2}, and one cell for the other copies
     assert cert.details["confirmation_route"] == "whole-quotient"
-    assert cert.details["krylov_operator_order"] == 5
-    assert cert.details["krylov_dimension"] == 5
+    assert cert.details["krylov_operator_order"] == 4
+    assert cert.details["krylov_dimension"] == 4
     # Lanczos on the whole tree stops at the support's three eigenvalues
     tree = JoinTree(Connective.JOIN, (family("C", 4),) * 1023)
     assert krylov_entry(whole_tree(tree), 0, 2, cert.time.value).dimension == 3
@@ -588,6 +589,10 @@ def _check_quotient_entries(kind, tree, t):
             if entry.route == "whole-quotient":
                 assert entry.dimension == entry.operator_order and entry.bound == 0.0
                 assert entry.operator_order <= graphs_module.QUOTIENT_MAX_ORDER
+            elif entry.operator == "graph":
+                # the built graph's rounding can keep beta near 1e-9 past the
+                # support, so Lanczos there may run on, up to the order
+                assert dimension <= entry.dimension <= tree.order
             else:
                 assert entry.dimension == dimension
             if kind == "laplacian":
@@ -611,6 +616,33 @@ def test_matrix_free_quotient_entries_match_scipy_and_the_whole_tree_dimension(k
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(graphs_module, "QUOTIENT_MAX_ORDER", 0)
         _check_quotient_entries(kind, tree, t)
+
+
+# symmetric leaves, so that the quotients take cells of several vertices; each
+# tree with a vertex of such a leaf
+_SYMMETRIC_TREES = {
+    "C5 v O3": (JoinTree(Connective.JOIN, (family("C", 5), family("O", 3))), 0),
+    "Q3 v K2": (JoinTree(Connective.JOIN, (family("Q", 3), family("K", 2))), 0),
+    "O1 v (CP6 u O2)": (JoinTree(Connective.JOIN, (
+        family("O", 1), JoinTree(Connective.UNION, (family("CP", 6), family("O", 2))))), 1),
+    "C4 v C4 v C4": (JoinTree(Connective.JOIN, (family("C", 4),) * 3), 0),
+    "(Q2 v O1) u C6": (JoinTree(Connective.UNION, (
+        JoinTree(Connective.JOIN, (family("Q", 2), family("O", 1))), family("C", 6))), 0),
+    "K_bipartite 2 3 v CP4": (JoinTree(Connective.JOIN, (
+        family("K_bipartite", 2, 3), family("CP", 4))), 0),
+}
+
+
+@pytest.mark.parametrize("cap", [QUOTIENT_MAX_ORDER, 0], ids=["dense", "matrix-free"])
+@pytest.mark.parametrize("kind", ["laplacian", "adjacency"])
+@pytest.mark.parametrize("name", list(_SYMMETRIC_TREES))
+def test_quotient_entries_on_symmetric_leaves(monkeypatch, name, kind, cap):
+    monkeypatch.setattr(graphs_module, "QUOTIENT_MAX_ORDER", cap)
+    tree, u = _SYMMETRIC_TREES[name]
+    _check_quotient_entries(kind, tree, 0.7)
+    # u's leaf has fewer cells than vertices
+    partition = tree._quotient(u, kind).partition
+    assert len(partition.sizes) < len(partition.cell)
 
 
 def _check_quotient_routes(order, route, kind):
@@ -724,3 +756,157 @@ def test_confirmation_reads_no_matrix_and_no_eigensolver(monkeypatch, cap):
     assert confirmed.details["krylov_operator_order"] == 3
     route = "whole-quotient" if cap else "lanczos"
     assert confirmed.details["confirmation_route"] == route
+
+
+# ---------------------------------------------------------------------------
+# equitable partitions by colour refinement
+# ---------------------------------------------------------------------------
+
+
+def _assert_equitable(graph, u, partition):
+    """u is alone in its cell, the cells are equitable and the block is P^T M P."""
+    cell, sizes = partition.cell, partition.sizes
+    assert sizes[cell[u]] == 1 and np.array_equal(np.bincount(cell), sizes)
+    # the cells are numbered by their first vertices
+    assert np.array_equal(np.unique(cell, return_index=True)[1], np.sort(np.unique(cell, return_index=True)[1]))
+    indicator = np.zeros((graph.order, len(sizes)))
+    indicator[np.arange(graph.order), cell] = 1.0
+    normalized = indicator / np.sqrt(sizes)
+    kinds = ["adjacency"] + (["laplacian"] if is_simple(graph) else [])
+    rng = np.random.default_rng(graph.order)
+    for kind in kinds:
+        m = _dense(graph, kind)
+        into = m @ indicator  # the weights are dyadic, so these sums are exact
+        assert np.array_equal(into, into[np.unique(cell, return_index=True)[1]][cell])
+        x = rng.standard_normal(len(sizes))
+        np.testing.assert_allclose(partition.product(x, kind == "laplacian"),
+                                   normalized.T @ m @ normalized @ x, rtol=1e-12, atol=1e-12)
+
+
+@st.composite
+def _refined_graphs(draw):
+    """Weighted graphs with loops, some of them with symmetry, and a vertex."""
+    graph = draw(st.one_of(
+        _leaves(loops=True),
+        _regular_leaves(loops=True),
+        st.builds(family, st.just("C"), st.integers(3, 9)),
+        st.builds(family, st.just("Q"), st.integers(0, 4)),
+        st.builds(family, st.just("CP"), st.sampled_from([4, 6, 8])),
+        st.builds(lambda x, r: self_join(x, r), _regular_leaves(loops=True), st.integers(1, 3)),
+        st.builds(disjoint_union, _regular_leaves(loops=True), _leaves(loops=True)),
+    ))
+    return graph, draw(st.integers(0, graph.order - 1))
+
+
+@settings(deadline=None)
+@given(_refined_graphs())
+def test_refinement_is_equitable_with_the_vertex_alone(graph_and_vertex):
+    graph, u = graph_and_vertex
+    partition = graphs_module.equitable_partition(graph, u)
+    _assert_equitable(graph, u, partition)
+    # kept on the graph, one partition per vertex
+    assert graphs_module.equitable_partition(graph, u) is partition
+
+
+@pytest.mark.parametrize("name, params, cells", [
+    *[("Q", (d,), d + 1) for d in range(1, 7)],
+    *[("C", (n,), n // 2 + 1) for n in range(3, 11)],
+    *[("CP", (m,), 3) for m in (4, 6, 8, 12)],
+    *[("K", (n,), 2) for n in (2, 3, 5, 9)],
+    *[("K_bipartite", (a, b), 3) for a, b in ((2, 1), (2, 2), (3, 5), (6, 4))],
+])
+def test_refinement_cell_counts_on_families(name, params, cells):
+    graph = family(name, *params)
+    # these families are vertex-transitive (K_bipartite on its first side)
+    for u in range(params[0] if name == "K_bipartite" else graph.order):
+        partition = graphs_module.equitable_partition(graph, u)
+        assert len(partition.sizes) == cells
+        _assert_equitable(graph, u, partition)
+
+
+def test_a_forced_hash_collision_still_gives_an_equitable_partition(monkeypatch):
+    # equal weights for every cell hash each vertex by its degree alone, so
+    # only the exact check can split the cells
+    monkeypatch.setattr(graphs_module, "_cell_weights", lambda rng, count: np.ones(count))
+    graphs = [family("Q", 3), family("C", 7), family("P", 5), family("K_bipartite", 3, 4),
+              family("CP", 8), random_weighted(np.random.default_rng(5), 7),
+              WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0), (1, 2, 2.0)], [(0, 0.5), (3, 0.5)])]
+    for graph in graphs:
+        for u in range(graph.order):
+            _assert_equitable(graph, u, graphs_module.equitable_partition(graph, u))
+    # Q3 at 0 splits all the way down to its distance classes
+    assert len(graphs_module.equitable_partition(family("Q", 3), 0).sizes) == 4
+
+
+def test_a_leaf_with_no_symmetry_keeps_its_edge_arrays():
+    graph = random_weighted(np.random.default_rng(17), 9)
+    partition = graphs_module.equitable_partition(graph, 4)
+    assert partition.block is graph
+    assert np.array_equal(partition.cell, np.arange(9)) and not (partition.sizes - 1).any()
+    quotient = JoinTree(Connective.JOIN, (graph, family("O", 3)))._quotient(4, "laplacian")
+    want = np.zeros((10, 10))
+    want[:9, :9] = _dense(graph, "laplacian") + 3 * np.eye(9)
+    want[9, :9] = want[:9, 9] = -math.sqrt(3)
+    want[9, 9] = 9
+    assert np.array_equal(quotient.matrix(), want)
+
+
+def test_refinement_rejects_a_vertex_out_of_range():
+    with pytest.raises(ValueError, match="out of range"):
+        graphs_module.equitable_partition(family("C", 4), 4)
+
+
+@pytest.mark.parametrize("d", [5, 8, 11])
+def test_a_cube_cone_confirms_on_a_quotient_of_order_d_plus_2(d):
+    tree = JoinTree(Connective.JOIN, (family("Q", d), family("O", 4)))
+    entry = krylov_entry(tree, 0, 2**d - 1, math.pi / 2)
+    assert (entry.operator, entry.operator_order) == ("quotient", d + 2)
+    # the cube's 2^d vertices from 0 fall into d + 1 distance classes
+    assert abs(abs(entry.value) - 1.0) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# connected components against networkx
+# ---------------------------------------------------------------------------
+
+
+def _against_networkx(graph):
+    import networkx as nx
+
+    reference = nx.Graph()
+    reference.add_nodes_from(range(graph.order))
+    reference.add_edges_from(zip(graph.rows.tolist(), graph.cols.tolist()))
+    for u in range(graph.order):
+        assert graphs_module.component_of(graph, u) == sorted(nx.node_connected_component(reference, u))
+    assert is_connected(graph) == nx.is_connected(reference)
+
+
+def _atlas():
+    import networkx as nx
+
+    return [WeightedGraph(max(1, len(g)), [(u, v, 1.0) for u, v in g.edges()])
+            for g in nx.graph_atlas_g()]
+
+
+def test_components_match_networkx_on_the_atlas_and_unions():
+    atlas = _atlas()
+    for graph in atlas:
+        _against_networkx(graph)
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        x, y = (atlas[i] for i in rng.integers(0, len(atlas), 2))
+        _against_networkx(disjoint_union(x, y))
+
+
+@pytest.mark.parametrize("name, sizes", [
+    ("O", [(n,) for n in range(1, 6)]), ("K", [(n,) for n in range(1, 7)]),
+    ("P", [(n,) for n in range(1, 40)]), ("C", [(n,) for n in range(3, 12)]),
+    ("CP", [(m,) for m in (2, 4, 6, 10)]), ("Q", [(d,) for d in range(0, 6)]),
+    ("K_minus_e", [(d,) for d in range(3, 7)]), ("O_loops", [(n, 0.5) for n in range(1, 5)]),
+    ("K_bipartite", [(a, b) for a in range(0, 4) for b in range(0, 4) if a + b]),
+])
+def test_components_match_networkx_on_families(name, sizes):
+    for params in sizes:
+        graph = family(name, *params)
+        _against_networkx(graph)
+        _against_networkx(disjoint_union(graph, family("P", 3)))
