@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -71,9 +72,15 @@ def _parse_graph_arg(text: str) -> WeightedGraph:
 
 
 def _fmt(value: float) -> str:
+    """Ten significant digits, or from 1e10 on as many as the integer part has, up to 17.
+
+    17 digits tell every two doubles apart, so distinct large values print
+    apart: 40000000002 is not printed as 4e+10.
+    """
     if abs(value) < 1e-9:
         value = 0.0
-    return f"{value:.10g}"
+    digits = min(17, len(f"{abs(value):.0f}")) if 1e10 <= abs(value) < math.inf else 10
+    return f"{value:.{digits}g}"
 
 
 def format_time(t: SymbolicTime) -> str:

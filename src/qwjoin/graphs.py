@@ -15,11 +15,8 @@ its own; the walk from that vertex is constant on every cell.
 A JoinTree keeps a join or union as structure instead of an edge list.
 Seen from one vertex, the rest of a join acts through all-ones blocks
 only, so a tree gives the equitable quotient at that vertex, whose order
-is the number of cells of the vertex's part plus the nesting depth, and
-multiplies by it without building the join: dense up to
-QUOTIENT_MAX_ORDER, matrix-free above it, at the cost of the cells' edges
-plus the quotient's order. Graphs and quotients share one product kernel
-over a graph's edge arrays.
+is the number of cells of the vertex's part plus the nesting depth, as a
+dense matrix, without building the join.
 """
 
 from __future__ import annotations
@@ -416,18 +413,6 @@ def disjoint_union(x: WeightedGraph, y: WeightedGraph) -> WeightedGraph:
     return JoinTree(Connective.UNION, (x, y)).build()
 
 
-# The largest quotient multiplied as a dense matrix; above it the quotient's
-# multiplier never forms it. Measured at t = pi/2 on an Intel Xeon (one BLAS
-# thread), dense against matrix-free: at quotient order 257 a product takes
-# 9.3-9.6 us against 18-26 us, and krylov_entry 0.37 ms against 0.46 ms on
-# Q8 v O4, 22.0 ms against 22.7 ms on C256 v O4 (Krylov dimension 130) and
-# 85 ms against 90 ms on the 256-part stacked cone; at order 513 a product
-# takes 46-53 us against 22-40 us, and krylov_entry 1.03 ms against 0.71 ms
-# on Q9 v O4 and 209 ms against 195 ms on C512 v O4 (on the 512-part
-# stacked cone, 0.91 s against 0.95 s, the Lanczos loop hides the product).
-QUOTIENT_MAX_ORDER = 256
-
-
 def _cell_weights(rng: np.random.Generator, count: int) -> np.ndarray:
     """One random integer per cell, as floats: a refinement round's hash weights.
 
@@ -475,17 +460,6 @@ class EquitablePartition:
     sizes: np.ndarray
     block: WeightedGraph
     laplacian_diagonal: np.ndarray
-
-    @functools.cached_property
-    def roots(self) -> np.ndarray:
-        """The square roots of the cell sizes."""
-        return np.sqrt(self.sizes)
-
-    def product(self, x: np.ndarray, laplacian: bool) -> np.ndarray:
-        """P^T M P times a float vector x over the cells, never forming the block."""
-        if laplacian:
-            return self.laplacian_diagonal * x - self.block._edge_product(x)
-        return self.block._product(x, False)
 
 
 def _refine(graph: WeightedGraph, u: int) -> EquitablePartition:
@@ -593,18 +567,11 @@ class _Quotient:
     def order(self) -> int:
         return self.partition.block.order + len(self.ancestors)
 
-    @property
-    def dense(self) -> bool:
-        """Whether B is multiplied as a dense matrix: up to QUOTIENT_MAX_ORDER."""
-        return self.order <= QUOTIENT_MAX_ORDER
-
-    def _roots(self) -> np.ndarray:
-        return np.sqrt([size for _, _, size in self.ancestors])
-
     def matrix(self) -> np.ndarray:
         """B as a dense array."""
         block, l, q = self.partition.block, self.partition.block.order, self.order
-        roots, cell_roots = self._roots(), self.partition.roots
+        roots = np.sqrt([size for _, _, size in self.ancestors])
+        cell_roots = np.sqrt(self.partition.sizes)
         sign = -1.0 if self.laplacian else 1.0
         b = np.zeros((q, q))
         b[block.rows, block.cols] = b[block.cols, block.rows] = sign * block.weights
@@ -618,37 +585,6 @@ class _Quotient:
         if self.laplacian:
             b.flat[: l * (q + 1) : q + 1] = self.partition.laplacian_diagonal + self.shift
         return b
-
-    def multiplier(self):
-        """B @ x as a function of a float vector x of shape (order,), never forming B.
-
-        A product is one pass over the edges of the partition's block, then
-        two cumulative sums over the ancestor cells: what each cell gets
-        from the deeper cells it is joined to, and from the joins above it.
-        So it makes a fixed number of NumPy calls, however deep the tree.
-        """
-        partition, laplacian, shift = self.partition, self.laplacian, self.shift
-        l = partition.block.order
-        roots, cell_roots = self._roots(), partition.roots
-        links = roots * self.joins  # the j_i r_i
-        diagonal = np.array(self.diagonal, dtype=float)
-        sign = -1.0 if laplacian else 1.0
-
-        def product(x: np.ndarray) -> np.ndarray:
-            leaf, cells = x[:l], x[l:]
-            linked = links * cells
-            deeper = np.zeros(len(cells))  # sum over k > i of r_k x_k
-            deeper[:-1] = np.cumsum((roots * cells)[:0:-1])[::-1]
-            above = np.zeros(len(cells))  # sum over a < i of j_a r_a x_a
-            above[1:] = np.cumsum(linked[:-1])
-            out = np.empty(len(x))
-            out[:l] = partition.product(leaf, laplacian)
-            out[:l] += shift * leaf + sign * linked.sum() * cell_roots
-            out[l:] = diagonal * cells + sign * (
-                links * ((cell_roots * leaf).sum() + deeper) + roots * above)
-            return out
-
-        return product
 
     def cell(self, v: int) -> tuple[int, int]:
         """The index and the size of the cell that holds vertex v."""
@@ -706,8 +642,8 @@ class JoinTree:
     JoinTree(Connective.JOIN, (x, y)) stands for join(x, y) and
     JoinTree(Connective.JOIN, (x,) * r) for self_join(x, r). build
     materializes the graph; _quotient(u, kind) gives the equitable quotient
-    at u, of order (cells of u's leaf) + depth, that krylov_entry multiplies
-    in place of the built graph's matrix.
+    at u, of order (cells of u's leaf) + depth, that krylov_entry
+    exponentiates whole in place of the built graph's matrix.
     """
 
     connective: Connective

@@ -23,13 +23,9 @@ graphs", 2012), so the adjacency tree is the Laplacian one run on k - theta.
 The walk check (_confirm_transfer) never builds the join either: it works
 on the JoinTree's equitable quotient at u, of order (cells of the part) +
 depth, read from the orders and the part's coarsest equitable partition
-with u alone in its cell. It exponentiates the quotient whole
-up to walk.WHOLE_QUOTIENT_MAX_ORDER and runs Lanczos from e_u above it, on
-a dense matrix up to graphs.QUOTIENT_MAX_ORDER and on a matrix-free
-product, which costs the part's edges plus the quotient's order, above
-that. It exponentiates
-with a series, so it shares no eigensolver with the certificate it checks
-and reads none of the parts' matrices. Every positive verdict gets this
+with u alone in its cell, and exponentiates that quotient whole with a
+series, so it shares no eigensolver with the certificate it checks and
+reads none of the parts' matrices. Every positive verdict gets this
 check; nothing in this module builds or diagonalizes a joined graph.
 """
 
@@ -197,16 +193,39 @@ class InducedTransferReport:
 # ---------------------------------------------------------------------------
 
 
+def _diagonal_moments(graph: WeightedGraph, laplacian: bool, u: int) -> tuple[Fraction, Fraction]:
+    """M_uu and (M^2)_uu, summed exactly as Fractions of u's edge and loop weights.
+
+    (M^2)_uu is the sum over w of M_uw^2: the squared edge weights at u
+    plus the square of the diagonal. Exact sums do not depend on the order
+    of the edges.
+    """
+    incident = [Fraction(w) for w in graph.weights[(graph.rows == u) | (graph.cols == u)].tolist()]
+    loops = [Fraction(w) for w in graph.loop_weights[graph.loop_at == u].tolist()]
+    diagonal = sum(incident if laplacian else loops, Fraction(0))
+    return diagonal, diagonal * diagonal + sum(w * w for w in incident)
+
+
 def pair_partition(graph: WeightedGraph, matrix: str, u: int, v: int) -> SupportPartition | None:
     """strong_cospectral on the graph's spectrum, computed once per pair.
 
-    The result is cached on the graph next to its spectrum; each caller
-    gets its own copy, so mutating one cannot change a later analysis.
+    Cospectral vertices have equal (M^k)_uu for every k. So before the
+    spectrum is read, M_uu and (M^2)_uu are compared with those at v, as
+    exact sums of the weights, whatever the order of the edges; a pair
+    that differs in either is not cospectral, and gets None however close
+    its eigenbasis rows are. The result is cached on the graph next to its
+    spectrum; each caller gets its own copy, so mutating one cannot change
+    a later analysis.
     """
-    part = graph.cached(
-        ("pair_partition", matrix, u, v),
-        lambda: strong_cospectral(spectrum(graph, matrix), u, v),
-    )
+
+    def partition():
+        laplacian = graph._is_laplacian(matrix)  # raises as spectrum would
+        if 0 <= min(u, v) and max(u, v) < graph.order and (
+                _diagonal_moments(graph, laplacian, u) != _diagonal_moments(graph, laplacian, v)):
+            return None
+        return strong_cospectral(spectrum(graph, matrix), u, v)
+
+    part = graph.cached(("pair_partition", matrix, u, v), partition)
     return None if part is None else SupportPartition(list(part.plus), list(part.minus))
 
 
@@ -906,12 +925,12 @@ def _confirm_transfer(
     positive one must reach |exp(itM)[v, u]| >= CONFIRMATION_GATE at the
     certified time, computed by krylov_entry on the tree's equitable
     quotient at u, or InconsistencyError is raised. The magnitude becomes
-    the confirmation, and the route that ran ("whole-quotient" for a
-    quotient of order at most walk.WHOLE_QUOTIENT_MAX_ORDER, exponentiated
-    with no Lanczos loop, else "lanczos"), the Krylov dimension, the error
-    bound and the operator with its order go into details: "quotient", or
-    "graph" for a tree that krylov_entry builds because a cell has no
-    common row sum under the adjacency matrix.
+    the confirmation, and the route that ran, the Krylov dimension, the
+    error bound and the operator with its order go into details: route
+    "whole-quotient" on operator "quotient", of dimension its order and
+    bound 0.0, or route "lanczos" on operator "graph" for a tree that
+    krylov_entry builds because a cell has no common row sum under the
+    adjacency matrix.
     """
     if not cert.pst:
         return cert

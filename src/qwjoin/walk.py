@@ -7,20 +7,17 @@ carried entirely by the orders (Laplacian) or the regularity data
 (adjacency).
 
 krylov_entry computes one walk entry exp(itM)[v, u] independently of any
-eigensolver: Lanczos from e_u on an operator that only multiplies, then
-unitary_exp on the small tridiagonal matrix Lanczos produces. On a
-JoinTree the operator is the join's equitable quotient at u, of order
-(cells of u's leaf) + depth, the cells being the leaf's coarsest equitable
-partition with u alone in its cell (graphs.equitable_partition): a dense
-matrix up to graphs.QUOTIENT_MAX_ORDER, a matrix-free product above it. A dense quotient of order at most
-WHOLE_QUOTIENT_MAX_ORDER (16) skips Lanczos: unitary_exp exponentiates it
-whole, which is cheaper there than the Lanczos loop. Either way the join
-is never built; only under the adjacency matrix, when a cell has no
-common row sum, is the tree built and multiplied as a graph.
-unitary_exp scales and squares a Taylor polynomial whose
-degree and squaring count follow in advance from the norm, evaluated by
-Paterson-Stockmeyer, so it uses matrix products only: no eigensolver and
-no linear solve.
+eigensolver. On a JoinTree it exponentiates the join's equitable quotient
+at u whole, a dense matrix of order (cells of u's leaf) + depth, the cells
+being the leaf's coarsest equitable partition with u alone in its cell
+(graphs.equitable_partition); the join is never built. Any other operator,
+one that only multiplies, gets Lanczos from e_u, then unitary_exp on the
+small tridiagonal matrix Lanczos produces; so does a tree that has no
+quotient (under the adjacency matrix, a cell with no common row sum),
+built and multiplied as a graph. unitary_exp scales and squares a Taylor
+polynomial whose degree and squaring count follow in advance from the
+norm, evaluated by Paterson-Stockmeyer, so it uses matrix products only:
+no eigensolver and no linear solve.
 """
 
 from __future__ import annotations
@@ -120,8 +117,8 @@ def unitary_exp(matrix: np.ndarray, t: float) -> np.ndarray:
     and at most p + 4 matrices of the order held at once.
     Only matrix products are used, no solve and no eigensolver, so closed
     forms can be checked against an independently computed matrix;
-    krylov_entry uses it on the small Lanczos tridiagonal or on a small
-    equitable quotient whole. A matrix with a non-finite entry, or a theta
+    krylov_entry uses it on an equitable quotient whole or on the Lanczos
+    tridiagonal. A matrix with a non-finite entry, or a theta
     that overflows, gives a matrix of NaNs.
     """
     m = np.asarray(matrix)
@@ -156,26 +153,17 @@ def unitary_exp(matrix: np.ndarray, t: float) -> np.ndarray:
 
 KRYLOV_TOL = 1e-10
 
-# The largest equitable quotient krylov_entry exponentiates whole, with no
-# Lanczos loop. Measured with krylov_entry(tree, 0, 1, pi/2) on an Intel Xeon
-# (one BLAS thread, timeit medians), on C_l, seeded circulants and K_l joined
-# with O4 and O500: the whole quotient took 0.40-0.94 times the Lanczos time
-# at orders 5-16 and 0.46-1.07 times at order 17, but 1.04-2.2 times on K_l
-# at orders 21-33 (Krylov dimension 2) and up to 6.7 times at orders 49-65.
-WHOLE_QUOTIENT_MAX_ORDER = 16
-
 
 @dataclass(frozen=True)
 class KrylovEntry:
     """A walk entry from a Krylov space, with its dimension and error bound.
 
-    route names how the entry was computed: "lanczos" for the Lanczos loop,
-    "whole-quotient" for unitary_exp on a whole equitable quotient (its
-    dimension is then the quotient's order and its bound 0.0). operator
-    names what was multiplied: "quotient" for a JoinTree's equitable
-    quotient, dense or matrix-free, "graph" for any other operator (a
-    JoinTree built into its graph among them); operator_order is that
-    operator's order.
+    route names how the entry was computed: "whole-quotient" for unitary_exp
+    on a JoinTree's whole equitable quotient (operator "quotient"; its
+    dimension is then the quotient's order and its bound 0.0), "lanczos"
+    for the Lanczos loop on any other operator (operator "graph", a
+    JoinTree built into its graph among them). operator_order is the
+    order of the quotient or of the operator.
     """
 
     value: complex
@@ -187,64 +175,56 @@ class KrylovEntry:
 
 
 def krylov_entry(operator, u: int, v: int, t: float, kind: str = "laplacian") -> KrylovEntry:
-    """exp(itM)[v, u] by Lanczos from e_u with full reorthogonalization.
+    """exp(itM)[v, u], whole on a tree's quotient, else by Lanczos from e_u.
 
     operator is a JoinTree, or has an order and a matvec(x, kind), like
     WeightedGraph; M is never formed. A tree gives its equitable quotient
     at u (JoinTree._quotient), a matrix B of order (cells of u's leaf) +
-    depth in which u has a cell of its own; the entry is read from v's cell with the
-    scale 1/sqrt(|cell|), since exp(itM)e_u is constant on each cell. Up to
-    graphs.QUOTIENT_MAX_ORDER B is formed and multiplied densely, and a
-    quotient of order at most WHOLE_QUOTIENT_MAX_ORDER is exponentiated
-    whole by unitary_exp, with no Lanczos loop: the result reports route
-    "whole-quotient", the quotient's order as its dimension and 0.0 as its
-    bound. Above the cap Lanczos multiplies B without forming it. A tree
-    with no quotient (a cell with no common row sum under the adjacency
-    matrix) is built and taken as a graph, which, like any other operator,
-    is called through matvec. After k steps, with T the k x k Lanczos
+    depth in which u has a cell of its own. unitary_exp exponentiates B
+    whole, and the entry is exp(itB)[cell(v), cell(u)] with the scale
+    1/sqrt(|cell(v)|), since exp(itM)e_u is constant on each cell; the
+    result reports route "whole-quotient", the quotient's order as its
+    dimension and 0.0 as its bound. Lanczos on B would cost more: on every
+    quotient above order 6 in the tests and the benchmark, e_u's Krylov
+    space fills B, so Lanczos would end with an exponential of the same
+    order after a loop of its own.
+
+    A tree with no quotient (a cell with no common row sum under the
+    adjacency matrix) is built and taken as a graph, which, like any other
+    operator, is called through matvec by Lanczos with full
+    reorthogonalization. After k steps, with T the k x k Lanczos
     tridiagonal and beta the next off-diagonal, the error of V exp(itT) e_1
     is at most |t| * beta, so the iteration stops once that bound is below
-    KRYLOV_TOL, or when k reaches the order of what is multiplied (the
-    Krylov space is then the whole space, so the result is exact). In
-    exact arithmetic beta vanishes after
-    as many steps as there are eigenvalues in the support of u. exp(itT)
-    comes from unitary_exp, so no eigensolver is involved. The Lanczos
-    vectors are the rows of one preallocated array that doubles when full,
-    so a step costs O(k n) for the reorthogonalization, with no re-stacking
-    of the basis.
+    KRYLOV_TOL, or when k reaches the operator's order (the Krylov space is
+    then the whole space, so the result is exact). In exact arithmetic
+    beta vanishes after as many steps as there are eigenvalues in the
+    support of u. exp(itT) comes from unitary_exp, so no eigensolver is
+    involved. The Lanczos vectors are the rows of one preallocated array
+    that doubles when full, so a step costs O(k n) for the
+    reorthogonalization, with no re-stacking of the basis.
     """
     n = operator.order
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError(f"vertex out of range for order {n}")
-    quotient = operator._quotient(u, kind) if isinstance(operator, JoinTree) else None
-    if quotient is None and isinstance(operator, JoinTree):  # a cell has no common row sum
-        operator = operator.build()
-    start, target, scale, label = u, v, 1.0, "graph"
-    if quotient is not None:
-        label, n = "quotient", quotient.order
-        start = quotient.cell(u)[0]
-        target, size = quotient.cell(v)
-        scale = 1.0 / math.sqrt(size)
-        if not quotient.dense:
-            multiply = quotient.multiplier()
-        elif n > WHOLE_QUOTIENT_MAX_ORDER:
-            multiply = quotient.matrix().__matmul__
-        else:
-            value = complex(unitary_exp(quotient.matrix(), t)[target, start]) * scale
+    if isinstance(operator, JoinTree):
+        quotient = operator._quotient(u, kind)
+        if quotient is not None:
+            target, size = quotient.cell(v)
+            phases = unitary_exp(quotient.matrix(), t)
+            value = complex(phases[target, quotient.cell(u)[0]]) * (1.0 / math.sqrt(size))
             if not cmath.isfinite(value):
                 raise NumericError(f"the walk entry ({u}, {v}) at t = {t} is not finite")
-            return KrylovEntry(value, n, 0.0, label, n, "whole-quotient")
-    else:
-        def multiply(x):
-            return operator.matvec(x, kind)
+            q = quotient.order
+            return KrylovEntry(value, q, 0.0, "quotient", q, "whole-quotient")
+        operator = operator.build()  # a cell has no common row sum
     basis = np.zeros((min(n, 4), n))  # rows q_0..q_{k-1}; doubles when full
-    basis[0, start] = 1.0
+    basis[0, u] = 1.0
     k = 1
     alphas: list[float] = []
     betas: list[float] = []
     while True:
         last = basis[k - 1]
-        w = multiply(last)
+        w = operator.matvec(last, kind)
         alphas.append(float(last @ w))
         stacked = basis[:k]
         across = stacked.T
@@ -268,10 +248,10 @@ def krylov_entry(operator, u: int, v: int, t: float, kind: str = "laplacian") ->
     tri.flat[1 :: k + 1] = betas
     tri.flat[k :: k + 1] = betas
     phases = unitary_exp(tri, t)[:, 0]
-    value = complex(np.ascontiguousarray(basis[:k, target]) @ phases) * scale
+    value = complex(np.ascontiguousarray(basis[:k, v]) @ phases)
     if not cmath.isfinite(value):
         raise NumericError(f"the Krylov walk entry ({u}, {v}) at t = {t} is not finite")
-    return KrylovEntry(value, k, bound, label, n, "lanczos")
+    return KrylovEntry(value, k, bound, "graph", n, "lanczos")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import functools
 import inspect
+import itertools
 import math
 import sys
 from dataclasses import replace
@@ -32,7 +33,7 @@ from qwjoin import (
 import qwjoin.graphs as graphs_module
 import qwjoin.transfer as transfer_module
 from qwjoin.errors import PreconditionError
-from qwjoin.graphs import QUOTIENT_MAX_ORDER, Connective, IteratedJoinSpec, JoinTree
+from qwjoin.graphs import Connective, IteratedJoinSpec, JoinTree
 from qwjoin.walk import KRYLOV_TOL
 
 from conftest import (
@@ -472,17 +473,14 @@ def test_quotient_product_of_a_plan_nested_past_the_recursion_limit():
     for v, conn in enumerate(conns):
         if conn is Connective.JOIN:
             a[:v, v] = a[v, :v] = 1.0
-    x = np.random.default_rng(8).standard_normal(n)
     lap = np.diag(a.sum(axis=1)) - a
     # seen from vertex 0 every other cell is one part's vertex, root first,
     # so the quotient is the matrix itself with the vertices in that order
     cells = [0, *range(n - 1, 0, -1)]
     for kind, m in (("adjacency", a), ("laplacian", lap)):
         quotient = tree._quotient(0, kind)
-        assert quotient.order == n and not quotient.dense
-        want = m[np.ix_(cells, cells)]
-        assert np.array_equal(quotient.matrix(), want)
-        np.testing.assert_allclose(quotient.multiplier()(x), want @ x, rtol=1e-12, atol=1e-10)
+        assert quotient.order == n
+        assert np.array_equal(quotient.matrix(), m[np.ix_(cells, cells)])
 
 
 def _stacked_cone(count: int) -> IteratedJoinSpec:
@@ -495,35 +493,23 @@ def _stacked_cone(count: int) -> IteratedJoinSpec:
     return IteratedJoinSpec([(family("O", k), c) for k, c in zip(orders, conns)])
 
 
-def test_a_plan_past_the_cap_confirms_alike_on_the_dense_quotient(monkeypatch):
-    # 300 parts: a quotient of order 301 at vertex 0, above the cap
+def test_a_300_part_plan_confirms_on_its_whole_quotient():
+    # a quotient of order 301 at vertex 0, exponentiated whole, against
+    # Lanczos on the whole tree's recursive product
     spec = _stacked_cone(300)
     tree = iterated_tree(spec)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("this product must not run")
-
-    rng = np.random.default_rng(300)
-    for kind in ("laplacian", "adjacency"):
-        quotient = tree._quotient(0, kind)
-        x = rng.standard_normal(quotient.order)
-        np.testing.assert_allclose(quotient.multiplier()(x), quotient.matrix() @ x,
-                                   rtol=1e-12, atol=1e-10)
-    with monkeypatch.context() as patch:
-        patch.setattr(graphs_module._Quotient, "matrix", forbidden)
-        matrix_free = iterated_join_analysis(spec, 1, 0, 1)
-        free_entry = krylov_entry(tree, 0, 5, 0.7, "adjacency")
-    monkeypatch.setattr(graphs_module, "QUOTIENT_MAX_ORDER", 301)
-    monkeypatch.setattr(graphs_module._Quotient, "multiplier", forbidden)
-    dense = iterated_join_analysis(spec, 1, 0, 1)
-    dense_entry = krylov_entry(tree, 0, 5, 0.7, "adjacency")
-    assert matrix_free.pst and dense.pst and matrix_free.time == dense.time
-    assert abs(matrix_free.confirmation - dense.confirmation) <= 1e-12
-    for cert in (matrix_free, dense):
-        assert cert.details["krylov_operator"] == "quotient"
-        assert cert.details["krylov_operator_order"] == cert.details["krylov_dimension"] == 301
-    assert free_entry.dimension == dense_entry.dimension
-    assert abs(free_entry.value - dense_entry.value) <= 1e-12
+    cert = iterated_join_analysis(spec, 1, 0, 1)
+    assert cert.pst
+    assert (cert.details["confirmation_route"], cert.details["krylov_operator"]) == (
+        "whole-quotient", "quotient")
+    assert cert.details["krylov_operator_order"] == cert.details["krylov_dimension"] == 301
+    whole = whole_tree(tree)
+    reference = krylov_entry(whole, 0, 1, cert.time.value)
+    assert reference.dimension == 301
+    assert abs(cert.confirmation - abs(reference.value)) <= 1e-12
+    entry = krylov_entry(tree, 0, 5, 0.7, "adjacency")
+    assert (entry.route, entry.operator_order) == ("whole-quotient", 301)
+    assert abs(entry.value - krylov_entry(whole, 0, 5, 0.7, "adjacency").value) <= 1e-12
 
 
 def _alternating_plan(first: WeightedGraph, count: int) -> IteratedJoinSpec:
@@ -569,32 +555,28 @@ def test_build_of_a_plan_nested_past_a_lowered_recursion_limit():
 
 
 def _check_quotient_entries(kind, tree, t):
-    """Every entry of a small tree's walk against expm, and each quotient's two products."""
+    """Every entry of a small tree's walk against expm, and Lanczos on each quotient."""
     exact = scipy.linalg.expm(1j * t * _dense(tree.build(), kind))
     whole = whole_tree(tree)
-    rng = np.random.default_rng(tree.order)
     for u in range(tree.order):
         dimension = krylov_entry(whole, u, u, t, kind).dimension
         quotient = tree._quotient(u, kind)
         if quotient is not None:  # Lanczos on the quotient alone stops where it does on the tree
             b = quotient.matrix()
-            x = rng.standard_normal(len(b))
-            np.testing.assert_allclose(quotient.multiplier()(x), b @ x, rtol=1e-12, atol=1e-12)
             cell = quotient.cell(u)[0]
             lanczos = krylov_entry(MatvecOnly(len(b), lambda x, kind: b @ x), cell, cell, t, kind)
             assert lanczos.dimension == dimension
         for v in range(tree.order):
             entry = krylov_entry(tree, u, v, t, kind)
             assert abs(entry.value - exact[v, u]) <= 1e-9
-            if entry.route == "whole-quotient":
-                assert entry.dimension == entry.operator_order and entry.bound == 0.0
-                assert entry.operator_order <= graphs_module.QUOTIENT_MAX_ORDER
-            elif entry.operator == "graph":
+            if entry.operator == "quotient":
+                assert entry.route == "whole-quotient" and entry.bound == 0.0
+                assert entry.dimension == entry.operator_order == quotient.order
+            else:
                 # the built graph's rounding can keep beta near 1e-9 past the
                 # support, so Lanczos there may run on, up to the order
+                assert entry.route == "lanczos" and quotient is None
                 assert dimension <= entry.dimension <= tree.order
-            else:
-                assert entry.dimension == dimension
             if kind == "laplacian":
                 assert entry.operator == "quotient" and entry.operator_order <= tree.order
 
@@ -605,17 +587,6 @@ def test_quotient_entries_match_scipy_and_the_whole_tree_dimension(kind_and_tree
     kind, tree = kind_and_tree
     assume(tree.order <= 16)
     _check_quotient_entries(kind, tree, t)
-
-
-@settings(deadline=None)
-@given(_KIND_AND_TREE, st.sampled_from([0.3, math.pi / 2, 2.9]))
-def test_matrix_free_quotient_entries_match_scipy_and_the_whole_tree_dimension(kind_and_tree, t):
-    # with the cap at 0 every quotient takes the matrix-free product and Lanczos
-    kind, tree = kind_and_tree
-    assume(tree.order <= 16)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(graphs_module, "QUOTIENT_MAX_ORDER", 0)
-        _check_quotient_entries(kind, tree, t)
 
 
 # symmetric leaves, so that the quotients take cells of several vertices; each
@@ -633,50 +604,61 @@ _SYMMETRIC_TREES = {
 }
 
 
-@pytest.mark.parametrize("cap", [QUOTIENT_MAX_ORDER, 0], ids=["dense", "matrix-free"])
+def _every_pair(n):
+    return itertools.product(range(n), repeat=2)
+
+
+@pytest.mark.parametrize("reference", ["dense", "matrix-free"])
 @pytest.mark.parametrize("kind", ["laplacian", "adjacency"])
 @pytest.mark.parametrize("name", list(_SYMMETRIC_TREES))
-def test_quotient_entries_on_symmetric_leaves(monkeypatch, name, kind, cap):
-    monkeypatch.setattr(graphs_module, "QUOTIENT_MAX_ORDER", cap)
+def test_quotient_entries_on_symmetric_leaves(name, kind, reference):
+    # against expm of the built graph's dense matrix, or against Lanczos on
+    # the tree's recursive product, which forms no matrix
     tree, u = _SYMMETRIC_TREES[name]
-    _check_quotient_entries(kind, tree, 0.7)
+    if reference == "dense":
+        _check_quotient_entries(kind, tree, 0.7)
+    else:
+        whole = whole_tree(tree)
+        for w, v in _every_pair(tree.order):
+            want = krylov_entry(whole, w, v, 0.7, kind).value
+            assert abs(krylov_entry(tree, w, v, 0.7, kind).value - want) <= 1e-10
     # u's leaf has fewer cells than vertices
     partition = tree._quotient(u, kind).partition
     assert len(partition.sizes) < len(partition.cell)
 
 
-def _check_quotient_routes(order, route, kind):
-    """Every entry of x v K3, x of order - 1, against expm, and the route from x's side."""
+def _check_quotient_routes(order, kind, pairs):
+    """Entries of x v K3, x of order - 1, against expm, and the route from x's side."""
     # from the part, the quotient has its order - 1 vertices and the one cell K3
     x = random_weighted(np.random.default_rng(order), order - 1)
     tree = JoinTree(Connective.JOIN, (x, family("K", 3)))
     exact = scipy.linalg.expm(1j * 0.9 * _dense(tree.build(), kind))
-    for u in range(tree.order):
-        for v in range(tree.order):
-            entry = krylov_entry(tree, u, v, 0.9, kind)
-            assert abs(entry.value - exact[v, u]) <= 1e-9
-            if u < x.order:
-                assert (entry.operator, entry.operator_order, entry.route) == (
-                    "quotient", order, route)
-            if entry.route == "whole-quotient":
-                assert entry.dimension == entry.operator_order and entry.bound == 0.0
-            else:
-                assert entry.bound < KRYLOV_TOL or entry.dimension == entry.operator_order
+    for u, v in pairs(tree.order):
+        entry = krylov_entry(tree, u, v, 0.9, kind)
+        assert abs(entry.value - exact[v, u]) <= 1e-9
+        if u < x.order:
+            assert (entry.operator, entry.operator_order, entry.route) == (
+                "quotient", order, "whole-quotient")
+        if entry.operator == "quotient":
+            assert entry.route == "whole-quotient" and entry.bound == 0.0
+            assert entry.dimension == entry.operator_order
+        else:  # from K3 under the adjacency matrix, x is a cell with no common row sum
+            assert entry.route == "lanczos"
+            assert entry.bound < KRYLOV_TOL or entry.dimension == entry.operator_order
+
+
+def _sampled_pairs(n):
+    """A dozen seeded (u, v), each u of the part and each v anywhere."""
+    rng = np.random.default_rng(n)
+    return zip(rng.integers(0, n - 3, 12).tolist(), rng.integers(0, n, 12).tolist())
 
 
 @pytest.mark.parametrize("kind", ["laplacian", "adjacency"])
-@pytest.mark.parametrize("order, route", [(16, "whole-quotient"), (17, "lanczos")])
-def test_quotients_up_to_order_16_are_exponentiated_whole(order, route, kind):
-    _check_quotient_routes(order, route, kind)
-
-
-@pytest.mark.parametrize("kind", ["laplacian", "adjacency"])
-@pytest.mark.parametrize("order", [16, 17])
-def test_quotients_above_a_lowered_cap_run_lanczos_on_the_matrix_free_product(
-    monkeypatch, order, kind
-):
-    monkeypatch.setattr(graphs_module, "QUOTIENT_MAX_ORDER", order - 1)
-    _check_quotient_routes(order, "lanczos", kind)
+@pytest.mark.parametrize("order, pairs", [
+    (16, _every_pair), (17, _every_pair), (65, _sampled_pairs), (257, _sampled_pairs),
+], ids=["16", "17", "65", "257"])
+def test_quotients_of_every_order_are_exponentiated_whole(order, pairs, kind):
+    _check_quotient_routes(order, kind, pairs)
 
 
 # a 0.8-regular weighted circulant whose row sums differ in the last bit,
@@ -731,8 +713,7 @@ def test_the_quotient_keeps_the_tree_preconditions():
             krylov_entry(looped, u, v, 1.0, "adjacency")
 
 
-@pytest.mark.parametrize("cap", [QUOTIENT_MAX_ORDER, 0], ids=["quotient", "matrix-free"])
-def test_confirmation_reads_no_matrix_and_no_eigensolver(monkeypatch, cap):
+def test_confirmation_reads_no_matrix_and_no_eigensolver(monkeypatch):
     x, y = family("O", 2), family("C", 6)
     cert = join_pst(x, y, 0, 1)
     assert cert.pst
@@ -740,7 +721,6 @@ def test_confirmation_reads_no_matrix_and_no_eigensolver(monkeypatch, cap):
     def forbidden(*args, **kwargs):
         raise AssertionError("the confirmation must not read this")
 
-    monkeypatch.setattr(graphs_module, "QUOTIENT_MAX_ORDER", cap)
     monkeypatch.setattr(WeightedGraph, "laplacian", forbidden)
     monkeypatch.setattr(WeightedGraph, "adjacency", forbidden)
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
@@ -754,8 +734,7 @@ def test_confirmation_reads_no_matrix_and_no_eigensolver(monkeypatch, cap):
     assert confirmed.confirmation >= 1 - 1e-9
     assert confirmed.details["krylov_operator"] == "quotient"
     assert confirmed.details["krylov_operator_order"] == 3
-    route = "whole-quotient" if cap else "lanczos"
-    assert confirmed.details["confirmation_route"] == route
+    assert confirmed.details["confirmation_route"] == "whole-quotient"
 
 
 # ---------------------------------------------------------------------------
@@ -773,14 +752,16 @@ def _assert_equitable(graph, u, partition):
     indicator[np.arange(graph.order), cell] = 1.0
     normalized = indicator / np.sqrt(sizes)
     kinds = ["adjacency"] + (["laplacian"] if is_simple(graph) else [])
-    rng = np.random.default_rng(graph.order)
+    block = partition.block.adjacency()
     for kind in kinds:
         m = _dense(graph, kind)
         into = m @ indicator  # the weights are dyadic, so these sums are exact
         assert np.array_equal(into, into[first][cell])
-        x = rng.standard_normal(len(sizes))
-        np.testing.assert_allclose(partition.product(x, kind == "laplacian"),
-                                   normalized.T @ m @ normalized @ x, rtol=1e-12, atol=1e-12)
+        want = block.copy()
+        if kind == "laplacian":  # the block's edges negated, the degrees minus Q_aa on the diagonal
+            want = -want
+            np.fill_diagonal(want, partition.laplacian_diagonal)
+        np.testing.assert_allclose(want, normalized.T @ m @ normalized, rtol=1e-12, atol=1e-12)
 
 
 @st.composite

@@ -277,6 +277,34 @@ def test_cli_bad_outputs_and_sweep_inputs_exit_2(tmp_path, capsys, argv, message
     assert err.startswith("precondition violated: ") and message in err
 
 
+def test_cli_near_tie_is_not_strongly_cospectral(tmp_path, capsys):
+    # P3 with weights 1 and 1 + 1e-8: L[0, 0] and L[2, 2] differ, so the pair
+    # is not cospectral, though its eigenbasis rows differ by about 1e-9 only
+    path = tmp_path / "p3.json"
+    save_graph(WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.00000001)]), path)
+    assert main(["join", "--left", str(path), "--right", "O 1", "--pair", "0", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "pair (0, 2): not strongly cospectral in the join" in out
+    assert "perfect state transfer 0 <-> 2: False" in out
+
+
+def test_cli_prints_large_support_values_apart(capsys):
+    # the join support of O2 v O_n at 0 is n + 2, n and 0; ten digits printed
+    # n + 2 as 4e+10, the same as n
+    assert main(["join", "--left", "O 2", "--right", "O 40000000000", "--pair", "0", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "plus [40000000002.0, 0.0], minus [40000000000.0]" in out
+
+
+def test_fmt_keeps_ten_digits_below_1e10():
+    for value in (0.0, 1e-10, -2.5e-5, 1 / 3, math.pi / 2, 123456.789, 9999999999.4, -9999999999.6):
+        assert cli._fmt(value) == (f"{value:.10g}" if abs(value) >= 1e-9 else "0")
+    assert cli._fmt(40000000002.0) == "40000000002"
+    assert cli._fmt(-123456789012.5) == "-123456789012"
+    assert cli._fmt(2.0**80) == "1.2089258196146292e+24"  # 17 digits tell doubles apart
+    assert (cli._fmt(math.inf), cli._fmt(math.nan)) == ("inf", "nan")
+
+
 def test_cli_precondition_exit_code(capsys):
     # unknown family token
     assert main(["analyze", "--family", "Z9"]) == 2

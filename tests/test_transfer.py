@@ -990,6 +990,45 @@ def test_mutating_a_partition_leaves_later_analyses_alone():
     )
 
 
+def test_a_pair_with_unequal_diagonals_is_not_cospectral_before_the_spectrum(monkeypatch):
+    # P3 with weights 1 and 1 + 1e-8: L[0, 0] = 1 and L[2, 2] = 1.00000001, but
+    # the eigenbasis rows of 0 and 2 differ by about 1e-9, under the support
+    # tolerance; A[0, 0] = A[2, 2] = 0, but (A^2)[0, 0] and (A^2)[2, 2] differ
+    near_tie = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.00000001)])
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the spectrum must not be read")
+
+    monkeypatch.setattr(transfer, "spectrum", forbidden)
+    for matrix in ("laplacian", "adjacency"):
+        assert transfer.pair_partition(near_tie, matrix, 0, 2) is None
+        assert transfer.pair_partition(near_tie, matrix, 2, 0) is None
+
+
+def test_the_cospectrality_gate_sums_the_weights_exactly():
+    # 0 and 1 swap under an automorphism, with the incident weights 0.1, 0.2
+    # and 0.3 listed in opposite orders; the float degrees differ in the last bit
+    graph = WeightedGraph(5, [(0, 2, 0.1), (0, 3, 0.2), (0, 4, 0.3),
+                              (1, 4, 0.3), (1, 3, 0.2), (1, 2, 0.1)])
+    assert graph.degree(0) != graph.degree(1)
+    for matrix in ("laplacian", "adjacency"):
+        assert transfer.pair_partition(graph, matrix, 0, 1) is not None
+    # a loop of a different weight at one of them does tell them apart
+    looped = WeightedGraph(5, list(zip(graph.rows, graph.cols, graph.weights)), [(0, 0.5), (1, 0.25)])
+    assert transfer.pair_partition(looped, "adjacency", 0, 1) is None
+
+
+def test_the_cospectrality_gate_keeps_the_spectrum_errors():
+    looped = WeightedGraph(2, [(0, 1, 1.0)], [(0, 1.0)])
+    with pytest.raises(PreconditionError, match="simple graphs only"):
+        transfer.pair_partition(looped, "laplacian", 0, 1)
+    with pytest.raises(ValueError, match="unknown matrix kind"):
+        transfer.pair_partition(looped, "signless", 0, 1)
+    for u, v in ((0, 0), (0, 2), (-1, 0)):
+        with pytest.raises(ValueError):
+            transfer.pair_partition(family("P", 2), "laplacian", u, v)
+
+
 def _threshold_plans(max_parts, max_size):
     """Every plan the threshold search covers, as (sizes, spec), in its order."""
     empties = {size: family("O", size) for size in range(1, max_size + 1)}
