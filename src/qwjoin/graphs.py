@@ -568,22 +568,24 @@ class _Quotient:
         return self.partition.block.order + len(self.ancestors)
 
     def matrix(self) -> np.ndarray:
-        """B as a dense array."""
+        """B as a dense array: its upper triangle, then mirrored."""
         block, l, q = self.partition.block, self.partition.block.order, self.order
-        roots = np.sqrt([size for _, _, size in self.ancestors])
-        cell_roots = np.sqrt(self.partition.sizes)
         sign = -1.0 if self.laplacian else 1.0
+        roots = np.sqrt(self.partition.sizes.tolist() + [size for *_, size in self.ancestors])
         b = np.zeros((q, q))
-        b[block.rows, block.cols] = b[block.cols, block.rows] = sign * block.weights
-        b[block.loop_at, block.loop_at] = block.loop_weights  # the Laplacian's comes below
+        b[block.rows, block.cols] = sign * block.weights
         for i, joined in enumerate(self.joins):
             if joined:  # all of the leaf and of every deeper cell
                 c = l + i
-                b[c, :l] = b[:l, c] = sign * roots[i] * cell_roots
-                b[c, c + 1:] = b[c + 1:, c] = sign * roots[i] * roots[i + 1:]
-        b.flat[l * (q + 1) :: q + 1] = self.diagonal
+                coupling = sign * roots[c]
+                b[:l, c] = coupling * roots[:l]
+                b[c, c + 1:] = coupling * roots[c + 1:]
+        b += b.T
         if self.laplacian:
             b.flat[: l * (q + 1) : q + 1] = self.partition.laplacian_diagonal + self.shift
+        else:
+            b[block.loop_at, block.loop_at] = block.loop_weights
+        b.flat[l * (q + 1) :: q + 1] = self.diagonal
         return b
 
     def cell(self, v: int) -> tuple[int, int]:

@@ -919,14 +919,15 @@ def _join_certificate(
 def _confirm_transfer(
     tree: JoinTree, u: int, v: int, cert: PSTCertificate, what: str
 ) -> PSTCertificate:
-    """Check cert on the walk of the join that tree describes; return it confirmed.
+    """Check cert on the walk of the join that tree describes; confirm it in place.
 
     u and v index the tree. A negative verdict is returned unchanged. A
     positive one must reach |exp(itM)[v, u]| >= CONFIRMATION_GATE at the
     certified time, computed by krylov_entry on the tree's equitable
-    quotient at u, or InconsistencyError is raised. The magnitude becomes
-    the confirmation, and the route that ran, the Krylov dimension, the
-    error bound and the operator with its order go into details: route
+    quotient at u, or InconsistencyError is raised. The magnitude is set
+    as cert's confirmation, and the route that ran, the Krylov dimension,
+    the error bound and the operator with its order go into cert's
+    details, which every caller has just made; cert is returned. Route
     "whole-quotient" on operator "quotient", of dimension its order and
     bound 0.0, or route "lanczos" on operator "graph" for a tree that
     krylov_entry builds because a cell has no common row sum under the
@@ -938,18 +939,12 @@ def _confirm_transfer(
     mag = abs(entry.value)
     if mag < CONFIRMATION_GATE:
         raise InconsistencyError(f"the certified {what} transfer only reaches magnitude {mag}")
-    return replace(
-        cert,
-        confirmation=mag,
-        details={
-            **cert.details,
-            "confirmation_route": entry.route,
-            "krylov_dimension": entry.dimension,
-            "krylov_bound": entry.bound,
-            "krylov_operator": entry.operator,
-            "krylov_operator_order": entry.operator_order,
-        },
-    )
+    cert.confirmation = mag
+    cert.details.update(
+        confirmation_route=entry.route, krylov_dimension=entry.dimension,
+        krylov_bound=entry.bound, krylov_operator=entry.operator,
+        krylov_operator_order=entry.operator_order)
+    return cert
 
 
 def join_pst(

@@ -14,17 +14,18 @@ being the leaf's coarsest equitable partition with u alone in its cell
 one that only multiplies, gets Lanczos from e_u, then unitary_exp on the
 small tridiagonal matrix Lanczos produces; so does a tree that has no
 quotient (under the adjacency matrix, a cell with no common row sum),
-built and multiplied as a graph. unitary_exp scales and squares a Taylor
-polynomial whose degree and squaring count follow in advance from the
-norm, evaluated by Paterson-Stockmeyer, so it uses matrix products only:
-no eigensolver and no linear solve.
+built and multiplied as a graph. unitary_exp takes the real symmetric
+matrix, evaluates the Taylor polynomials of cos and sin in real arithmetic
+by Paterson-Stockmeyer, with degree and squaring count fixed in advance
+from the norm, and squares in complex: matrix products only, no
+eigensolver and no linear solve.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,9 +69,10 @@ def transition_entries(
 
 # (degree, radius) pairs: a Taylor polynomial of that degree is used for
 # norms up to the radius, the largest theta with
-# sum_{k > degree} theta^k / k! <= 2^-53 (unit roundoff), rounded down. The
-# degrees are those Paterson-Stockmeyer evaluates at least cost, p + q - 2
-# products for p = ceil(sqrt(degree)) and q = ceil(degree / p).
+# sum_{k > degree} theta^k / k! <= 2^-53 (unit roundoff), rounded down; that
+# exp tail bounds the cos and sin tails together. The degrees are those
+# Paterson-Stockmeyer evaluates at least cost in A, p + q - 2 products for
+# p = ceil(sqrt(degree)) and q = ceil(degree / p).
 _TAYLOR_RADII = (
     (1, 1.49e-8),
     (2, 8.73e-6),
@@ -83,49 +85,62 @@ _TAYLOR_RADII = (
 )
 
 
-def _taylor_blocks(degree: int) -> np.ndarray:
-    """The Paterson-Stockmeyer coefficient blocks of the degree-d Taylor polynomial.
+def _cos_sin_blocks(degree: int) -> np.ndarray:
+    """The Paterson-Stockmeyer block pairs of cos(A) and sin(A)/A in X = A^2.
 
-    Row j holds the coefficients 1/k! of A^0..A^p in the j-th polynomial
-    B_j, so that sum_{k <= d} A^k / k! = sum_j B_j(A) (A^p)^j; every row
-    but the last stops at A^(p-1), and the last holds the top terms.
+    The degree-d Taylor polynomial of exp(iA) is C(X) + iA S(X), X^k having
+    the coefficient (-1)^k / (2k)! in C if 2k <= d and (-1)^k / (2k+1)! in S
+    if 2k + 1 <= d. [j, 0] holds the coefficients of X^0..X^p in the j-th
+    block of C and [j, 1] those of S, so C(X) = sum_j C_j(X) (X^p)^j; every
+    block but the last stops at X^(p-1), and the last holds the top terms.
     """
-    p = math.isqrt(degree - 1) + 1
-    q = -(-degree // p)
-    blocks = np.zeros((q, p + 1), dtype=complex)
+    top = max(degree // 2, 1)
+    p = math.isqrt(top - 1) + 1
+    q = -(-top // p)
+    blocks = np.zeros((q, 2, p + 1))
     for k in range(degree + 1):
-        j = min(k // p, q - 1)
-        blocks[j, k - j * p] = 1.0 / math.factorial(k)
+        half = k // 2
+        j = min(half // p, q - 1)
+        blocks[j, k % 2, half - j * p] = (-1) ** half / math.factorial(k)
     return blocks
 
 
-_TAYLOR_BLOCKS = {degree: _taylor_blocks(degree) for degree, _ in _TAYLOR_RADII}
+_COS_SIN_BLOCKS = {degree: _cos_sin_blocks(degree) for degree, _ in _TAYLOR_RADII}
 
 
 def unitary_exp(matrix: np.ndarray, t: float) -> np.ndarray:
-    """exp(itM) by scaling and squaring of a Taylor polynomial.
+    """exp(itM) for a real symmetric M, by scaling and squaring of a Taylor polynomial.
 
     The degree d and the number s of squarings are fixed in advance from
     theta = |t| * ||M||_1: the lowest degree of _TAYLOR_RADII whose radius
     covers theta, or else degree 20 with the fewest squarings that bring
     theta / 2^s within its radius, so the truncated tail is below unit
-    roundoff and small norms take a low degree. The polynomial in
-    A = itM / 2^s is evaluated by Paterson and Stockmeyer (SIAM J. Comput.
-    2, 1973): the powers A^2..A^p, then Horner's rule in A^p, forming each
-    block B_j(A) from the powers only when it is added, so p + q - 2 matrix
-    products with p = ceil(sqrt(d)) and q = ceil(d / p), then s squarings,
-    and at most p + 4 matrices of the order held at once.
+    roundoff and small norms take a low degree. With A = tM / 2^s,
+    exp(iA) = cos(A) + i sin(A) ~ C(X) + iA S(X), real polynomials in
+    X = A^2 (_cos_sin_blocks). Paterson and Stockmeyer's scheme (SIAM J.
+    Comput. 2, 1973) evaluates them in real arithmetic (Al-Mohy, Higham &
+    Relton, SIAM J. Sci. Comput. 37, 2015): the powers X^2..X^p, then
+    Horner's rule in X^p on C stacked over S, each block pair formed only
+    when it is added. The powers are freed, and C + iA S is squared s times
+    in complex, each square as U U^T, since U is symmetric: NumPy hands that
+    product to BLAS syrk at about half the cost. At most p + 6 real
+    matrices of the order are held at once (p = 4 at degree 20).
     Only matrix products are used, no solve and no eigensolver, so closed
     forms can be checked against an independently computed matrix;
     krylov_entry uses it on an equitable quotient whole or on the Lanczos
-    tridiagonal. A matrix with a non-finite entry, or a theta
-    that overflows, gives a matrix of NaNs.
+    tridiagonal. A complex matrix raises TypeError and an asymmetric one
+    ValueError; one with a non-finite entry, or a theta that overflows,
+    gives a matrix of NaNs.
     """
-    m = np.asarray(matrix)
+    if np.iscomplexobj(matrix):
+        raise TypeError("unitary_exp takes a real matrix")
+    m = np.asarray(matrix, dtype=float)
     n = m.shape[0]
     norm = abs(float(t)) * float(np.abs(m).sum(axis=0).max()) if n else 0.0
     if not math.isfinite(norm):
         return np.full((n, n), complex("nan"))
+    if (m != m.T).any():
+        raise ValueError("unitary_exp takes a symmetric matrix")
     if norm == 0.0:
         return np.eye(n, dtype=complex)
     squarings = 0
@@ -134,28 +149,35 @@ def unitary_exp(matrix: np.ndarray, t: float) -> np.ndarray:
             break
     else:
         squarings = math.ceil(math.log2(norm / radius))
-    blocks = _TAYLOR_BLOCKS[degree]
-    q, p = blocks.shape[0], blocks.shape[1] - 1
-    powers = np.empty((p + 1, n, n), dtype=complex)
-    powers[0] = np.eye(n)
-    np.multiply(m, 1j * float(t) * math.ldexp(1.0, -squarings), out=powers[1])
-    for k in range(2, p + 1):
-        np.matmul(powers[k - 1], powers[1], out=powers[k])
+    blocks = _COS_SIN_BLOCKS[degree]
+    q, p = blocks.shape[0], blocks.shape[2] - 1
+    a = m * (float(t) * math.ldexp(1.0, -squarings))
+    powers = np.empty((p + 1, n, n))
     flat = powers.reshape(p + 1, n * n)
-    out = (blocks[q - 1] @ flat).reshape(n, n)
-    for j in range(q - 2, -1, -1):  # each block B_j(A) is formed when Horner needs it
-        out = out @ powers[p]
-        out += (blocks[j] @ flat).reshape(n, n)
+    flat[0] = 0.0
+    flat[0, :: n + 1] = 1.0
+    # np.dot skips matmul's ufunc dispatch, about 1 us a product at order 3
+    np.dot(a, a, out=powers[1])
+    for k in range(2, p + 1):
+        np.dot(powers[k - 1], powers[1], out=powers[k])
+    pair = blocks[q - 1].dot(flat).reshape(2 * n, n)  # C over S
+    for j in range(q - 2, -1, -1):  # each block pair is formed when Horner needs it
+        pair = pair.dot(powers[p])
+        pair += blocks[j].dot(flat).reshape(2 * n, n)
+    del powers, flat
+    out = np.empty((n, n), dtype=complex)
+    out.real = pair[:n]
+    out.imag = a.dot(pair[n:])
+    del a, pair
     for _ in range(squarings):
-        out = out @ out
+        out = out.dot(out.T)
     return out
 
 
 KRYLOV_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class KrylovEntry:
+class KrylovEntry(NamedTuple):
     """A walk entry from a Krylov space, with its dimension and error bound.
 
     route names how the entry was computed: "whole-quotient" for unitary_exp

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,7 @@ from qwjoin import (
     transition_matrix,
     unitary_exp,
 )
-from qwjoin.walk import _TAYLOR_RADII, KRYLOV_TOL, transition_entries
+from qwjoin.walk import _COS_SIN_BLOCKS, _TAYLOR_RADII, KRYLOV_TOL, transition_entries
 
 from conftest import (
     oracle_transition,
@@ -123,6 +124,72 @@ def test_taylor_radii_keep_the_tail_below_unit_roundoff():
             k += 1
             term = term * theta / k
         assert tail + 2 * term <= unit
+
+
+def test_cos_sin_blocks_hold_the_taylor_coefficients():
+    # entry [j, part, i] multiplies X^(j p + i), X = A^2, in cos(A) (part 0)
+    # or sin(A)/A (part 1); summed per power, each must be the float nearest
+    # (-1)^k / (2k)! or (-1)^k / (2k + 1)!, for exactly the terms of degree <= d
+    for degree, _ in _TAYLOR_RADII:
+        blocks = _COS_SIN_BLOCKS[degree]
+        q, _, width = blocks.shape
+        p = width - 1
+        got: dict[tuple[int, int], Fraction] = {}
+        for j in range(q):
+            for part in (0, 1):
+                for i in range(width):
+                    key = (part, j * p + i)
+                    got[key] = got.get(key, Fraction(0)) + Fraction(float(blocks[j, part, i]))
+        for (part, k), value in got.items():
+            order = 2 * k + part
+            exact = Fraction((-1) ** k, math.factorial(order)) if order <= degree else Fraction(0)
+            assert abs(value - exact) <= abs(exact) * Fraction(1, 2**53), (degree, part, k)
+        assert {2 * k + part for (part, k), value in got.items() if value} == set(
+            range(degree + 1))
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.3, 50.0])
+def test_unitary_exp_peak_memory_stays_within_eleven_real_matrices(t):
+    # the real powers of X, C over S and its Horner product, A: ten at degree 20
+    n = 400
+    rng = np.random.default_rng(400)
+    g = rng.standard_normal((n, n))
+    m = g + g.T
+    tracemalloc.start()
+    try:
+        unitary_exp(m, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * 8 * n * n
+
+
+def test_unitary_exp_matches_scipy_expm_on_a_dense_symmetric_matrix():
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(128)
+    g = rng.standard_normal((128, 128))
+    m = g + g.T
+    norm = float(np.abs(m).sum(axis=0).max())
+    for theta in [0.0, 1e-12, 1e-7, 1e-3, 0.05, 0.3, 0.8, 1.5, 2.0, 7.0, 1e2, 1.1e3, 1e4]:
+        for sign in (1.0, -1.0):
+            t = sign * theta / norm  # ||tM||_1 is theta
+            got = unitary_exp(m, t)
+            scale = 1e-12 * max(1.0, theta)
+            assert np.abs(got - expm(1j * t * m)).max() <= scale
+            assert np.abs(got.conj().T @ got - np.eye(128)).max() <= scale
+
+
+def test_unitary_exp_takes_a_real_symmetric_matrix():
+    with pytest.raises(TypeError):
+        unitary_exp(np.eye(2, dtype=complex), 1.0)
+    with pytest.raises(TypeError):
+        unitary_exp(np.array([[0.0, 1j], [-1j, 0.0]]), 1.0)
+    with pytest.raises(ValueError):
+        unitary_exp(np.array([[0.0, 1.0], [2.0, 0.0]]), 1.0)
+    # an integer matrix is taken as real
+    assert np.array_equal(unitary_exp(np.array([[0, 1], [1, 0]]), 0.4),
+                          unitary_exp(np.array([[0.0, 1.0], [1.0, 0.0]]), 0.4))
 
 
 def test_unitary_exp_of_a_non_finite_matrix_is_nan():
