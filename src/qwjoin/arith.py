@@ -177,25 +177,44 @@ def _checked_float(x: float, tol: float) -> float | None:
     return x
 
 
-def reconstruct_rational(
-    x: float, max_denominator: int = 10**6, tol: float = 1e-7
-) -> Fraction | None:
-    """Best rational approximation of x, accepted only if it is tol-close.
-
-    Uses the continued-fraction convergents behind Fraction.limit_denominator.
-    Returns None when no fraction with denominator <= max_denominator lands
-    within tol, so callers can distinguish "irrational as far as we can tell"
-    from a genuine reconstruction.
-    """
+def _rational_pair(x: float, max_denominator: int = 10**6, tol: float = 1e-7) -> tuple[int, int] | None:
+    """reconstruct_rational(x, max_denominator, tol) as (numerator, denominator)."""
     if max_denominator < 1:
         raise ValueError("max_denominator must be at least 1")
     x = _checked_float(x, tol)
     if x is None:
         return None
-    candidate = Fraction(x).limit_denominator(max_denominator)
-    if abs(x - candidate) <= tol:
-        return candidate
-    return None
+    n, d = num, den = x.as_integer_ratio()
+    if den > max_denominator:  # the steps of Fraction.limit_denominator
+        p0, q0, p1, q1 = 0, 1, 1, 0
+        while True:
+            a = n // d
+            q2 = q0 + a * q1
+            if q2 > max_denominator:
+                break
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+            n, d = d, n - a * d
+        k = (max_denominator - q0) // q1
+        b, c = p0 + k * p1, q0 + k * q1  # the semiconvergent; the convergent p1/q1 wins a tie
+        num, den = (p1, q1) if abs(p1 * den - num * q1) * c <= abs(b * den - num * c) * q1 else (b, c)
+    # what float - Fraction computes: x minus the correctly rounded num / den
+    return (num, den) if abs(x - num / den) <= tol else None
+
+
+def reconstruct_rational(
+    x: float, max_denominator: int = 10**6, tol: float = 1e-7
+) -> Fraction | None:
+    """Best rational approximation of x, accepted only if it is tol-close.
+
+    The candidate is Fraction(x).limit_denominator(max_denominator), found
+    by its continued fraction and tie rule run in the ints of
+    x.as_integer_ratio(); a Fraction is built only for an accepted reading.
+    Returns None when no fraction with denominator <= max_denominator lands
+    within tol, so callers can distinguish "irrational as far as we can tell"
+    from a genuine reconstruction.
+    """
+    pair = _rational_pair(x, max_denominator, tol)
+    return None if pair is None else Fraction(*pair)
 
 
 # the denominator bound under which nearest_integer agrees with

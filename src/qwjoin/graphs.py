@@ -310,10 +310,15 @@ def component_of(graph: WeightedGraph, u: int) -> list[int]:
 
 
 def is_connected(graph: WeightedGraph) -> bool:
-    """Whether the graph is connected; computed once and cached on the graph."""
-    # a connected graph has at least order - 1 edges; most searched parts are edgeless
-    return graph.cached("connected", lambda: len(graph.weights) >= graph.order - 1
-                        and not _component_labels(graph).any())
+    """Whether the graph is connected; computed once and cached on the graph.
+
+    Below order - 1 edges it is not (most searched parts are edgeless), and
+    above (order - 1)(order - 2)/2, the edges of K_{order-1} beside an
+    isolated vertex, it is; only the counts in between label the components.
+    """
+    edges, n = len(graph.weights), graph.order
+    return graph.cached("connected", lambda: edges >= n - 1 and (
+        2 * edges > (n - 1) * (n - 2) or not _component_labels(graph).any()))
 
 
 # ---------------------------------------------------------------------------

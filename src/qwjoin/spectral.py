@@ -118,14 +118,18 @@ def spectrum(graph: WeightedGraph, kind: str) -> SpectralDecomposition:
     return graph.cached(("spectrum", kind), lambda: decompose(graph_matrix(graph, kind)))
 
 
+def _norm(row: np.ndarray) -> float:
+    """np.linalg.norm of a contiguous real vector: it computes sqrt(row.dot(row))."""
+    return math.sqrt(row.dot(row))
+
+
 def eigenvalue_support(decomp: SpectralDecomposition, u: int) -> list[float]:
-    """Eigenvalues whose projector sees vertex u, in descending order."""
+    """Eigenvalues whose projector sees vertex u, in descending order: those
+    whose basis block's row u has norm ||P_i e_u|| above SUPPORT_TOL."""
     if not 0 <= u < decomp.size:
         raise ValueError(f"vertex {u} out of range")
     return [
-        lam
-        for lam, basis in zip(decomp.eigenvalues, decomp.bases)
-        if float(np.linalg.norm(basis[u])) > SUPPORT_TOL
+        lam for lam, basis in zip(decomp.eigenvalues, decomp.bases) if _norm(basis[u]) > SUPPORT_TOL
     ]
 
 
@@ -146,11 +150,11 @@ def strong_cospectral(decomp: SpectralDecomposition, u: int, v: int) -> SupportP
     for lam, basis in zip(decomp.eigenvalues, decomp.bases):
         cu = basis[u]
         cv = basis[v]
-        if np.linalg.norm(cu) <= SUPPORT_TOL and np.linalg.norm(cv) <= SUPPORT_TOL:
+        if _norm(cu) <= SUPPORT_TOL and _norm(cv) <= SUPPORT_TOL:
             continue
-        if np.linalg.norm(cu - cv) <= SUPPORT_TOL:
+        if _norm(cu - cv) <= SUPPORT_TOL:
             plus.append(lam)
-        elif np.linalg.norm(cu + cv) <= SUPPORT_TOL:
+        elif _norm(cu + cv) <= SUPPORT_TOL:
             minus.append(lam)
         else:
             return None

@@ -40,6 +40,7 @@ import numpy as np
 from .arith import (
     _checked_float,
     _classify_coordinates,
+    _rational_pair,
     gcd_all,
     lcm_all,
     nearest_integer,
@@ -193,16 +194,22 @@ class InducedTransferReport:
 # ---------------------------------------------------------------------------
 
 
-def _diagonal_moments(graph: WeightedGraph, laplacian: bool, u: int) -> tuple[Fraction, Fraction]:
-    """M_uu and (M^2)_uu, summed exactly as Fractions of u's edge and loop weights.
+def _scaled(w: float) -> int:
+    """w * 2**1074, an integer for every finite float."""
+    num, den = w.as_integer_ratio()
+    return num << (1075 - den.bit_length())
+
+
+def _diagonal_moments(graph: WeightedGraph, laplacian: bool, u: int) -> tuple[int, int]:
+    """M_uu * 2**1074 and (M^2)_uu * 2**2148, exact integer sums of u's edge and loop weights.
 
     (M^2)_uu is the sum over w of M_uw^2: the squared edge weights at u
-    plus the square of the diagonal. Exact sums do not depend on the order
-    of the edges.
+    plus the square of the diagonal. Each float is a multiple of 2**-1074,
+    so the sums are exact, whatever the order of the edges.
     """
-    incident = [Fraction(w) for w in graph.weights[(graph.rows == u) | (graph.cols == u)].tolist()]
-    loops = [Fraction(w) for w in graph.loop_weights[graph.loop_at == u].tolist()]
-    diagonal = sum(incident if laplacian else loops, Fraction(0))
+    incident = [_scaled(w) for w in graph.weights[(graph.rows == u) | (graph.cols == u)].tolist()]
+    loops = [_scaled(w) for w in graph.loop_weights[graph.loop_at == u].tolist()]
+    diagonal = sum(incident if laplacian else loops)
     return diagonal, diagonal * diagonal + sum(w * w for w in incident)
 
 
@@ -301,9 +308,11 @@ def _classify_differences(values) -> tuple[int, list[int]] | None:
 def _exact_min_period(values) -> tuple[Fraction, int] | None:
     """Smallest t with aligned phases, as (pi multiplier, root divisor).
 
-    Rational supports give the answer over a common denominator lattice;
-    otherwise a shared quadratic family is tried. None means the difference
-    ratios were not recognized as rational.
+    An integer or quadratic family of the differences gives it first.
+    Otherwise each value is read as a rational, an int pair, and the
+    differences to the first give it over their common denominator lattice;
+    only the result is a Fraction. None means the difference ratios were not
+    recognized as rational.
     """
     vals = list(values)
     family = _classify_differences(vals)
@@ -315,24 +324,27 @@ def _exact_min_period(values) -> tuple[Fraction, int] | None:
     # gets reconstruct_rational's 64-bit range check, as when all were built
     for v in vals:
         _checked_float(v, 1.0)
-    first = reconstruct_rational(vals[0])
+    first = _rational_pair(vals[0])
     if first is None:
         return None
-    diffs = []
+    (p0, q0), diffs = first, []
     for v in vals[1:]:
-        f = reconstruct_rational(v)
-        # rational eigenvalues of a matrix N/c live in (1/c)Z, so an honest
-        # rational spectrum keeps its denominators near the weight
-        # denominators; a large one is the signature of a best-approximation
-        # convergent of an irrational value
-        if f is None or (first - f).denominator > 10**4:
+        f = _rational_pair(v)
+        if f is None:
             return None
-        diffs.append(first - f)
-    common = lcm_all([d.denominator for d in diffs])
+        # first - f in lowest terms. Rational eigenvalues of a matrix N/c live
+        # in (1/c)Z, so an honest rational spectrum keeps its denominators
+        # near the weight denominators; a large one is the signature of a
+        # best-approximation convergent of an irrational value
+        num, den = p0 * f[1] - f[0] * q0, q0 * f[1]
+        g = math.gcd(num, den)
+        if den // g > 10**4:
+            return None
+        diffs.append((num // g, den // g))
+    common = lcm_all([den for _, den in diffs])
     if common > 10**4:
         return None
-    ints = [int(d * common) for d in diffs]
-    return Fraction(2 * common, gcd_all(ints)), 1
+    return Fraction(2 * common, gcd_all([num * (common // den) for num, den in diffs])), 1
 
 
 def is_periodic(decomp: SpectralDecomposition, u: int) -> bool:

@@ -891,3 +891,32 @@ def test_components_match_networkx_on_families(name, sizes):
         graph = family(name, *params)
         _against_networkx(graph)
         _against_networkx(disjoint_union(graph, family("P", 3)))
+
+
+def test_is_connected_decides_dense_and_sparse_parts_by_their_edge_count(monkeypatch):
+    def forbidden(graph):
+        raise AssertionError("the components must not be labelled")
+
+    monkeypatch.setattr(graphs_module, "_component_labels", forbidden)
+    dense = [family("K", n) for n in range(2, 8)]
+    dense += [family("CP", 8), family("C", 4), family("P", 3), family("K_minus_e", 4)]
+    assert all(is_connected(graph) for graph in dense)
+    # fewer than order - 1 edges: disconnected without labelling either
+    sparse = (family("O", 5), disjoint_union(family("P", 3), family("K", 1)))
+    assert not any(is_connected(graph) for graph in sparse)
+    # in between, the labelling decides
+    with pytest.raises(AssertionError, match="must not be labelled"):
+        is_connected(family("Q", 3))
+
+
+def test_the_edge_count_bound_is_tight():
+    # K_{n-1} beside an isolated vertex has (n - 1)(n - 2)/2 edges and is
+    # disconnected; one more edge to the isolated vertex connects it
+    for n in range(2, 9):
+        apart = disjoint_union(family("K", n - 1), family("O", 1))
+        assert 2 * len(apart.weights) == (n - 1) * (n - 2)
+        assert not is_connected(apart)
+        linked = WeightedGraph(n, [*zip(apart.rows, apart.cols, apart.weights), (0, n - 1, 1.0)])
+        assert is_connected(linked)
+        _against_networkx(apart)
+        _against_networkx(linked)
