@@ -128,7 +128,8 @@ class WeightedGraph:
     ({(row, col): weight}) and loops ({vertex: weight}) are read-only
     mappings of them, built on first read. The matrices and degrees are
     built on first use and cached on the graph as read-only arrays;
-    spectral.spectrum caches decompositions the same way.
+    connectivity and regularity (is_connected, is_regular) are kept the
+    same way, and spectral.spectrum caches decompositions.
     """
 
     __slots__ = ("order", "rows", "cols", "weights", "loop_at", "loop_weights", "_cache")
@@ -271,11 +272,18 @@ def is_simple(graph: WeightedGraph) -> bool:
 
 
 def is_regular(graph: WeightedGraph, tol: float = 1e-12) -> float | None:
-    """Common adjacency row sum if the graph is regular, else None."""
-    sums = graph._product(np.ones(graph.order), False)
-    k = float(sums[0])
-    scale = max(1.0, float(np.abs(sums).max()))
-    return k if np.max(np.abs(sums - k)) <= tol * scale else None
+    """Common adjacency row sum if the graph is regular, else None.
+
+    Computed once per tol and cached on the graph.
+    """
+
+    def build():
+        sums = graph._product(np.ones(graph.order), False)
+        k = float(sums[0])
+        scale = max(1.0, float(np.abs(sums).max()))
+        return k if np.max(np.abs(sums - k)) <= tol * scale else None
+
+    return graph.cached(("regular", tol), build)
 
 
 def _component_labels(graph: WeightedGraph) -> np.ndarray:

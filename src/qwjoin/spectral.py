@@ -309,7 +309,12 @@ def join_support(
     if not 0 <= u < x.order:
         raise ValueError(f"vertex {u} out of range for the left part")
     own = eigenvalue_support(spectrum(x, matrix), u)
-    return carry_join(SupportPartition(own, []), params, matrix, is_connected(x)).plus
+    return carry_support(own, params, matrix, is_connected(x))
+
+
+def carry_support(own: list[float], params: JoinParams, matrix: str, connected: bool) -> list[float]:
+    """The join rule for one vertex: its support own in the left part, carried into the join."""
+    return carry_join(SupportPartition(own, []), params, matrix, connected).plus
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ with distinguished eigenvalue k = 0, and -L(Y) + (n - m)I, of row sum
 ell = n - m; its fresh eigenvalues are lam_plus = n and lam_minus = -m,
 and sqrt(D) = m + n. So the adjacency rules applied to the negated
 Laplacian part eigenvalues are the Laplacian rules, and the period-ratio
-table (_ratio_formula) is written once for both matrices.
+table (_ratio_formula) is written once for both matrices. The Laplacian data
+enter it as ints on one common denominator; every ratio the table reads is
+one of differences, so the scale changes none of them.
 
 One transfer tree (_transfer_tree) serves Laplacian joins and regular
 adjacency joins, self-joins among them: on a K-regular graph
@@ -48,7 +50,7 @@ from .arith import (
     reconstruct_rational,
     squarefree_part,
 )
-from .errors import InconsistencyError, PreconditionError
+from .errors import InconsistencyError, NumericError, PreconditionError
 from .graphs import (
     Connective,
     IteratedJoinSpec,
@@ -71,6 +73,7 @@ from .spectral import (
     _merge_close,
     carry_join,
     carry_stage,
+    carry_support,
     carry_through_plan,
     eigenvalue_support,
     join_params,
@@ -312,39 +315,45 @@ def _exact_min_period(values) -> tuple[Fraction, int] | None:
     Otherwise each value is read as a rational, an int pair, and the
     differences to the first give it over their common denominator lattice;
     only the result is a Fraction. None means the difference ratios were not
-    recognized as rational.
+    recognized as rational. A zero lattice gcd means distinct values were
+    read as one, and raises NumericError.
     """
     vals = list(values)
     family = _classify_differences(vals)
     if family is not None:
         delta, coords = family
         g = gcd_all([coords[0] - c for c in coords[1:]])
-        return Fraction(4 if delta > 1 else 2, g), delta
-    # the route below stops at the first value that fails; every value still
-    # gets reconstruct_rational's 64-bit range check, as when all were built
-    for v in vals:
-        _checked_float(v, 1.0)
-    first = _rational_pair(vals[0])
-    if first is None:
-        return None
-    (p0, q0), diffs = first, []
-    for v in vals[1:]:
-        f = _rational_pair(v)
-        if f is None:
+        mult = 4 if delta > 1 else 2
+    else:
+        # the route below stops at the first value that fails; every value still
+        # gets reconstruct_rational's 64-bit range check, as when all were built
+        for v in vals:
+            _checked_float(v, 1.0)
+        first = _rational_pair(vals[0])
+        if first is None:
             return None
-        # first - f in lowest terms. Rational eigenvalues of a matrix N/c live
-        # in (1/c)Z, so an honest rational spectrum keeps its denominators
-        # near the weight denominators; a large one is the signature of a
-        # best-approximation convergent of an irrational value
-        num, den = p0 * f[1] - f[0] * q0, q0 * f[1]
-        g = math.gcd(num, den)
-        if den // g > 10**4:
+        (p0, q0), diffs = first, []
+        for v in vals[1:]:
+            f = _rational_pair(v)
+            if f is None:
+                return None
+            # first - f in lowest terms. Rational eigenvalues of a matrix N/c live
+            # in (1/c)Z, so an honest rational spectrum keeps its denominators
+            # near the weight denominators; a large one is the signature of a
+            # best-approximation convergent of an irrational value
+            num, den = p0 * f[1] - f[0] * q0, q0 * f[1]
+            g = math.gcd(num, den)
+            if den // g > 10**4:
+                return None
+            diffs.append((num // g, den // g))
+        common = lcm_all([den for _, den in diffs])
+        if common > 10**4:
             return None
-        diffs.append((num // g, den // g))
-    common = lcm_all([den for _, den in diffs])
-    if common > 10**4:
-        return None
-    return Fraction(2 * common, gcd_all([num * (common // den) for num, den in diffs])), 1
+        g = gcd_all([num * (common // den) for num, den in diffs])
+        mult, delta = 2 * common, 1
+    if g == 0:
+        raise NumericError(f"distinct support values {vals[0]!r} and {vals[1]!r} read as one")
+    return Fraction(mult, g), delta
 
 
 def is_periodic(decomp: SpectralDecomposition, u: int) -> bool:
@@ -430,10 +439,12 @@ def join_periodic(
 def graph_periodic(graph: WeightedGraph, matrix: str = "laplacian") -> bool:
     """Whether every vertex of the graph is periodic.
 
-    Integral spectra are periodic outright; otherwise each vertex is tested.
+    A spectrum whose distinct eigenvalues read as distinct integers is
+    periodic outright; otherwise each vertex is tested.
     """
     decomp = spectrum(graph, matrix)
-    if _as_int_list(decomp.eigenvalues) is not None:
+    ints = _as_int_list(decomp.eigenvalues)
+    if ints is not None and len(set(ints)) == len(ints):
         return True
     return all(is_periodic(decomp, u) for u in range(decomp.size))
 
@@ -444,22 +455,23 @@ def graph_periodic(graph: WeightedGraph, matrix: str = "laplacian") -> bool:
 
 
 def _ratio_formula(
-    others: list[float] | list[Fraction],
+    others: list[float] | list[int],
     support_quadratic: bool,
     connected: bool,
-    k: float | Fraction,
-    lam_plus: float | Fraction,
-    lam_minus: float | Fraction,
+    k: float | Fraction | int,
+    lam_plus: float | int,
+    lam_minus: float | int,
     discriminant: Fraction | int,
 ) -> tuple[str, Fraction, int]:
     """Closed-form period ratio for an adjacency-type join, by support shape.
 
     others is the part vertex's support without k; discriminant is
     D = (k - ell)^2 + 4mn, exactly. Float values have their ratios
-    reconstructed as rationals; Fraction values (the negated Laplacian
-    data, see the module docstring) keep the arithmetic exact.
+    reconstructed as rationals. Int values (the negated Laplacian data on
+    one common denominator, see the module docstring) keep the arithmetic
+    exact: every ratio read is one of differences, so the scale cancels.
     """
-    exact = isinstance(others[0], Fraction)
+    exact = isinstance(others[0], int)
     root_d = lam_plus - lam_minus if exact else math.sqrt(float(discriminant))
 
     def as_fraction(x) -> Fraction | None:
@@ -471,6 +483,14 @@ def _ratio_formula(
             raise InconsistencyError(f"expected a rational ratio, got {x!r}")
         return fr
 
+    def denom(a, b) -> int:
+        """The denominator of a / b in lowest terms."""
+        if not exact:
+            return rat(a / b).denominator
+        if b == 0:
+            raise ZeroDivisionError(f"Fraction({a}, 0)")
+        return abs(b) // math.gcd(a, b)
+
     def over_root(a, b) -> tuple[Fraction, int]:
         """|a - b| / sqrt(D) as a rational over the root of a squarefree divisor.
 
@@ -478,7 +498,9 @@ def _ratio_formula(
         can lie below lam_minus (in the negated Laplacian data, a weighted
         part eigenvalue above m).
         """
-        if support_quadratic or exact:
+        if exact:
+            return Fraction(abs(a - b), root_d), 1
+        if support_quadratic:
             return rat(abs(a - b) / root_d), 1
         fa, fb = as_fraction(a), as_fraction(b)
         if fa is None or fb is None:
@@ -497,23 +519,23 @@ def _ratio_formula(
             lam = ordered[0]
             if special:
                 return ("connected-single-special", *over_root(k, lam))
-            q = rat((lam_plus - lam) / root_d).denominator
+            q = denom(lam_plus - lam, root_d)
             fr0, dv = over_root(k, lam)
             return "connected-single", q * fr0, dv
         if special and r == 2:
             lam = next(v for v in ordered if not same(v, lam_minus))
             lam_m = next(v for v in ordered if same(v, lam_minus))
-            q = rat((lam_plus - lam) / root_d).denominator
-            qp = rat((lam - k) / (lam - lam_m)).denominator
+            q = denom(lam_plus - lam, root_d)
+            qp = denom(lam - k, lam - lam_m)
             fr0, dv = over_root(lam, lam_m)
             return "connected-pair-special", fr0 * q / qp, dv
         if not special:
             lam1, lam2 = ordered[0], ordered[1]
             base = lam1 - lam2
-            qs = [rat((lam1 - l) / base).denominator for l in ordered[2:]]
-            q_k = rat((lam1 - k) / base).denominator
-            q_lm = rat((lam1 - lam_minus) / base).denominator
-            q_lp = rat((lam1 - lam_plus) / base).denominator
+            qs = [denom(lam1 - l, base) for l in ordered[2:]]
+            q_k = denom(lam1 - k, base)
+            q_lm = denom(lam1 - lam_minus, base)
+            q_lp = denom(lam1 - lam_plus, base)
             r1 = lcm_all(qs) if qs else 1
             r2 = lcm_all([r1, q_lm])
             num = q_lm * q_lp * math.gcd(r1, q_k)
@@ -523,10 +545,10 @@ def _ratio_formula(
         ordered2 = rest + [next(v for v in ordered if same(v, lam_minus))]
         lam1, lam2 = ordered2[0], ordered2[1]
         base = lam1 - lam2
-        qs = [rat((lam1 - l) / base).denominator for l in ordered2[2:]]
+        qs = [denom(lam1 - l, base) for l in ordered2[2:]]
         q_last = qs[-1]
-        q_k = rat((lam1 - k) / base).denominator
-        q_lp = rat((lam1 - lam_plus) / base).denominator
+        q_k = denom(lam1 - k, base)
+        q_lp = denom(lam1 - lam_plus, base)
         r1 = lcm_all(qs)
         num = q_last * q_lp * math.gcd(r1, q_k)
         den = q_k * math.gcd(r1, q_last) * math.gcd(r1, q_lp)
@@ -534,30 +556,30 @@ def _ratio_formula(
     if r == 1:
         lam = ordered[0]
         base = k - lam
-        q3 = rat((k - lam_plus) / base).denominator
-        q4 = rat((k - lam_minus) / base).denominator
+        q3 = denom(k - lam_plus, base)
+        q4 = denom(k - lam_minus, base)
         case = "disconnected-single-special" if special else "disconnected-single"
         return case, Fraction(lcm_all([q3, q4])), 1
     if special and r == 2:
         lam = next(v for v in ordered if not same(v, lam_minus))
         base = k - lam
-        q2 = rat((k - lam_minus) / base).denominator
-        q5 = rat((k - lam_plus) / base).denominator
+        q2 = denom(k - lam_minus, base)
+        q5 = denom(k - lam_plus, base)
         return "disconnected-pair-special", Fraction(lcm_all([q2, q5]), q2), 1
     if not special:
         lam1, lam2 = ordered[0], ordered[1]
         base = lam1 - lam2
-        qs = [rat((lam1 - l) / base).denominator for l in ordered[2:]]
-        qs.append(rat((lam1 - k) / base).denominator)
+        qs = [denom(lam1 - l, base) for l in ordered[2:]]
+        qs.append(denom(lam1 - k, base))
         q = lcm_all(qs)
-        q_lm = rat((lam1 - lam_minus) / base).denominator
-        q_lp = rat((lam1 - lam_plus) / base).denominator
+        q_lm = denom(lam1 - lam_minus, base)
+        q_lp = denom(lam1 - lam_plus, base)
         return "disconnected-general", Fraction(lcm_all([q, q_lm, q_lp]), q), 1
     lam1 = ordered[0]
     base = lam1 - k
-    qs = [rat((lam1 - l) / base).denominator for l in ordered[1:]]
+    qs = [denom(lam1 - l, base) for l in ordered[1:]]
     q = lcm_all(qs)
-    q_lp = rat((lam1 - lam_plus) / base).denominator
+    q_lp = denom(lam1 - lam_plus, base)
     return "disconnected-special-among-many", Fraction(lcm_all(qs + [q_lp]), q), 1
 
 
@@ -596,7 +618,7 @@ def join_period_ratio(
             "the vertex support is a single eigenvalue, so no period ratio is defined"
         )
     per_x = _exact_min_period(_merge_close(support))
-    per_j = _exact_min_period(join_support(x, y, u, matrix=matrix))
+    per_j = _exact_min_period(carry_support(support, params, matrix, connected))
     if per_x is None:
         raise PreconditionError("the part walk is not periodic at this vertex")
     if per_j is None:
@@ -606,12 +628,15 @@ def join_period_ratio(
     ratio = mj / mx * Fraction(f0 * s0, dj)
     divisor = s0
     if matrix == "laplacian":
-        fracs = [reconstruct_rational(v) for v in others]
-        if any(f is None for f in fracs):
+        pairs = [_rational_pair(v) for v in others]
+        if None in pairs:
             raise InconsistencyError("a periodic Laplacian support must be rational")
-        # the negated, shifted Laplacian join (module docstring), kept exact
+        # the negated, shifted Laplacian join (module docstring), in the ints
+        # of one common denominator
+        scale = math.lcm(*(den for _, den in pairs))
         case, formula, f_div = _ratio_formula(
-            [-f for f in fracs], False, connected, 0, n, -m, (m + n) ** 2
+            [-num * (scale // den) for num, den in pairs], False, connected,
+            0, n * scale, -m * scale, ((m + n) * scale) ** 2,
         )
     else:
         kf = reconstruct_rational(float(params.k))  # type: ignore[arg-type]
