@@ -21,8 +21,9 @@ class InconsistencyError(RuntimeError):
 
 class NumericError(RuntimeError):
     """A numeric routine failed: the eigensolver (LAPACK, through numpy)
-    did not converge, or the Lanczos walk entry used to confirm a transfer
-    came out non-finite. The CLI maps this to exit code 3.
+    did not converge, or the walk entry used to confirm a transfer (the
+    exponential of an equitable quotient) came out non-finite. The CLI
+    maps this to exit code 3.
     """
 
 

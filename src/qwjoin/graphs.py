@@ -14,9 +14,10 @@ its own; the walk from that vertex is constant on every cell.
 
 A JoinTree keeps a join or union as structure instead of an edge list.
 Seen from one vertex, the rest of a join acts through all-ones blocks
-only, so a tree gives the equitable quotient at that vertex, whose order
-is the number of cells of the vertex's part plus the nesting depth, as a
-dense matrix, without building the join.
+only, so equitable_quotient gives a tree's quotient at that vertex, whose
+order is the number of cells of the vertex's part plus the nesting depth,
+as a dense matrix, without building the join; a graph's quotient is its
+partition's block.
 """
 
 from __future__ import annotations
@@ -222,31 +223,11 @@ class WeightedGraph:
             raise PreconditionError("the Laplacian is defined here for simple graphs only")
         return kind == "laplacian"
 
-    def _product(self, x: np.ndarray, laplacian: bool) -> np.ndarray:
-        """The product for a checked kind and a float vector of shape (order,).
-
-        Without edges the Laplacian product is degrees * x: subtracting +0.0
-        leaves every value, -0.0 included, as it is.
-        """
-        if laplacian:
-            if not len(self.weights):
-                return self.degrees() * x
-            return self.degrees() * x - self._edge_product(x)
+    def _product(self, x: np.ndarray) -> np.ndarray:
+        """The adjacency matrix, loops included, times a float vector of shape (order,)."""
         out = self._edge_product(x)
         out[self.loop_at] += self.loop_weights * x[self.loop_at]
         return out
-
-    def matvec(self, x: np.ndarray, kind: str) -> np.ndarray:
-        """The adjacency or Laplacian matrix times the real vector x.
-
-        Reads the edge and loop arrays, so it costs O(edges + order) and
-        never forms the dense matrix. x must have shape (order,).
-        """
-        laplacian = self._is_laplacian(kind)
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.order,):
-            raise ValueError(f"expected a vector of shape ({self.order},), got {x.shape}")
-        return self._product(x, laplacian)
 
     def adjacency(self) -> np.ndarray:
         """The adjacency matrix, as a read-only array."""
@@ -278,7 +259,7 @@ def is_regular(graph: WeightedGraph, tol: float = 1e-12) -> float | None:
     """
 
     def build():
-        sums = graph._product(np.ones(graph.order), False)
+        sums = graph._product(np.ones(graph.order))
         k = float(sums[0])
         scale = max(1.0, float(np.abs(sums).max()))
         return k if np.max(np.abs(sums - k)) <= tol * scale else None
@@ -307,14 +288,6 @@ def _component_labels(graph: WeightedGraph) -> np.ndarray:
             label, jumped = jumped, jumped[jumped]
         mine, theirs = label[ends], label[across]
     return label
-
-
-def component_of(graph: WeightedGraph, u: int) -> list[int]:
-    """Sorted vertex list of the connected component containing u."""
-    if not 0 <= u < graph.order:
-        raise ValueError(f"vertex {u} out of range for order {graph.order}")
-    label = _component_labels(graph)
-    return np.flatnonzero(label == label[u]).tolist()
 
 
 def is_connected(graph: WeightedGraph) -> bool:
@@ -483,8 +456,13 @@ def _refine(graph: WeightedGraph, u: int) -> EquitablePartition:
     count = min(n, 2)
     while count < n:
         while True:  # colour refinement: split by hashed rows until a round splits nothing
-            hashed = graph._product(_cell_weights(rng, count)[cell], False)
-            _, cell = np.unique(cell + 1j * hashed, return_inverse=True, equal_nan=False)
+            # a hash past the float range (weights above about 8e298) is
+            # NaN, which splits its vertex off; the exact check below still
+            # proves the cells
+            with np.errstate(over="ignore", invalid="ignore"):
+                hashed = graph._product(_cell_weights(rng, count)[cell])
+                keys = cell + 1j * hashed
+            _, cell = np.unique(keys, return_inverse=True, equal_nan=False)
             split, count = count, int(cell.max()) + 1
             if count == split or count == n:
                 break
@@ -543,8 +521,11 @@ def equitable_partition(graph: WeightedGraph, u: int) -> EquitablePartition:
     summed per cell, must equal those of its cell's first vertex. A hash
     collision that merged unlike vertices fails the check; they are split
     from the first vertex and refinement resumes. One cell per vertex is
-    always equitable, so a graph with no symmetry ends there. The result
-    is computed once per vertex and kept on the graph.
+    always equitable, so a graph with no symmetry ends there. A vertex
+    whose hash leaves the float range (edge weights above about 8e298)
+    hashes to NaN and gets a cell of its own, so the partition may then be
+    finer than the coarsest, but the check still proves it equitable. The
+    result is computed once per vertex and kept on the graph.
     """
     if not 0 <= u < graph.order:
         raise ValueError(f"vertex {u} out of range for order {graph.order}")
@@ -557,7 +538,8 @@ class _Quotient:
 
     Cells 0..l-1 are the cells of partition, the equitable partition of
     the leaf that holds the vertex with the vertex in a cell of its own;
-    the leaf's first vertex in the tree is leaf. Cell l + i holds the
+    the leaf's first vertex in the tree is leaf. A graph is a tree of
+    depth 0: its own leaf, at 0, with no ancestors. Cell l + i holds the
     other children of the i-th ancestor, root first, which spans the
     vertices lo..hi-1 and whose cell has size vertices. With r_i the
     square root of that size, j_i = joins[i] (1 for a join, 0 for a union),
@@ -635,7 +617,7 @@ def _row_sum(root, known: dict) -> float | None:
         if id(node) in known:
             continue
         if isinstance(node, WeightedGraph):
-            sums = node._product(np.ones(node.order), False)
+            sums = node._product(np.ones(node.order))
             known[id(node)] = float(sums[0]) if (sums == sums[0]).all() else None
         elif ready:
             sums = [known[id(c)] for c in node.children]
@@ -656,9 +638,9 @@ class JoinTree:
     given order as join and disjoint_union number them, so
     JoinTree(Connective.JOIN, (x, y)) stands for join(x, y) and
     JoinTree(Connective.JOIN, (x,) * r) for self_join(x, r). build
-    materializes the graph; _quotient(u, kind) gives the equitable quotient
-    at u, of order (cells of u's leaf) + depth, that krylov_entry
-    exponentiates whole in place of the built graph's matrix.
+    materializes the graph; equitable_quotient(tree, u, kind) gives the
+    equitable quotient at u, of order (cells of u's leaf) + depth, that
+    krylov_entry exponentiates whole in place of the built graph's matrix.
     """
 
     connective: Connective
@@ -686,75 +668,6 @@ class JoinTree:
             pending.append((node, lo, True))
             offsets = itertools.accumulate((c.order for c in node.children[:-1]), initial=lo)
             pending.extend(reversed([(c, at, False) for c, at in zip(node.children, offsets)]))
-
-    def _quotient(self, u: int, kind: str) -> _Quotient | None:
-        """The symmetrized equitable quotient of the tree's matrix at vertex u, or None.
-
-        The cells are those of equitable_partition on u's leaf, with u in a
-        cell of its own, and for every ancestor of that leaf the ancestor's
-        other children. Every vertex of an ancestor's cell sees each other
-        cell through all-ones blocks only: under a join it is adjacent to
-        all of a cell deeper than its own, and to all of the ones whose
-        ancestor is a join above it; a leaf cell sees them the same way. So
-        the partition is equitable, and the walk from e_u stays constant on
-        every cell. With P the cells' normalized indicators, B = P^T M P
-        couples cells of sizes s_a, s_b by -+sqrt(s_a s_b) under a join
-        (minus for the Laplacian) and not at all under a union, holds the
-        leaf's block within the leaf, and exp(itM)[v, u] =
-        exp(itB)[cell(v), cell(u)] / sqrt(|cell(v)|).
-
-        It reads the orders and the leaf's partition; under the adjacency
-        matrix the other children must also be regular, with one row sum per
-        cell, since a cell's own row sum is its diagonal. The kind, and
-        loops under the Laplacian anywhere in the tree, are checked first.
-        None when a cell is not regular, whatever the quotient's order.
-        """
-        laplacian = all([leaf._is_laplacian(kind) for leaf in self._leaves()])  # checks each leaf
-        path = []  # (ancestor, its first vertex, index of the child holding u)
-        node, lo = self, 0
-        while isinstance(node, JoinTree):
-            at = lo
-            for index, child in enumerate(node.children):
-                if u < at + child.order:
-                    break
-                at += child.order
-            path.append((node, lo, index))
-            node, lo = child, at
-        sizes = [a.order - a.children[i].order for a, _, i in path]
-        joins = [a.connective is Connective.JOIN for a, _, _ in path]
-        diagonal = []
-        seen = 0  # under the Laplacian, what a cell sees of the joins above it
-        known: dict = {}
-        for (ancestor, _, index), size, joined in zip(path, sizes, joins):
-            if laplacian:
-                diagonal.append(seen + joined * ancestor.children[index].order)
-                seen += joined * size
-                continue
-            others = ancestor.children[:index] + ancestor.children[index + 1:]
-            sums = [_row_sum(child, known) for child in others]
-            if joined and None not in sums:
-                sums = [k + (size - child.order) for k, child in zip(sums, others)]
-            inner = _common(sums)
-            if inner is None:
-                return None
-            diagonal.append(inner)
-        ancestors = tuple((at, at + a.order, s) for (a, at, _), s in zip(path, sizes))
-        partition = equitable_partition(node, u - lo)
-        return _Quotient(partition, laplacian, seen, joins, diagonal, lo, ancestors)
-
-    def _leaves(self):
-        """Each distinct leaf graph once, however often the tree repeats it."""
-        seen: set[int] = set()
-        pending: list = [self]
-        while pending:
-            node = pending.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            if isinstance(node, WeightedGraph):
-                yield node
-            else:
-                pending.extend(node.children)
 
     def build(self) -> WeightedGraph:
         """The graph itself; join and disjoint_union build through it.
@@ -786,6 +699,79 @@ class JoinTree:
             built[-count:] = [(edges, loops)]
         edges, loops = built[0]
         return WeightedGraph(self.order, np.concatenate(edges), np.concatenate(loops))
+
+
+def _leaves(root):
+    """Each distinct leaf graph of a tree or graph once, however often the tree repeats it."""
+    seen: set[int] = set()
+    pending: list = [root]
+    while pending:
+        node = pending.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, WeightedGraph):
+            yield node
+        else:
+            pending.extend(node.children)
+
+
+def equitable_quotient(root, u: int, kind: str) -> _Quotient | None:
+    """The symmetrized equitable quotient of a tree's or graph's matrix at vertex u, or None.
+
+    The cells are those of equitable_partition on u's leaf, with u in a
+    cell of its own, and for every ancestor of that leaf the ancestor's
+    other children; a graph is a tree of depth 0, its own leaf with no
+    ancestors, so its quotient is its partition's block. Every vertex of
+    an ancestor's cell sees each other cell through all-ones blocks only:
+    under a join it is adjacent to all of a cell deeper than its own, and
+    to all of the ones whose ancestor is a join above it; a leaf cell sees
+    them the same way. So the partition is equitable, and the walk from
+    e_u stays constant on every cell. With P the cells' normalized
+    indicators, B = P^T M P couples cells of sizes s_a, s_b by
+    -+sqrt(s_a s_b) under a join (minus for the Laplacian) and not at all
+    under a union, holds the leaf's block within the leaf, and
+    exp(itM)[v, u] = exp(itB)[cell(v), cell(u)] / sqrt(|cell(v)|).
+
+    It reads the orders and the leaf's partition; under the adjacency
+    matrix the other children must also be regular, with one row sum per
+    cell, since a cell's own row sum is its diagonal. The kind, and
+    loops under the Laplacian anywhere in the tree, are checked first.
+    None when a cell is not regular, whatever the quotient's order; a
+    graph always has a quotient.
+    """
+    laplacian = all([leaf._is_laplacian(kind) for leaf in _leaves(root)])  # checks each leaf
+    path = []  # (ancestor, its first vertex, index of the child holding u)
+    node, lo = root, 0
+    while isinstance(node, JoinTree):
+        at = lo
+        for index, child in enumerate(node.children):
+            if u < at + child.order:
+                break
+            at += child.order
+        path.append((node, lo, index))
+        node, lo = child, at
+    sizes = [a.order - a.children[i].order for a, _, i in path]
+    joins = [a.connective is Connective.JOIN for a, _, _ in path]
+    diagonal = []
+    seen = 0  # under the Laplacian, what a cell sees of the joins above it
+    known: dict = {}
+    for (ancestor, _, index), size, joined in zip(path, sizes, joins):
+        if laplacian:
+            diagonal.append(seen + joined * ancestor.children[index].order)
+            seen += joined * size
+            continue
+        others = ancestor.children[:index] + ancestor.children[index + 1:]
+        sums = [_row_sum(child, known) for child in others]
+        if joined and None not in sums:
+            sums = [k + (size - child.order) for k, child in zip(sums, others)]
+        inner = _common(sums)
+        if inner is None:
+            return None
+        diagonal.append(inner)
+    ancestors = tuple((at, at + a.order, s) for (a, at, _), s in zip(path, sizes))
+    partition = equitable_partition(node, u - lo)
+    return _Quotient(partition, laplacian, seen, joins, diagonal, lo, ancestors)
 
 
 def self_join(x: WeightedGraph, r: int) -> WeightedGraph:

@@ -962,13 +962,12 @@ def _confirm_transfer(
     positive one must reach |exp(itM)[v, u]| >= CONFIRMATION_GATE at the
     certified time, computed by krylov_entry on the tree's equitable
     quotient at u, or InconsistencyError is raised. The magnitude is set
-    as cert's confirmation, and the route that ran, the Krylov dimension,
-    the error bound and the operator with its order go into cert's
-    details, which every caller has just made; cert is returned. Route
-    "whole-quotient" on operator "quotient", of dimension its order and
-    bound 0.0, or route "lanczos" on operator "graph" for a tree that
-    krylov_entry builds because a cell has no common row sum under the
-    adjacency matrix.
+    as cert's confirmation, and the route, the Krylov dimension, the error
+    bound and the operator with its order go into cert's details, which
+    every caller has just made; cert is returned. krylov_entry has one
+    route, so confirmation_route is always "whole-quotient" and
+    krylov_operator "quotient", and krylov_operator_order repeats the
+    dimension, the quotient's order; the five keys keep the report layout.
     """
     if not cert.pst:
         return cert
@@ -978,9 +977,9 @@ def _confirm_transfer(
         raise InconsistencyError(f"the certified {what} transfer only reaches magnitude {mag}")
     cert.confirmation = mag
     cert.details.update(
-        confirmation_route=entry.route, krylov_dimension=entry.dimension,
-        krylov_bound=entry.bound, krylov_operator=entry.operator,
-        krylov_operator_order=entry.operator_order)
+        confirmation_route="whole-quotient", krylov_dimension=entry.dimension,
+        krylov_bound=entry.bound, krylov_operator="quotient",
+        krylov_operator_order=entry.dimension)
     return cert
 
 

@@ -7,14 +7,13 @@ carried entirely by the orders (Laplacian) or the regularity data
 (adjacency).
 
 krylov_entry computes one walk entry exp(itM)[v, u] independently of any
-eigensolver. On a JoinTree it exponentiates the join's equitable quotient
-at u whole, a dense matrix of order (cells of u's leaf) + depth, the cells
-being the leaf's coarsest equitable partition with u alone in its cell
-(graphs.equitable_partition); the join is never built. Any other operator,
-one that only multiplies, gets Lanczos from e_u, then unitary_exp on the
-small tridiagonal matrix Lanczos produces; so does a tree that has no
-quotient (under the adjacency matrix, a cell with no common row sum),
-built and multiplied as a graph. unitary_exp takes the real symmetric
+eigensolver: it exponentiates the equitable quotient at u whole, a dense
+matrix of order (cells of u's leaf) + depth for a JoinTree and (cells of
+the graph) for a WeightedGraph, the cells being the leaf's coarsest
+equitable partition with u alone in its cell (graphs.equitable_partition
+and graphs.equitable_quotient); a tree's join is never built, except for
+a tree with a cell that has no common row sum under the adjacency matrix,
+whose built graph gives the quotient. unitary_exp takes the real symmetric
 matrix, evaluates the Taylor polynomials of cos and sin in real arithmetic
 by Paterson-Stockmeyer, with degree and squaring count fixed in advance
 from the norm, and squares in complex: matrix products only, no
@@ -37,7 +36,7 @@ from .spectral import (
     spectrum,
 )
 from .arith import nearest_integer
-from .graphs import JoinTree, WeightedGraph
+from .graphs import JoinTree, WeightedGraph, equitable_quotient
 
 
 def transition_matrix(obj, t, matrix: str = "laplacian") -> np.ndarray:
@@ -127,8 +126,7 @@ def unitary_exp(matrix: np.ndarray, t: float) -> np.ndarray:
     matrices of the order are held at once (p = 4 at degree 20).
     Only matrix products are used, no solve and no eigensolver, so closed
     forms can be checked against an independently computed matrix;
-    krylov_entry uses it on an equitable quotient whole or on the Lanczos
-    tridiagonal. A complex matrix raises TypeError and an asymmetric one
+    krylov_entry uses it on an equitable quotient whole. A complex matrix raises TypeError and an asymmetric one
     ValueError; one with a non-finite entry, or a theta that overflows,
     gives a matrix of NaNs.
     """
@@ -174,106 +172,58 @@ def unitary_exp(matrix: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-KRYLOV_TOL = 1e-10
-
-
 class KrylovEntry(NamedTuple):
-    """A walk entry from a Krylov space, with its dimension and error bound.
+    """A walk entry from the equitable quotient, with its dimension and error bound.
 
-    route names how the entry was computed: "whole-quotient" for unitary_exp
-    on a JoinTree's whole equitable quotient (operator "quotient"; its
-    dimension is then the quotient's order and its bound 0.0), "lanczos"
-    for the Lanczos loop on any other operator (operator "graph", a
-    JoinTree built into its graph among them). operator_order is the
-    order of the quotient or of the operator.
+    dimension is the order of the quotient exponentiated, the Krylov space
+    of e_u lying within the span of its cells; bound is 0.0, since no
+    truncated iteration runs.
     """
 
     value: complex
     dimension: int
     bound: float
-    operator: str
-    operator_order: int
-    route: str
 
 
 def krylov_entry(operator, u: int, v: int, t: float, kind: str = "laplacian") -> KrylovEntry:
-    """exp(itM)[v, u], whole on a tree's quotient, else by Lanczos from e_u.
+    """exp(itM)[v, u], by unitary_exp on the equitable quotient at u, whole.
 
-    operator is a JoinTree, or has an order and a matvec(x, kind), like
-    WeightedGraph; M is never formed. A tree gives its equitable quotient
-    at u (JoinTree._quotient), a matrix B of order (cells of u's leaf) +
-    depth in which u has a cell of its own. unitary_exp exponentiates B
-    whole, and the entry is exp(itB)[cell(v), cell(u)] with the scale
-    1/sqrt(|cell(v)|), since exp(itM)e_u is constant on each cell; the
-    result reports route "whole-quotient", the quotient's order as its
-    dimension and 0.0 as its bound. Lanczos on B would cost more: on every
-    quotient above order 6 in the tests and the benchmark, e_u's Krylov
-    space fills B, so Lanczos would end with an exponential of the same
-    order after a loop of its own.
+    operator is a JoinTree or a WeightedGraph; M is never formed, and any
+    other operator raises TypeError. equitable_quotient gives a matrix B
+    in which u has a cell of its own, of order (cells of u's leaf) + depth
+    for a tree and (cells of the graph) for a graph, a tree of depth 0.
+    unitary_exp exponentiates B whole, and the entry is
+    exp(itB)[cell(v), cell(u)] with the scale 1/sqrt(|cell(v)|), since
+    exp(itM)e_u is constant on each cell; the quotient's order is the
+    result's dimension and 0.0 its bound. An iteration on e_u's Krylov
+    space would cost more: on every quotient above order 6 in the tests
+    and the benchmark that space fills B, so the iteration would end with
+    an exponential of the same order after a loop of its own.
 
     A tree with no quotient (a cell with no common row sum under the
-    adjacency matrix) is built and taken as a graph, which, like any other
-    operator, is called through matvec by Lanczos with full
-    reorthogonalization. After k steps, with T the k x k Lanczos
-    tridiagonal and beta the next off-diagonal, the error of V exp(itT) e_1
-    is at most |t| * beta, so the iteration stops once that bound is below
-    KRYLOV_TOL, or when k reaches the operator's order (the Krylov space is
-    then the whole space, so the result is exact). In exact arithmetic
-    beta vanishes after as many steps as there are eigenvalues in the
-    support of u. exp(itT) comes from unitary_exp, so no eigensolver is
-    involved. The Lanczos vectors are the rows of one preallocated array
-    that doubles when full, so a step costs O(k n) for the
-    reorthogonalization, with no re-stacking of the basis.
+    adjacency matrix) is built, and the built graph's quotient at u is
+    exponentiated instead: refinement over the built graph's edges, then a
+    dense exponential of the order of its cells. A large graph with no
+    symmetry fixing u refines to its own vertices, so it pays a dense
+    exponential of its own order, as a tree whose leaf has no symmetry
+    already does. No analysis, CLI command or benchmark workload reaches
+    either case: they pass trees, with regular parts under the adjacency
+    matrix.
     """
+    if not isinstance(operator, (JoinTree, WeightedGraph)):
+        raise TypeError("krylov_entry takes a JoinTree or a WeightedGraph")
     n = operator.order
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError(f"vertex out of range for order {n}")
-    if isinstance(operator, JoinTree):
-        quotient = operator._quotient(u, kind)
-        if quotient is not None:
-            target, size = quotient.cell(v)
-            phases = unitary_exp(quotient.matrix(), t)
-            value = complex(phases[target, quotient.cell(u)[0]]) * (1.0 / math.sqrt(size))
-            if not cmath.isfinite(value):
-                raise NumericError(f"the walk entry ({u}, {v}) at t = {t} is not finite")
-            q = quotient.order
-            return KrylovEntry(value, q, 0.0, "quotient", q, "whole-quotient")
-        operator = operator.build()  # a cell has no common row sum
-    basis = np.zeros((min(n, 4), n))  # rows q_0..q_{k-1}; doubles when full
-    basis[0, u] = 1.0
-    k = 1
-    alphas: list[float] = []
-    betas: list[float] = []
-    while True:
-        last = basis[k - 1]
-        w = operator.matvec(last, kind)
-        alphas.append(float(last @ w))
-        stacked = basis[:k]
-        across = stacked.T
-        for _ in range(2):  # classical Gram-Schmidt, twice to stay orthogonal
-            w = w - across @ (stacked @ w)
-        beta = math.sqrt(w @ w)  # what np.linalg.norm computes for a real vector
-        if not (math.isfinite(alphas[-1]) and math.isfinite(beta)):
-            raise NumericError(f"Lanczos produced a non-finite coefficient at step {k}")
-        bound = abs(t) * beta
-        if bound < KRYLOV_TOL or k == n:
-            break
-        betas.append(beta)
-        if k == len(basis):
-            grown = np.empty((min(2 * k, n), n))
-            grown[:k] = basis
-            basis = grown
-        np.divide(w, beta, out=basis[k])
-        k += 1
-    tri = np.zeros((k, k))
-    tri.flat[:: k + 1] = alphas
-    tri.flat[1 :: k + 1] = betas
-    tri.flat[k :: k + 1] = betas
-    phases = unitary_exp(tri, t)[:, 0]
-    value = complex(np.ascontiguousarray(basis[:k, v]) @ phases)
+    quotient = equitable_quotient(operator, u, kind)
+    if quotient is None:  # a cell has no common row sum
+        quotient = equitable_quotient(operator.build(), u, kind)
+    target, size = quotient.cell(v)
+    phases = unitary_exp(quotient.matrix(), t)
+    value = complex(phases[target, quotient.cell(u)[0]]) * (1.0 / math.sqrt(size))
     if not cmath.isfinite(value):
-        raise NumericError(f"the Krylov walk entry ({u}, {v}) at t = {t} is not finite")
-    return KrylovEntry(value, k, bound, "graph", n, "lanczos")
+        raise NumericError(f"the walk entry ({u}, {v}) at t = {t} is not finite")
+    return KrylovEntry(value, quotient.order, 0.0)
 
 
 # ---------------------------------------------------------------------------

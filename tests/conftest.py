@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import scipy.linalg
 
-from qwjoin import SymbolicTime, WeightedGraph, graph_matrix
+from qwjoin import KrylovEntry, SymbolicTime, WeightedGraph, graph_matrix
 from qwjoin.graphs import Connective, JoinTree
 from qwjoin.spectral import SupportPartition
 from qwjoin.transfer import _evaluate_pattern
@@ -150,8 +150,16 @@ def with_wrong_time(real):
     return wrong
 
 
+def dense_matrix(graph, kind):
+    """The graph's matrix from its adjacency alone, degrees summed here."""
+    a = np.array(graph.adjacency())
+    if kind == "adjacency":
+        return a
+    return np.diag(a.sum(axis=1)) - a
+
+
 class MatvecOnly:
-    """An operator seen only through its order and matvec, so krylov_entry runs Lanczos on it."""
+    """An operator seen only through its order and matvec, as lanczos_entry sees it."""
 
     def __init__(self, order, matvec):
         self.order = order
@@ -161,7 +169,7 @@ class MatvecOnly:
 def recursive_matvec(node, x, kind):
     """A JoinTree's matrix times x as it is defined: leaf products plus each join's all-ones blocks."""
     if isinstance(node, WeightedGraph):
-        return node.matvec(x, kind)
+        return dense_matrix(node, kind) @ x
     total = float(x.sum())
     out = np.empty(node.order)
     lo = 0
@@ -182,6 +190,52 @@ def recursive_matvec(node, x, kind):
 def whole_tree(tree):
     """A JoinTree as a plain operator: Lanczos multiplies the whole tree, no quotient."""
     return MatvecOnly(tree.order, lambda x, kind: recursive_matvec(tree, x, kind))
+
+
+LANCZOS_TOL = 1e-10
+
+
+def lanczos_entry(operator, u, v, t, kind="laplacian"):
+    """exp(itM)[v, u] by Lanczos from e_u, on an operator with an order and a matvec(x, kind).
+
+    The oracle for the package's quotient route: it reads M only through
+    products, reorthogonalizes fully, and exponentiates the Lanczos
+    tridiagonal with scipy's expm (Saad, SIAM J. Numer. Anal. 29, 1992;
+    Hochbruck and Lubich, SIAM J. Numer. Anal. 34, 1997). After k steps,
+    with T the k x k tridiagonal and beta the next off-diagonal, the error
+    of V exp(itT) e_1 is at most |t| beta, so the loop stops once that is
+    below LANCZOS_TOL, or when k reaches the order (the Krylov space is
+    then the whole space). In exact arithmetic beta vanishes after as many
+    steps as there are eigenvalues in the support of u, so the dimension k
+    counts them. The Lanczos vectors are the rows of one array that
+    doubles when full. Returns a KrylovEntry of the value, k and |t| beta.
+    """
+    n = operator.order
+    basis = np.zeros((min(n, 4), n))  # rows q_0..q_{k-1}; doubles when full
+    basis[0, u] = 1.0
+    k = 1
+    alphas, betas = [], []
+    while True:
+        last = basis[k - 1]
+        w = operator.matvec(last, kind)
+        alphas.append(float(last @ w))
+        stacked = basis[:k]
+        for _ in range(2):  # classical Gram-Schmidt, twice to stay orthogonal
+            w = w - stacked.T @ (stacked @ w)
+        beta = math.sqrt(w @ w)
+        bound = abs(t) * beta
+        if bound < LANCZOS_TOL or k == n:
+            break
+        betas.append(beta)
+        if k == len(basis):
+            grown = np.empty((min(2 * k, n), n))
+            grown[:k] = basis
+            basis = grown
+        basis[k] = w / beta
+        k += 1
+    tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+    phases = oracle_transition(tri, t)[:, 0]
+    return KrylovEntry(complex(basis[:k, v] @ phases), k, bound)
 
 
 # ---------------------------------------------------------------------------

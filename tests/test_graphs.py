@@ -34,13 +34,14 @@ import qwjoin.graphs as graphs_module
 import qwjoin.transfer as transfer_module
 from qwjoin.errors import PreconditionError
 from qwjoin.graphs import Connective, IteratedJoinSpec, JoinTree
-from qwjoin.walk import KRYLOV_TOL
 
 from conftest import (
     MatvecOnly,
     ReferenceGraph,
     assert_agrees_with_the_oracles,
     assert_same_graph,
+    dense_matrix,
+    lanczos_entry,
     reference_build,
     reference_family,
     random_simple,
@@ -221,14 +222,6 @@ def test_iterated_join_builds_the_right_graph():
 # ---------------------------------------------------------------------------
 
 
-def _dense(graph, kind):
-    """The built graph's matrix from its adjacency alone, degrees summed here."""
-    a = np.array(graph.adjacency())
-    if kind == "adjacency":
-        return a
-    return np.diag(a.sum(axis=1)) - a
-
-
 def _operator_cases():
     rng = np.random.default_rng(41)
     x, y = random_weighted(rng, 5), random_simple(rng, 4)
@@ -268,22 +261,25 @@ def test_join_tree_matvec_matches_the_built_matrix(name, tree, built, kind):
     rng = np.random.default_rng(tree.order)
     for _ in range(3):
         vec = rng.standard_normal(tree.order)
-        assert np.allclose(recursive_matvec(tree, vec, kind), _dense(built, kind) @ vec, atol=1e-12)
+        assert np.allclose(recursive_matvec(tree, vec, kind), dense_matrix(built, kind) @ vec, atol=1e-12)
 
 
-def test_matvec_with_loops_under_the_adjacency_matrix():
+def test_quotient_with_loops_under_the_adjacency_matrix():
     apex = family("O_loops", 2, 3.0)
     looped = WeightedGraph(4, [(0, 1, 1.5), (1, 3, 2.0)], loops=[(1, -3.0), (2, 0.5)])
-    rng = np.random.default_rng(5)
-    for graph in (looped, join(apex, family("C", 6))):
-        vec = rng.standard_normal(graph.order)
-        assert np.allclose(graph.matvec(vec, "adjacency"), _dense(graph, "adjacency") @ vec)
     tree = JoinTree(Connective.JOIN, (apex, family("C", 6)))
     assert tree.build() == join(apex, family("C", 6))
+    for operator, graph in ((looped, looped), (tree, tree.build())):
+        exact = scipy.linalg.expm(0.6j * dense_matrix(graph, "adjacency"))
+        for u, v in _every_pair(graph.order):
+            entry = krylov_entry(operator, u, v, 0.6, "adjacency")
+            assert abs(entry.value - exact[v, u]) <= 1e-12
     with pytest.raises(PreconditionError):
-        tree._quotient(0, "laplacian")
-    with pytest.raises(ValueError):
-        looped.matvec(vec[:4], "signless")
+        graphs_module.equitable_quotient(tree, 0, "laplacian")
+    with pytest.raises(PreconditionError):
+        graphs_module.equitable_quotient(looped, 0, "laplacian")
+    with pytest.raises(ValueError, match="unknown matrix kind"):
+        graphs_module.equitable_quotient(looped, 0, "signless")
 
 
 def test_degrees_count_loops_twice():
@@ -296,14 +292,6 @@ def test_degrees_count_loops_twice():
 def test_join_tree_needs_two_children():
     with pytest.raises(ValueError):
         JoinTree(Connective.JOIN, (family("K", 3),))
-
-
-def test_matvec_rejects_a_wrong_length_operand():
-    graph = family("C", 4)
-    assert np.array_equal(graph.matvec(np.ones(4), "laplacian"), np.zeros(4))
-    for size in (graph.order - 1, graph.order + 1):
-        with pytest.raises(ValueError, match="shape"):
-            graph.matvec(np.ones(size), "laplacian")
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +445,7 @@ def test_self_join_confirmation_scales_with_the_support_not_the_copies():
     assert cert.details["krylov_dimension"] == 4
     # Lanczos on the whole tree stops at the support's three eigenvalues
     tree = JoinTree(Connective.JOIN, (family("C", 4),) * 1023)
-    assert krylov_entry(whole_tree(tree), 0, 2, cert.time.value).dimension == 3
+    assert lanczos_entry(whole_tree(tree), 0, 2, cert.time.value).dimension == 3
 
 
 def test_quotient_product_of_a_plan_nested_past_the_recursion_limit():
@@ -478,7 +466,7 @@ def test_quotient_product_of_a_plan_nested_past_the_recursion_limit():
     # so the quotient is the matrix itself with the vertices in that order
     cells = [0, *range(n - 1, 0, -1)]
     for kind, m in (("adjacency", a), ("laplacian", lap)):
-        quotient = tree._quotient(0, kind)
+        quotient = graphs_module.equitable_quotient(tree, 0, kind)
         assert quotient.order == n
         assert np.array_equal(quotient.matrix(), m[np.ix_(cells, cells)])
 
@@ -504,12 +492,12 @@ def test_a_300_part_plan_confirms_on_its_whole_quotient():
         "whole-quotient", "quotient")
     assert cert.details["krylov_operator_order"] == cert.details["krylov_dimension"] == 301
     whole = whole_tree(tree)
-    reference = krylov_entry(whole, 0, 1, cert.time.value)
+    reference = lanczos_entry(whole, 0, 1, cert.time.value)
     assert reference.dimension == 301
     assert abs(cert.confirmation - abs(reference.value)) <= 1e-12
     entry = krylov_entry(tree, 0, 5, 0.7, "adjacency")
-    assert (entry.route, entry.operator_order) == ("whole-quotient", 301)
-    assert abs(entry.value - krylov_entry(whole, 0, 5, 0.7, "adjacency").value) <= 1e-12
+    assert entry.dimension == 301
+    assert abs(entry.value - lanczos_entry(whole, 0, 5, 0.7, "adjacency").value) <= 1e-12
 
 
 def _alternating_plan(first: WeightedGraph, count: int) -> IteratedJoinSpec:
@@ -556,29 +544,24 @@ def test_build_of_a_plan_nested_past_a_lowered_recursion_limit():
 
 def _check_quotient_entries(kind, tree, t):
     """Every entry of a small tree's walk against expm, and Lanczos on each quotient."""
-    exact = scipy.linalg.expm(1j * t * _dense(tree.build(), kind))
+    exact = scipy.linalg.expm(1j * t * dense_matrix(tree.build(), kind))
     whole = whole_tree(tree)
     for u in range(tree.order):
-        dimension = krylov_entry(whole, u, u, t, kind).dimension
-        quotient = tree._quotient(u, kind)
+        dimension = lanczos_entry(whole, u, u, t, kind).dimension
+        quotient = graphs_module.equitable_quotient(tree, u, kind)
         if quotient is not None:  # Lanczos on the quotient alone stops where it does on the tree
             b = quotient.matrix()
             cell = quotient.cell(u)[0]
-            lanczos = krylov_entry(MatvecOnly(len(b), lambda x, kind: b @ x), cell, cell, t, kind)
+            lanczos = lanczos_entry(MatvecOnly(len(b), lambda x, kind: b @ x), cell, cell, t, kind)
             assert lanczos.dimension == dimension
+        else:  # a cell with no common row sum: the built graph gives the quotient
+            assert kind == "adjacency"
+            quotient = graphs_module.equitable_quotient(tree.build(), u, kind)
+        assert quotient.order <= tree.order
         for v in range(tree.order):
             entry = krylov_entry(tree, u, v, t, kind)
             assert abs(entry.value - exact[v, u]) <= 1e-9
-            if entry.operator == "quotient":
-                assert entry.route == "whole-quotient" and entry.bound == 0.0
-                assert entry.dimension == entry.operator_order == quotient.order
-            else:
-                # the built graph's rounding can keep beta near 1e-9 past the
-                # support, so Lanczos there may run on, up to the order
-                assert entry.route == "lanczos" and quotient is None
-                assert dimension <= entry.dimension <= tree.order
-            if kind == "laplacian":
-                assert entry.operator == "quotient" and entry.operator_order <= tree.order
+            assert (entry.dimension, entry.bound) == (quotient.order, 0.0)
 
 
 @settings(deadline=None)
@@ -620,31 +603,29 @@ def test_quotient_entries_on_symmetric_leaves(name, kind, reference):
     else:
         whole = whole_tree(tree)
         for w, v in _every_pair(tree.order):
-            want = krylov_entry(whole, w, v, 0.7, kind).value
+            want = lanczos_entry(whole, w, v, 0.7, kind).value
             assert abs(krylov_entry(tree, w, v, 0.7, kind).value - want) <= 1e-10
     # u's leaf has fewer cells than vertices
-    partition = tree._quotient(u, kind).partition
+    partition = graphs_module.equitable_quotient(tree, u, kind).partition
     assert len(partition.sizes) < len(partition.cell)
 
 
 def _check_quotient_routes(order, kind, pairs):
-    """Entries of x v K3, x of order - 1, against expm, and the route from x's side."""
+    """Entries of x v K3, x of order - 1, against expm, and the quotient from x's side."""
     # from the part, the quotient has its order - 1 vertices and the one cell K3
     x = random_weighted(np.random.default_rng(order), order - 1)
     tree = JoinTree(Connective.JOIN, (x, family("K", 3)))
-    exact = scipy.linalg.expm(1j * 0.9 * _dense(tree.build(), kind))
+    exact = scipy.linalg.expm(1j * 0.9 * dense_matrix(tree.build(), kind))
     for u, v in pairs(tree.order):
         entry = krylov_entry(tree, u, v, 0.9, kind)
         assert abs(entry.value - exact[v, u]) <= 1e-9
+        assert entry.bound == 0.0
         if u < x.order:
-            assert (entry.operator, entry.operator_order, entry.route) == (
-                "quotient", order, "whole-quotient")
-        if entry.operator == "quotient":
-            assert entry.route == "whole-quotient" and entry.bound == 0.0
-            assert entry.dimension == entry.operator_order
-        else:  # from K3 under the adjacency matrix, x is a cell with no common row sum
-            assert entry.route == "lanczos"
-            assert entry.bound < KRYLOV_TOL or entry.dimension == entry.operator_order
+            assert entry.dimension == order
+        elif kind == "adjacency":  # from K3, x is a cell with no common row sum
+            assert graphs_module.equitable_quotient(tree, u, kind) is None
+            built = graphs_module.equitable_quotient(tree.build(), u, kind)
+            assert entry.dimension == built.order
 
 
 def _sampled_pairs(n):
@@ -671,29 +652,30 @@ _NEARLY_REGULAR = WeightedGraph(6, [
 
 def test_an_irregular_sibling_under_the_adjacency_takes_the_tree_route():
     # the cell P3 forms has no one row sum, nor has the nearly regular
-    # circulant's, so each tree is built and taken as a graph
+    # circulant's, so each tree is built and its graph's quotient taken
     assert is_regular(_NEARLY_REGULAR) == pytest.approx(0.8)
     assert graphs_module._row_sum(_NEARLY_REGULAR, {}) is None
     for x, y, u, v in ((family("C", 4), family("P", 3), 0, 2),
                        (family("O", 2), _NEARLY_REGULAR, 0, 1)):
         tree = JoinTree(Connective.JOIN, (x, y))
-        exact = scipy.linalg.expm(1j * 0.8 * _dense(tree.build(), "adjacency"))
+        exact = scipy.linalg.expm(1j * 0.8 * dense_matrix(tree.build(), "adjacency"))
+        assert graphs_module.equitable_quotient(tree, u, "adjacency") is None
+        built = graphs_module.equitable_quotient(tree.build(), u, "adjacency")
         entry = krylov_entry(tree, u, v, 0.8, "adjacency")
-        assert (entry.operator, entry.operator_order) == ("graph", tree.order)
+        assert (entry.dimension, entry.bound) == (built.order, 0.0)
         assert abs(entry.value - exact[v, u]) <= 1e-9
     # from P3's side the other cell is C4, which is regular
     tree = JoinTree(Connective.JOIN, (family("C", 4), family("P", 3)))
-    exact = scipy.linalg.expm(1j * 0.8 * _dense(tree.build(), "adjacency"))
+    exact = scipy.linalg.expm(1j * 0.8 * dense_matrix(tree.build(), "adjacency"))
     entry = krylov_entry(tree, 4, 6, 0.8, "adjacency")
-    assert (entry.operator, entry.operator_order) == ("quotient", 4)
+    assert entry.dimension == graphs_module.equitable_quotient(tree, 4, "adjacency").order == 4
     assert abs(entry.value - exact[6, 4]) <= 1e-9
 
 
 def test_a_double_cone_over_four_million_vertices_stays_uncompiled():
     tree = JoinTree(Connective.JOIN, (family("O", 2), family("O", 4_000_000)))
     entry = krylov_entry(tree, 0, 1, math.pi / 2, "laplacian")
-    assert (entry.operator, entry.operator_order, entry.dimension) == ("quotient", 3, 3)
-    assert (entry.route, entry.bound) == ("whole-quotient", 0.0)
+    assert (entry.dimension, entry.bound) == (3, 0.0)
     # |U(pi/2)[1, 0]| = n / (n + 2) for n = 0 modulo 4: no transfer. The
     # whole quotient reads 1 - 5.000909e-7, 9.1e-11 from 2 / (n + 2) (Lanczos
     # on the whole tree: 1 - 5.000866008e-7): the phase t n = 6.3e6 alone is
@@ -714,27 +696,32 @@ def test_the_quotient_keeps_the_tree_preconditions():
 
 
 def test_confirmation_reads_no_matrix_and_no_eigensolver(monkeypatch):
-    x, y = family("O", 2), family("C", 6)
-    cert = join_pst(x, y, 0, 1)
-    assert cert.pst
+    # a Laplacian double cone and a regular adjacency join, each with the
+    # order of its quotient at u
+    cases = [(family("O", 2), family("C", 6), 0, 1, "laplacian", 3),
+             (family("Q", 3), family("Q", 3), 0, 7, "adjacency", 5)]
+    certs = [join_pst(x, y, u, v, kind) for x, y, u, v, kind, _ in cases]
+    assert all(cert.pst for cert in certs)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the confirmation must not read this")
 
     monkeypatch.setattr(WeightedGraph, "laplacian", forbidden)
     monkeypatch.setattr(WeightedGraph, "adjacency", forbidden)
+    monkeypatch.setattr(JoinTree, "build", forbidden)
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
     monkeypatch.setattr(transfer_module, "spectrum", forbidden)
     monkeypatch.setattr(transfer_module, "carry_join", forbidden)
-    # the check runs afresh on a certificate stripped of its confirmation
-    cert = replace(cert, confirmation=None, details={})
-    confirmed = transfer_module._confirm_transfer(
-        JoinTree(Connective.JOIN, (x, y)), 0, 1, cert, "join"
-    )
-    assert confirmed.confirmation >= 1 - 1e-9
-    assert confirmed.details["krylov_operator"] == "quotient"
-    assert confirmed.details["krylov_operator_order"] == 3
-    assert confirmed.details["confirmation_route"] == "whole-quotient"
+    for (x, y, u, v, _, order), cert in zip(cases, certs):
+        # the check runs afresh on a certificate stripped of its confirmation
+        cert = replace(cert, confirmation=None, details={})
+        confirmed = transfer_module._confirm_transfer(
+            JoinTree(Connective.JOIN, (x, y)), u, v, cert, "join"
+        )
+        assert confirmed.confirmation >= 1 - 1e-9
+        assert confirmed.details["krylov_operator"] == "quotient"
+        assert confirmed.details["krylov_operator_order"] == order
+        assert confirmed.details["confirmation_route"] == "whole-quotient"
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +741,7 @@ def _assert_equitable(graph, u, partition):
     kinds = ["adjacency"] + (["laplacian"] if is_simple(graph) else [])
     block = partition.block.adjacency()
     for kind in kinds:
-        m = _dense(graph, kind)
+        m = dense_matrix(graph, kind)
         into = m @ indicator  # the weights are dyadic, so these sums are exact
         assert np.array_equal(into, into[first][cell])
         want = block.copy()
@@ -824,9 +811,10 @@ def test_a_leaf_with_no_symmetry_keeps_its_edge_arrays():
     partition = graphs_module.equitable_partition(graph, 4)
     assert partition.block is graph
     assert np.array_equal(partition.cell, np.arange(9)) and not (partition.sizes - 1).any()
-    quotient = JoinTree(Connective.JOIN, (graph, family("O", 3)))._quotient(4, "laplacian")
+    quotient = graphs_module.equitable_quotient(
+        JoinTree(Connective.JOIN, (graph, family("O", 3))), 4, "laplacian")
     want = np.zeros((10, 10))
-    want[:9, :9] = _dense(graph, "laplacian") + 3 * np.eye(9)
+    want[:9, :9] = dense_matrix(graph, "laplacian") + 3 * np.eye(9)
     want[9, :9] = want[:9, 9] = -math.sqrt(3)
     want[9, 9] = 9
     assert np.array_equal(quotient.matrix(), want)
@@ -841,7 +829,7 @@ def test_refinement_rejects_a_vertex_out_of_range():
 def test_a_cube_cone_confirms_on_a_quotient_of_order_d_plus_2(d):
     tree = JoinTree(Connective.JOIN, (family("Q", d), family("O", 4)))
     entry = krylov_entry(tree, 0, 2**d - 1, math.pi / 2)
-    assert (entry.operator, entry.operator_order) == ("quotient", d + 2)
+    assert entry.dimension == d + 2
     # the cube's 2^d vertices from 0 fall into d + 1 distance classes
     assert abs(abs(entry.value) - 1.0) <= 1e-9
 
@@ -857,8 +845,10 @@ def _against_networkx(graph):
     reference = nx.Graph()
     reference.add_nodes_from(range(graph.order))
     reference.add_edges_from(zip(graph.rows.tolist(), graph.cols.tolist()))
+    label = graphs_module._component_labels(graph)
     for u in range(graph.order):
-        assert graphs_module.component_of(graph, u) == sorted(nx.node_connected_component(reference, u))
+        component = np.flatnonzero(label == label[u]).tolist()
+        assert component == sorted(nx.node_connected_component(reference, u))
     assert is_connected(graph) == nx.is_connected(reference)
 
 

@@ -10,6 +10,7 @@ from qwjoin import (
     Connective,
     JoinTree,
     NumericError,
+    WeightedGraph,
     alpha,
     decompose,
     family,
@@ -26,9 +27,11 @@ from qwjoin import (
     transition_matrix,
     unitary_exp,
 )
-from qwjoin.walk import _COS_SIN_BLOCKS, _TAYLOR_RADII, KRYLOV_TOL, transition_entries
+from qwjoin.walk import _COS_SIN_BLOCKS, _TAYLOR_RADII, transition_entries
 
 from conftest import (
+    MatvecOnly,
+    lanczos_entry,
     oracle_transition,
     random_circulant,
     random_simple,
@@ -289,7 +292,18 @@ def _krylov_cases():
         (JoinTree(Connective.JOIN, (family("O_loops", 2, 2.0), family("C", 5))), "adjacency"),
         (iterated_tree(parse_iterated_spec("C4 v O2 u O4 v O2")), "laplacian"),
         (family("P", 4), "laplacian"),
+        (_SYMMETRIC_LOOPED, "adjacency"),
     ]
+
+
+# a weighted C6 with a loop of weight 0.5 at every vertex and chords of
+# weight 1.5 to the opposite vertex: vertex-transitive, so its quotient at
+# 0 has the cells {0}, {1, 5}, {2, 4} and {3}
+_SYMMETRIC_LOOPED = WeightedGraph(
+    6,
+    [(i, (i + 1) % 6, 2.0) for i in range(6)] + [(i, i + 3, 1.5) for i in range(3)],
+    [(i, 0.5) for i in range(6)],
+)
 
 
 @pytest.mark.parametrize("tree, kind", _krylov_cases())
@@ -301,11 +315,35 @@ def test_krylov_entry_matches_scipy_expm(tree, kind):
         for u, v in ((0, 0), (0, 1), (1, tree.order - 1)):
             entry = krylov_entry(tree, u, v, t, kind)
             assert abs(entry.value - exact[v, u]) <= 1e-9
-            assert entry.bound < KRYLOV_TOL or entry.dimension == tree.order
+            assert entry.bound == 0.0 and entry.dimension <= tree.order
+
+
+def test_a_graph_takes_its_own_quotient():
+    # cells of several vertices in a weighted looped graph, not one per vertex
+    entry = krylov_entry(_SYMMETRIC_LOOPED, 0, 2, 0.7, "adjacency")
+    assert entry.dimension == 4
+    exact = oracle_transition(graph_matrix(_SYMMETRIC_LOOPED, "adjacency"), 0.7)
+    assert abs(entry.value - exact[2, 0]) <= 1e-12
+    assert abs(krylov_entry(_SYMMETRIC_LOOPED, 0, 4, 0.7, "adjacency").value - entry.value) <= 1e-15
+
+
+@pytest.mark.parametrize("tree, kind", _krylov_cases())
+def test_the_lanczos_oracle_matches_scipy_expm(tree, kind):
+    # the oracle the quotient route is checked against, on the same inputs,
+    # each operator seen through products with the built graph's dense matrix
+    built = tree.build() if isinstance(tree, JoinTree) else tree
+    m = graph_matrix(built, kind)
+    operator = MatvecOnly(len(m), lambda x, kind: m @ x)
+    for t in (0.0, 0.7, math.pi / 2, 5.3):
+        exact = oracle_transition(m, t)
+        for u, v in ((0, 0), (0, 1), (1, tree.order - 1)):
+            entry = lanczos_entry(operator, u, v, t, kind)
+            assert abs(entry.value - exact[v, u]) <= 1e-9
+            assert entry.bound < 1e-10 or entry.dimension == tree.order
 
 
 def test_krylov_entry_is_exact_when_the_space_is_whole():
-    # every eigenvalue of a path carries weight on its end vertex
+    # no symmetry of a path fixes its end vertex, so every cell is one vertex
     entry = krylov_entry(family("P", 4), 0, 3, 1.0)
     assert entry.dimension == 4
     exact = oracle_transition(graph_matrix(family("P", 4), "laplacian"), 1.0)
@@ -332,29 +370,19 @@ def test_krylov_dimension_is_the_join_support_size(x, y, kind):
     for u in range(tree.order):
         side, local = ("left", u) if u < x.order else ("right", u - x.order)
         support = join_support(x, y, local, matrix=kind, side=side)
-        assert krylov_entry(whole_tree(tree), u, u, 1.0, kind).dimension == len(support)
+        assert lanczos_entry(whole_tree(tree), u, u, 1.0, kind).dimension == len(support)
 
 
-def test_krylov_entry_rejects_non_finite_products():
-    class Broken:
-        order = 3
-
-        def matvec(self, x, kind):
-            return np.full(3, np.nan)
-
-    with pytest.raises(NumericError):
-        krylov_entry(Broken(), 0, 1, 1.0)
+def test_krylov_entry_takes_only_trees_and_graphs():
+    operator = MatvecOnly(3, lambda x, kind: x)
+    with pytest.raises(TypeError, match="JoinTree or a WeightedGraph"):
+        krylov_entry(operator, 0, 1, 1.0)
     with pytest.raises(ValueError):
         krylov_entry(family("P", 3), 0, 3, 1.0)
 
 
 def test_krylov_entry_rejects_an_overflowing_exponent():
-    # finite Lanczos coefficients, but |t| * ||T||_1 overflows
-    class Huge:
-        order = 3
-
-        def matvec(self, x, kind):
-            return 1e300 * x
-
+    # a finite quotient, but |t| * ||B||_1 overflows
+    graph = WeightedGraph(3, [(0, 1, 1e300), (1, 2, 1.0)])
     with pytest.raises(NumericError):
-        krylov_entry(Huge(), 0, 1, 1e100)
+        krylov_entry(graph, 0, 1, 1e100, "adjacency")
