@@ -4,7 +4,9 @@ For a pair inside the left part, the join changes each walk entry by one
 additive term that is bounded by 2/m in magnitude, where m is the left
 order. These sweeps measure the resulting deviation of entry magnitudes,
 find when the bound is tight, and check that the deviation vanishes
-exactly on the shared time lattice.
+exactly on the shared time lattice. Both matrices are swept alike: the
+lift e^{it phase_rate} and the lattice of the integer fresh offsets come
+from spectral.join_reading.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import nearest_integer, nu2
+from .arith import nu2
 from .errors import InconsistencyError
 from .graphs import WeightedGraph
-from .spectral import join_params, spectrum
+from .spectral import join_params, join_reading, spectrum
 from .walk import alpha, in_T, transition_entries, transition_matrix
 
 
@@ -48,37 +50,17 @@ class MimicrySummary:
     details: dict = field(default_factory=dict)
 
 
-def _integer_shift_pair(params, matrix: str) -> tuple[int, int] | None:
-    """The two fresh-eigenvalue offsets as integers, when they are integers."""
-    if matrix == "laplacian":
-        return params.m, params.n
-    dp = nearest_integer(params.lam_plus - float(params.k))
-    dm = nearest_integer(params.lam_minus - float(params.k))
-    if dp is None or dm is None:
-        return None
-    return dp, dm
-
-
-def _lattice_base(params, matrix: str) -> float | None:
-    """Half-period pi/g of the correction term's alignment lattice."""
-    shifts = _integer_shift_pair(params, matrix)
-    if shifts is None:
-        return None
-    g = math.gcd(abs(shifts[0]), abs(shifts[1]))
-    if g == 0:
-        return None
-    return math.pi / g
-
-
 def _sweep_times(
-    base: float | None, stride: int, t_max: float | None, samples: int
+    offsets: tuple[int, int] | None, stride: int, t_max: float | None, samples: int
 ) -> tuple[np.ndarray, list[float]]:
     """A uniform grid on [0, t_max] joined with the lattice times j * stride * base.
 
-    t_max defaults to 4 pi when there is a lattice and to 20 otherwise. It
-    must be finite and positive, and the lattice may hold at most samples
-    points; both are checked before any time is built.
+    base is pi over the gcd of the integer fresh offsets; with no offsets
+    there is no lattice. t_max defaults to 4 pi when there is a lattice and
+    to 20 otherwise. It must be finite and positive, and the lattice may
+    hold at most samples points; both are checked before any time is built.
     """
+    base = math.pi / math.gcd(*offsets) if offsets else None
     if t_max is None:
         t_max = 4 * math.pi if base is not None else 20.0
     if not (math.isfinite(t_max) and t_max > 0):
@@ -106,17 +88,16 @@ def equality_condition(
     """
     params = join_params(x, y, matrix)
     bound = 2.0 / params.m
-    shifts = _integer_shift_pair(params, matrix)
-    if shifts is None:
+    offsets = join_reading(params, matrix).offsets
+    if offsets is None:
         return {
             "bound": bound,
             "achievable": None,
             "note": "the fresh-eigenvalue offsets are not integers; no time lattice exists",
         }
-    a, b = shifts
-    achievable = nu2(a) == nu2(b)
+    achievable = nu2(offsets[0]) == nu2(offsets[1])
     result: dict = {"bound": bound, "achievable": achievable}
-    g = math.gcd(abs(a), abs(b))
+    g = math.gcd(*offsets)
     result["base_time"] = math.pi / g
     result["witness_times"] = "odd multiples of the base time"
     if achievable:
@@ -149,14 +130,12 @@ def bound_sweep(
     m = params.m
     if not (0 <= u < m and 0 <= v < m):
         raise ValueError("the pair must lie in the left part")
-    times, structured = _sweep_times(_lattice_base(params, matrix), 1, t_max, samples)
+    reading = join_reading(params, matrix)
+    times, structured = _sweep_times(reading.offsets, 1, t_max, samples)
     decomp = spectrum(x, matrix)
     part = transition_entries(decomp, u, v, times)
     correction = alpha(params, times, matrix)
-    if matrix == "laplacian":
-        joined = np.exp(1j * params.n * times) * (part + correction)
-    else:
-        joined = part + correction
+    joined = np.exp(1j * reading.phase_rate * times) * (part + correction)
     deviation = np.abs(joined) - np.abs(part)
     bound = 2.0 / m
     max_abs = float(np.abs(deviation).max())
@@ -198,30 +177,24 @@ def mimicry_sweep(
     full-magnitude part entries force negative deviation).
     """
     params = join_params(x, y, matrix)
-    m = params.m
-    times, lattice = _sweep_times(_lattice_base(params, matrix), 2, t_max, samples)
+    reading = join_reading(params, matrix)
+    times, lattice = _sweep_times(reading.offsets, 2, t_max, samples)
     part_block = transition_matrix(x, times, matrix)
     correction = alpha(params, times, matrix)[:, None, None]
-    if matrix == "laplacian":
-        join_block = np.exp(1j * params.n * times)[:, None, None] * (part_block + correction)
-    else:
-        join_block = part_block + correction
+    join_block = part_block + correction
+    join_block *= np.exp(1j * reading.phase_rate * times)[:, None, None]
     deviation = np.abs(join_block) - np.abs(part_block)
-    zero_ok = True
     for t in lattice:
         if not in_T(params, t, matrix):
             raise InconsistencyError(f"a lattice time {t} fails the membership test")
-        at = int(np.searchsorted(times, t))
-        if np.abs(deviation[at]).max() > 1e-8:
-            zero_ok = False
-    if lattice and not zero_ok:
-        raise InconsistencyError("the deviation does not vanish on the time lattice")
+        if np.abs(deviation[int(np.searchsorted(times, t))]).max() > 1e-8:
+            raise InconsistencyError("the deviation does not vanish on the time lattice")
     return MimicrySummary(
         matrix=matrix,
         times=times,
         max_deviation=deviation.max(axis=0),
         min_deviation=deviation.min(axis=0),
         lattice_times=lattice,
-        zero_on_lattice=zero_ok,
-        details={"bound": 2.0 / m},
+        zero_on_lattice=True,
+        details={"bound": 2.0 / params.m},
     )

@@ -14,7 +14,6 @@ import contextlib
 import functools
 import json
 import math
-import re
 import sys
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from .graphs import (
     family,
     is_connected,
     is_simple,
+    parse_family_token,
     parse_iterated_spec,
 )
 from .spectral import (
@@ -51,7 +51,6 @@ from .transfer import (
 )
 from .bounds import bound_sweep, equality_condition
 
-_COMPACT_FAMILY = re.compile(r"^(O_loops|K_minus_e|CP|O|K|P|C|Q)(\d+)$")
 # bound-sweep CSV rows formatted per slab: bounded memory, one repr per column
 _CSV_SLAB_ROWS = 512
 
@@ -62,10 +61,10 @@ def _parse_graph_arg(text: str) -> WeightedGraph:
         return load_graph(text)
     tokens = text.replace(",", " ").split()
     if len(tokens) == 1:
-        match = _COMPACT_FAMILY.match(tokens[0])
-        if not match:
+        graph = parse_family_token(tokens[0])
+        if graph is None:
             raise ValueError(f"no such file and no such family: {text!r}")
-        return family(match.group(1), int(match.group(2)))
+        return graph
     name, *params = tokens
     values = [float(p) if "." in p or "-" in p else int(p) for p in params]
     return family(name, *values)

@@ -255,14 +255,16 @@ def is_simple(graph: WeightedGraph) -> bool:
 def is_regular(graph: WeightedGraph, tol: float = 1e-12) -> float | None:
     """Common adjacency row sum if the graph is regular, else None.
 
-    Computed once per tol and cached on the graph.
+    Computed once per tol and cached on the graph. Row sums past the float
+    range compare as NaN, so such a graph is not regular.
     """
 
     def build():
-        sums = graph._product(np.ones(graph.order))
-        k = float(sums[0])
-        scale = max(1.0, float(np.abs(sums).max()))
-        return k if np.max(np.abs(sums - k)) <= tol * scale else None
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = graph._product(np.ones(graph.order))
+            k = float(sums[0])
+            scale = max(1.0, float(np.abs(sums).max()))
+            return k if np.max(np.abs(sums - k)) <= tol * scale else None
 
     return graph.cached(("regular", tol), build)
 
@@ -617,8 +619,7 @@ def _row_sum(root, known: dict) -> float | None:
         if id(node) in known:
             continue
         if isinstance(node, WeightedGraph):
-            sums = node._product(np.ones(node.order))
-            known[id(node)] = float(sums[0]) if (sums == sums[0]).all() else None
+            known[id(node)] = is_regular(node, 0.0)
         elif ready:
             sums = [known[id(c)] for c in node.children]
             if node.connective is Connective.JOIN and None not in sums:
@@ -840,9 +841,23 @@ def iterated_join(spec: IteratedJoinSpec) -> WeightedGraph:
     return iterated_tree(spec).build()
 
 
-_SPEC_TOKEN = re.compile(r"^(O_loops|CP|O|K|P|C|Q)(\d+)$")
+_FAMILY_TOKEN = re.compile(r"^(O_loops|K_minus_e|CP|O|K|P|C|Q)(\d+)$")
 _JOIN_TOKENS = {"∨", "v", "join"}
 _UNION_TOKENS = {"∪", "u", "union"}
+
+
+def parse_family_token(token: str) -> WeightedGraph | None:
+    """The graph a compact token such as "K4" or "K_minus_e5" names, else None.
+
+    O_loops raises ValueError: its loop weight needs the form "O_loops n k".
+    """
+    match = _FAMILY_TOKEN.match(token)
+    if match is None:
+        return None
+    name = match.group(1)
+    if name == "O_loops":
+        raise ValueError(f"{token!r} has no loop weight; write O_loops as \"O_loops n k\"")
+    return family(name, int(match.group(2)))
 
 
 def parse_iterated_spec(text: str) -> IteratedJoinSpec:
@@ -854,10 +869,10 @@ def parse_iterated_spec(text: str) -> IteratedJoinSpec:
     conn: Connective | None = None
     for i, tok in enumerate(tokens):
         if i % 2 == 0:
-            m = _SPEC_TOKEN.match(tok)
-            if not m:
+            graph = parse_family_token(tok)
+            if graph is None:
                 raise ValueError(f"unknown graph token {tok!r}")
-            parts.append((family(m.group(1), int(m.group(2))), conn))
+            parts.append((graph, conn))
         else:
             if tok in _JOIN_TOKENS:
                 conn = Connective.JOIN

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .arith import nearest_integer
 from .errors import NumericError, PreconditionError
 from .graphs import Connective, IteratedJoinSpec, WeightedGraph, is_connected, is_regular, is_simple
 
@@ -219,6 +221,49 @@ class JoinParams:
     def lam_minus(self) -> float:
         k, ell = self._need_degrees()
         return (k + ell - math.sqrt(self.discriminant)) / 2.0
+
+
+class JoinReading(NamedTuple):
+    """A join under either matrix, read as an adjacency-type join (join_reading).
+
+    The join walk at t is e^{it phase_rate} times, at time_sign * t, the walk
+    of a join of a k-regular part whose fresh eigenvalues lam_plus and
+    lam_minus lie root apart. offsets are lam_plus - k > 0 and
+    lam_minus - k < 0 as exact ints, or None when they are not integers.
+    """
+
+    k: float
+    lam_plus: float
+    lam_minus: float
+    root: float
+    time_sign: int
+    phase_rate: int
+    offsets: tuple[int, int] | None
+
+
+def join_reading(params: JoinParams, matrix: str) -> JoinReading:
+    """The adjacency-type reading of a join, in exact ints for the Laplacian.
+
+    Negated and shifted by n, L(X v Y) is the adjacency-type join of -L(X):
+    k = 0, lam_plus = n, lam_minus = -m and root = m + n. The adjacency
+    offsets are (r - g) / 2 and -(r + g) / 2 for an integer gap g = k - ell
+    and r = isqrt(g^2 + 4mn), when r^2 = g^2 + 4mn.
+    """
+    m, n = params.m, params.n
+    if matrix == "laplacian":
+        return JoinReading(0, n, -m, m + n, -1, n, (n, -m))
+    if matrix != "adjacency":
+        raise ValueError(f"unknown matrix kind {matrix!r}")
+    k, ell = params._need_degrees()
+    offsets = None
+    gap = nearest_integer(float(k) - float(ell))
+    if gap is not None:
+        d = gap * gap + 4 * m * n
+        r = math.isqrt(d)
+        if r * r == d:
+            offsets = ((r - gap) // 2, -(r + gap) // 2)
+    root = math.sqrt(params.discriminant)
+    return JoinReading(float(k), params.lam_plus, params.lam_minus, root, 1, 0, offsets)
 
 
 def join_params(x: WeightedGraph, y: WeightedGraph, matrix: str) -> JoinParams:

@@ -77,6 +77,7 @@ from .spectral import (
     carry_through_plan,
     eigenvalue_support,
     join_params,
+    join_reading,
     join_support,
     spectrum,
     strong_cospectral,
@@ -864,16 +865,6 @@ def _transfer_tree(
     return False, "no-valuation-pattern", "no dyadic valuation pattern matches the support"
 
 
-def _integer_discriminant(params: JoinParams) -> tuple[int, int, int, int] | None:
-    """(k, ell, D = (k - ell)^2 + 4mn, isqrt(D)) for integer degrees, else None."""
-    k = nearest_integer(float(params.k))  # type: ignore[arg-type]
-    ell = nearest_integer(float(params.ell))  # type: ignore[arg-type]
-    if k is None or ell is None:
-        return None
-    d = (k - ell) ** 2 + 4 * params.m * params.n
-    return k, ell, d, math.isqrt(d)
-
-
 def _join_certificate(
     x: WeightedGraph, u: int, v: int, params: JoinParams, matrix: str
 ) -> PSTCertificate:
@@ -899,13 +890,14 @@ def _join_certificate(
             # k + ell = 2k - (m - n): for an integer k, the parity of m + n
             odd = "an odd degree sum" if (m + n) % 2 else None
         else:
-            disc = _integer_discriminant(params)
-            if disc is None:
+            k_int = nearest_integer(k)
+            ell = nearest_integer(float(params.ell))  # type: ignore[arg-type]
+            if k_int is None or ell is None:
                 raise PreconditionError(
                     "adjacency transfer analysis needs integer regular degrees"
                 )
-            k_int, ell, d, root = disc
-            square = root * root == d
+            d = (k_int - ell) ** 2 + 4 * m * n
+            square = math.isqrt(d) ** 2 == d
             odd = "an odd degree sum" if (k_int + ell) % 2 else None
         details = {"discriminant": d, "discriminant_square": square}
     own, isolated_pair = _own_partition(x, matrix, u, v)
@@ -1157,14 +1149,13 @@ def pst_preserved(
         raise PreconditionError(
             "adjacency preservation needs integer offsets k - mu of the flipping eigenvalues"
         )
-    d_int = gap * gap + 4 * m * n
-    root = math.isqrt(d_int)
-    if root * root != d_int:
+    fresh = join_reading(params, matrix).offsets
+    if fresh is None:
         verdict = False
         reason = "the join discriminant is not a perfect square"
     else:
         # the fresh eigenvalues are k + s and ell - s = k - (g + s)
-        s = (root - gap) // 2
+        s = fresh[0]
         k_exact = nearest_integer(k)
         k_exact = k if k_exact is None else k_exact
         details["fresh_shift"] = s
@@ -1212,118 +1203,99 @@ def pst_induced(
     mechanism = "general"
     details: dict = {}
     part_sc, is_isolated_pair = _own_partition(x, matrix, u, v)
-    if matrix == "laplacian":
-        if is_isolated_pair:
-            mechanism = "isolated-pair-cone"
-            identity = n % 4 == 2
-            if identity != jcert.pst or part_cert.pst:
-                raise InconsistencyError("the isolated-pair rule disagrees with the join analysis")
-        else:
-            ints = None
-            if part_sc is not None:
-                plus_i = _as_int_list(part_sc.plus)
-                minus_i = _as_int_list(part_sc.minus)
-                if plus_i is not None and minus_i is not None:
-                    ints = (plus_i, minus_i)
-            if ints is not None:
-                plus_i, minus_i = ints
-                nonzero = [l for l in plus_i if l != 0] + minus_i
-                plus_nz = [l for l in plus_i if l != 0]
-                alphas = {nu2(t) for t in nonzero}
-                if len(alphas) == 1:
-                    mechanism = "uniform-valuation"
-                    alpha = alphas.pop()
-                    identity = (
-                        is_connected(x)
-                        and m not in minus_i
-                        and nu2(m) == alpha
-                        and nu2(n) == alpha
-                    )
+    if is_isolated_pair:
+        # the 2/m equality condition: the fresh offsets share their valuation
+        # (n = 2 modulo 4 for the Laplacian, whose offsets are n and -2)
+        mechanism = "isolated-pair-cone"
+        offsets = join_reading(params, matrix).offsets
+        if offsets is None:
+            details["quadratic_cone"] = True
+        elif (nu2(offsets[0]) == nu2(offsets[1])) != jcert.pst or part_cert.pst:
+            raise InconsistencyError("the isolated-pair rule disagrees with the join analysis")
+    elif matrix == "laplacian":
+        plus_i = minus_i = None
+        if part_sc is not None:
+            plus_i, minus_i = _as_int_list(part_sc.plus), _as_int_list(part_sc.minus)
+        if plus_i is not None and minus_i is not None:
+            nonzero = [l for l in plus_i if l != 0] + minus_i
+            plus_nz = [l for l in plus_i if l != 0]
+            alphas = {nu2(t) for t in nonzero}
+            if len(alphas) == 1:
+                mechanism = "uniform-valuation"
+                alpha = alphas.pop()
+                identity = (
+                    is_connected(x)
+                    and m not in minus_i
+                    and nu2(m) == alpha
+                    and nu2(n) == alpha
+                )
+                if identity:
+                    z = ((n >> alpha) - 1) // 2
+                    y_half = ((m >> alpha) + 1) // 2
+                    ps = [((l >> alpha) + 1) // 2 for l in plus_nz]
+                    qs = [((mu >> alpha) + 1) // 2 for mu in minus_i]
+                    qvals = {_nu2_inf(q + z) for q in qs}
+                    identity = len(qvals) == 1
                     if identity:
-                        z = ((n >> alpha) - 1) // 2
-                        y_half = ((m >> alpha) + 1) // 2
-                        ps = [((l >> alpha) + 1) // 2 for l in plus_nz]
-                        qs = [((mu >> alpha) + 1) // 2 for mu in minus_i]
-                        qvals = {_nu2_inf(q + z) for q in qs}
-                        identity = len(qvals) == 1
-                        if identity:
-                            q0 = qvals.pop()
-                            identity = all(
-                                _nu2_inf(p + z) > q0 for p in ps
-                            ) and _nu2_inf(y_half + z) > q0
-                    # the identity says when the join creates transfer for a
-                    # pair with none in the part; a pair that has its own (in a
-                    # disconnected part, or in K2 with weight 3) gets none created
-                    if not part_cert.pst and identity != induced:
-                        raise InconsistencyError(
-                            "the uniform-valuation rule disagrees with the join analysis"
-                        )
-                    details["uniform_valuation"] = True
-                elif (
-                    plus_nz
-                    and minus_i
-                    and min(nu2(mu) for mu in minus_i) > max(nu2(l) for l in plus_nz)
-                ):
-                    mechanism = "minus-dominant"
-                    identity = (
-                        m not in minus_i
-                        and is_connected(x)
-                        and len({nu2(l) for l in plus_nz} | {nu2(m), nu2(n)}) == 1
+                        q0 = qvals.pop()
+                        identity = all(
+                            _nu2_inf(p + z) > q0 for p in ps
+                        ) and _nu2_inf(y_half + z) > q0
+                # the identity says when the join creates transfer for a
+                # pair with none in the part; a pair that has its own (in a
+                # disconnected part, or in K2 with weight 3) gets none created
+                if not part_cert.pst and identity != induced:
+                    raise InconsistencyError(
+                        "the uniform-valuation rule disagrees with the join analysis"
                     )
-                    if identity != jcert.pst:
-                        raise InconsistencyError(
-                            "the minus-dominant rule disagrees with the join analysis"
-                        )
-                elif is_connected(x) and minus_i:
-                    lam_pool = sorted({l for l in plus_i if l != 0} | {m})
-                    lc5 = (
-                        m not in minus_i
-                        and nu2(m) == nu2(n)
-                        and (
-                            _tree_dominant_minus(lam_pool, minus_i, n)
-                            or _tree_balanced(lam_pool, minus_i, n)
-                        )
-                    )
-                    if lc5 != induced:
-                        raise InconsistencyError(
-                            "the induced-transfer rule disagrees with the join analysis"
-                        )
-                    if induced:
-                        mechanism = "shifted-valuation"
-    else:
-        # join_pst has refused every join whose k - ell is not an integer
-        k = float(params.k)  # type: ignore[arg-type]
-        gap = nearest_integer(k - float(params.ell))  # type: ignore[arg-type]
-        d_int = gap * gap + 4 * m * n
-        root = math.isqrt(d_int)
-        if is_isolated_pair:
-            mechanism = "isolated-pair-cone"
-            if root * root == d_int:
-                s_plus = (root - gap) // 2
-                s_minus = -(root + gap) // 2
-                identity = nu2(s_plus) == nu2(s_minus)
+                details["uniform_valuation"] = True
+            elif (
+                plus_nz
+                and minus_i
+                and min(nu2(mu) for mu in minus_i) > max(nu2(l) for l in plus_nz)
+            ):
+                mechanism = "minus-dominant"
+                identity = (
+                    m not in minus_i
+                    and is_connected(x)
+                    and len({nu2(l) for l in plus_nz} | {nu2(m), nu2(n)}) == 1
+                )
                 if identity != jcert.pst:
                     raise InconsistencyError(
-                        "the isolated-pair rule disagrees with the join analysis"
+                        "the minus-dominant rule disagrees with the join analysis"
                     )
-            else:
-                details["quadratic_cone"] = True
-        elif part_sc is not None and is_connected(x):
-            plus_i = _as_int_list(part_sc.plus)
-            minus_i = _as_int_list(part_sc.minus)
-            if plus_i is not None and minus_i is not None and minus_i:
-                without_k = SupportPartition(
-                    [l for l in part_sc.plus if not _close(l, k)],
-                    list(part_sc.minus),
+            elif is_connected(x) and minus_i:
+                lam_pool = sorted({l for l in plus_i if l != 0} | {m})
+                lc5 = (
+                    m not in minus_i
+                    and nu2(m) == nu2(n)
+                    and (
+                        _tree_dominant_minus(lam_pool, minus_i, n)
+                        or _tree_balanced(lam_pool, minus_i, n)
+                    )
                 )
-                with_k = _evaluate_pattern(part_sc)
-                reduced = _evaluate_pattern(without_k) if without_k.plus else None
-                if reduced is not None and reduced.ok and not with_k.ok:
-                    mechanism = "regularity-collision"
-                    if part_cert.pst:
-                        raise InconsistencyError(
-                            "a regularity collision should rule out transfer in the part"
-                        )
+                if lc5 != induced:
+                    raise InconsistencyError(
+                        "the induced-transfer rule disagrees with the join analysis"
+                    )
+                if induced:
+                    mechanism = "shifted-valuation"
+    elif part_sc is not None and is_connected(x):
+        plus_i = _as_int_list(part_sc.plus)
+        minus_i = _as_int_list(part_sc.minus)
+        if plus_i is not None and minus_i is not None and minus_i:
+            without_k = SupportPartition(
+                [l for l in part_sc.plus if not _close(l, params.k)],  # type: ignore[arg-type]
+                list(part_sc.minus),
+            )
+            with_k = _evaluate_pattern(part_sc)
+            reduced = _evaluate_pattern(without_k) if without_k.plus else None
+            if reduced is not None and reduced.ok and not with_k.ok:
+                mechanism = "regularity-collision"
+                if part_cert.pst:
+                    raise InconsistencyError(
+                        "a regularity collision should rule out transfer in the part"
+                    )
     return InducedTransferReport(induced, mechanism, jcert, part_cert, details)
 
 

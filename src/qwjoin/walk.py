@@ -2,9 +2,9 @@
 
 The walk operator at time t is the unitary exp(itM) for M either the
 adjacency or the Laplacian matrix. Entries of a join's walk never need the
-join diagonalized: they follow from the parts' walks plus a correction
-carried entirely by the orders (Laplacian) or the regularity data
-(adjacency).
+join diagonalized: join_entry, alpha and in_T read them from a part's walk
+and spectral.join_reading, which reads a join under either matrix as an
+adjacency-type join, so none of them branches on the matrix.
 
 krylov_entry computes one walk entry exp(itM)[v, u] independently of any
 eigensolver: it exponentiates the equitable quotient at u whole, a dense
@@ -33,9 +33,9 @@ from .spectral import (
     JoinParams,
     SpectralDecomposition,
     join_params,
+    join_reading,
     spectrum,
 )
-from .arith import nearest_integer
 from .graphs import JoinTree, WeightedGraph, equitable_quotient
 
 
@@ -231,82 +231,55 @@ def krylov_entry(operator, u: int, v: int, t: float, kind: str = "laplacian") ->
 # ---------------------------------------------------------------------------
 
 
-def join_entry_L(
+def join_entry(
     x: WeightedGraph,
     y: WeightedGraph,
     u: int,
     v: int,
     t: float,
+    matrix: str = "laplacian",
     decomp_x: SpectralDecomposition | None = None,
     decomp_y: SpectralDecomposition | None = None,
 ) -> complex:
-    """Laplacian walk entry of join(x, y) at global vertices u, v."""
-    params = join_params(x, y, "laplacian")
-    m, n = params.m, params.n
-    total = m + n
+    """Walk entry (u, v) of join(x, y) at time t, u and v global vertices.
+
+    An entry within a part is its own part walk's entry plus alpha, a
+    cross entry is (e^{is lam_plus} - e^{is lam_minus}) / root, each lifted
+    by e^{it phase_rate}, s = time_sign * t (spectral.join_reading).
+    Adjacency analyses need both parts regular, Laplacian ones both simple.
+    """
+    params = join_params(x, y, matrix)
+    m, total = params.m, params.m + params.n
     if not (0 <= u < total and 0 <= v < total):
         raise ValueError("vertex out of range for the join")
+    reading = join_reading(params, matrix)
+    lift = cmath.exp(1j * t * reading.phase_rate)
     if (u < m) != (v < m):
-        return (1.0 - cmath.exp(1j * t * total)) / total
-    if u >= m and v >= m:
-        return join_entry_L(y, x, u - m, v - m, t, decomp_y, decomp_x)
+        s = reading.time_sign * t
+        fresh = cmath.exp(1j * s * reading.lam_plus) - cmath.exp(1j * s * reading.lam_minus)
+        return lift * fresh / reading.root
+    if u >= m:
+        return join_entry(y, x, u - m, v - m, t, matrix, decomp_y, decomp_x)
     if decomp_x is None:
-        decomp_x = spectrum(x, "laplacian")
+        decomp_x = spectrum(x, matrix)
     base = complex(transition_entries(decomp_x, u, v, [t])[0])
-    return cmath.exp(1j * t * n) * (base + alpha(params, t, "laplacian"))
-
-
-def join_entry_A(
-    x: WeightedGraph,
-    y: WeightedGraph,
-    u: int,
-    v: int,
-    t: float,
-    decomp_x: SpectralDecomposition | None = None,
-    decomp_y: SpectralDecomposition | None = None,
-) -> complex:
-    """Adjacency walk entry of join(x, y); both parts must be regular."""
-    params = join_params(x, y, "adjacency")
-    m, n = params.m, params.n
-    total = m + n
-    if not (0 <= u < total and 0 <= v < total):
-        raise ValueError("vertex out of range for the join")
-    root = math.sqrt(params.discriminant)
-    lp, lm = params.lam_plus, params.lam_minus
-    if (u < m) != (v < m):
-        return (cmath.exp(1j * t * lp) - cmath.exp(1j * t * lm)) / root
-    if u >= m and v >= m:
-        return join_entry_A(y, x, u - m, v - m, t, decomp_y, decomp_x)
-    if decomp_x is None:
-        decomp_x = spectrum(x, "adjacency")
-    base = complex(transition_entries(decomp_x, u, v, [t])[0])
-    return base + alpha(params, t, "adjacency")
+    return lift * (base + alpha(params, t, matrix))
 
 
 def alpha(params: JoinParams, t, matrix: str = "laplacian"):
     """Mimicry defect of a join walk; broadcasts over array times.
 
-    For the Laplacian, exp(itn) * alpha is the constant a join adds to each
-    left-block entry; for the adjacency it is the additive correction
-    directly.
+    A left-block join entry is e^{it phase_rate} (part entry + alpha), for
+    alpha = ((k - lam_minus) e^{is lam_plus} + (lam_plus - k) e^{is lam_minus}
+    - root e^{isk}) / (m root) and s = time_sign * t (spectral.join_reading).
     """
-    ts = np.asarray(t, dtype=float)
-    m, n = params.m, params.n
-    if matrix == "laplacian":
-        out = (
-            m * np.exp(-1j * ts * n) + n * np.exp(1j * ts * m) - (m + n)
-        ) / (m * (m + n))
-    elif matrix == "adjacency":
-        root = math.sqrt(params.discriminant)
-        k = float(params.k)  # type: ignore[arg-type]
-        lp, lm = params.lam_plus, params.lam_minus
-        out = (
-            np.exp(1j * ts * lp) * (k - lm) / (m * root)
-            - np.exp(1j * ts * lm) * (k - lp) / (m * root)
-            - np.exp(1j * ts * k) / m
-        )
-    else:
-        raise ValueError(f"unknown matrix kind {matrix!r}")
+    r = join_reading(params, matrix)
+    s = r.time_sign * np.asarray(t, dtype=float)
+    out = (
+        (r.k - r.lam_minus) * np.exp(1j * s * r.lam_plus)
+        + (r.lam_plus - r.k) * np.exp(1j * s * r.lam_minus)
+        - r.root * np.exp(1j * s * r.k)
+    ) / (params.m * r.root)
     if np.ndim(t) == 0:
         return complex(out)
     return out
@@ -315,22 +288,12 @@ def alpha(params: JoinParams, t, matrix: str = "laplacian"):
 def in_T(params: JoinParams, t: float, matrix: str = "laplacian", tol: float = 1e-9) -> bool:
     """Whether t is a time at which the join walk mimics the part walk.
 
-    These times form a lattice when the relevant eigenvalue differences are
-    integers; otherwise membership is decided numerically at the given t.
+    With integer fresh offsets these times form the lattice of multiples
+    of 2 pi over the offsets' gcd; otherwise membership is decided
+    numerically at the given t.
     """
-    if matrix == "laplacian":
-        g = math.gcd(params.m, params.n)
-        s = t * g / (2.0 * math.pi)
-        return abs(s - round(s)) <= tol * max(1.0, abs(s))
-    if matrix == "adjacency":
-        k = float(params.k)  # type: ignore[arg-type]
-        dp = nearest_integer(params.lam_plus - k)
-        dm = nearest_integer(params.lam_minus - k)
-        if dp is not None and dm is not None:
-            h = math.gcd(dp, dm)
-            if h == 0:
-                return True
-            s = t * h / (2.0 * math.pi)
-            return abs(s - round(s)) <= tol * max(1.0, abs(s))
-        return bool(abs(alpha(params, t, matrix="adjacency")) <= tol)
-    raise ValueError(f"unknown matrix kind {matrix!r}")
+    offsets = join_reading(params, matrix).offsets
+    if offsets is None:
+        return bool(abs(alpha(params, t, matrix)) <= tol)
+    s = t * math.gcd(*offsets) / (2.0 * math.pi)
+    return abs(s - round(s)) <= tol * max(1.0, abs(s))

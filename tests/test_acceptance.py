@@ -22,8 +22,7 @@ from qwjoin import (
     iterated_join_support,
     iterated_vertex,
     join,
-    join_entry_A,
-    join_entry_L,
+    join_entry,
     join_period_ratio,
     join_pst,
     join_strong_cospectral,
@@ -186,7 +185,7 @@ def test_criterion_07_closed_forms_match_oracles():
         for _ in range(3):
             u = int(rng.integers(0, joined.order))
             v = int(rng.integers(0, joined.order))
-            assert abs(join_entry_L(x, y, u, v, t) - full[u, v]) <= 1e-9
+            assert abs(join_entry(x, y, u, v, t, "laplacian") - full[u, v]) <= 1e-9
         for u in range(x.order):
             assert sets_close(join_support(x, y, u), oracle_support(jm, u), tol=1e-7)
         u, v = sorted(rng.choice(joined.order, size=2, replace=False).tolist())
@@ -207,7 +206,7 @@ def test_criterion_07_closed_forms_match_oracles():
         for _ in range(3):
             u = int(rng.integers(0, joined.order))
             v = int(rng.integers(0, joined.order))
-            assert abs(join_entry_A(x, y, u, v, t) - full[u, v]) <= 1e-9
+            assert abs(join_entry(x, y, u, v, t, "adjacency") - full[u, v]) <= 1e-9
         for u in range(x.order):
             assert sets_close(
                 join_support(x, y, u, matrix="adjacency"), oracle_support(jm, u), tol=1e-7
@@ -344,7 +343,7 @@ def test_criterion_10_property_suites():
         full = transition_matrix(d, t)
         for u in range(x.order):
             for v in range(x.order + y.order):
-                assert abs(join_entry_L(x, y, u, v, t) - full[u, v]) <= 1e-9
+                assert abs(join_entry(x, y, u, v, t, "laplacian") - full[u, v]) <= 1e-9
         cases += 1
     for _ in range(60):
         x = random_circulant(rng, int(rng.integers(1, 6)))
@@ -354,7 +353,7 @@ def test_criterion_10_property_suites():
         full = transition_matrix(d, t)
         for u in range(x.order):
             for v in range(x.order + y.order):
-                assert abs(join_entry_A(x, y, u, v, t) - full[u, v]) <= 1e-9
+                assert abs(join_entry(x, y, u, v, t, "adjacency") - full[u, v]) <= 1e-9
         cases += 1
     # regular graphs: the two walks agree entrywise in magnitude
     for _ in range(40):

@@ -9,6 +9,7 @@ from qwjoin import (
     WeightedGraph,
     bound_sweep,
     disjoint_union,
+    double_cone_pst,
     equality_condition,
     family,
     mimicry_sweep,
@@ -75,6 +76,21 @@ def test_equality_condition_mismatched_valuations():
     # m=4, n=2: nu2(4) != nu2(2), the ceiling stays out of reach
     eq = equality_condition(family("C", 4), family("O", 2))
     assert not eq["achievable"]
+
+
+@pytest.mark.parametrize("matrix, cases", [("laplacian", 128), ("adjacency", 8)])
+def test_the_equality_condition_is_the_double_cone_rule(matrix, cases):
+    # O2 v O_n: where the fresh offsets are integers, the 2/m bound is reached
+    # exactly when the double cone has transfer between its apexes (the
+    # adjacency offsets are integers for n = 2 j^2 alone)
+    compared = 0
+    for n in range(1, 129):
+        cone = family("O", n)
+        achievable = equality_condition(family("O", 2), cone, matrix)["achievable"]
+        if achievable is not None:
+            assert achievable == double_cone_pst(cone, matrix).pst, n
+            compared += 1
+    assert compared == cases
 
 
 def test_mimicry_lattice_zeros():

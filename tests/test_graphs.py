@@ -32,7 +32,7 @@ from qwjoin import (
 )
 import qwjoin.graphs as graphs_module
 import qwjoin.transfer as transfer_module
-from qwjoin.errors import PreconditionError
+from qwjoin.errors import NumericError, PreconditionError
 from qwjoin.graphs import Connective, IteratedJoinSpec, JoinTree
 
 from conftest import (
@@ -670,6 +670,17 @@ def test_an_irregular_sibling_under_the_adjacency_takes_the_tree_route():
     entry = krylov_entry(tree, 4, 6, 0.8, "adjacency")
     assert entry.dimension == graphs_module.equitable_quotient(tree, 4, "adjacency").order == 4
     assert abs(entry.value - exact[6, 4]) <= 1e-9
+
+
+def test_row_sums_past_the_float_range_give_no_finite_entry():
+    # each row of the triangle sums to 2e308, past the float range: the leaf
+    # has no row sum, so the tree is built, and the entry is not finite
+    big = WeightedGraph(3, [(0, 1, 1e308), (1, 2, 1e308), (0, 2, 1e308)])
+    assert graphs_module._row_sum(big, {}) is None
+    tree = JoinTree(Connective.JOIN, (family("O", 2), big))
+    with np.errstate(over="ignore"):  # the built graph's degrees overflow too
+        with pytest.raises(NumericError, match="not finite"):
+            krylov_entry(tree, 0, 1, 0.5, "adjacency")
 
 
 def test_a_double_cone_over_four_million_vertices_stays_uncompiled():

@@ -13,6 +13,7 @@ from qwjoin import (
     WeightedGraph,
     family,
     from_jsonable,
+    parse_iterated_spec,
     join_pst,
     load_graph,
     report_from_json,
@@ -470,3 +471,23 @@ def test_cli_adjacency_self_join_of_a_weighted_k4(tmp_path, capsys):
     argv = ["join", "--left", str(path), "--self", "2", "--pair", "0", "1", "--matrix", "adjacency"]
     assert main(argv) == 0
     assert "perfect state transfer 0 <-> 1: True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("token", ["O1", "O3", "K4", "P3", "C5", "Q2", "CP6", "K_minus_e4"])
+def test_family_and_iterated_plans_read_the_same_tokens(token, capsys):
+    alone = cli._parse_graph_arg(token)
+    in_plan = parse_iterated_spec(f"{token} v O2").parts[0][0]
+    assert np.array_equal(alone.adjacency(), in_plan.adjacency())
+    assert main(["analyze", "--family", token, "--pair", "0", "0"]) == 2
+    assert main(["join", "--iterated", f"{token} v O2", "--part", "1", "--pair", "0", "0"]) == 2
+    assert "--pair needs two distinct vertices" in capsys.readouterr().err
+
+
+def test_family_and_iterated_plans_refuse_the_same_tokens(capsys):
+    for token, message in (("O_loops2", '"O_loops n k"'), ("Z3", "no such family")):
+        assert main(["analyze", "--family", token, "--pair", "0", "1"]) == 2
+        assert message in capsys.readouterr().err
+    for token, message in (("O_loops2", '"O_loops n k"'), ("Z3", "unknown graph token")):
+        argv = ["join", "--iterated", f"{token} v O2", "--part", "1", "--pair", "0", "1"]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err

@@ -12,15 +12,16 @@ from qwjoin import (
     NumericError,
     WeightedGraph,
     alpha,
+    bound_sweep,
     decompose,
     family,
     graph_matrix,
     in_T,
     iterated_tree,
     join,
-    join_entry_A,
-    join_entry_L,
+    join_entry,
     join_params,
+    join_reading,
     join_support,
     krylov_entry,
     parse_iterated_spec,
@@ -214,9 +215,9 @@ def test_join_entry_laplacian_closed_form():
         u_full = oracle_transition(jm, t)
         for u in range(x.order):
             for v in range(x.order):
-                got = join_entry_L(x, y, u, v, t, dx, dy)
+                got = join_entry(x, y, u, v, t, "laplacian", dx, dy)
                 assert abs(got - u_full[u, v]) <= 1e-9
-        got_cross = join_entry_L(x, y, 0, x.order, t, dx, dy)
+        got_cross = join_entry(x, y, 0, x.order, t, "laplacian", dx, dy)
         assert abs(got_cross - u_full[0, x.order]) <= 1e-9
 
 
@@ -232,9 +233,9 @@ def test_join_entry_adjacency_closed_form():
         u_full = oracle_transition(jm, t)
         for u in range(x.order):
             for v in range(x.order):
-                got = join_entry_A(x, y, u, v, t, dx, dy)
+                got = join_entry(x, y, u, v, t, "adjacency", dx, dy)
                 assert abs(got - u_full[u, v]) <= 1e-9
-        got_cross = join_entry_A(x, y, 0, x.order, t, dx, dy)
+        got_cross = join_entry(x, y, 0, x.order, t, "adjacency", dx, dy)
         assert abs(got_cross - u_full[0, x.order]) <= 1e-9
 
 
@@ -261,6 +262,64 @@ def test_lattice_membership():
     assert not in_T(params, math.pi / 2)
     vals = alpha(params, np.array([math.pi, 2 * math.pi, 3 * math.pi]))
     assert np.allclose(vals, 0.0, atol=1e-12)
+
+
+def test_the_reading_of_a_laplacian_join():
+    params = join_params(family("C", 6), family("O", 2), "laplacian")
+    assert join_reading(params, "laplacian") == (0, 2, -6, 8, -1, 2, (2, -6))
+    with pytest.raises(ValueError, match="unknown matrix kind"):
+        join_reading(params, "signless")
+
+
+def test_adjacency_lattice_membership_with_integer_offsets():
+    # K4 v K4: k = ell = 3, lam+ = 7 and lam- = -1, offsets 4 and -4
+    params = join_params(family("K", 4), family("K", 4), "adjacency")
+    assert join_reading(params, "adjacency") == (3.0, 7.0, -1.0, 8.0, 1, 0, (4, -4))
+    # gcd 4: the mimicry lattice is spaced pi/2
+    for j in range(1, 5):
+        assert in_T(params, j * math.pi / 2, "adjacency")
+        assert abs(alpha(params, j * math.pi / 2, "adjacency")) <= 1e-12
+    assert not in_T(params, math.pi / 4, "adjacency")
+    # the offsets share their valuation, so the odd multiples of pi/4 reach 2/m
+    assert abs(alpha(params, math.pi / 4, "adjacency")) == pytest.approx(0.5, abs=1e-12)
+    ts = np.linspace(0.0, 4 * math.pi, 999)
+    assert np.max(np.abs(alpha(params, ts, "adjacency"))) <= 0.5 + 1e-12
+
+
+# a looped part whose degree 1.5 is not an integer: the gap k - ell = -0.5
+# leaves the fresh offsets irrational, so no lattice exists
+_LOOPED = family("O_loops", 2, 1.5)
+
+
+def test_adjacency_membership_falls_back_to_the_numeric_test():
+    params = join_params(_LOOPED, family("C", 5), "adjacency")
+    assert join_reading(params, "adjacency").offsets is None
+    assert in_T(params, 0.0, "adjacency")
+    ts = np.linspace(0.1, 20.0, 200)
+    defects = np.abs(alpha(params, ts, "adjacency"))
+    for t, defect in zip(ts, defects):
+        assert in_T(params, float(t), "adjacency") == (defect <= 1e-9)
+    assert defects.max() > 0.1
+
+
+def test_join_entry_and_bound_sweep_on_a_looped_part():
+    x, y = _LOOPED, family("C", 5)
+    full = graph_matrix(join(x, y), "adjacency")
+    for t in (0.3, 1.7, 5.0):
+        exact = oracle_transition(full, t)
+        part = oracle_transition(graph_matrix(x, "adjacency"), t)
+        for u in range(full.shape[0]):
+            for v in range(full.shape[0]):
+                assert abs(join_entry(x, y, u, v, t, "adjacency") - exact[u, v]) <= 1e-9
+        params = join_params(x, y, "adjacency")
+        assert abs(alpha(params, t, "adjacency") - (exact[0, 1] - part[0, 1])) <= 1e-9
+    rep = bound_sweep(x, y, 0, 1, matrix="adjacency", samples=65)
+    assert rep.structured_times == [] and rep.equality_possible is None
+    for i in range(0, 65, 8):
+        t = float(rep.times[i])
+        assert abs(rep.join_magnitudes[i] - abs(oracle_transition(full, t)[0, 1])) <= 1e-9
+        part = oracle_transition(graph_matrix(x, "adjacency"), t)
+        assert abs(rep.part_magnitudes[i] - abs(part[0, 1])) <= 1e-9
 
 
 def test_regular_graph_walks_agree_up_to_modulus():
