@@ -46,7 +46,6 @@ class MimicrySummary:
     max_deviation: np.ndarray
     min_deviation: np.ndarray
     lattice_times: list[float]
-    zero_on_lattice: bool
     details: dict = field(default_factory=dict)
 
 
@@ -195,6 +194,5 @@ def mimicry_sweep(
         max_deviation=deviation.max(axis=0),
         min_deviation=deviation.min(axis=0),
         lattice_times=lattice,
-        zero_on_lattice=True,
         details={"bound": 2.0 / params.m},
     )

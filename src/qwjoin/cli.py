@@ -27,13 +27,7 @@ from .graphs import (
     parse_family_token,
     parse_iterated_spec,
 )
-from .spectral import (
-    eigenvalue_support,
-    join_params,
-    join_support,
-    spectrum,
-    strong_cospectral,
-)
+from .spectral import eigenvalue_support, join_params, join_support, spectrum
 from .transfer import (
     APEXES,
     PSTCertificate,
@@ -43,7 +37,6 @@ from .transfer import (
     iterated_join_analysis,
     join_period_ratio,
     join_pst,
-    join_strong_cospectral,
     minimum_period,
     pst_certificate,
     self_join_analysis,
@@ -94,6 +87,15 @@ def format_time(t: SymbolicTime) -> str:
     if len(tail) == 1:
         return f"{head}/{tail[0]}"
     return f"{head}/({'*'.join(tail)})"
+
+
+def _describe_partition(cert: PSTCertificate, where: str) -> str:
+    """The line naming cert's pair and its sign partition, or its failure where."""
+    pair, part = f"pair ({cert.u}, {cert.v})", cert.partition
+    if part is None:
+        return f"{pair}: not strongly cospectral{where}"
+    plus, minus = [float(_fmt(s)) for s in part.plus], [float(_fmt(s)) for s in part.minus]
+    return f"{pair}: strongly cospectral, plus {plus}, minus {minus}"
 
 
 def _describe_pst(cert: PSTCertificate) -> list[str]:
@@ -204,19 +206,11 @@ def cmd_analyze(args) -> int:
         payload["vertices"].append({"vertex": u, "support": support, "period": cert})
     if args.pair is not None:
         u, v = args.pair
-        partition = strong_cospectral(decomp, u, v)
-        if partition is None:
-            print(f"pair ({u}, {v}): not strongly cospectral")
-        else:
-            print(
-                f"pair ({u}, {v}): strongly cospectral, "
-                f"plus {[float(_fmt(s)) for s in partition.plus]}, "
-                f"minus {[float(_fmt(s)) for s in partition.minus]}"
-            )
-        cert = pst_certificate(decomp, u, v)
+        cert = pst_certificate(graph, u, v, matrix)
+        print(_describe_partition(cert, ""))
         for line in _describe_pst(cert):
             print(line)
-        payload["pair"] = {"partition": partition, "pst": cert}
+        payload["pair"] = {"partition": cert.partition, "pst": cert}
         if is_simple(graph):
             hint = _cone_hint(graph, u, v, matrix)
             for line in hint:
@@ -254,27 +248,18 @@ def cmd_join(args) -> int:
     y = _parse_graph_arg(args.right)
     u, v = _check_pair(args.pair, x.order + y.order)
     params = join_params(x, y, matrix)
-    side, local = ("left", u) if u < params.m else ("right", u - params.m)
     # the ratio's precondition is checked before any output
-    ratio = join_period_ratio(x, y, local, matrix=matrix, side=side) if args.ratio else None
+    ratio = join_period_ratio(x, y, u, matrix=matrix) if args.ratio else None
     print(f"join: left order {params.m}, right order {params.n}, matrix {matrix}")
     if matrix == "adjacency":
         print(
             f"degrees {_fmt(params.k)} and {_fmt(params.ell)}; "
             f"fresh eigenvalues {_fmt(params.lam_plus)} and {_fmt(params.lam_minus)}"
         )
-    support = join_support(x, y, local, matrix=matrix, side=side)
+    support = join_support(x, y, u, matrix=matrix)
     print(f"vertex {u} join support: {[float(_fmt(s)) for s in support]}")
-    partition = join_strong_cospectral(x, y, u, v, matrix=matrix)
-    if partition is None:
-        print(f"pair ({u}, {v}): not strongly cospectral in the join")
-    else:
-        print(
-            f"pair ({u}, {v}): strongly cospectral, "
-            f"plus {[float(_fmt(s)) for s in partition.plus]}, "
-            f"minus {[float(_fmt(s)) for s in partition.minus]}"
-        )
     cert = join_pst(x, y, u, v, matrix=matrix)
+    print(_describe_partition(cert, " in the join"))
     for line in _describe_pst(cert):
         print(line)
     payload = {
@@ -282,7 +267,7 @@ def cmd_join(args) -> int:
         "right": y,
         "matrix": matrix,
         "support": support,
-        "partition": partition,
+        "partition": cert.partition,
         "pst": cert,
     }
     if ratio is not None:
@@ -321,8 +306,7 @@ def cmd_pst_search(args) -> int:
             if m % 2:
                 continue
             base = family("CP", m)
-            decomp = spectrum(base, args.matrix)
-            antipodal = pst_certificate(decomp, 0, m // 2)
+            antipodal = pst_certificate(base, 0, m // 2, args.matrix)
             cone = join_pst(base, APEXES, m, m + 1, matrix=args.matrix)
             if cone.pst or antipodal.pst or args.all:
                 line = {

@@ -201,8 +201,9 @@ class WeightedGraph:
         """All weighted degrees, as a read-only vector."""
 
         def build():
-            out = self._edge_product(np.ones(self.order))
-            out[self.loop_at] += 2.0 * self.loop_weights
+            with np.errstate(over="ignore"):  # a row past the float range sums to inf
+                out = self._edge_product(np.ones(self.order))
+                out[self.loop_at] += 2.0 * self.loop_weights
             return _read_only(out)
 
         return self.cached("degrees", build)

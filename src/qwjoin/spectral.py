@@ -338,21 +338,18 @@ def join_support(
     y: WeightedGraph,
     u: int,
     matrix: str = "laplacian",
-    side: str = "left",
 ) -> list[float]:
-    """Eigenvalue support of a join vertex, from one part's spectrum alone.
+    """Eigenvalue support of join vertex u, from its part's spectrum alone.
 
-    side selects whether u indexes a vertex of x or of y; either way the
-    support refers to the join. Laplacian analyses need both parts simple;
-    adjacency analyses need both parts regular.
+    u indexes the join: the left part keeps its labels, and u >= m is
+    vertex u - m of the right part. Laplacian analyses need both parts
+    simple; adjacency analyses need both parts regular.
     """
     params = join_params(x, y, matrix)
-    if side == "right":
-        return join_support(y, x, u, matrix=matrix, side="left")
-    if side != "left":
-        raise ValueError(f"unknown side {side!r}")
-    if not 0 <= u < x.order:
-        raise ValueError(f"vertex {u} out of range for the left part")
+    if not 0 <= u < params.m + params.n:
+        raise ValueError(f"vertex {u} out of range for the join")
+    if u >= params.m:
+        return join_support(y, x, u - params.m, matrix=matrix)
     own = eigenvalue_support(spectrum(x, matrix), u)
     return carry_support(own, params, matrix, is_connected(x))
 

@@ -93,6 +93,18 @@ APEXES = family("O", 2)
 CONFIRMATION_GATE = 1 - 1e-6
 
 
+def _confirmed(entry: complex, what: str) -> float:
+    """The magnitude of a walk entry at a certified time: the one place it is judged.
+
+    Below CONFIRMATION_GATE it raises InconsistencyError, naming what
+    (the certified time or transfer) fell short.
+    """
+    mag = float(abs(entry))
+    if mag < CONFIRMATION_GATE:
+        raise InconsistencyError(f"{what} only reaches magnitude {mag}")
+    return mag
+
+
 def _nu2_inf(value: int):
     """Dyadic valuation with the zero convention of +infinity."""
     return math.inf if value == 0 else nu2(value)
@@ -397,11 +409,7 @@ def minimum_period(
     symbolic = _sym_time(mult, div)
     rho = symbolic.value
     if decomp is not None and u is not None:
-        mag = float(abs(transition_entries(decomp, u, u, [rho])[0]))
-        if mag < CONFIRMATION_GATE:
-            raise InconsistencyError(
-                f"period {rho} only revives the vertex state to magnitude {mag}"
-            )
+        mag = _confirmed(transition_entries(decomp, u, u, [rho])[0], f"period {rho}")
         # central half of a 1024-point grid: any true sub-period rho/j has a
         # revival multiple within rho/(2j) <= rho/4 of the midpoint, while
         # continuity forces |U| -> 1 at both ends for every period
@@ -414,7 +422,7 @@ def minimum_period(
         return PeriodCertificate(True, rho, symbolic, vals, confirmation=mag, minimal_on_grid=True)
     phases = np.exp(1j * rho * np.asarray(vals))
     proxy = float(abs(np.mean(phases)))
-    if proxy < 1 - 1e-6:
+    if proxy < CONFIRMATION_GATE:
         return PeriodCertificate(
             False,
             None,
@@ -431,10 +439,9 @@ def join_periodic(
     y: WeightedGraph,
     u: int,
     matrix: str = "laplacian",
-    side: str = "left",
 ) -> PeriodCertificate:
-    """Periodicity of a join vertex decided from the part's spectrum."""
-    return minimum_period(join_support(x, y, u, matrix=matrix, side=side))
+    """Periodicity of join vertex u decided from its part's spectrum."""
+    return minimum_period(join_support(x, y, u, matrix=matrix))
 
 
 def graph_periodic(graph: WeightedGraph, matrix: str = "laplacian") -> bool:
@@ -589,22 +596,20 @@ def join_period_ratio(
     y: WeightedGraph,
     u: int,
     matrix: str = "laplacian",
-    side: str = "left",
 ) -> JoinPeriodRatio:
-    """Ratio of the join vertex period to the part vertex period.
+    """Ratio of the period of join vertex u to its period in its part.
 
-    The ratio is produced twice: once by the closed-form case formulas and
-    once from the exact eigenvalue lattices of both walks. The two must
-    agree exactly or an InconsistencyError is raised.
+    u indexes the join, as in join_support. The ratio is produced twice:
+    once by the closed-form case formulas and once from the exact
+    eigenvalue lattices of both walks. The two must agree exactly or an
+    InconsistencyError is raised.
     """
-    if side == "right":
-        return join_period_ratio(y, x, u, matrix=matrix, side="left")
-    if side != "left":
-        raise ValueError(f"unknown side {side!r}")
     params = join_params(x, y, matrix)
     m, n = params.m, params.n
-    if not 0 <= u < x.order:
-        raise ValueError("vertex out of range for the part")
+    if not 0 <= u < m + n:
+        raise ValueError("vertex out of range for the join")
+    if u >= m:
+        return join_period_ratio(y, x, u - m, matrix=matrix)
     decomp = spectrum(x, matrix)
     support = eigenvalue_support(decomp, u)
     connected = is_connected(x)
@@ -675,7 +680,6 @@ class _PatternOutcome:
     eigenvalue_class: str | None
     delta: int | None
     time: SymbolicTime | None
-    alpha: int | None
     reason: str | None
 
 
@@ -688,14 +692,13 @@ def _evaluate_pattern(partition: SupportPartition) -> _PatternOutcome:
     """
     if not partition.minus:
         return _PatternOutcome(
-            False, None, None, None, None, "the sign partition has no flipping eigenvalues"
+            False, None, None, None, "the sign partition has no flipping eigenvalues"
         )
     values = list(partition.plus) + list(partition.minus)
     family = _classify_differences(values)
     if family is None:
         return _PatternOutcome(
             False,
-            None,
             None,
             None,
             None,
@@ -711,7 +714,6 @@ def _evaluate_pattern(partition: SupportPartition) -> _PatternOutcome:
                 "quadratic",
                 delta,
                 None,
-                None,
                 "quadratic coordinates of mixed parity leave non-integer half-differences",
             )
         coords = [(b - coords[0]) // 2 for b in coords]
@@ -721,7 +723,7 @@ def _evaluate_pattern(partition: SupportPartition) -> _PatternOutcome:
     cross = {nu2(p - q) for p in plus_c for q in minus_c}
     if len(cross) != 1:
         return _PatternOutcome(
-            False, klass, delta, None, None,
+            False, klass, delta, None,
             "crossing differences take more than one dyadic valuation",
         )
     alpha = cross.pop()
@@ -729,11 +731,11 @@ def _evaluate_pattern(partition: SupportPartition) -> _PatternOutcome:
         for j in range(i + 1, n_plus):
             if nu2(plus_c[i] - plus_c[j]) <= alpha:
                 return _PatternOutcome(
-                    False, klass, delta, None, alpha,
+                    False, klass, delta, None,
                     "a same-sign difference is not dyadically above the crossings",
                 )
     g = gcd_all([plus_c[0] - c for c in coords if c != plus_c[0]])
-    return _PatternOutcome(True, klass, delta, SymbolicTime(1, g, delta), alpha, None)
+    return _PatternOutcome(True, klass, delta, SymbolicTime(1, g, delta), None)
 
 
 def _certificate(
@@ -773,28 +775,25 @@ def _certificate(
     )
 
 
-def pst_certificate(decomp: SpectralDecomposition, u: int, v: int) -> PSTCertificate:
-    """Transfer certificate for a vertex pair of a decomposed matrix.
+def pst_certificate(
+    graph: WeightedGraph, u: int, v: int, matrix: str = "laplacian"
+) -> PSTCertificate:
+    """Transfer certificate for a vertex pair of a graph under matrix.
 
-    A positive verdict is confirmed on the walk itself at the certified
-    time; disagreement raises InconsistencyError.
+    The sign partition is pair_partition's. A positive verdict is confirmed
+    on the walk of the graph's cached spectrum at the certified time;
+    disagreement raises InconsistencyError. The certificate's matrix is
+    left None, as the part certificate inside a join analysis.
     """
-    return _pst_certificate(decomp, u, v, strong_cospectral(decomp, u, v))
-
-
-def _pst_certificate(decomp, u: int, v: int, partition) -> PSTCertificate:
-    """pst_certificate of a pair whose sign partition (or None) is known."""
+    partition = pair_partition(graph, matrix, u, v)
     if partition is None:
         return _certificate(u, v, None, None, None, "the vertices are not strongly cospectral")
     outcome = _evaluate_pattern(partition)
     cert = _certificate(u, v, None, partition, outcome)
     if outcome.ok:
-        mag = float(abs(transition_entries(decomp, u, v, [outcome.time.value])[0]))
-        if mag < CONFIRMATION_GATE:
-            raise InconsistencyError(
-                f"certified transfer time {outcome.time.value} only reaches magnitude {mag}"
-            )
-        cert.confirmation = mag
+        t = outcome.time.value
+        entry = transition_entries(spectrum(graph, matrix), u, v, [t])[0]
+        cert.confirmation = _confirmed(entry, f"certified transfer time {t}")
     return cert
 
 
@@ -964,10 +963,7 @@ def _confirm_transfer(
     if not cert.pst:
         return cert
     entry = krylov_entry(tree, u, v, cert.time.value, cert.matrix)
-    mag = abs(entry.value)
-    if mag < CONFIRMATION_GATE:
-        raise InconsistencyError(f"the certified {what} transfer only reaches magnitude {mag}")
-    cert.confirmation = mag
+    cert.confirmation = _confirmed(entry.value, f"the certified {what} transfer")
     cert.details.update(
         confirmation_route="whole-quotient", krylov_dimension=entry.dimension,
         krylov_bound=entry.bound, krylov_operator="quotient",
@@ -1058,7 +1054,7 @@ def pst_preserved(
     m, n = params.m, params.n
     if u == v or not (0 <= u < m and 0 <= v < m):
         raise ValueError("the pair must be two distinct part vertices")
-    base = _pst_certificate(spectrum(x, matrix), u, v, pair_partition(x, matrix, u, v))
+    base = pst_certificate(x, u, v, matrix)
     if not base.pst:
         raise PreconditionError("the pair has no transfer within the part")
     details: dict = {
@@ -1198,7 +1194,7 @@ def pst_induced(
     if u == v or not (0 <= u < m and 0 <= v < m):
         raise ValueError("the pair must be two distinct part vertices")
     jcert = join_pst(x, y, u, v, matrix=matrix)
-    part_cert = _pst_certificate(spectrum(x, matrix), u, v, pair_partition(x, matrix, u, v))
+    part_cert = pst_certificate(x, u, v, matrix)
     induced = jcert.pst and not part_cert.pst
     mechanism = "general"
     details: dict = {}

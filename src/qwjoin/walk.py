@@ -134,7 +134,8 @@ def unitary_exp(matrix: np.ndarray, t: float) -> np.ndarray:
         raise TypeError("unitary_exp takes a real matrix")
     m = np.asarray(matrix, dtype=float)
     n = m.shape[0]
-    norm = abs(float(t)) * float(np.abs(m).sum(axis=0).max()) if n else 0.0
+    with np.errstate(over="ignore"):  # a column past the float range sums to inf
+        norm = abs(float(t)) * float(np.abs(m).sum(axis=0).max()) if n else 0.0
     if not math.isfinite(norm):
         return np.full((n, n), complex("nan"))
     if (m != m.T).any():

@@ -9,6 +9,7 @@ which calls LAPACK syevd, a different algorithm.
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -141,10 +142,15 @@ WRONG_TIME = SymbolicTime(1, 3)
 
 
 def with_wrong_time(real):
-    """A closed form like real, except that a transfer time it reports becomes pi/3."""
+    """A closed form like real, except that a transfer time or period it reports becomes pi/3.
+
+    A period comes as _exact_min_period's (pi multiplier, root divisor).
+    """
 
     def wrong(*args, **kwargs):
         out = real(*args, **kwargs)
+        if isinstance(out, tuple):
+            return Fraction(WRONG_TIME.pi_numerator, WRONG_TIME.pi_denominator), 1
         return replace(out, time=WRONG_TIME) if out.time is not None else out
 
     return wrong

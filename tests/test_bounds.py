@@ -95,7 +95,6 @@ def test_the_equality_condition_is_the_double_cone_rule(matrix, cases):
 
 def test_mimicry_lattice_zeros():
     summary = mimicry_sweep(family("O", 2), family("O", 2))
-    assert summary.zero_on_lattice
     assert len(summary.lattice_times) > 0
     # gcd(2, 2) = 2 spaces the lattice at pi
     assert summary.lattice_times[0] == pytest.approx(math.pi)
@@ -106,21 +105,28 @@ def test_mimicry_lattice_zeros():
 
 def test_mimicry_sweep_adjacency():
     summary = mimicry_sweep(family("K", 6), family("K", 2), matrix="adjacency")
-    assert summary.zero_on_lattice
     assert float(np.max(summary.max_deviation)) <= 2.0 / 6.0 + 1e-9
 
 
-def test_bound_sweep_detects_a_lying_alpha(monkeypatch):
-    # the sweep derives join entries through alpha; a corrupted correction
-    # term must trip the bound check, not pass silently
+@pytest.mark.parametrize(
+    "sweep, message",
+    [
+        (lambda: bound_sweep(family("C", 4), family("O", 2), 0, 1), "above the bound"),
+        (lambda: mimicry_sweep(family("C", 4), family("O", 2)), "does not vanish on the time lattice"),
+    ],
+    ids=["bound", "mimicry"],
+)
+def test_bound_sweep_detects_a_lying_alpha(monkeypatch, sweep, message):
+    # each sweep derives join entries through alpha; a corrupted correction
+    # term must trip its check, not pass silently
     real_alpha = bounds_mod.alpha
 
     def lying_alpha(params, t, matrix="laplacian"):
         return real_alpha(params, t, matrix) + 1.0
 
     monkeypatch.setattr(bounds_mod, "alpha", lying_alpha)
-    with pytest.raises(InconsistencyError):
-        bound_sweep(family("C", 4), family("O", 2), 0, 1)
+    with pytest.raises(InconsistencyError, match=message):
+        sweep()
 
 
 @pytest.mark.parametrize("sweep", [bound_sweep, mimicry_sweep], ids=["bound", "mimicry"])

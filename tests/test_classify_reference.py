@@ -172,14 +172,13 @@ def reference_evaluate_pattern(partition: SupportPartition) -> _PatternOutcome:
     """
     if not partition.minus:
         return _PatternOutcome(
-            False, None, None, None, None, "the sign partition has no flipping eigenvalues"
+            False, None, None, None, "the sign partition has no flipping eigenvalues"
         )
     values = list(partition.plus) + list(partition.minus)
     quads = reference_classify_differences(values)
     if quads is None:
         return _PatternOutcome(
             False,
-            None,
             None,
             None,
             None,
@@ -197,7 +196,6 @@ def reference_evaluate_pattern(partition: SupportPartition) -> _PatternOutcome:
                 "quadratic",
                 delta,
                 None,
-                None,
                 "quadratic coordinates of mixed parity leave non-integer half-differences",
             )
         coords = [(b - bs[0]) // 2 for b in bs]
@@ -207,7 +205,7 @@ def reference_evaluate_pattern(partition: SupportPartition) -> _PatternOutcome:
     cross = {nu2(p - q) for p in plus_c for q in minus_c}
     if len(cross) != 1:
         return _PatternOutcome(
-            False, klass, delta, None, None,
+            False, klass, delta, None,
             "crossing differences take more than one dyadic valuation",
         )
     alpha = cross.pop()
@@ -215,11 +213,11 @@ def reference_evaluate_pattern(partition: SupportPartition) -> _PatternOutcome:
         for j in range(i + 1, n_plus):
             if nu2(plus_c[i] - plus_c[j]) <= alpha:
                 return _PatternOutcome(
-                    False, klass, delta, None, alpha,
+                    False, klass, delta, None,
                     "a same-sign difference is not dyadically above the crossings",
                 )
     g = gcd_all([plus_c[0] - c for c in coords if c != plus_c[0]])
-    return _PatternOutcome(True, klass, delta, SymbolicTime(1, g, delta), alpha, None)
+    return _PatternOutcome(True, klass, delta, SymbolicTime(1, g, delta), None)
 
 
 def outcome(fn, *args):

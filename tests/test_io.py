@@ -278,14 +278,24 @@ def test_cli_bad_outputs_and_sweep_inputs_exit_2(tmp_path, capsys, argv, message
     assert err.startswith("precondition violated: ") and message in err
 
 
-def test_cli_near_tie_is_not_strongly_cospectral(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv, verdict",
+    [
+        (["join", "--left", "{path}", "--right", "O 1", "--pair", "0", "2"],
+         "pair (0, 2): not strongly cospectral in the join\n"),
+        (["analyze", "--graph", "{path}", "--pair", "0", "2"],
+         "pair (0, 2): not strongly cospectral\n"),
+    ],
+    ids=["join", "analyze"],
+)
+def test_cli_near_tie_is_not_strongly_cospectral(tmp_path, capsys, argv, verdict):
     # P3 with weights 1 and 1 + 1e-8: L[0, 0] and L[2, 2] differ, so the pair
     # is not cospectral, though its eigenbasis rows differ by about 1e-9 only
     path = tmp_path / "p3.json"
     save_graph(WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.00000001)]), path)
-    assert main(["join", "--left", str(path), "--right", "O 1", "--pair", "0", "2"]) == 0
+    assert main([a.format(path=path) for a in argv]) == 0
     out = capsys.readouterr().out
-    assert "pair (0, 2): not strongly cospectral in the join" in out
+    assert verdict in out
     assert "perfect state transfer 0 <-> 2: False" in out
 
 
@@ -453,8 +463,10 @@ def test_cli_analyze_52_bit_discriminant(tmp_path, capsys):
             "_evaluate_pattern",
             ["join", "--iterated", "O2 v K2", "--part", "1", "--pair", "0", "1"],
         ),
+        ("_evaluate_pattern", ["analyze", "--family", "C 4", "--pair", "0", "2"]),
+        ("_exact_min_period", ["analyze", "--family", "K 2"]),
     ],
-    ids=["two-part", "self", "iterated"],
+    ids=["two-part", "self", "iterated", "analyze-pair", "analyze-period"],
 )
 def test_cli_wrong_transfer_time_exit_code(capsys, monkeypatch, closed_form, argv):
     monkeypatch.setattr(transfer, closed_form, with_wrong_time(getattr(transfer, closed_form)))

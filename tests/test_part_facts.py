@@ -293,7 +293,7 @@ def test_join_period_ratio_carries_the_support_in_hand(monkeypatch, x, y, u, mat
 
     monkeypatch.setattr(transfer, "join_support", no_second_read)
     assert join_period_ratio(x, y, u, matrix=matrix) == want
-    assert join_period_ratio(y, x, u, matrix=matrix, side="right") == want
+    assert join_period_ratio(y, x, y.order + u, matrix=matrix) == want
 
 
 def test_a_support_read_as_one_value_raises_a_numeric_error():

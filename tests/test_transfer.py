@@ -43,7 +43,7 @@ from qwjoin import (
     threshold_transfer_search,
     transition_matrix,
 )
-from qwjoin.transfer import SymbolicTime
+from qwjoin.transfer import PeriodCertificate, SymbolicTime
 
 from conftest import (
     WRONG_TIME,
@@ -310,8 +310,9 @@ def test_join_period_ratio_quadratic_value():
 
 
 def test_join_period_ratio_right_side():
+    # join vertex 3 is vertex 1 of the right part
     rr = join_period_ratio(
-        family("K", 2), disjoint_union(family("O", 1), family("K", 2)), 1, side="right"
+        family("K", 2), disjoint_union(family("O", 1), family("K", 2)), 3
     )
     assert rr.ratio == Fraction(2) and rr.case == "disconnected-single"
 
@@ -362,10 +363,9 @@ def test_join_period_ratio_exact_on_large_cones(x, u, case, ratio):
 
 
 def test_pst_certificate_edge_and_cycle():
-    d = laplacian_decomp(family("K", 2))
-    cert = pst_certificate(d, 0, 1)
+    cert = pst_certificate(family("K", 2), 0, 1)
     assert cert.pst and cert.time == SymbolicTime(1, 2, 1)
-    cert = pst_certificate(laplacian_decomp(family("C", 4)), 0, 2)
+    cert = pst_certificate(family("C", 4), 0, 2)
     assert cert.pst and cert.time == SymbolicTime(1, 2, 1)
     assert cert.eigenvalue_class == "integer"
     assert cert.confirmation >= 1 - 1e-9
@@ -384,8 +384,7 @@ def test_a_support_integral_only_after_a_shift_is_labelled_so():
 
 
 def test_pst_certificate_quadratic_class():
-    d = decompose(graph_matrix(family("P", 3), "adjacency"))
-    cert = pst_certificate(d, 0, 2)
+    cert = pst_certificate(family("P", 3), 0, 2, "adjacency")
     assert cert.pst
     assert cert.eigenvalue_class == "quadratic" and cert.delta == 2
     assert cert.time == SymbolicTime(1, 1, 2)
@@ -393,10 +392,10 @@ def test_pst_certificate_quadratic_class():
 
 
 def test_pst_certificate_failures():
-    cert = pst_certificate(decompose(graph_matrix(family("K", 3), "adjacency")), 0, 1)
+    cert = pst_certificate(family("K", 3), 0, 1, "adjacency")
     assert not cert.pst and not cert.strong_cospectral
     # C6 antipodes are strongly cospectral but the valuations refuse
-    cert = pst_certificate(laplacian_decomp(family("C", 6)), 0, 3)
+    cert = pst_certificate(family("C", 6), 0, 3)
     assert not cert.pst and cert.strong_cospectral
 
 
@@ -1171,7 +1170,12 @@ def test_double_cone_on_a_million_vertices():
     assert cert.details["krylov_bound"] == 0.0
 
 
-# positive certificates, and the closed form each takes its time from
+def certified_time(cert):
+    """The transfer time of a PSTCertificate, or the period of a PeriodCertificate."""
+    return cert.symbolic if isinstance(cert, PeriodCertificate) else cert.time
+
+
+# positive certificates and a period, and the closed form each takes its time from
 CONFIRMED = {
     "join_pst": (
         "_join_certificate",
@@ -1185,19 +1189,25 @@ CONFIRMED = {
         "_evaluate_pattern",
         lambda: iterated_join_analysis(parse_iterated_spec("O2 v K2"), 1, 0, 1),
     ),
+    "pst_certificate": ("_evaluate_pattern", lambda: pst_certificate(family("C", 4), 0, 2)),
+    # |U(t)[0, 0]| = |cos t| on K2: pi/3 reaches 1/2, and no grid time below it revives
+    "minimum_period": (
+        "_exact_min_period",
+        lambda: minimum_period([2.0, 0.0], laplacian_decomp(family("K", 2)), 0),
+    ),
 }
 
 
 @pytest.mark.parametrize("name", list(CONFIRMED))
 def test_confirmation_catches_a_wrong_transfer_time(monkeypatch, name):
     closed_form, call = CONFIRMED[name]
-    assert call().pst
+    assert certified_time(call()) not in (None, WRONG_TIME)
     monkeypatch.setattr(transfer, closed_form, with_wrong_time(getattr(transfer, closed_form)))
     with pytest.raises(InconsistencyError, match="only reaches magnitude"):
         call()
-    # with the walk check stubbed out, nothing else notices
-    monkeypatch.setattr(transfer, "_confirm_transfer", lambda tree, u, v, cert, what: cert)
-    assert call().time == WRONG_TIME
+    # with the gate stubbed out, nothing else notices
+    monkeypatch.setattr(transfer, "_confirmed", lambda entry, what: float(abs(entry)))
+    assert certified_time(call()) == WRONG_TIME
 
 
 def count_whole_builds(monkeypatch, order: int | None) -> list:
@@ -1237,8 +1247,9 @@ def record_decompositions(monkeypatch) -> list:
 # every public join analysis, with the order of the join it answers for;
 # the search answers for joins of many orders (None)
 ANALYSES = {
-    **{name: (call, 4 if name == "iterated_join_analysis" else 8)
-       for name, (_, call) in CONFIRMED.items()},
+    **{name: (CONFIRMED[name][1], order)
+       for name, order in (("join_pst", 8), ("self_join_analysis", 8),
+                           ("iterated_join_analysis", 4))},
     # the edgeless O2 above is never decomposed; C4 and Q3 are
     "join_pst C4 v O4": (lambda: join_pst(family("C", 4), family("O", 4), 0, 2), 8),
     "self_join_analysis Q3": (lambda: self_join_analysis(family("Q", 3), 2, 0, 7), 16),

@@ -427,8 +427,7 @@ def test_krylov_entry_is_exact_when_the_space_is_whole():
 def test_krylov_dimension_is_the_join_support_size(x, y, kind):
     tree = JoinTree(Connective.JOIN, (x, y))
     for u in range(tree.order):
-        side, local = ("left", u) if u < x.order else ("right", u - x.order)
-        support = join_support(x, y, local, matrix=kind, side=side)
+        support = join_support(x, y, u, matrix=kind)
         assert lanczos_entry(whole_tree(tree), u, u, 1.0, kind).dimension == len(support)
 
 
