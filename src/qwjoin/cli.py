@@ -27,20 +27,19 @@ from .graphs import (
     parse_family_token,
     parse_iterated_spec,
 )
-from .spectral import eigenvalue_support, join_params, join_support, spectrum
+from .spectral import join_params, join_support, spectrum
 from .transfer import (
     APEXES,
     PSTCertificate,
     SymbolicTime,
     double_cone_pst,
-    graph_periodic,
     iterated_join_analysis,
     join_period_ratio,
     join_pst,
-    minimum_period,
     pst_certificate,
     self_join_analysis,
     threshold_transfer_search,
+    vertex_periods,
 )
 from .bounds import bound_sweep, equality_condition
 
@@ -53,8 +52,8 @@ def _parse_graph_arg(text: str) -> WeightedGraph:
     if Path(text).is_file():
         return load_graph(text)
     tokens = text.replace(",", " ").split()
-    if len(tokens) == 1:
-        graph = parse_family_token(tokens[0])
+    if len(tokens) <= 1:
+        graph = parse_family_token(tokens[0]) if tokens else None
         if graph is None:
             raise ValueError(f"no such file and no such family: {text!r}")
         return graph
@@ -185,7 +184,9 @@ def cmd_analyze(args) -> int:
         for lam, mult in zip(decomp.eigenvalues, decomp.multiplicities)
     )
     print(f"eigenvalues: {eigenvalues}")
-    print(f"all vertices periodic: {graph_periodic(graph, matrix)}")
+    readings = vertex_periods(decomp)
+    shown = {lam: float(_fmt(lam)) for lam in decomp.eigenvalues}  # supports print these
+    print(f"all vertices periodic: {all(cert.periodic for _, cert in readings)}")
     payload: dict = {
         "graph": graph,
         "matrix": matrix,
@@ -193,16 +194,14 @@ def cmd_analyze(args) -> int:
         "multiplicities": list(decomp.multiplicities),
         "vertices": [],
     }
-    for u in range(graph.order):
-        support = eigenvalue_support(decomp, u)
-        cert = minimum_period(support, decomp, u)
+    for u, (support, cert) in enumerate(readings):
         if cert.periodic and cert.symbolic is not None:
             period = f"periodic, minimum period {format_time(cert.symbolic)}"
         elif cert.periodic:
             period = "periodic"
         else:
             period = "not periodic"
-        print(f"vertex {u}: support {[float(_fmt(s)) for s in support]}; {period}")
+        print(f"vertex {u}: support {[shown[s] for s in support]}; {period}")
         payload["vertices"].append({"vertex": u, "support": support, "period": cert})
     if args.pair is not None:
         u, v = args.pair
@@ -222,7 +221,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_join(args) -> int:
     matrix = args.matrix
-    if args.iterated:
+    if args.iterated is not None:
         spec = parse_iterated_spec(args.iterated)
         if args.part is None or not 1 <= args.part <= len(spec.parts):
             raise ValueError(f"an iterated join analysis needs --part in 1..{len(spec.parts)}")
@@ -235,7 +234,7 @@ def cmd_join(args) -> int:
         _maybe_write(args, "join", {"plan": args.iterated, "part": args.part, "pst": cert})
         return 0
     x = _parse_graph_arg(args.left)
-    if args.self_count:
+    if args.self_count is not None:
         u, v = _check_pair(args.pair, x.order)
         cert = self_join_analysis(x, args.self_count, u, v, matrix=matrix)
         print(f"self join of a part of order {x.order}, {args.self_count} copies")
@@ -467,22 +466,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "join":
-            modes = [
-                bool(args.right),
-                bool(args.self_count),
-                bool(args.iterated),
-            ]
-            if sum(modes) != 1:
-                raise ValueError(
-                    "pick exactly one of --right, --self, or --iterated"
-                )
-            if (args.right or args.self_count) and not args.left:
+            # a mode is chosen by giving its flag, whatever its value: --self 0 is a self-join
+            modes = [args.right, args.self_count, args.iterated]
+            if sum(mode is not None for mode in modes) != 1:
+                raise ValueError("pick exactly one of --right, --self, or --iterated")
+            if args.iterated is None and args.left is None:
                 raise ValueError("--left is required for this mode")
-            if args.iterated and args.left:
+            if args.iterated is not None and args.left is not None:
                 raise ValueError("--left does not apply to --iterated")
-            if args.part is not None and not args.iterated:
+            if args.part is not None and args.iterated is None:
                 raise ValueError("--part applies to --iterated only")
-            if args.ratio and not args.right:
+            if args.ratio and args.right is None:
                 raise ValueError("--ratio applies to a join with --right only")
         return args.func(args)
     except (PreconditionError, ValueError, IntegerOverflowError) as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -160,9 +161,60 @@ class AnalysisReport:
     payload: object
 
 
+# json's spellings of the values whose float.__repr__ is not JSON
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _write(value, indent: str, out: list) -> None:
+    """Append value as json.dumps(value, sort_keys=True, indent=2) writes it at this indent.
+
+    The checks run in json's order (str, None, True, False, int, float), so
+    bools never print as ints. A list of finite floats is written in one join.
+    """
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None or value is True or value is False:
+        out.append(_CONSTANTS[value])
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        out.append(_NON_FINITE.get(text, text))
+    elif not isinstance(value, (list, tuple, dict)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        inner = indent + "  "
+        for i, key in enumerate(sorted(value)):
+            out.append((",\n" if i else "{\n") + inner + _quote(key) + ": ")
+            _write(value[key], inner, out)
+        out.append("\n" + indent + "}")
+    else:
+        inner = indent + "  "
+        try:
+            text = (",\n" + inner).join(map(float.__repr__, value))
+        except TypeError:  # float.__repr__ refuses an item that is not a float
+            text = "n"
+        if "n" in text:  # another item, or a nan or inf
+            for i, item in enumerate(value):
+                out.append((",\n" if i else "[\n") + inner)
+                _write(item, inner, out)
+        else:
+            out.append("[\n" + inner + text)
+        out.append("\n" + indent + "]")
+
+
 def report_to_json(report: AnalysisReport) -> str:
-    doc = {"kind": report.kind, "payload": to_jsonable(report.payload)}
-    return json.dumps(doc, sort_keys=True, indent=2)
+    """The report as json.dumps(doc, sort_keys=True, indent=2) writes it, byte for byte.
+
+    json writes with indent through its pure-Python encoder; _write does the
+    same with fewer calls.
+    """
+    out: list[str] = []
+    _write({"kind": report.kind, "payload": to_jsonable(report.payload)}, "", out)
+    return "".join(out)
 
 
 def report_from_json(text: str) -> AnalysisReport:

@@ -571,13 +571,15 @@ class _Quotient:
         sign = -1.0 if self.laplacian else 1.0
         roots = np.sqrt(self.partition.sizes.tolist() + [size for *_, size in self.ancestors])
         b = np.zeros((q, q))
-        b[block.rows, block.cols] = sign * block.weights
+        if len(block.weights):  # an edgeless leaf block writes nothing
+            b[block.rows, block.cols] = sign * block.weights
         for i, joined in enumerate(self.joins):
             if joined:  # all of the leaf and of every deeper cell
                 c = l + i
                 coupling = sign * roots[c]
                 b[:l, c] = coupling * roots[:l]
-                b[c, c + 1:] = coupling * roots[c + 1:]
+                if c + 1 < q:  # the deepest cell has none deeper
+                    b[c, c + 1:] = coupling * roots[c + 1:]
         b += b.T
         if self.laplacian:
             b.flat[: l * (q + 1) : q + 1] = self.partition.laplacian_diagonal + self.shift

@@ -135,6 +135,18 @@ def eigenvalue_support(decomp: SpectralDecomposition, u: int) -> list[float]:
     ]
 
 
+def vertex_supports(decomp: SpectralDecomposition) -> tuple[list[list[float]], np.ndarray]:
+    """eigenvalue_support of every vertex, and the weights it reads, in one NumPy pass.
+
+    weights[u, i] = ||V_i[u]||^2, the (u, u) entry of the i-th projector,
+    so row u holds what entry_vector(u, u) holds.
+    """
+    squares = np.hstack(decomp.bases) ** 2
+    weights = np.add.reduceat(squares, np.cumsum([0, *decomp.multiplicities[:-1]]), axis=1)
+    lams = np.asarray(decomp.eigenvalues)
+    return [lams[seen].tolist() for seen in np.sqrt(weights) > SUPPORT_TOL], weights
+
+
 def strong_cospectral(decomp: SpectralDecomposition, u: int, v: int) -> SupportPartition | None:
     """Sign partition of the common support, or None when the pair fails.
 

@@ -81,6 +81,7 @@ from .spectral import (
     join_support,
     spectrum,
     strong_cospectral,
+    vertex_supports,
 )
 from .walk import krylov_entry, transition_entries
 
@@ -373,6 +374,68 @@ def is_periodic(decomp: SpectralDecomposition, u: int) -> bool:
     return minimum_period(eigenvalue_support(decomp, u)).periodic
 
 
+def _read_period(support) -> PeriodCertificate:
+    """The minimum period a support gives on its own, not yet checked on any walk."""
+    vals = _merge_close(support)
+    if not vals:
+        raise ValueError("an empty support has no period")
+    if len(vals) == 1:
+        reason = "a one-point support keeps the vertex state fixed up to phase"
+        return PeriodCertificate(True, 0.0, None, vals, reason=reason)
+    exact = _exact_min_period(vals)
+    if exact is None:
+        reason = "eigenvalue difference ratios are not recognized as rational"
+        return PeriodCertificate(False, None, None, vals, reason=reason)
+    symbolic = _sym_time(*exact)
+    return PeriodCertificate(True, symbolic.value, symbolic, vals)
+
+
+def _walk_periods(
+    decomp: SpectralDecomposition, vertices, supports, weights: np.ndarray
+) -> list[PeriodCertificate]:
+    """Period certificates of the given vertices, each confirmed on the walk.
+
+    weights[j] is the row entry_vector(u, u) of vertices[j] = u. Each
+    distinct support is read once. Each period is confirmed at each of its
+    vertices, and its minimality is checked on the central half of a
+    1024-point grid, for all of its vertices in one product: any true
+    sub-period rho/j has a revival multiple within rho/(2j) <= rho/4 of the
+    midpoint, while continuity forces |U| -> 1 at both ends for every period.
+    """
+    readings: dict[tuple, PeriodCertificate] = {}
+    rows_of: dict[float, list[int]] = {}
+    certs = []
+    for j, (u, support) in enumerate(zip(vertices, supports)):
+        key = tuple(support)
+        if key not in readings:
+            readings[key] = _read_period(support)
+        reading, checked = readings[key], {}
+        if reading.symbolic is not None:
+            rho = reading.period
+            mag = _confirmed(transition_entries(decomp, u, u, [rho])[0], f"period {rho}")
+            checked = {"confirmation": mag, "minimal_on_grid": True}
+            rows_of.setdefault(rho, []).append(j)
+        certs.append(replace(reading, support=list(reading.support), **checked))
+    for rho, rows in rows_of.items():
+        grid = rho * np.arange(256, 769) / 1024.0
+        phases = np.exp(1j * np.outer(grid, decomp.eigenvalues))
+        if float(np.abs(phases @ weights[rows].T).max()) >= 1 - 1e-4:
+            raise InconsistencyError(
+                "a grid time below the computed minimum period already revives the state"
+            )
+    return certs
+
+
+def vertex_periods(decomp: SpectralDecomposition) -> list[tuple[list[float], PeriodCertificate]]:
+    """Each vertex's support and walk-confirmed minimum period, in one pass.
+
+    Vertex u gets (eigenvalue_support(decomp, u), minimum_period(that
+    support, decomp, u)), with the supports read in one NumPy pass.
+    """
+    supports, weights = vertex_supports(decomp)
+    return list(zip(supports, _walk_periods(decomp, range(decomp.size), supports, weights)))
+
+
 def minimum_period(
     support,
     decomp: SpectralDecomposition | None = None,
@@ -385,53 +448,17 @@ def minimum_period(
     failure of either check is an InconsistencyError. Without them, a phase
     alignment proxy guards against bogus rational reconstructions.
     """
-    vals = _merge_close(support)
-    if not vals:
-        raise ValueError("an empty support has no period")
-    if len(vals) == 1:
-        return PeriodCertificate(
-            True,
-            0.0,
-            None,
-            vals,
-            reason="a one-point support keeps the vertex state fixed up to phase",
-        )
-    exact = _exact_min_period(vals)
-    if exact is None:
-        return PeriodCertificate(
-            False,
-            None,
-            None,
-            vals,
-            reason="eigenvalue difference ratios are not recognized as rational",
-        )
-    mult, div = exact
-    symbolic = _sym_time(mult, div)
-    rho = symbolic.value
     if decomp is not None and u is not None:
-        mag = _confirmed(transition_entries(decomp, u, u, [rho])[0], f"period {rho}")
-        # central half of a 1024-point grid: any true sub-period rho/j has a
-        # revival multiple within rho/(2j) <= rho/4 of the midpoint, while
-        # continuity forces |U| -> 1 at both ends for every period
-        grid = rho * np.arange(256, 769) / 1024.0
-        mags = np.abs(transition_entries(decomp, u, u, grid))
-        if float(mags.max()) >= 1 - 1e-4:
-            raise InconsistencyError(
-                "a grid time below the computed minimum period already revives the state"
-            )
-        return PeriodCertificate(True, rho, symbolic, vals, confirmation=mag, minimal_on_grid=True)
-    phases = np.exp(1j * rho * np.asarray(vals))
+        return _walk_periods(decomp, [u], [support], decomp.entry_vector(u, u)[None])[0]
+    cert = _read_period(support)
+    if cert.symbolic is None:
+        return cert
+    phases = np.exp(1j * cert.period * np.asarray(cert.support))
     proxy = float(abs(np.mean(phases)))
     if proxy < CONFIRMATION_GATE:
-        return PeriodCertificate(
-            False,
-            None,
-            None,
-            vals,
-            confirmation=proxy,
-            reason="the reconstructed period fails the phase alignment check",
-        )
-    return PeriodCertificate(True, rho, symbolic, vals, confirmation=proxy)
+        reason = "the reconstructed period fails the phase alignment check"
+        return PeriodCertificate(False, None, None, cert.support, confirmation=proxy, reason=reason)
+    return replace(cert, confirmation=proxy)
 
 
 def join_periodic(

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qwjoin.cli as cli
 import qwjoin.transfer as transfer
@@ -85,6 +86,50 @@ def test_partition_survives_json():
     part = SupportPartition([4.0, 0.0], [2.0])
     report = AnalysisReport(kind="partition", payload={"partition": part})
     assert report_from_json(report_to_json(report)).payload["partition"] == part
+
+
+# floats json spells its own way, and floats either side of the points where
+# repr switches between fixed and exponent notation
+_EDGE_FLOATS = st.sampled_from([
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 9999999999999998.0, -1e16,
+    1e-5, 9.999999999999999e-06, 0.0001, 5e-324, 1.7976931348623157e308,
+])
+_FLOATS = st.one_of(_EDGE_FLOATS, st.floats(), st.floats().map(np.float64))
+_TEXT = st.one_of(st.text(), st.sampled_from(["", "\x00\x1f\n\t\"\\", "\u00e9\u2028\ud800", "\U0001f600"]))
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    _FLOATS,
+    _TEXT,
+    st.lists(_FLOATS, max_size=6),  # the one-join path
+    st.fractions(),
+    st.just([]),
+    st.just({}),
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.tuples(inner, inner),
+        # keys like __fraction__ are the format's type tags, not payload keys
+        st.dictionaries(_TEXT.filter(lambda key: not key.startswith("__")), inner, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=_TEXT, payload=_VALUES)
+def test_report_writer_matches_json_dumps_byte_for_byte(kind, payload):
+    report = AnalysisReport(kind=kind, payload=payload)
+    text = report_to_json(report)
+    doc = {"kind": kind, "payload": to_jsonable(payload)}
+    assert text == json.dumps(doc, sort_keys=True, indent=2)
+    back = report_from_json(text)
+    assert back.kind == kind
+    assert report_to_json(back) == text
 
 
 def test_cli_analyze_exits_cleanly(capsys):
@@ -382,9 +427,19 @@ def test_cli_eigenvalues_past_the_float_range_exit_2(tmp_path, capsys):
          "--ratio"),
         (["join", "--iterated", "O2 v O2", "--left", "P 3", "--part", "1", "--pair", "0", "1"],
          "--left"),
+        # a flag given picks its mode, whatever its value
+        (["join", "--left", "P 3", "--right", "O 2", "--self", "0", "--pair", "0", "1"],
+         "pick exactly one"),
+        (["join", "--left", "P 3", "--right", "", "--self", "3", "--pair", "0", "1"],
+         "pick exactly one"),
+        (["join", "--left", "P 3", "--self", "0", "--pair", "0", "1"],
+         "a self-join needs at least two copies"),
+        (["join", "--left", "P 3", "--right", "", "--pair", "0", "1"],
+         "no such file and no such family: ''"),
     ],
     ids=["part-with-right", "part-with-self", "ratio-with-self", "ratio-with-iterated",
-         "left-with-iterated"],
+         "left-with-iterated", "right-with-self-0", "empty-right-with-self", "self-0",
+         "empty-right"],
 )
 def test_cli_join_flags_of_another_mode_exit_2(capsys, argv, message):
     assert main(argv) == 2

@@ -42,6 +42,7 @@ from qwjoin import (
     strong_cospectral,
     threshold_transfer_search,
     transition_matrix,
+    vertex_periods,
 )
 from qwjoin.transfer import PeriodCertificate, SymbolicTime
 
@@ -244,6 +245,35 @@ def test_minimum_period_shifted_support():
     d = decompose(graph_matrix(g, "adjacency"))
     cert = minimum_period(eigenvalue_support(d, 0), d, 0)
     assert cert.periodic and cert.symbolic == SymbolicTime(1, 1, 1)
+
+
+# the atlas graphs on 1-6 vertices under both matrices, a weighted part, and a
+# looped part (adjacency only, as the Laplacian ignores loops)
+ONE_PASS_CASES = [
+    (WeightedGraph(g.number_of_nodes(), [(a, b, 1.0) for a, b in g.edges()]), matrix)
+    for g in networkx.graph_atlas_g()
+    if 1 <= g.number_of_nodes() <= 6
+    for matrix in ("laplacian", "adjacency")
+] + [
+    (WeightedGraph(4, [(0, 1, 2.0), (1, 2, 1.0), (2, 3, 2.0), (0, 3, 1.0), (0, 2, 3.0)]),
+     "laplacian"),
+    (WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)], loops=[(0, 0.5), (2, 0.5)]), "adjacency"),
+]
+
+
+def test_vertex_periods_reads_each_vertex_as_minimum_period_does():
+    several = periodic = 0
+    for graph, matrix in ONE_PASS_CASES:
+        d = spectral.spectrum(graph, matrix)
+        readings = vertex_periods(d)
+        assert len(readings) == graph.order
+        for u, (support, cert) in enumerate(readings):
+            assert support == eigenvalue_support(d, u), (graph, matrix, u)
+            assert cert == minimum_period(support, d, u), (graph, matrix, u)
+            periodic += cert.minimal_on_grid is True
+        several += len({cert.period for _, cert in readings if cert.periodic}) > 1
+    # the pass met vertices checked on a grid, and graphs with several periods
+    assert periodic > 700 and several > 100, (periodic, several)
 
 
 # ---------------------------------------------------------------------------
