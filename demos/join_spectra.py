@@ -44,8 +44,7 @@ def main():
     params = join_params(k6, k2, "adjacency")
     print(
         f"K6 v K2 adjacency: degrees {params.k}, {params.ell}, "
-        f"discriminant {params.discriminant}, "
-        f"new eigenvalues {params.lam_plus}, {params.lam_minus}"
+        f"new eigenvalues {params.lam_plus}, {params.lam_minus}, {params.root} apart"
     )
     print(f"vertex 0 support: {join_support(k6, k2, 0, matrix='adjacency')}")
 

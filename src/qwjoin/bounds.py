@@ -6,7 +6,7 @@ order. These sweeps measure the resulting deviation of entry magnitudes,
 find when the bound is tight, and check that the deviation vanishes
 exactly on the shared time lattice. Both matrices are swept alike: the
 lift e^{it phase_rate} and the lattice of the integer fresh offsets come
-from spectral.join_reading.
+from the join's spectral.JoinParams record.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from .arith import nu2
 from .errors import InconsistencyError
 from .graphs import WeightedGraph
-from .spectral import join_params, join_reading, spectrum
+from .spectral import join_params, spectrum
 from .walk import alpha, in_T, transition_entries, transition_matrix
 
 
@@ -56,9 +56,12 @@ def _sweep_times(
 
     base is pi over the gcd of the integer fresh offsets; with no offsets
     there is no lattice. t_max defaults to 4 pi when there is a lattice and
-    to 20 otherwise. It must be finite and positive, and the lattice may
-    hold at most samples points; both are checked before any time is built.
+    to 20 otherwise. samples must be at least 1, t_max finite and positive,
+    and the lattice may hold at most samples points; all are checked before
+    any time is built.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     base = math.pi / math.gcd(*offsets) if offsets else None
     if t_max is None:
         t_max = 4 * math.pi if base is not None else 20.0
@@ -87,7 +90,7 @@ def equality_condition(
     """
     params = join_params(x, y, matrix)
     bound = 2.0 / params.m
-    offsets = join_reading(params, matrix).offsets
+    offsets = params.offsets
     if offsets is None:
         return {
             "bound": bound,
@@ -100,7 +103,7 @@ def equality_condition(
     result["base_time"] = math.pi / g
     result["witness_times"] = "odd multiples of the base time"
     if achievable:
-        witness = abs(alpha(params, math.pi / g, matrix))
+        witness = abs(alpha(params, math.pi / g))
         if abs(witness - bound) > 1e-9:
             raise InconsistencyError(
                 f"the equality witness reaches {witness}, not the bound {bound}"
@@ -129,12 +132,11 @@ def bound_sweep(
     m = params.m
     if not (0 <= u < m and 0 <= v < m):
         raise ValueError("the pair must lie in the left part")
-    reading = join_reading(params, matrix)
-    times, structured = _sweep_times(reading.offsets, 1, t_max, samples)
+    times, structured = _sweep_times(params.offsets, 1, t_max, samples)
     decomp = spectrum(x, matrix)
     part = transition_entries(decomp, u, v, times)
-    correction = alpha(params, times, matrix)
-    joined = np.exp(1j * reading.phase_rate * times) * (part + correction)
+    correction = alpha(params, times)
+    joined = np.exp(1j * params.phase_rate * times) * (part + correction)
     deviation = np.abs(joined) - np.abs(part)
     bound = 2.0 / m
     max_abs = float(np.abs(deviation).max())
@@ -176,15 +178,14 @@ def mimicry_sweep(
     full-magnitude part entries force negative deviation).
     """
     params = join_params(x, y, matrix)
-    reading = join_reading(params, matrix)
-    times, lattice = _sweep_times(reading.offsets, 2, t_max, samples)
+    times, lattice = _sweep_times(params.offsets, 2, t_max, samples)
     part_block = transition_matrix(x, times, matrix)
-    correction = alpha(params, times, matrix)[:, None, None]
+    correction = alpha(params, times)[:, None, None]
     join_block = part_block + correction
-    join_block *= np.exp(1j * reading.phase_rate * times)[:, None, None]
+    join_block *= np.exp(1j * params.phase_rate * times)[:, None, None]
     deviation = np.abs(join_block) - np.abs(part_block)
     for t in lattice:
-        if not in_T(params, t, matrix):
+        if not in_T(params, t):
             raise InconsistencyError(f"a lattice time {t} fails the membership test")
         if np.abs(deviation[int(np.searchsorted(times, t))]).max() > 1e-8:
             raise InconsistencyError("the deviation does not vanish on the time lattice")

@@ -821,14 +821,20 @@ class IteratedJoinSpec:
     def graphs(self) -> list[WeightedGraph]:
         return [g for g, _ in self.parts]
 
+    def part(self, j: int, *vertices: int) -> WeightedGraph:
+        """Part j (1-based), once j and each of the part-local vertices are checked in range."""
+        if not 1 <= j <= len(self.parts):
+            raise ValueError(f"part index {j} out of range")
+        part = self.parts[j - 1][0]
+        for u in vertices:
+            if not 0 <= u < part.order:
+                raise ValueError(f"vertex {u} out of range for part {j}")
+        return part
+
 
 def iterated_vertex(spec: IteratedJoinSpec, j: int, u: int) -> int:
     """Global index of vertex u of part j (1-based) in the built graph."""
-    if not 1 <= j <= len(spec.parts):
-        raise ValueError(f"part index {j} out of range")
-    part = spec.parts[j - 1][0]
-    if not 0 <= u < part.order:
-        raise ValueError(f"vertex {u} out of range for part {j}")
+    spec.part(j, u)
     return sum(g.order for g, _ in spec.parts[: j - 1]) + u
 
 
@@ -872,6 +878,8 @@ def parse_iterated_spec(text: str) -> IteratedJoinSpec:
     conn: Connective | None = None
     for i, tok in enumerate(tokens):
         if i % 2 == 0:
+            if tok.startswith("O_loops"):
+                raise ValueError(f"plan parts must be simple graphs, got {tok!r}")
             graph = parse_family_token(tok)
             if graph is None:
                 raise ValueError(f"unknown graph token {tok!r}")

@@ -6,9 +6,11 @@ orthonormal block of eigenvectors that spans its eigenspace. Supports and
 sign partitions read rows of those blocks. spectrum() decomposes a graph's
 matrix once and caches the result on the (immutable) graph.
 
-carry_join is the one place where a part's support or sign partition is
-carried across a join; carry_stage takes it across one stage of an
-iterated plan, and carry_through_plan folds that over the whole plan.
+JoinParams is the one record of a join, under either matrix, and
+join_side the one reader of join vertex numbers. carry_join is the one
+place where a part's support or sign partition is carried across a join;
+carry_stage takes it across one stage of an iterated plan, and
+carry_through_plan folds that over the whole plan.
 """
 
 from __future__ import annotations
@@ -199,97 +201,99 @@ def _contains(values, x: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JoinParams:
-    """Orders and (for adjacency analyses) regularity data of a join."""
+class JoinParams(NamedTuple):
+    """One join: its part orders, its matrix and its reading as an adjacency-type join.
+
+    Build it with JoinParams.of or join_params. k and ell are the parts'
+    regular degrees under the adjacency matrix, None under the Laplacian.
+    The join walk at t is e^{it phase_rate} times, at time_sign * t, the
+    walk of an adjacency-type join whose left part has the eigenvalue
+    distinguished (0 or k) and whose fresh eigenvalues lam_plus and
+    lam_minus lie root apart. Into the join, the part's distinguished
+    eigenvalue gives way to the fresh pair, (m + n, 0) or (lam_plus,
+    lam_minus), and every other part eigenvalue moves by phase_rate.
+    offsets are lam_plus - distinguished > 0 and lam_minus - distinguished
+    < 0 as exact ints, or None when they are not integers; gap is the
+    integer k - ell, or None. Negated and shifted by n, L(X v Y) is the
+    adjacency-type join of -L(X) with ell = n - m: its reading is
+    (0, n, -m, m + n, -1, n, (n, -m)) in exact ints, and its gap m - n.
+    """
 
     m: int
     n: int
-    k: float | None = None
-    ell: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.m < 1 or self.n < 1:
-            raise ValueError("join parts must be nonempty")
-        if (self.k is None) != (self.ell is None):
-            raise ValueError("supply both degrees or neither")
-
-    def _need_degrees(self) -> tuple[float, float]:
-        if self.k is None or self.ell is None:
-            raise ValueError("adjacency join parameters need both degrees")
-        return self.k, self.ell
-
-    @property
-    def discriminant(self) -> float:
-        k, ell = self._need_degrees()
-        return (k - ell) ** 2 + 4.0 * self.m * self.n
-
-    @property
-    def lam_plus(self) -> float:
-        k, ell = self._need_degrees()
-        return (k + ell + math.sqrt(self.discriminant)) / 2.0
-
-    @property
-    def lam_minus(self) -> float:
-        k, ell = self._need_degrees()
-        return (k + ell - math.sqrt(self.discriminant)) / 2.0
-
-
-class JoinReading(NamedTuple):
-    """A join under either matrix, read as an adjacency-type join (join_reading).
-
-    The join walk at t is e^{it phase_rate} times, at time_sign * t, the walk
-    of a join of a k-regular part whose fresh eigenvalues lam_plus and
-    lam_minus lie root apart. offsets are lam_plus - k > 0 and
-    lam_minus - k < 0 as exact ints, or None when they are not integers.
-    """
-
-    k: float
-    lam_plus: float
-    lam_minus: float
-    root: float
+    matrix: str
+    k: float | None
+    ell: float | None
+    distinguished: float
+    lam_plus: float | int
+    lam_minus: float | int
+    root: float | int
     time_sign: int
     phase_rate: int
     offsets: tuple[int, int] | None
+    gap: int | None
+    fresh: tuple[float, float]
 
+    @classmethod
+    def of(
+        cls, m: int, n: int, matrix: str, k: float | None = None, ell: float | None = None
+    ) -> JoinParams:
+        """The record of a join of part orders m and n; k and ell count under adjacency only.
 
-def join_reading(params: JoinParams, matrix: str) -> JoinReading:
-    """The adjacency-type reading of a join, in exact ints for the Laplacian.
-
-    Negated and shifted by n, L(X v Y) is the adjacency-type join of -L(X):
-    k = 0, lam_plus = n, lam_minus = -m and root = m + n. The adjacency
-    offsets are (r - g) / 2 and -(r + g) / 2 for an integer gap g = k - ell
-    and r = isqrt(g^2 + 4mn), when r^2 = g^2 + 4mn.
-    """
-    m, n = params.m, params.n
-    if matrix == "laplacian":
-        return JoinReading(0, n, -m, m + n, -1, n, (n, -m))
-    if matrix != "adjacency":
-        raise ValueError(f"unknown matrix kind {matrix!r}")
-    k, ell = params._need_degrees()
-    offsets = None
-    gap = nearest_integer(float(k) - float(ell))
-    if gap is not None:
-        d = gap * gap + 4 * m * n
-        r = math.isqrt(d)
-        if r * r == d:
-            offsets = ((r - gap) // 2, -(r + gap) // 2)
-    root = math.sqrt(params.discriminant)
-    return JoinReading(float(k), params.lam_plus, params.lam_minus, root, 1, 0, offsets)
+        The adjacency offsets are (r - g) / 2 and -(r + g) / 2 for the
+        integer gap g = k - ell and r = isqrt(g^2 + 4mn), when r^2 = g^2 + 4mn.
+        """
+        if m < 1 or n < 1:
+            raise ValueError("join parts must be nonempty")
+        if matrix == "laplacian":
+            return cls(m, n, matrix, None, None, 0.0, n, -m, m + n, -1, n, (n, -m), m - n,
+                       (float(m + n), 0.0))
+        if matrix != "adjacency":
+            raise ValueError(f"unknown matrix kind {matrix!r}")
+        if k is None or ell is None:
+            raise ValueError("adjacency join parameters need both degrees")
+        root = math.sqrt((k - ell) ** 2 + 4.0 * m * n)
+        lam_plus, lam_minus = (k + ell + root) / 2.0, (k + ell - root) / 2.0
+        offsets = None
+        gap = nearest_integer(float(k) - float(ell))
+        if gap is not None:
+            d = gap * gap + 4 * m * n
+            r = math.isqrt(d)
+            if r * r == d:
+                offsets = ((r - gap) // 2, -(r + gap) // 2)
+        return cls(m, n, matrix, k, ell, float(k), lam_plus, lam_minus, root, 1, 0, offsets, gap,
+                   (lam_plus, lam_minus))
 
 
 def join_params(x: WeightedGraph, y: WeightedGraph, matrix: str) -> JoinParams:
-    if matrix == "laplacian":
-        if not (is_simple(x) and is_simple(y)):
-            raise PreconditionError("Laplacian join analysis requires simple parts")
-        return JoinParams(x.order, y.order)
+    """The record of join(x, y): Laplacian analyses need simple parts, adjacency ones regular."""
+    k = ell = None
+    if matrix == "laplacian" and not (is_simple(x) and is_simple(y)):
+        raise PreconditionError("Laplacian join analysis requires simple parts")
     if matrix == "adjacency":
-        k = is_regular(x)
-        ell = is_regular(y)
+        k, ell = is_regular(x), is_regular(y)
         if k is None or ell is None:
             raise PreconditionError("adjacency join analysis requires regular parts")
-        return JoinParams(x.order, y.order, k, ell)
-    raise ValueError(f"unknown matrix kind {matrix!r}")
+    return JoinParams.of(x.order, y.order, matrix, k, ell)
+
+
+def join_side(
+    x: WeightedGraph, y: WeightedGraph, u: int, v: int, matrix: str
+) -> tuple[JoinParams, WeightedGraph, int, int, bool]:
+    """(params, part, u, v, cross): join vertices u and v read on their side of join(x, y).
+
+    u and v index the join: the left part keeps its labels, and w >= m is
+    vertex w - m of the right part. A pair on one side is read in its own
+    part, which params has on the left: for a right-side pair params is
+    the swapped join's record, and u and v are local. A cross pair keeps
+    x on the left and its join numbering.
+    """
+    m = x.order
+    if not (0 <= u < m + y.order and 0 <= v < m + y.order):
+        raise ValueError("vertex out of range for the join")
+    if u >= m and v >= m:
+        return join_params(y, x, matrix), y, u - m, v - m, False
+    return join_params(x, y, matrix), x, u, v, (u < m) != (v < m)
 
 
 @dataclass
@@ -310,30 +314,24 @@ class SupportPartition:
 def carry_join(
     part: SupportPartition | None,
     params: JoinParams,
-    matrix: str,
     connected: bool,
     isolated_pair: bool = False,
 ) -> SupportPartition | None:
     """The join rule: carry a left part's vertex support or pair partition into the join.
 
     params describes the join with the part on the left, so m is the
-    part's order. Let d be the part's distinguished eigenvalue, 0 for the
-    Laplacian and k for the adjacency matrix. Every other eigenvalue moves
-    by n (Laplacian) or stays (adjacency); d gives way to the two fresh
-    join eigenvalues, m + n and 0 or lam_plus and lam_minus, plus its moved
-    self when the part is disconnected. The result is None when part is
-    None (the pair is not strongly cospectral within the part) or when a
-    flipping eigenvalue lands on a fresh one. The exception is an edgeless
-    two-vertex part (isolated_pair), whose pair is never strongly
+    part's order. The part's distinguished eigenvalue d (0 for the
+    Laplacian, k for the adjacency matrix) gives way to the join's fresh
+    pair, m + n and 0 or lam_plus and lam_minus, plus its moved self when
+    the part is disconnected; every eigenvalue moves by phase_rate (n for
+    the Laplacian, 0 for the adjacency matrix). The result is None when
+    part is None (the pair is not strongly cospectral within the part) or
+    when a flipping eigenvalue lands on a fresh one. The exception is an
+    edgeless two-vertex part (isolated_pair), whose pair is never strongly
     cospectral within it but always is in the join: the fresh eigenvalues
     against the moved d.
     """
-    if matrix == "laplacian":
-        d, shift = 0.0, float(params.n)
-        fresh = [float(params.m + params.n), 0.0]
-    else:
-        d, shift = float(params.k), 0.0  # type: ignore[arg-type]
-        fresh = [params.lam_plus, params.lam_minus]
+    d, shift, fresh = params.distinguished, params.phase_rate, list(params.fresh)
     if isolated_pair:
         return SupportPartition(fresh, [d + shift])
     if part is None or any(_contains(part.minus, f - shift) for f in fresh):
@@ -353,22 +351,16 @@ def join_support(
 ) -> list[float]:
     """Eigenvalue support of join vertex u, from its part's spectrum alone.
 
-    u indexes the join: the left part keeps its labels, and u >= m is
-    vertex u - m of the right part. Laplacian analyses need both parts
-    simple; adjacency analyses need both parts regular.
+    u indexes the join as join_side reads it. Laplacian analyses need both
+    parts simple; adjacency analyses need both parts regular.
     """
-    params = join_params(x, y, matrix)
-    if not 0 <= u < params.m + params.n:
-        raise ValueError(f"vertex {u} out of range for the join")
-    if u >= params.m:
-        return join_support(y, x, u - params.m, matrix=matrix)
-    own = eigenvalue_support(spectrum(x, matrix), u)
-    return carry_support(own, params, matrix, is_connected(x))
+    params, part, u, _, _ = join_side(x, y, u, u, matrix)
+    return carry_support(eigenvalue_support(spectrum(part, matrix), u), params, is_connected(part))
 
 
-def carry_support(own: list[float], params: JoinParams, matrix: str, connected: bool) -> list[float]:
+def carry_support(own: list[float], params: JoinParams, connected: bool) -> list[float]:
     """The join rule for one vertex: its support own in the left part, carried into the join."""
-    return carry_join(SupportPartition(own, []), params, matrix, connected).plus
+    return carry_join(SupportPartition(own, []), params, connected).plus
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +388,8 @@ def carry_stage(
     carried, order, connected = state
     side_isolated = isolated_pair and order == 2
     if conn is Connective.JOIN and (carried is not None or side_isolated):
-        params = JoinParams(order, graph.order)
-        carried = carry_join(carried, params, "laplacian", connected, side_isolated)
+        params = JoinParams.of(order, graph.order, "laplacian")
+        carried = carry_join(carried, params, connected, side_isolated)
     if carried is None:
         return None
     return carried, order + graph.order, conn is Connective.JOIN
@@ -420,14 +412,23 @@ def carry_through_plan(
     graph, conn = spec.parts[j - 1]
     order = sum(g.order for g, _ in spec.parts[: j - 1])
     if conn is Connective.JOIN:
-        params = JoinParams(graph.order, order)
-        own = carry_join(own, params, "laplacian", is_connected(graph), isolated_pair)
+        params = JoinParams.of(graph.order, order, "laplacian")
+        own = carry_join(own, params, is_connected(graph), isolated_pair)
     state = (own, order + graph.order, is_connected(graph) if j == 1 else conn is Connective.JOIN)
     for graph, conn in spec.parts[j:]:
         state = carry_stage(state, graph, conn, isolated_pair)
         if state is None:
             return None
     return state[0]
+
+
+def laplacian_plan_part(spec: IteratedJoinSpec, j: int, *vertices: int) -> WeightedGraph:
+    """spec.part(j, *vertices) of a plan for Laplacian analysis, whose parts must all be simple."""
+    part = spec.part(j, *vertices)
+    for graph, _ in spec.parts:
+        if not is_simple(graph):
+            raise PreconditionError("Laplacian join analysis requires simple parts")
+    return part
 
 
 def iterated_join_support(
@@ -446,14 +447,5 @@ def iterated_join_support(
         raise PreconditionError(
             "iterated join supports are provided for the Laplacian only"
         )
-    parts = spec.parts
-    if not 1 <= j <= len(parts):
-        raise ValueError(f"part index {j} out of range")
-    for graph, _ in parts:
-        if not is_simple(graph):
-            raise PreconditionError("Laplacian join analysis requires simple parts")
-    part = parts[j - 1][0]
-    if not 0 <= u < part.order:
-        raise ValueError(f"vertex {u} out of range for part {j}")
-    own = eigenvalue_support(spectrum(part, "laplacian"), u)
+    own = eigenvalue_support(spectrum(laplacian_plan_part(spec, j, u), "laplacian"), u)
     return carry_through_plan(spec, j, SupportPartition(own, [])).plus

@@ -11,9 +11,11 @@ The Laplacian and adjacency joins are one statement on the part side.
 Negated and shifted by n, L(X v Y) is the adjacency-type join of -L(X),
 with distinguished eigenvalue k = 0, and -L(Y) + (n - m)I, of row sum
 ell = n - m; its fresh eigenvalues are lam_plus = n and lam_minus = -m,
-and sqrt(D) = m + n. So the adjacency rules applied to the negated
-Laplacian part eigenvalues are the Laplacian rules, and the period-ratio
-table (_ratio_formula) is written once for both matrices. The Laplacian data
+and sqrt(D) = m + n. spectral.JoinParams records that reading of each
+join, and spectral.join_side reads each join vertex pair on its side. So
+the adjacency rules applied to the negated Laplacian part eigenvalues are
+the Laplacian rules, and the period-ratio table (_ratio_formula) is
+written once for both matrices. The Laplacian data
 enter it as ints on one common denominator; every ratio the table reads is
 one of differences, so the scale changes none of them.
 
@@ -77,8 +79,9 @@ from .spectral import (
     carry_through_plan,
     eigenvalue_support,
     join_params,
-    join_reading,
+    join_side,
     join_support,
+    laplacian_plan_part,
     spectrum,
     strong_cospectral,
     vertex_supports,
@@ -274,22 +277,17 @@ def join_strong_cospectral(
 ) -> SupportPartition | None:
     """Sign partition of a join pair, computed from one part's spectrum.
 
-    u and v index the joined graph: the left part keeps its labels, the
-    right part is shifted by the left order. Cross pairs fail except when
-    both parts are single vertices (a weight-one edge, whose endpoints are
-    strongly cospectral whenever the loop weights agree). A two-vertex
-    edgeless left part is the one case where a pair that is not strongly
-    cospectral within its part becomes so in the join.
+    u and v index the joined graph as spectral.join_side reads it. Cross
+    pairs fail except when both parts are single vertices (a weight-one
+    edge, whose endpoints are strongly cospectral whenever the loop weights
+    agree). A two-vertex edgeless part is the one case where a pair that is
+    not strongly cospectral within its part becomes so in the join.
     """
-    params = join_params(x, y, matrix)
-    m, n = params.m, params.n
-    total = m + n
     if u == v:
         raise ValueError("strong cospectrality concerns two distinct vertices")
-    if not (0 <= u < total and 0 <= v < total):
-        raise ValueError("vertex out of range for the join")
-    if (u < m) != (v < m):
-        if m == 1 and n == 1:
+    params, part, u, v, cross = join_side(x, y, u, v, matrix)
+    if cross:
+        if params.m == 1 and params.n == 1:
             if matrix == "laplacian":
                 return SupportPartition([0.0], [2.0])
             a = float(x.loop_weights.sum())  # a single vertex's loop, or 0.0
@@ -297,10 +295,8 @@ def join_strong_cospectral(
             if _close(a, b):
                 return SupportPartition([a + 1.0], [a - 1.0])
         return None
-    if u >= m:
-        return join_strong_cospectral(y, x, u - m, v - m, matrix=matrix)
-    own, isolated_pair = _own_partition(x, matrix, u, v)
-    return carry_join(own, params, matrix, is_connected(x), isolated_pair)
+    own, isolated_pair = _own_partition(part, matrix, u, v)
+    return carry_join(own, params, is_connected(part), isolated_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -631,17 +627,11 @@ def join_period_ratio(
     eigenvalue lattices of both walks. The two must agree exactly or an
     InconsistencyError is raised.
     """
-    params = join_params(x, y, matrix)
+    params, part, u, _, _ = join_side(x, y, u, u, matrix)
     m, n = params.m, params.n
-    if not 0 <= u < m + n:
-        raise ValueError("vertex out of range for the join")
-    if u >= m:
-        return join_period_ratio(y, x, u - m, matrix=matrix)
-    decomp = spectrum(x, matrix)
-    support = eigenvalue_support(decomp, u)
-    connected = is_connected(x)
-    distinguished = 0.0 if matrix == "laplacian" else float(params.k)  # type: ignore[arg-type]
-    others = [v for v in support if not _close(v, distinguished)]
+    support = eigenvalue_support(spectrum(part, matrix), u)
+    connected = is_connected(part)
+    others = [v for v in support if not _close(v, params.distinguished)]
     if len(others) == len(support):
         raise InconsistencyError(
             "the distinguished eigenvalue is missing from the vertex support"
@@ -651,7 +641,7 @@ def join_period_ratio(
             "the vertex support is a single eigenvalue, so no period ratio is defined"
         )
     per_x = _exact_min_period(_merge_close(support))
-    per_j = _exact_min_period(carry_support(support, params, matrix, connected))
+    per_j = _exact_min_period(carry_support(support, params, connected))
     if per_x is None:
         raise PreconditionError("the part walk is not periodic at this vertex")
     if per_j is None:
@@ -891,9 +881,7 @@ def _transfer_tree(
     return False, "no-valuation-pattern", "no dyadic valuation pattern matches the support"
 
 
-def _join_certificate(
-    x: WeightedGraph, u: int, v: int, params: JoinParams, matrix: str
-) -> PSTCertificate:
+def _join_certificate(x: WeightedGraph, u: int, v: int, params: JoinParams) -> PSTCertificate:
     """Certificate of a pair of x, the left part of the join that params describes.
 
     carry_join carries the pair's partition and the pattern scores it. A
@@ -903,14 +891,14 @@ def _join_certificate(
     join support's differences. Other adjacency joins take the pattern's
     verdict, behind the not-cospectral and collision gates.
     """
-    m, n = params.m, params.n
+    m, n, matrix = params.m, params.n, params.matrix
     details: dict = {}
+    regular = params.gap == m - n  # always so for the Laplacian
     if matrix == "laplacian":
-        regular, square = True, True
+        square = True
         odd = "an odd join order" if (m + n) % 2 else None
     else:
-        k = float(params.k)  # type: ignore[arg-type]
-        regular = nearest_integer(k - float(params.ell)) == m - n  # type: ignore[arg-type]
+        k = params.distinguished
         if regular:  # D = (k - ell)^2 + 4mn = (m + n)^2, whatever the degrees
             d, square = (m + n) ** 2, True
             # k + ell = 2k - (m - n): for an integer k, the parity of m + n
@@ -928,7 +916,7 @@ def _join_certificate(
         details = {"discriminant": d, "discriminant_square": square}
     own, isolated_pair = _own_partition(x, matrix, u, v)
     connected = is_connected(x)
-    jpart = carry_join(own, params, matrix, connected, isolated_pair)
+    jpart = carry_join(own, params, connected, isolated_pair)
     outcome = _evaluate_pattern(jpart) if jpart is not None else None
     verdict = bool(outcome and outcome.ok)
     if regular:
@@ -1007,17 +995,16 @@ def join_pst(
 ) -> PSTCertificate:
     """Transfer certificate for a join pair, from the parts alone.
 
-    A positive verdict is confirmed on an independently computed walk of
-    the join (_confirm_transfer), which never builds the joined graph.
+    u and v index the join as spectral.join_side reads it. A positive
+    verdict is confirmed on an independently computed walk of the join
+    (_confirm_transfer), which never builds the joined graph; a pair in
+    the right part is analysed, and confirmed, in the swapped join.
     """
-    params = join_params(x, y, matrix)
-    m, n = params.m, params.n
-    total = m + n
     if u == v:
         raise ValueError("transfer concerns two distinct vertices")
-    if not (0 <= u < total and 0 <= v < total):
-        raise ValueError("vertex out of range for the join")
-    if (u < m) != (v < m):
+    params, part, pu, pv, cross = join_side(x, y, u, v, matrix)
+    right = pu != u  # a right-side pair, read in the swapped join
+    if cross:
         partition = join_strong_cospectral(x, y, u, v, matrix=matrix)
         if partition is None:
             return _certificate(
@@ -1028,12 +1015,13 @@ def join_pst(
         # cross pair that is strongly cospectral; score its pattern directly
         outcome = _evaluate_pattern(partition)
         cert = _certificate(u, v, matrix, partition, outcome, details={"branch": "single-edge"})
-    elif u >= m:
-        inner = join_pst(y, x, u - m, v - m, matrix=matrix)
-        return replace(inner, u=u, v=v, details={**inner.details, "side": "right"})
     else:
-        cert = _join_certificate(x, u, v, params, matrix)
-    return _confirm_transfer(JoinTree(Connective.JOIN, (x, y)), u, v, cert, "join")
+        cert = _join_certificate(part, pu, pv, params)
+    tree = JoinTree(Connective.JOIN, (y, x) if right else (x, y))
+    cert = _confirm_transfer(tree, pu, pv, cert, "join")
+    if right:
+        cert = replace(cert, u=u, v=v, details={**cert.details, "side": "right"})
+    return cert
 
 
 def double_cone_pst(
@@ -1163,8 +1151,7 @@ def pst_preserved(
     # the rule reads only the gap g = k - ell and the offsets k - mu of the
     # flipping eigenvalues mu, as _join_certificate does, so the degrees
     # themselves need not be integers
-    k = float(params.k)  # type: ignore[arg-type]
-    gap = nearest_integer(k - float(params.ell))  # type: ignore[arg-type]
+    k, gap = params.distinguished, params.gap
     if gap is None:
         raise PreconditionError("adjacency preservation needs an integer degree gap k - ell")
     offsets = _as_int_list([k - mu for mu in base.partition.minus])
@@ -1172,7 +1159,7 @@ def pst_preserved(
         raise PreconditionError(
             "adjacency preservation needs integer offsets k - mu of the flipping eigenvalues"
         )
-    fresh = join_reading(params, matrix).offsets
+    fresh = params.offsets
     if fresh is None:
         verdict = False
         reason = "the join discriminant is not a perfect square"
@@ -1230,7 +1217,7 @@ def pst_induced(
         # the 2/m equality condition: the fresh offsets share their valuation
         # (n = 2 modulo 4 for the Laplacian, whose offsets are n and -2)
         mechanism = "isolated-pair-cone"
-        offsets = join_reading(params, matrix).offsets
+        offsets = params.offsets
         if offsets is None:
             details["quadratic_cone"] = True
         elif (nu2(offsets[0]) == nu2(offsets[1])) != jcert.pst or part_cert.pst:
@@ -1348,18 +1335,16 @@ def self_join_analysis(
     m = x.order
     if u == v or not (0 <= u < m and 0 <= v < m):
         raise ValueError("the pair must be two distinct part vertices")
-    if matrix == "laplacian":
-        if not is_simple(x):
-            raise PreconditionError("Laplacian self-join analysis requires a simple part")
-        params = JoinParams(m, (r - 1) * m)
-    elif matrix == "adjacency":
+    k = ell = None
+    if matrix == "laplacian" and not is_simple(x):
+        raise PreconditionError("Laplacian self-join analysis requires a simple part")
+    if matrix == "adjacency":
         k = is_regular(x)
         if k is None:
             raise PreconditionError("adjacency self-join analysis requires a regular part")
-        params = JoinParams(m, (r - 1) * m, k, k + (r - 2) * m)
-    else:
-        raise ValueError(f"unknown matrix kind {matrix!r}")
-    cert = _join_certificate(x, u, v, params, matrix)
+        ell = k + (r - 2) * m
+    params = JoinParams.of(m, (r - 1) * m, matrix, k, ell)
+    cert = _join_certificate(x, u, v, params)
     cert = replace(cert, details={"copies": r, **cert.details})
     return _confirm_transfer(JoinTree(Connective.JOIN, (x,) * r), u, v, cert, "self-join")
 
@@ -1378,15 +1363,9 @@ def iterated_join_sign_partition(
     disconnected; each join shifts it and may destroy it when the side's
     order lands on a flipping eigenvalue. Laplacian only.
     """
-    parts = spec.parts
-    if not 1 <= j <= len(parts):
-        raise ValueError("part index out of range")
-    part = parts[j - 1][0]
-    if u == v or not (0 <= u < part.order and 0 <= v < part.order):
+    part = laplacian_plan_part(spec, j, u, v)
+    if u == v:
         raise ValueError("the pair must be two distinct vertices of the part")
-    for graph, _ in parts:
-        if not is_simple(graph):
-            raise PreconditionError("Laplacian join analysis requires simple parts")
     return carry_through_plan(spec, j, *_own_partition(part, "laplacian", u, v))
 
 

@@ -3,8 +3,8 @@
 The walk operator at time t is the unitary exp(itM) for M either the
 adjacency or the Laplacian matrix. Entries of a join's walk never need the
 join diagonalized: join_entry, alpha and in_T read them from a part's walk
-and spectral.join_reading, which reads a join under either matrix as an
-adjacency-type join, so none of them branches on the matrix.
+and the join's spectral.JoinParams record, which reads a join under either
+matrix as an adjacency-type join, so none of them branches on the matrix.
 
 krylov_entry computes one walk entry exp(itM)[v, u] independently of any
 eigensolver: it exponentiates the equitable quotient at u whole, a dense
@@ -29,13 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericError
-from .spectral import (
-    JoinParams,
-    SpectralDecomposition,
-    join_params,
-    join_reading,
-    spectrum,
-)
+from .spectral import JoinParams, SpectralDecomposition, join_side, spectrum
 from .graphs import JoinTree, WeightedGraph, equitable_quotient
 
 
@@ -239,62 +233,52 @@ def join_entry(
     v: int,
     t: float,
     matrix: str = "laplacian",
-    decomp_x: SpectralDecomposition | None = None,
-    decomp_y: SpectralDecomposition | None = None,
 ) -> complex:
-    """Walk entry (u, v) of join(x, y) at time t, u and v global vertices.
+    """Walk entry (u, v) of join(x, y) at time t, u and v join vertices (spectral.join_side).
 
     An entry within a part is its own part walk's entry plus alpha, a
     cross entry is (e^{is lam_plus} - e^{is lam_minus}) / root, each lifted
-    by e^{it phase_rate}, s = time_sign * t (spectral.join_reading).
+    by e^{it phase_rate}, s = time_sign * t (spectral.JoinParams).
     Adjacency analyses need both parts regular, Laplacian ones both simple.
     """
-    params = join_params(x, y, matrix)
-    m, total = params.m, params.m + params.n
-    if not (0 <= u < total and 0 <= v < total):
-        raise ValueError("vertex out of range for the join")
-    reading = join_reading(params, matrix)
-    lift = cmath.exp(1j * t * reading.phase_rate)
-    if (u < m) != (v < m):
-        s = reading.time_sign * t
-        fresh = cmath.exp(1j * s * reading.lam_plus) - cmath.exp(1j * s * reading.lam_minus)
-        return lift * fresh / reading.root
-    if u >= m:
-        return join_entry(y, x, u - m, v - m, t, matrix, decomp_y, decomp_x)
-    if decomp_x is None:
-        decomp_x = spectrum(x, matrix)
-    base = complex(transition_entries(decomp_x, u, v, [t])[0])
-    return lift * (base + alpha(params, t, matrix))
+    params, part, u, v, cross = join_side(x, y, u, v, matrix)
+    lift = cmath.exp(1j * t * params.phase_rate)
+    if cross:
+        s = params.time_sign * t
+        fresh = cmath.exp(1j * s * params.lam_plus) - cmath.exp(1j * s * params.lam_minus)
+        return lift * fresh / params.root
+    base = complex(transition_entries(spectrum(part, matrix), u, v, [t])[0])
+    return lift * (base + alpha(params, t))
 
 
-def alpha(params: JoinParams, t, matrix: str = "laplacian"):
+def alpha(params: JoinParams, t):
     """Mimicry defect of a join walk; broadcasts over array times.
 
     A left-block join entry is e^{it phase_rate} (part entry + alpha), for
-    alpha = ((k - lam_minus) e^{is lam_plus} + (lam_plus - k) e^{is lam_minus}
-    - root e^{isk}) / (m root) and s = time_sign * t (spectral.join_reading).
+    alpha = ((d - lam_minus) e^{is lam_plus} + (lam_plus - d) e^{is lam_minus}
+    - root e^{isd}) / (m root), s = time_sign * t and d the distinguished
+    eigenvalue (spectral.JoinParams).
     """
-    r = join_reading(params, matrix)
-    s = r.time_sign * np.asarray(t, dtype=float)
+    s = params.time_sign * np.asarray(t, dtype=float)
+    d = params.distinguished
     out = (
-        (r.k - r.lam_minus) * np.exp(1j * s * r.lam_plus)
-        + (r.lam_plus - r.k) * np.exp(1j * s * r.lam_minus)
-        - r.root * np.exp(1j * s * r.k)
-    ) / (params.m * r.root)
+        (d - params.lam_minus) * np.exp(1j * s * params.lam_plus)
+        + (params.lam_plus - d) * np.exp(1j * s * params.lam_minus)
+        - params.root * np.exp(1j * s * d)
+    ) / (params.m * params.root)
     if np.ndim(t) == 0:
         return complex(out)
     return out
 
 
-def in_T(params: JoinParams, t: float, matrix: str = "laplacian", tol: float = 1e-9) -> bool:
+def in_T(params: JoinParams, t: float, tol: float = 1e-9) -> bool:
     """Whether t is a time at which the join walk mimics the part walk.
 
     With integer fresh offsets these times form the lattice of multiples
     of 2 pi over the offsets' gcd; otherwise membership is decided
     numerically at the given t.
     """
-    offsets = join_reading(params, matrix).offsets
-    if offsets is None:
-        return bool(abs(alpha(params, t, matrix)) <= tol)
-    s = t * math.gcd(*offsets) / (2.0 * math.pi)
+    if params.offsets is None:
+        return bool(abs(alpha(params, t)) <= tol)
+    s = t * math.gcd(*params.offsets) / (2.0 * math.pi)
     return abs(s - round(s)) <= tol * max(1.0, abs(s))

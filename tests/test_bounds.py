@@ -121,8 +121,8 @@ def test_bound_sweep_detects_a_lying_alpha(monkeypatch, sweep, message):
     # term must trip its check, not pass silently
     real_alpha = bounds_mod.alpha
 
-    def lying_alpha(params, t, matrix="laplacian"):
-        return real_alpha(params, t, matrix) + 1.0
+    def lying_alpha(params, t):
+        return real_alpha(params, t) + 1.0
 
     monkeypatch.setattr(bounds_mod, "alpha", lying_alpha)
     with pytest.raises(InconsistencyError, match=message):
@@ -139,6 +139,23 @@ def test_sweeps_check_t_max_before_building_times(monkeypatch, sweep, t_max):
     args = (family("C", 4), family("O", 2)) + ((0, 2) if sweep is bound_sweep else ())
     with pytest.raises(ValueError, match="t_max"):
         sweep(*args, t_max=t_max)
+
+
+@pytest.mark.parametrize("sweep", [bound_sweep, mimicry_sweep], ids=["bound", "mimicry"])
+@pytest.mark.parametrize("samples", [0, -2], ids=str)
+@pytest.mark.parametrize(
+    "parts, matrix",
+    [((family("C", 4), family("O", 2)), "laplacian"), ((family("C", 5), family("O", 1)), "adjacency")],
+    ids=["lattice", "no-lattice"],
+)
+def test_sweeps_check_samples_before_building_times(monkeypatch, sweep, samples, parts, matrix):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a time grid was built before samples was checked")
+
+    monkeypatch.setattr(bounds_mod.np, "linspace", no_grid)
+    args = parts + ((0, 2) if sweep is bound_sweep else ())
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        sweep(*args, matrix=matrix, samples=samples)
 
 
 def test_lattice_may_hold_as_many_times_as_samples():

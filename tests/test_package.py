@@ -60,3 +60,18 @@ def test_no_public_function_takes_a_side():
         return any(p.arg == "side" for p in params)
 
     assert _sites(takes_a_side) == []
+
+
+def test_a_join_record_carries_its_matrix():
+    def takes_params_and_matrix(node):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return False
+        args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        return {"params", "matrix"} <= {a.arg for a in args}
+
+    def names_the_old_reading(node):
+        names = [getattr(node, attr, None) for attr in ("id", "attr", "name", "value")]
+        return any(name in ("join_reading", "JoinReading") for name in names)
+
+    assert _sites(takes_params_and_matrix) == []
+    assert _sites(names_the_old_reading) == []

@@ -240,8 +240,8 @@ def test_atlas_supports_and_sign_partitions_match_the_oracle():
 def test_join_params_laplacian():
     p = join_params(family("C", 4), family("O", 2), "laplacian")
     assert (p.m, p.n) == (4, 2)
-    with pytest.raises(ValueError):
-        p.lam_plus  # degrees are an adjacency-side notion
+    reading = (p.distinguished, p.lam_plus, p.lam_minus, p.root, p.time_sign, p.phase_rate, p.offsets)
+    assert reading == (0, 2, -4, 6, -1, 2, (2, -4))
     with pytest.raises(PreconditionError):
         join_params(family("O_loops", 2, 1.0), family("O", 2), "laplacian")
 
@@ -249,7 +249,7 @@ def test_join_params_laplacian():
 def test_join_params_adjacency():
     p = join_params(family("K", 6), family("K", 2), "adjacency")
     assert (p.m, p.n, p.k, p.ell) == (6, 2, 5.0, 1.0)
-    assert p.discriminant == pytest.approx(64.0)
+    assert p.root == pytest.approx(8.0)
     assert p.lam_plus == pytest.approx(7.0)
     assert p.lam_minus == pytest.approx(-1.0)
     with pytest.raises(PreconditionError):

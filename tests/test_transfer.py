@@ -859,6 +859,29 @@ def test_iterated_sign_partition_regression():
     assert cert.reason == "crossing differences take more than one dyadic valuation"
 
 
+def test_plan_readers_share_one_check_of_part_and_vertices():
+    spec = parse_iterated_spec("C4 v O2 u O4 v O2")
+    readers = (
+        lambda j, u: iterated_vertex(spec, j, u),
+        lambda j, u: spectral.iterated_join_support(spec, j, u),
+        lambda j, u: iterated_join_sign_partition(spec, j, u, (u + 1) % 4),
+    )
+    for read in readers:
+        with pytest.raises(ValueError, match="^part index 5 out of range$"):
+            read(5, 0)
+        with pytest.raises(ValueError, match="^vertex 4 out of range for part 1$"):
+            read(1, 4)
+    looped = graphs.IteratedJoinSpec(
+        [(family("O_loops", 2, 1.0), None), (family("O", 2), graphs.Connective.JOIN)]
+    )
+    for read in (
+        lambda: spectral.iterated_join_support(looped, 2, 0),
+        lambda: iterated_join_sign_partition(looped, 2, 0, 1),
+    ):
+        with pytest.raises(PreconditionError, match="requires simple parts"):
+            read()
+
+
 def test_iterated_analysis_positive_case():
     spec = parse_iterated_spec("O2 v O2 u O4 v O4")
     cert = iterated_join_analysis(spec, 1, 0, 1)
@@ -941,14 +964,12 @@ def _full_stage_walk(spec, j, own, isolated_pair):
     carried, acc_order, acc_connected = own, 0, True
     for idx, (graph, conn) in enumerate(spec.parts, start=1):
         if idx == j and conn is graphs.Connective.JOIN:
-            params = spectral.JoinParams(graph.order, acc_order)
-            carried = spectral.carry_join(
-                own, params, "laplacian", graphs.is_connected(graph), isolated_pair
-            )
+            params = spectral.JoinParams.of(graph.order, acc_order, "laplacian")
+            carried = spectral.carry_join(own, params, graphs.is_connected(graph), isolated_pair)
         elif idx > j and conn is graphs.Connective.JOIN:
-            params = spectral.JoinParams(acc_order, graph.order)
+            params = spectral.JoinParams.of(acc_order, graph.order, "laplacian")
             carried = spectral.carry_join(
-                carried, params, "laplacian", acc_connected, isolated_pair and acc_order == 2
+                carried, params, acc_connected, isolated_pair and acc_order == 2
             )
         acc_order += graph.order
         acc_connected = graphs.is_connected(graph) if idx == 1 else conn is graphs.Connective.JOIN

@@ -20,8 +20,8 @@ from qwjoin import (
     iterated_tree,
     join,
     join_entry,
+    JoinParams,
     join_params,
-    join_reading,
     join_support,
     krylov_entry,
     parse_iterated_spec,
@@ -209,15 +209,13 @@ def test_join_entry_laplacian_closed_form():
         x = random_weighted(rng, int(rng.integers(1, 6)))
         y = random_weighted(rng, int(rng.integers(1, 6)))
         jm = graph_matrix(join(x, y), "laplacian")
-        dx = decompose(graph_matrix(x, "laplacian"))
-        dy = decompose(graph_matrix(y, "laplacian"))
         t = float(rng.uniform(0, 6))
         u_full = oracle_transition(jm, t)
         for u in range(x.order):
             for v in range(x.order):
-                got = join_entry(x, y, u, v, t, "laplacian", dx, dy)
+                got = join_entry(x, y, u, v, t, "laplacian")
                 assert abs(got - u_full[u, v]) <= 1e-9
-        got_cross = join_entry(x, y, 0, x.order, t, "laplacian", dx, dy)
+        got_cross = join_entry(x, y, 0, x.order, t, "laplacian")
         assert abs(got_cross - u_full[0, x.order]) <= 1e-9
 
 
@@ -227,15 +225,13 @@ def test_join_entry_adjacency_closed_form():
         x = random_circulant(rng, int(rng.integers(1, 6)))
         y = random_circulant(rng, int(rng.integers(1, 6)))
         jm = graph_matrix(join(x, y), "adjacency")
-        dx = decompose(graph_matrix(x, "adjacency"))
-        dy = decompose(graph_matrix(y, "adjacency"))
         t = float(rng.uniform(0, 6))
         u_full = oracle_transition(jm, t)
         for u in range(x.order):
             for v in range(x.order):
-                got = join_entry(x, y, u, v, t, "adjacency", dx, dy)
+                got = join_entry(x, y, u, v, t, "adjacency")
                 assert abs(got - u_full[u, v]) <= 1e-9
-        got_cross = join_entry(x, y, 0, x.order, t, "adjacency", dx, dy)
+        got_cross = join_entry(x, y, 0, x.order, t, "adjacency")
         assert abs(got_cross - u_full[0, x.order]) <= 1e-9
 
 
@@ -264,26 +260,30 @@ def test_lattice_membership():
     assert np.allclose(vals, 0.0, atol=1e-12)
 
 
+def _reading(p):
+    return (p.distinguished, p.lam_plus, p.lam_minus, p.root, p.time_sign, p.phase_rate, p.offsets)
+
+
 def test_the_reading_of_a_laplacian_join():
     params = join_params(family("C", 6), family("O", 2), "laplacian")
-    assert join_reading(params, "laplacian") == (0, 2, -6, 8, -1, 2, (2, -6))
+    assert _reading(params) == (0, 2, -6, 8, -1, 2, (2, -6))
     with pytest.raises(ValueError, match="unknown matrix kind"):
-        join_reading(params, "signless")
+        JoinParams.of(6, 2, "signless")
 
 
 def test_adjacency_lattice_membership_with_integer_offsets():
     # K4 v K4: k = ell = 3, lam+ = 7 and lam- = -1, offsets 4 and -4
     params = join_params(family("K", 4), family("K", 4), "adjacency")
-    assert join_reading(params, "adjacency") == (3.0, 7.0, -1.0, 8.0, 1, 0, (4, -4))
+    assert _reading(params) == (3.0, 7.0, -1.0, 8.0, 1, 0, (4, -4))
     # gcd 4: the mimicry lattice is spaced pi/2
     for j in range(1, 5):
-        assert in_T(params, j * math.pi / 2, "adjacency")
-        assert abs(alpha(params, j * math.pi / 2, "adjacency")) <= 1e-12
-    assert not in_T(params, math.pi / 4, "adjacency")
+        assert in_T(params, j * math.pi / 2)
+        assert abs(alpha(params, j * math.pi / 2)) <= 1e-12
+    assert not in_T(params, math.pi / 4)
     # the offsets share their valuation, so the odd multiples of pi/4 reach 2/m
-    assert abs(alpha(params, math.pi / 4, "adjacency")) == pytest.approx(0.5, abs=1e-12)
+    assert abs(alpha(params, math.pi / 4)) == pytest.approx(0.5, abs=1e-12)
     ts = np.linspace(0.0, 4 * math.pi, 999)
-    assert np.max(np.abs(alpha(params, ts, "adjacency"))) <= 0.5 + 1e-12
+    assert np.max(np.abs(alpha(params, ts))) <= 0.5 + 1e-12
 
 
 # a looped part whose degree 1.5 is not an integer: the gap k - ell = -0.5
@@ -293,12 +293,12 @@ _LOOPED = family("O_loops", 2, 1.5)
 
 def test_adjacency_membership_falls_back_to_the_numeric_test():
     params = join_params(_LOOPED, family("C", 5), "adjacency")
-    assert join_reading(params, "adjacency").offsets is None
-    assert in_T(params, 0.0, "adjacency")
+    assert params.offsets is None
+    assert in_T(params, 0.0)
     ts = np.linspace(0.1, 20.0, 200)
-    defects = np.abs(alpha(params, ts, "adjacency"))
+    defects = np.abs(alpha(params, ts))
     for t, defect in zip(ts, defects):
-        assert in_T(params, float(t), "adjacency") == (defect <= 1e-9)
+        assert in_T(params, float(t)) == (defect <= 1e-9)
     assert defects.max() > 0.1
 
 
@@ -312,7 +312,7 @@ def test_join_entry_and_bound_sweep_on_a_looped_part():
             for v in range(full.shape[0]):
                 assert abs(join_entry(x, y, u, v, t, "adjacency") - exact[u, v]) <= 1e-9
         params = join_params(x, y, "adjacency")
-        assert abs(alpha(params, t, "adjacency") - (exact[0, 1] - part[0, 1])) <= 1e-9
+        assert abs(alpha(params, t) - (exact[0, 1] - part[0, 1])) <= 1e-9
     rep = bound_sweep(x, y, 0, 1, matrix="adjacency", samples=65)
     assert rep.structured_times == [] and rep.equality_possible is None
     for i in range(0, 65, 8):
