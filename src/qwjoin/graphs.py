@@ -139,16 +139,19 @@ class WeightedGraph:
         order = int(order)
         if order < 1:
             raise ValueError("a graph needs at least one vertex")
-        rows, cols, weights = _edge_columns(order, edges)
-        loop_at, loop_weights = _loop_columns(order, loops)
-        put = object.__setattr__
-        put(self, "order", order)
-        put(self, "rows", rows)
-        put(self, "cols", cols)
-        put(self, "weights", weights)
-        put(self, "loop_at", loop_at)
-        put(self, "loop_weights", loop_weights)
-        put(self, "_cache", {})
+        self._store(order, *_edge_columns(order, edges), *_loop_columns(order, loops))
+
+    @classmethod
+    def _from_columns(cls, order: int, *columns: np.ndarray) -> WeightedGraph:
+        """A graph of valid read-only rows, cols, weights, loop_at and loop_weights, unchecked."""
+        graph = object.__new__(cls)
+        graph._store(order, *columns)
+        return graph
+
+    def _store(self, *fields) -> None:
+        """Set order, the five columns and an empty cache: the one storing path."""
+        for name, value in zip(self.__slots__, (*fields, {})):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"WeightedGraph is immutable; cannot set {name!r}")
@@ -402,33 +405,40 @@ def disjoint_union(x: WeightedGraph, y: WeightedGraph) -> WeightedGraph:
     return JoinTree(Connective.UNION, (x, y)).build()
 
 
-def _cell_weights(rng: np.random.Generator, count: int) -> np.ndarray:
-    """One random integer per cell, as floats: a refinement round's hash weights.
+def _cell_weights(count: int) -> np.ndarray:
+    """A fixed integer weight for each cell number below count, as floats: the hash weights.
 
     Integers keep a vertex's hash, the sum of its edge weights times its
     neighbours' cell weights, exact for integer and dyadic edge weights, so
     vertices alike in the partition hash alike whatever the order of their
-    edges.
+    edges. Cell c weighs 1 plus the top 31 bits of c mixed with splitmix64's
+    multipliers: weights c times a constant would tie w_1 + w_3 with 2 w_2.
     """
-    return rng.integers(1, 1 << 31, count).astype(float)
+    mixed = np.arange(count, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)  # modulo 2^64
+    mixed = (mixed ^ (mixed >> np.uint64(31))) * np.uint64(0xBF58476D1CE4E5B9)
+    return (mixed >> np.uint64(33)).astype(float) + 1.0
 
 
-def _cell_rows(graph: WeightedGraph, cell: np.ndarray, count: int):
-    """Each vertex's nonzero weight into each cell, loops included, sorted by vertex, then cell.
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Whether each item of a sorted array differs from the one before; NaN differs from all."""
+    starts = np.empty(len(ordered), bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return starts
 
-    Three arrays: the vertex, the cell and the weight, summed over the
-    vertex's edges into that cell.
+
+def _groups(keys: np.ndarray):
+    """Items grouped by equal keys: (group, count, order, starts), groups numbered in key order.
+
+    order sorts the keys, unstably, and starts marks where each group
+    begins in it. A NaN key, complex ones included, is a group of its own.
     """
-    ends = np.concatenate((graph.rows, graph.cols, graph.loop_at))
-    across = np.concatenate((graph.cols, graph.rows, graph.loop_at))
-    weights = np.concatenate((graph.weights, graph.weights, graph.loop_weights))
-    keys = ends * count + cell[across]
-    by_key = np.argsort(keys, kind="stable")
-    keys = keys[by_key]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    sums = np.add.reduceat(weights[by_key], starts) if len(keys) else weights
-    keys = keys[starts][sums != 0]
-    return keys // count, keys % count, sums[sums != 0]
+    order = keys.argsort()
+    starts = _run_starts(keys[order])
+    number = starts.cumsum() - 1
+    group = np.empty_like(number)
+    group[order] = number
+    return group, int(number[-1]) + 1, order, starts
 
 
 @dataclass(frozen=True, eq=False)
@@ -439,10 +449,11 @@ class EquitablePartition:
     first vertices, and sizes[a] the size of cell a. With Q_ab the weight
     from any vertex of cell a into cell b, block is the graph on the cells
     with an edge of weight Q_ab sqrt(s_a / s_b) between cells a < b and a
-    loop Q_aa at a, so that its adjacency matrix is P^T A P for P the
-    cells' normalized indicators; laplacian_diagonal holds a cell's degree
-    minus Q_aa, the diagonal of P^T L P. A partition into single vertices
-    keeps the graph itself as its block.
+    loop Q_aa at a, edges and loops in (row, column) order, so that its
+    adjacency matrix is P^T A P for P the cells' normalized indicators;
+    laplacian_diagonal holds a cell's degree minus Q_aa, the diagonal of
+    P^T L P. A partition into single vertices keeps the graph itself as
+    its block.
     """
 
     cell: np.ndarray
@@ -454,54 +465,62 @@ class EquitablePartition:
 def _refine(graph: WeightedGraph, u: int) -> EquitablePartition:
     """The coarsest equitable partition with u alone in its cell; see equitable_partition."""
     n = graph.order
-    rng = np.random.default_rng(u)
+    # every edge read from both ends, each loop once, for the rounds and the check
+    ends = np.concatenate((graph.rows, graph.cols, graph.loop_at))
+    across = np.concatenate((graph.cols, graph.rows, graph.loop_at))
+    weights = np.concatenate((graph.weights, graph.weights, graph.loop_weights))
+    table = _cell_weights(n)
     cell = (np.arange(n) == u).astype(np.intp)
     count = min(n, 2)
-    while count < n:
-        while True:  # colour refinement: split by hashed rows until a round splits nothing
-            # a hash past the float range (weights above about 8e298) is
-            # NaN, which splits its vertex off; the exact check below still
-            # proves the cells
-            with np.errstate(over="ignore", invalid="ignore"):
-                hashed = graph._product(_cell_weights(rng, count)[cell])
-                keys = cell + 1j * hashed
-            _, cell = np.unique(keys, return_inverse=True, equal_nan=False)
-            split, count = count, int(cell.max()) + 1
-            if count == split or count == n:
+    with np.errstate(over="ignore", invalid="ignore"):
+        while count < n:
+            while True:  # colour refinement: split by hashed rows until a round splits nothing
+                hashed = np.bincount(ends, weights * table[cell][across], n)
+                # a hash past the float range (weights above about 8e298) makes a
+                # NaN key, which splits its vertex off; the check still proves the cells
+                split, (cell, count, order, starts) = count, _groups(cell + 1j * hashed)
+                if count == split or count == n:
+                    break
+            if count == n:
                 break
-        if count == n:
-            break
-        vertex, into, weight = _cell_rows(graph, cell, count)
-        _, first = np.unique(cell, return_index=True)  # the least vertex of each cell
-        per = np.bincount(vertex, minlength=n)
-        start = np.cumsum(per) - per
-        mine = first[cell[vertex]]
-        offset = np.arange(len(vertex)) - start[vertex]
-        partner = np.where(offset < per[mine], start[mine] + offset, 0)
-        differs = (offset >= per[mine]) | (into != into[partner]) | (weight != weight[partner])
-        unlike = (per != per[first[cell]]) | (np.bincount(vertex, differs, n) > 0)
-        if not unlike.any():  # exactly equitable: every row equals its first vertex's
-            break
-        # a hash collision merged unlike rows: split them from their cell's first vertex
-        _, cell = np.unique(cell * 2 + unlike, return_inverse=True)
-        count = int(cell.max()) + 1
+            # number the cells by their first vertices
+            first = np.minimum.reduceat(order, starts.nonzero()[0])
+            is_first = np.zeros(n, bool)
+            is_first[first] = True
+            cell = (is_first.cumsum() - 1)[first[cell]]
+            first = is_first.nonzero()[0]
+            # each vertex's nonzero weight into each cell, sorted by vertex, then cell
+            keys = ends * count + cell[across]
+            by_key = keys.argsort(kind="stable")
+            keys = keys[by_key]
+            at = _run_starts(keys).nonzero()[0]
+            sums = np.add.reduceat(weights[by_key], at)
+            kept = sums != 0
+            keys, sums = keys[at][kept], sums[kept]
+            vertex, into = np.divmod(keys, count)
+            # exactly equitable: every row equals its cell's first vertex's
+            lead = first[cell]
+            mine = lead[vertex] * count + into
+            found = np.minimum(keys.searchsorted(mine), len(keys) - 1)
+            per = np.bincount(vertex, minlength=n)
+            unlike = per != per[lead]
+            unlike[vertex[(keys[found] != mine) | (sums[found] != sums)]] = True
+            if not unlike.any():
+                break
+            # a hash collision merged unlike rows: split them from their cell's first vertex
+            cell, count, _, _ = _groups(cell * 2 + unlike)
     if count == n:  # one cell per vertex: the graph is its own block
         return EquitablePartition(
             np.arange(n), np.ones(n, np.intp), graph, graph.degrees())
-    _, first, inverse = np.unique(cell, return_index=True, return_inverse=True)
-    rank = np.empty(count, np.intp)
-    rank[np.argsort(first)] = np.arange(count)  # number the cells by their first vertex
-    first = np.sort(first)
-    cell = rank[inverse]
     sizes = np.bincount(cell, minlength=count)
-    at_first = (np.arange(n) == first[cell])[vertex]
-    a, b, q = cell[vertex[at_first]], rank[into[at_first]], weight[at_first]
+    at_first = is_first[vertex]
+    a, b, q = cell[vertex[at_first]], into[at_first], sums[at_first]
     upper, inner = a < b, a == b
     weights = q[upper] * np.sqrt(sizes[a[upper]] / sizes[b[upper]])
     diagonal = np.zeros(count)
     diagonal[a[inner]] = q[inner]
-    block = WeightedGraph(count, np.column_stack((a[upper], b[upper], weights)),
-                          np.column_stack((a[inner], q[inner])))
+    block = WeightedGraph._from_columns(
+        count, *map(_read_only, (a[upper], b[upper], weights, a[inner], q[inner])))
     return EquitablePartition(
         cell, sizes, block, graph.degrees()[first] - diagonal)
 
@@ -517,18 +536,21 @@ def equitable_partition(graph: WeightedGraph, u: int) -> EquitablePartition:
     Theory, 2001, section 9.3).
 
     Colour refinement proposes the partition: each round gives every cell
-    a random integer weight, hashes each vertex by the adjacency product
-    of those weights (one bincount over the edges), and splits cells by
-    their hashes with one np.unique, until a round splits nothing. An
-    exact check then proves it: each vertex's weights into the cells,
-    summed per cell, must equal those of its cell's first vertex. A hash
-    collision that merged unlike vertices fails the check; they are split
-    from the first vertex and refinement resumes. One cell per vertex is
-    always equitable, so a graph with no symmetry ends there. A vertex
-    whose hash leaves the float range (edge weights above about 8e298)
-    hashes to NaN and gets a cell of its own, so the partition may then be
-    finer than the coarsest, but the check still proves it equitable. The
-    result is computed once per vertex and kept on the graph.
+    an integer weight from a fixed table (_cell_weights), hashes each
+    vertex by the adjacency product of those weights (one bincount over
+    the edges), and splits cells by their hashes with one sort, until a
+    round splits nothing. An exact check then proves it: each vertex's
+    weights into the cells, summed per cell, must equal those of its
+    cell's first vertex. A hash collision that merged unlike vertices
+    fails the check; they are split from the first vertex and refinement
+    resumes. One cell per vertex is always equitable, so a graph with no
+    symmetry ends there. The partition does not depend on the table, for
+    integer and dyadic weights: the coarsest equitable partition with u
+    alone is unique, and its cells are numbered by their first vertices. A
+    vertex whose hash leaves the float range (edge weights above about
+    8e298) gets a cell of its own, so the partition may then be finer than
+    the coarsest, but the check still proves it equitable. The result is
+    computed once per vertex and kept on the graph.
     """
     if not 0 <= u < graph.order:
         raise ValueError(f"vertex {u} out of range for order {graph.order}")

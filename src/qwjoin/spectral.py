@@ -72,32 +72,36 @@ def decompose(matrix: np.ndarray) -> SpectralDecomposition:
     mat = np.array(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("decompose expects a square matrix")
-    if not np.all(np.isfinite(mat)):
+    scale = float(np.abs(mat).max())  # NaN if an entry is
+    if not scale < math.inf:
         raise ValueError("decompose expects finite entries")
-    scale = max(1.0, float(np.abs(mat).max()))
-    with np.errstate(over="ignore"):  # an overflowing difference is asymmetry too
-        if float(np.abs(mat - mat.T).max()) > 1e-10 * scale:
+    scale = max(1.0, scale)
+    # entries near the float range can give differences, gaps and group means beyond it
+    with np.errstate(over="ignore", invalid="ignore"):
+        # mat - mat.T is antisymmetric, so its max is its largest magnitude; an
+        # overflowing difference is asymmetry too
+        asymmetry = float((mat - mat.T).max())
+        if asymmetry > 1e-10 * scale:
             raise ValueError("decompose expects a symmetric matrix")
-    if not np.array_equal(mat, mat.T):
-        # halve before adding: the sum of two entries near 1e308 overflows
-        mat = mat / 2.0 + mat.T / 2.0
-    try:
-        raw_vals, raw_vecs = np.linalg.eigh(mat)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            f"the eigensolver failed ({exc}) on\n" + np.array2string(mat)
-        ) from exc
-    raw_vals = raw_vals[::-1]
+        if asymmetry:  # halve before adding: the sum of two entries near 1e308 overflows
+            mat = mat / 2.0 + mat.T / 2.0
+        try:
+            raw_vals, raw_vecs = np.linalg.eigh(mat)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(
+                f"the eigensolver failed ({exc}) on\n" + np.array2string(mat)
+            ) from exc
+        raw_vals = raw_vals[::-1]
+        cuts = ((raw_vals[:-1] - raw_vals[1:]) > _GROUP_GAP_REL * scale).nonzero()[0] + 1
+        bounds = [0, *cuts.tolist(), len(raw_vals)]
+        groups = list(zip(bounds, bounds[1:]))
+        values = raw_vals.tolist()  # a group of one is its own mean
+        eigenvalues = [values[a] if b - a == 1 else _group_mean(raw_vals[a:b]) for a, b in groups]
     # C order: each block's rows are contiguous, so entry_vector's dots run in BLAS
     vectors = np.ascontiguousarray(raw_vecs[:, ::-1])
     for array in (mat, vectors):
         array.flags.writeable = False
-    # entries near the float range can give gaps and group means beyond it
-    with np.errstate(over="ignore", invalid="ignore"):
-        cuts = np.flatnonzero(raw_vals[:-1] - raw_vals[1:] > _GROUP_GAP_REL * scale) + 1
-        groups = list(zip([0, *cuts.tolist()], [*cuts.tolist(), len(raw_vals)]))
-        eigenvalues = [_group_mean(raw_vals[a:b]) for a, b in groups]
-    if not (np.all(np.isfinite(eigenvalues)) and np.all(np.isfinite(vectors))):
+    if not (all(map(math.isfinite, eigenvalues)) and np.isfinite(vectors).all()):
         raise ValueError("the matrix entries are too large: its eigenvalues leave the float range")
     multiplicities = [b - a for a, b in groups]
     bases = [vectors[:, a:b] for a, b in groups]

@@ -120,9 +120,11 @@ def unitary_exp(matrix: np.ndarray, t: float) -> np.ndarray:
     matrices of the order are held at once (p = 4 at degree 20).
     Only matrix products are used, no solve and no eigensolver, so closed
     forms can be checked against an independently computed matrix;
-    krylov_entry uses it on an equitable quotient whole. A complex matrix raises TypeError and an asymmetric one
-    ValueError; one with a non-finite entry, or a theta that overflows,
-    gives a matrix of NaNs.
+    krylov_entry uses it on an equitable quotient whole.
+
+    A complex matrix raises TypeError and an asymmetric one ValueError; one
+    with a non-finite entry, or a theta that overflows, gives a matrix of
+    NaNs.
     """
     if np.iscomplexobj(matrix):
         raise TypeError("unitary_exp takes a real matrix")

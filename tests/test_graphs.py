@@ -788,6 +788,40 @@ def test_refinement_is_equitable_with_the_vertex_alone(graph_and_vertex):
     assert graphs_module.equitable_partition(graph, u) is partition
 
 
+@settings(deadline=None)
+@given(_refined_graphs(), st.integers(0, 2**32 - 1))
+def test_refinement_does_not_depend_on_its_hash_weights(graph_and_vertex, seed):
+    # the coarsest equitable partition with u alone is unique and the cells
+    # are numbered by their first vertices, so the fixed table, a drawn one
+    # and one that ties every cell give one partition and one quotient
+    graph, u = graph_and_vertex
+    kinds = ["adjacency"] + (["laplacian"] if is_simple(graph) else [])
+    tables = [graphs_module._cell_weights,
+              lambda count: np.random.default_rng(seed).integers(1, 1 << 31, count).astype(float),
+              lambda count: np.ones(count)]
+    seen = []
+    for table in tables:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphs_module, "_cell_weights", table)
+            fresh = WeightedGraph(graph.order, [(*ends, w) for ends, w in graph.edges.items()],
+                                  dict(graph.loops))
+            quotients = [graphs_module.equitable_quotient(fresh, u, kind) for kind in kinds]
+        partition = quotients[0].partition
+        block = partition.block
+        if block is not fresh:  # a computed block lists its edges and loops in (row, col) order
+            assert (np.diff(block.rows * block.order + block.cols) > 0).all()
+            assert (np.diff(block.loop_at) > 0).all()
+        seen.append((partition, [quotient.matrix() for quotient in quotients]))
+    (want, want_matrices), *others = seen
+    for partition, matrices in others:
+        assert np.array_equal(partition.cell, want.cell)
+        assert np.array_equal(partition.sizes, want.sizes)
+        assert partition.laplacian_diagonal.tobytes() == want.laplacian_diagonal.tobytes()
+        assert partition.block.edges == want.block.edges
+        assert partition.block.loops == want.block.loops
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(matrices, want_matrices))
+
+
 @pytest.mark.parametrize("name, params, cells", [
     *[("Q", (d,), d + 1) for d in range(1, 7)],
     *[("C", (n,), n // 2 + 1) for n in range(3, 11)],
@@ -807,7 +841,7 @@ def test_refinement_cell_counts_on_families(name, params, cells):
 def test_a_forced_hash_collision_still_gives_an_equitable_partition(monkeypatch):
     # equal weights for every cell hash each vertex by its degree alone, so
     # only the exact check can split the cells
-    monkeypatch.setattr(graphs_module, "_cell_weights", lambda rng, count: np.ones(count))
+    monkeypatch.setattr(graphs_module, "_cell_weights", lambda count: np.ones(count))
     graphs = [family("Q", 3), family("C", 7), family("P", 5), family("K_bipartite", 3, 4),
               family("CP", 8), random_weighted(np.random.default_rng(5), 7),
               WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0), (1, 2, 2.0)], [(0, 0.5), (3, 0.5)])]

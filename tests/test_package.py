@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import qwjoin
@@ -75,3 +78,32 @@ def test_a_join_record_carries_its_matrix():
 
     assert _sites(takes_params_and_matrix) == []
     assert _sites(names_the_old_reading) == []
+
+
+def test_the_package_names_no_numpy_random():
+    # the refinement hashes with a fixed table, so no module needs numpy.random
+    def names_numpy_random(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == "random" and getattr(node.value, "id", None) in ("np", "numpy")
+        if isinstance(node, ast.Import):
+            return any(alias.name.startswith("numpy.random") for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            return (node.module or "").startswith("numpy.random") or (
+                node.module == "numpy" and any(alias.name == "random" for alias in node.names))
+        return False
+
+    assert _sites(names_numpy_random) == []
+
+
+def test_a_cli_call_imports_no_numpy_random():
+    script = (
+        "import sys\n"
+        "from qwjoin import cli\n"
+        "status = cli.main(['analyze', '--family', 'C 4', '--pair', '0', '2'])\n"
+        "print(status, 'numpy.random' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(qwjoin.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
