@@ -5,8 +5,11 @@ recognized as integers or rationals before use) and all arithmetic stays in
 the 64-bit range or raises IntegerOverflowError. Floating point enters at two
 boundaries: nearest_integer, which asks only whether a float is an integer,
 and reconstruct_rational, which recovers a fraction. Both accept the same
-values as integers. classify_eigenvalues also runs one floating-point test
-before its search, which only rules families out, with a rounding bound.
+values as integers. A list of floats is read as integers by one fused pass,
+_integer_values, which applies nearest_integer's rules to each value in turn
+and, for classify_eigenvalues, the gate; _as_int_list is its ungated form.
+classify_eigenvalues also runs one floating-point test before its search,
+which only rules families out, with a rounding bound.
 """
 
 from __future__ import annotations
@@ -20,6 +23,9 @@ from itertools import compress
 from .errors import IntegerOverflowError
 
 INT64_MAX = 2**63 - 1
+# a float lies in the 64-bit range exactly when its magnitude is below 2**63,
+# and twice its nearest integer exactly when its magnitude is below 2**62
+_TWO63, _TWO62 = 2.0**63, 2.0**62
 
 
 def _check64(value: int) -> int:
@@ -137,6 +143,8 @@ def squarefree_part(d: int) -> tuple[int, int]:
     rho, so a 63-bit d takes at most tens of milliseconds, not minutes.
     """
     d = int(d)
+    if d == 1:  # the root divisor of every rational period
+        return 1, 1
     if d <= 0:
         raise ValueError(f"squarefree_part requires a positive integer, got {d}")
     _check64(d)
@@ -177,6 +185,13 @@ def _checked_float(x: float, tol: float) -> float | None:
     return x
 
 
+# the denominator bound under which nearest_integer agrees with
+# reconstruct_rational's default, and the bound below which a denominator
+# bound converts to a float exactly
+_MAX_DENOMINATOR = 10**6
+_EXACT_BOUND = 2**53
+
+
 def _rational_pair(x: float, max_denominator: int = 10**6, tol: float = 1e-7) -> tuple[int, int] | None:
     """reconstruct_rational(x, max_denominator, tol) as (numerator, denominator)."""
     if max_denominator < 1:
@@ -184,6 +199,11 @@ def _rational_pair(x: float, max_denominator: int = 10**6, tol: float = 1e-7) ->
     x = _checked_float(x, tol)
     if x is None:
         return None
+    r = round(x)
+    gap = abs(x - r)
+    # nearest_integer's test: r is then the closest fraction, and tol-close
+    if gap <= tol and max_denominator <= _EXACT_BOUND and 2.0 * gap * max_denominator < 1.0:
+        return r, 1
     n, d = num, den = x.as_integer_ratio()
     if den > max_denominator:  # the steps of Fraction.limit_denominator
         p0, q0, p1, q1 = 0, 1, 1, 0
@@ -209,17 +229,14 @@ def reconstruct_rational(
     The candidate is Fraction(x).limit_denominator(max_denominator), found
     by its continued fraction and tie rule run in the ints of
     x.as_integer_ratio(); a Fraction is built only for an accepted reading.
+    A value that passes nearest_integer's test (see there) is that integer,
+    with no continued fraction run.
     Returns None when no fraction with denominator <= max_denominator lands
     within tol, so callers can distinguish "irrational as far as we can tell"
     from a genuine reconstruction.
     """
     pair = _rational_pair(x, max_denominator, tol)
     return None if pair is None else Fraction(*pair)
-
-
-# the denominator bound under which nearest_integer agrees with
-# reconstruct_rational's default
-_MAX_DENOMINATOR = 10**6
 
 
 def nearest_integer(x: float, tol: float = 1e-7) -> int | None:
@@ -253,22 +270,35 @@ def nearest_integer(x: float, tol: float = 1e-7) -> int | None:
 
 
 def gcd_all(values) -> int:
-    """gcd of an iterable of integers; gcd of all zeros is 0 by convention."""
-    values = [int(v) for v in values]
+    """gcd of an iterable of integers; gcd of all zeros is 0 by convention.
+
+    A value beyond the 64-bit range raises IntegerOverflowError, the first
+    such value in order.
+    """
+    values = list(map(int, values))
     if not values:
         raise ValueError("gcd_all requires at least one value")
-    g = 0
-    for v in values:
-        _check64(v)
-        g = math.gcd(g, abs(v))
-    return g
+    if max(map(abs, values)) > INT64_MAX:
+        for v in values:
+            _check64(v)
+    return math.gcd(*values)
 
 
 def lcm_all(values) -> int:
-    """lcm of an iterable of nonzero integers, with 64-bit overflow checks."""
-    values = [int(v) for v in values]
+    """lcm of an iterable of nonzero integers, with 64-bit overflow checks.
+
+    The values are folded in order, and the fold raises at the first zero
+    value (ValueError) or the first value or running lcm beyond the 64-bit
+    range (IntegerOverflowError). Every running lcm divides the last, so
+    when that and every value are nonzero and in range, the fold raises
+    nothing and math.lcm gives its answer.
+    """
+    values = list(map(int, values))
     if not values:
         raise ValueError("lcm_all requires at least one value")
+    result = math.lcm(*values)
+    if 0 < result <= INT64_MAX and max(map(abs, values)) <= INT64_MAX:
+        return result
     result = 1
     for v in values:
         if v == 0:
@@ -326,23 +356,53 @@ def _close(value: float, x: float) -> bool:
     return abs(value - x) <= 1e-9 * max(1.0, abs(x))
 
 
-def _integer_values(values: list[float], tol: float) -> list[int] | None:
-    """The integers of a support that is all integers, else None.
+def _integer_values(values: list[float], tol: float, gated: bool = True) -> list[int] | None:
+    """The integers of a list that is all integers, else None: one pass, value by value.
 
-    Each value must pass nearest_integer and then the gate; the integer r
-    stands for QuadraticEigenvalue(2r, 0, 1), whose 64-bit check on 2r is
-    made here too, and whose value (2r + 0.0)/2.0 is float(r).
+    Each value gets nearest_integer(v, tol) and, when gated, the gate
+    _close(float(r), v) after the 64-bit check on 2r, in that order; the
+    pass stops at the first value that fails, or raises where they raise.
+    The integer r stands for QuadraticEigenvalue(2r, 0, 1), whose value
+    (2r + 0.0)/2.0 is float(r). Inlined, for a value x with |x| = a:
+    - tol <= 0 raises ValueError, before the first value is read;
+    - a >= 2**63 is a value beyond the 64-bit range, which raises
+      IntegerOverflowError, or one that is not finite, which gives None;
+    - r = round(x) and the exact d = |x - r| must satisfy d <= tol, and
+      2*d*10**6 < 1 accepts r; in the band between, nearest_integer decides;
+    - gated, 2r leaves the 64-bit range exactly when a >= 2**62, and the
+      gate reads |float(r) - x| = d <= 1e-9 * max(1, a).
     """
+    if tol <= 0 and values:
+        raise ValueError("tol must be positive")
     out = []
     for v in values:
-        r = nearest_integer(v, tol)
-        if r is None:
+        x = float(v)
+        a = abs(x)
+        if not a < _TWO63:
+            if math.isfinite(x):
+                raise IntegerOverflowError(f"value {x} exceeds the 64-bit range")
             return None
-        _check64(2 * r)
-        if not _close(float(r), v):
+        r = round(x)
+        d = abs(x - r)
+        if not d <= tol:  # also rejects a NaN tol, as nearest_integer does
             return None
+        if not 2.0 * d * _MAX_DENOMINATOR < 1.0:
+            r = nearest_integer(x, tol)
+            if r is None:
+                return None
+            d = abs(x - r)
+        if gated:
+            if a >= _TWO62:
+                _check64(2 * r)
+            if not d <= 1e-9 * max(1.0, a):
+                return None
         out.append(r)
     return out
+
+
+def _as_int_list(values) -> list[int] | None:
+    """nearest_integer of each value, or None at the first that is not an integer: no gate."""
+    return _integer_values(values, 1e-7, False)
 
 
 # the unit roundoff of a float
@@ -355,7 +415,7 @@ def _may_be_one_family(finite: list[float]) -> bool:
     See classify_eigenvalues for the condition and its bound.
     """
     v0 = finite[0]
-    rounding = 8 * _U * (max(abs(v) for v in finite) + 1.0)
+    rounding = 8 * _U * (max(map(abs, finite)) + 1.0)
     eta0 = 1e-9 * max(1.0, abs(v0)) + rounding
     for v in finite[1:]:
         d = 2.0 * (v - v0)
@@ -412,10 +472,10 @@ def _classify_coordinates(values, tol: float = 1e-7) -> tuple[int, int, list[int
     delta == 1: the coordinates are the integer values themselves (a is 0);
     delta > 1: they are the b of each member (a + b*sqrt(delta))/2.
     """
-    values = [float(v) for v in values]
+    values = list(map(float, values))
     if not values:
         raise ValueError("classify_eigenvalues requires at least one value")
-    if not all(math.isfinite(v) for v in values):
+    if not all(map(math.isfinite, values)):
         return None
     ints = _integer_values(values, tol)
     if ints is not None:

@@ -182,13 +182,20 @@ def strong_cospectral(decomp: SpectralDecomposition, u: int, v: int) -> SupportP
 
 
 def _merge_close(values) -> list[float]:
-    """Sort descending and merge values that agree within tolerance."""
-    ordered = sorted((float(v) for v in values), reverse=True)
+    """Sort descending and merge values that agree within tolerance.
+
+    v merges into the last value kept, w, when w - v <= SUPPORT_TOL *
+    max(1, |v|, |w|). The bound reads max(1, w, -v), which is the same
+    number when w >= v; when w < v (an order NaN leaves) both bounds are
+    positive and the test passes either way.
+    """
     out: list[float] = []
-    for v in ordered:
-        if out and out[-1] - v <= SUPPORT_TOL * max(1.0, abs(v), abs(out[-1])):
+    w = 0.0
+    for v in sorted(map(float, values), reverse=True):
+        if out and w - v <= SUPPORT_TOL * max(1.0, w, -v):
             continue
         out.append(v)
+        w = v
     return out
 
 
@@ -335,16 +342,13 @@ def carry_join(
     cospectral within it but always is in the join: the fresh eigenvalues
     against the moved d.
     """
-    d, shift, fresh = params.distinguished, params.phase_rate, list(params.fresh)
+    shift = params.phase_rate
     if isolated_pair:
-        return SupportPartition(fresh, [d + shift])
-    if part is None or any(_contains(part.minus, f - shift) for f in fresh):
+        return SupportPartition(list(params.fresh), [params.distinguished + shift])
+    if part is None or any(_contains(part.minus, f - shift) for f in params.fresh):
         return None
-    plus = [lam + shift for lam in part.plus if not _close(lam, d)] + fresh
-    if not connected:
-        plus.append(d + shift)
     minus = [mu + shift for mu in part.minus]
-    return SupportPartition(_merge_close(plus), _merge_close(minus))
+    return SupportPartition(carry_support(part.plus, params, connected), _merge_close(minus))
 
 
 def join_support(
@@ -363,8 +367,16 @@ def join_support(
 
 
 def carry_support(own: list[float], params: JoinParams, connected: bool) -> list[float]:
-    """The join rule for one vertex: its support own in the left part, carried into the join."""
-    return carry_join(SupportPartition(own, []), params, connected).plus
+    """The join rule for one vertex: its support own in the left part, carried into the join.
+
+    It is carry_join's plus side, which no flipping eigenvalue can cancel.
+    """
+    d, shift = params.distinguished, params.phase_rate
+    plus = [lam + shift for lam in own if not _close(lam, d)]
+    plus += params.fresh
+    if not connected:
+        plus.append(d + shift)
+    return _merge_close(plus)
 
 
 # ---------------------------------------------------------------------------

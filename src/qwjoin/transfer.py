@@ -36,12 +36,15 @@ check; nothing in this module builds or diagonalizes a joined graph.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .arith import (
+    _TWO62,
+    _as_int_list,
     _checked_float,
     _classify_coordinates,
     _rational_pair,
@@ -112,16 +115,6 @@ def _confirmed(entry: complex, what: str) -> float:
 def _nu2_inf(value: int):
     """Dyadic valuation with the zero convention of +infinity."""
     return math.inf if value == 0 else nu2(value)
-
-
-def _as_int_list(values) -> list[int] | None:
-    out = []
-    for v in values:
-        i = nearest_integer(v)
-        if i is None:
-            return None
-        out.append(i)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +329,11 @@ def _exact_min_period(values) -> tuple[Fraction, int] | None:
         mult = 4 if delta > 1 else 2
     else:
         # the route below stops at the first value that fails; every value still
-        # gets reconstruct_rational's 64-bit range check, as when all were built
-        for v in vals:
-            _checked_float(v, 1.0)
+        # gets reconstruct_rational's 64-bit range check, as when all were built.
+        # Below 2**62 in magnitude (NaN fails the test) none can fail it
+        if not max(map(abs, vals)) < _TWO62:
+            for v in vals:
+                _checked_float(v, 1.0)
         first = _rational_pair(vals[0])
         if first is None:
             return None
@@ -485,6 +480,48 @@ def graph_periodic(graph: WeightedGraph, matrix: str = "laplacian") -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _as_fraction(x) -> Fraction | None:
+    return x if isinstance(x, Fraction) else reconstruct_rational(x)
+
+
+def _rat(x) -> Fraction:
+    fr = _as_fraction(x)
+    if fr is None:
+        raise InconsistencyError(f"expected a rational ratio, got {x!r}")
+    return fr
+
+
+def _int_denominator(a: int, b: int) -> int:
+    """The denominator of a / b in lowest terms."""
+    if b == 0:
+        raise ZeroDivisionError(f"Fraction({a}, 0)")
+    return abs(b) // math.gcd(a, b)
+
+
+def _float_denominator(a: float, b: float) -> int:
+    """The denominator of a / b read as a rational."""
+    return _rat(a / b).denominator
+
+
+def _over_root(a, b, root_d, support_quadratic: bool, discriminant) -> tuple[Fraction, int]:
+    """|a - b| / sqrt(D) as a rational over the root of a squarefree divisor.
+
+    root_d is sqrt(D): an int for int data, else a float. The magnitude
+    matters in the pair-special case: the other eigenvalue can lie below
+    lam_minus (in the negated Laplacian data, a weighted part eigenvalue
+    above m).
+    """
+    if isinstance(root_d, int):
+        return Fraction(abs(a - b), root_d), 1
+    if support_quadratic:
+        return _rat(abs(a - b) / root_d), 1
+    fa, fb = _as_fraction(a), _as_fraction(b)
+    if fa is None or fb is None:
+        raise InconsistencyError("missing an exact value for a rational support")
+    s, g = squarefree_part(discriminant.numerator * discriminant.denominator)
+    return abs(fa - fb) * discriminant.denominator / g, s
+
+
 def _ratio_formula(
     others: list[float] | list[int],
     support_quadratic: bool,
@@ -502,45 +539,10 @@ def _ratio_formula(
     one common denominator, see the module docstring) keep the arithmetic
     exact: every ratio read is one of differences, so the scale cancels.
     """
-    exact = isinstance(others[0], int)
-    root_d = lam_plus - lam_minus if exact else math.sqrt(float(discriminant))
-
-    def as_fraction(x) -> Fraction | None:
-        return x if isinstance(x, Fraction) else reconstruct_rational(x)
-
-    def rat(x) -> Fraction:
-        fr = as_fraction(x)
-        if fr is None:
-            raise InconsistencyError(f"expected a rational ratio, got {x!r}")
-        return fr
-
-    def denom(a, b) -> int:
-        """The denominator of a / b in lowest terms."""
-        if not exact:
-            return rat(a / b).denominator
-        if b == 0:
-            raise ZeroDivisionError(f"Fraction({a}, 0)")
-        return abs(b) // math.gcd(a, b)
-
-    def over_root(a, b) -> tuple[Fraction, int]:
-        """|a - b| / sqrt(D) as a rational over the root of a squarefree divisor.
-
-        The magnitude matters in the pair-special case: the other eigenvalue
-        can lie below lam_minus (in the negated Laplacian data, a weighted
-        part eigenvalue above m).
-        """
-        if exact:
-            return Fraction(abs(a - b), root_d), 1
-        if support_quadratic:
-            return rat(abs(a - b) / root_d), 1
-        fa, fb = as_fraction(a), as_fraction(b)
-        if fa is None or fb is None:
-            raise InconsistencyError("missing an exact value for a rational support")
-        s, g = squarefree_part(discriminant.numerator * discriminant.denominator)
-        return abs(fa - fb) * discriminant.denominator / g, s
-
-    def same(a, b) -> bool:
-        return a == b if exact else _close(a, b)
+    if isinstance(others[0], int):
+        denom, same, root_d = _int_denominator, operator.eq, lam_plus - lam_minus
+    else:
+        denom, same, root_d = _float_denominator, _close, math.sqrt(float(discriminant))
 
     special = any(same(v, lam_minus) for v in others)
     ordered = sorted(others, reverse=True)
@@ -549,16 +551,17 @@ def _ratio_formula(
         if r == 1:
             lam = ordered[0]
             if special:
-                return ("connected-single-special", *over_root(k, lam))
+                return ("connected-single-special",
+                        *_over_root(k, lam, root_d, support_quadratic, discriminant))
             q = denom(lam_plus - lam, root_d)
-            fr0, dv = over_root(k, lam)
+            fr0, dv = _over_root(k, lam, root_d, support_quadratic, discriminant)
             return "connected-single", q * fr0, dv
         if special and r == 2:
             lam = next(v for v in ordered if not same(v, lam_minus))
             lam_m = next(v for v in ordered if same(v, lam_minus))
             q = denom(lam_plus - lam, root_d)
             qp = denom(lam - k, lam - lam_m)
-            fr0, dv = over_root(lam, lam_m)
+            fr0, dv = _over_root(lam, lam_m, root_d, support_quadratic, discriminant)
             return "connected-pair-special", fr0 * q / qp, dv
         if not special:
             lam1, lam2 = ordered[0], ordered[1]
@@ -648,7 +651,8 @@ def join_period_ratio(
         raise PreconditionError("the join walk is not periodic at this vertex")
     (mx, dx), (mj, dj) = per_x, per_j
     s0, f0 = squarefree_part(dx * dj)
-    ratio = mj / mx * Fraction(f0 * s0, dj)
+    # (mj / mx) * (f0 * s0 / dj), built as one Fraction
+    ratio = Fraction(mj.numerator * mx.denominator * f0 * s0, mj.denominator * mx.numerator * dj)
     divisor = s0
     if matrix == "laplacian":
         pairs = [_rational_pair(v) for v in others]

@@ -427,19 +427,30 @@ def test_atlas_supports_and_partitions_match_the_reference():
 def test_an_irrational_support_makes_no_pair_sum_pass(monkeypatch):
     support = join_support(family("C", 16), family("O", 2), 0)
     assert len(support) == 10
-    calls = []
+    calls, read = [], []
     real = arith.nearest_integer
+    real_pass = arith._integer_values
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
+    class Counted(list):
+        """A list whose iteration records each value the integer pass reads."""
+
+        def __iter__(self):
+            for v in list.__iter__(self):
+                read.append(v)
+                yield v
+
     monkeypatch.setattr(arith, "nearest_integer", counting)
     monkeypatch.setitem(globals(), "nearest_integer", counting)
+    monkeypatch.setattr(arith, "_integer_values", lambda values, *args: real_pass(Counted(values), *args))
     assert classify_eigenvalues(support) is None
-    # the integer pass stops at the first non-integer, the third value
-    assert len(calls) == 3
-    calls.clear()
+    # the integer pass stops at the first non-integer, the third value, and
+    # reads each value itself, so no pair sum reaches nearest_integer
+    assert len(read) == 3
+    assert calls == []
     # the search adds one call per pair sum (55) and per tried member
     assert reference_classify_eigenvalues(support) is None
     assert len(calls) == 68

@@ -2,15 +2,20 @@
 
 reconstruct_rational, transfer._exact_min_period and
 transfer._diagonal_moments compute in Python ints, and the supports and
-sign partitions take each row norm as sqrt(r.dot(r)). The references below
-are the former forms, kept verbatim apart from their names:
-Fraction.limit_denominator, sums and differences of Fractions, and
-np.linalg.norm. Every answer must be identical, not merely close, and every
-exception type must match.
+sign partitions take each row norm as sqrt(r.dot(r)). The integer readings
+of a list (arith._integer_values and _as_int_list) run in one fused pass,
+gcd_all, lcm_all and squarefree_part take their common cases at once, and
+the join rule and the merge of close values read each value once. The
+references below are the former forms, kept verbatim apart from their
+names: Fraction.limit_denominator, sums and differences of Fractions,
+np.linalg.norm, the per-value nearest_integer loops, the checked folds and
+the former merge and join rule. Every answer must be identical, not merely
+close, and every exception type must match.
 """
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -18,9 +23,29 @@ import pytest
 
 import qwjoin.transfer as transfer
 from qwjoin import WeightedGraph, decompose, disjoint_union, family, graph_matrix, join
-from qwjoin.arith import _checked_float, gcd_all, lcm_all, reconstruct_rational
+from qwjoin.arith import (
+    _SMALL_PRIMES,
+    _as_int_list,
+    _check64,
+    _checked_float,
+    _integer_values,
+    _large_prime_factors,
+    gcd_all,
+    lcm_all,
+    reconstruct_rational,
+    squarefree_part,
+)
 from qwjoin.errors import IntegerOverflowError
-from qwjoin.spectral import SUPPORT_TOL, eigenvalue_support, strong_cospectral
+from qwjoin.spectral import (
+    SUPPORT_TOL,
+    JoinParams,
+    SupportPartition,
+    _merge_close,
+    carry_join,
+    carry_support,
+    eigenvalue_support,
+    strong_cospectral,
+)
 
 DENOMINATORS = (1, 2, 7, 10**4, 10**6)
 
@@ -364,3 +389,281 @@ def test_the_gate_tells_weights_one_ulp_apart():
     near_tie = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.00000001)])
     for matrix in ("laplacian", "adjacency"):
         assert transfer.pair_partition(near_tie, matrix, 0, 2) is None
+
+
+# ---------------------------------------------------------------------------
+# the fused integer readings and the integer folds
+# ---------------------------------------------------------------------------
+
+
+def reading(fn, *args):
+    """fn's return value, or the type and message of the exception it raises."""
+    try:
+        return "returns", fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the type and message are what is compared
+        return "raises", type(exc), str(exc)
+
+
+def reference_nearest_integer(x, tol=1e-7):
+    """nearest_integer, with its band read by Fraction.limit_denominator."""
+    x = _checked_float(x, tol)
+    if x is None:
+        return None
+    r = round(x)
+    d = abs(x - r)
+    if not d <= tol:  # also rejects a NaN tol, as the Fraction route does
+        return None
+    if 2.0 * d * 10**6 < 1.0:
+        return r
+    frac = reference_reconstruct_rational(x, 10**6, tol)
+    if frac is None or frac.denominator != 1:
+        return None
+    return int(frac)
+
+
+def reference_integer_values(values, tol):
+    """The integers of a support that is all integers, else None."""
+    out = []
+    for v in values:
+        r = reference_nearest_integer(v, tol)
+        if r is None:
+            return None
+        _check64(2 * r)
+        if not abs(float(r) - v) <= 1e-9 * max(1.0, abs(v)):
+            return None
+        out.append(r)
+    return out
+
+
+def reference_as_int_list(values, tol=1e-7):
+    """transfer's former _as_int_list, with nearest_integer's tol passed on."""
+    out = []
+    for v in values:
+        i = reference_nearest_integer(v, tol)
+        if i is None:
+            return None
+        out.append(i)
+    return out
+
+
+def reference_gcd_all(values):
+    """gcd of an iterable of integers; gcd of all zeros is 0 by convention."""
+    values = [int(v) for v in values]
+    if not values:
+        raise ValueError("gcd_all requires at least one value")
+    g = 0
+    for v in values:
+        _check64(v)
+        g = math.gcd(g, abs(v))
+    return g
+
+
+def reference_lcm_all(values):
+    """lcm of an iterable of nonzero integers, with 64-bit overflow checks."""
+    values = [int(v) for v in values]
+    if not values:
+        raise ValueError("lcm_all requires at least one value")
+    result = 1
+    for v in values:
+        if v == 0:
+            raise ValueError("lcm_all is undefined when a value is 0")
+        _check64(v)
+        result = result * abs(v) // math.gcd(result, abs(v))
+        _check64(result)
+    return result
+
+
+def reference_squarefree_part(d):
+    """Split d > 0 as d = s * f**2 with s squarefree. Returns (s, f)."""
+    d = int(d)
+    if d <= 0:
+        raise ValueError(f"squarefree_part requires a positive integer, got {d}")
+    _check64(d)
+    s, f = 1, 1
+    remaining = d
+    for p in _SMALL_PRIMES:
+        if p * p > remaining:
+            break
+        if remaining % p == 0:
+            exp = 0
+            while remaining % p == 0:
+                remaining //= p
+                exp += 1
+            f *= p ** (exp // 2)
+            if exp % 2:
+                s *= p
+    else:
+        for p, exp in Counter(_large_prime_factors(remaining)).items():
+            f *= p ** (exp // 2)
+            if exp % 2:
+                s *= p
+        remaining = 1
+    s *= remaining
+    _check64(s)
+    _check64(f)
+    return s, f
+
+
+def _with_neighbours(xs):
+    return [y for x in xs for y in (x, math.nextafter(x, math.inf), math.nextafter(x, -math.inf))]
+
+
+def _reader_values(rng):
+    """Floats at every edge of the readers' rules: signed zeros, .5 ties,
+    2**53, 2**62 and 2**63 with their neighbours, values that are not
+    finite, seeded floats, and integers offset by 1e-7 (tol), 5e-7 (where
+    the reconstruct_rational band begins) and 1e-9 * |v| (the gate)."""
+    values = [math.nan, -math.nan, math.inf, -math.inf, 1e300, -1e300, 5e-324]
+    values += _with_neighbours([0.0, -0.0, 0.5, -0.5, 1.5, 2.5, -2.5, 1e6 + 0.5])
+    for power in (52, 53, 62, 63):
+        values += _with_neighbours([2.0**power, -(2.0**power), 2.0**power + 1.0, -(2.0**power) - 1.0])
+    values += [rng.uniform(-1e4, 1e4) for _ in range(200)]
+    values += [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-12, 18) for _ in range(200)]
+    ints = [0, 1, -1, 3, 7, -12, 999, 10**4, -(10**6), 123456789, 2**40 + 3]
+    ints += [rng.randint(-10**6, 10**6) for _ in range(40)]
+    for r in ints:
+        for sign in (1.0, -1.0):
+            for offset in (1e-7, 5e-7, 1e-9 * max(1.0, abs(r)), 2e-9, 4.9e-7, 9.9e-8, 1.01e-7):
+                values += _with_neighbours([r + sign * offset])
+    return values
+
+
+TOLS = (1e-7, 1e-6, 1.0, 0.0, -1e-7, math.nan)
+
+
+def test_the_fused_integer_readers_match_the_per_value_loops():
+    rng = random.Random(32)
+    values = _reader_values(rng)
+    seen = Counter()
+    for v in values:
+        for tol in TOLS:
+            got = reading(_integer_values, [v], tol)
+            assert got == reading(reference_integer_values, [v], tol), (v, tol)
+            ungated = reading(_integer_values, [v], tol, False)
+            assert ungated == reading(reference_as_int_list, [v], tol), (v, tol)
+            for outcome_ in (got, ungated):
+                seen[outcome_[0] if outcome_[0] == "raises" else outcome_[1] is not None] += 1
+        assert reading(_as_int_list, [v]) == reading(reference_as_int_list, [v]), v
+    # lists stop at their first failing value, or raise there
+    for _ in range(4000):
+        vs = [rng.choice(values) for _ in range(rng.randint(0, 6))]
+        tol = rng.choice(TOLS)
+        assert reading(_integer_values, vs, tol) == reading(reference_integer_values, vs, tol), (vs, tol)
+        assert reading(_integer_values, vs, tol, False) == reading(reference_as_int_list, vs, tol)
+        assert reading(_as_int_list, vs) == reading(reference_as_int_list, vs), vs
+    assert seen[True] > 500 and seen[False] > 500 and seen["raises"] > 100, seen
+
+
+def _int_lists(rng):
+    edges = [0, 1, -1, 2**62, -(2**62), 2**63 - 1, -(2**63 - 1), 2**63, -(2**63), 2**64 + 7, 10**30]
+    for _ in range(3000):
+        size = rng.randint(0, 5)
+        kind = rng.randrange(4)
+        if kind == 0:
+            yield [rng.randint(-40, 40) for _ in range(size)]
+        elif kind == 1:  # running lcms that leave the 64-bit range part way
+            yield [rng.choice((2**31 - 1, 2**31 + 11, 2**61 - 1, 999983, 6, 0)) for _ in range(size)]
+        elif kind == 2:
+            yield [rng.choice(edges) for _ in range(size)]
+        else:  # floats are read through int(), NaN and inf included
+            yield [rng.choice((2.5, -3.75, 1e19, math.nan, math.inf, 12.0, 7)) for _ in range(size)]
+
+
+def test_the_integer_folds_match_the_checked_folds():
+    rng = random.Random(61)
+    seen = Counter()
+    for values in _int_lists(rng):
+        for fn, ref in ((gcd_all, reference_gcd_all), (lcm_all, reference_lcm_all)):
+            got = reading(fn, values)
+            assert got == reading(ref, values), (fn.__name__, values)
+            seen[fn.__name__, got[0] if got[0] == "returns" else got[1]] += 1
+        assert reading(gcd_all, iter(values)) == reading(reference_gcd_all, iter(values))
+        assert reading(lcm_all, iter(values)) == reading(reference_lcm_all, iter(values))
+    for name in ("gcd_all", "lcm_all"):
+        assert seen[name, "returns"] > 500 and seen[name, IntegerOverflowError] > 100, seen
+    assert seen["lcm_all", ValueError] > 100 and seen["gcd_all", ValueError] > 100, seen
+
+
+def test_squarefree_part_matches_the_trial_division():
+    rng = random.Random(53)
+    inputs = list(range(-3, 3000)) + [2**63 - 1, 2**63, -(2**63), 1.0, 1.5, True]
+    inputs += [rng.randrange(1, 2**62) for _ in range(200)]
+    inputs += [p * p * q for p, q in zip(rng.sample(_SMALL_PRIMES, 50), rng.sample(_SMALL_PRIMES, 50))]
+    for d in inputs:
+        assert reading(squarefree_part, d) == reading(reference_squarefree_part, d), d
+
+
+# ---------------------------------------------------------------------------
+# the merge of close values and the join rule
+# ---------------------------------------------------------------------------
+
+
+def reference_merge_close(values):
+    """Sort descending and merge values that agree within tolerance."""
+    ordered = sorted((float(v) for v in values), reverse=True)
+    out = []
+    for v in ordered:
+        if out and out[-1] - v <= SUPPORT_TOL * max(1.0, abs(v), abs(out[-1])):
+            continue
+        out.append(v)
+    return out
+
+
+def _close(a, b, tol=SUPPORT_TOL):
+    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+def reference_carry_join(part, params, connected, isolated_pair=False):
+    """The join rule: carry a left part's vertex support or pair partition into the join."""
+    d, shift, fresh = params.distinguished, params.phase_rate, list(params.fresh)
+    if isolated_pair:
+        return SupportPartition(fresh, [d + shift])
+    if part is None or any(any(_close(v, f - shift) for v in part.minus) for f in fresh):
+        return None
+    plus = [lam + shift for lam in part.plus if not _close(lam, d)] + fresh
+    if not connected:
+        plus.append(d + shift)
+    minus = [mu + shift for mu in part.minus]
+    return SupportPartition(reference_merge_close(plus), reference_merge_close(minus))
+
+
+def _close_values(rng):
+    """Seeded lists with values within, at and beyond the merge tolerance of
+    each other, signed zeros, and values that are not finite."""
+    pool = [0.0, -0.0, 1.0, -1.0, 3.0, 1e8, -1e8, 2.5e-9, math.inf, -math.inf, math.nan]
+    for _ in range(3000):
+        out = []
+        for _ in range(rng.randint(0, 7)):
+            if out and rng.random() < 0.5:
+                w = rng.choice(out)
+                scale = max(1.0, abs(w)) if math.isfinite(w) else 1.0
+                out.append(w + rng.choice((-1, 1)) * rng.choice((0.5, 1.0, 1.0000001, 2.0)) * SUPPORT_TOL * scale)
+            elif rng.random() < 0.3:
+                out.append(rng.choice(pool))
+            else:
+                out.append(rng.uniform(-20.0, 20.0))
+        yield out
+
+
+def test_the_merge_and_the_join_rule_match_their_former_forms():
+    rng = random.Random(31)
+    merged = 0
+    records = [JoinParams.of(4, 2, "laplacian"), JoinParams.of(3, 5, "laplacian"),
+               JoinParams.of(4, 4, "adjacency", 3.0, 3.0), JoinParams.of(6, 2, "adjacency", 5.0, 1.0),
+               JoinParams.of(3, 2, "adjacency", 2.0, 0.5)]
+    for values in _close_values(rng):
+        got = reading(_merge_close, values)
+        assert repr(got) == repr(reading(reference_merge_close, values)), values
+        merged += got[0] == "returns" and len(got[1]) < len(values)
+        split = rng.randint(0, len(values))
+        part = SupportPartition(values[:split], values[split:])
+        params = rng.choice(records)
+        for connected in (True, False):
+            for isolated_pair in (False, True):
+                got = reading(carry_join, part, params, connected, isolated_pair)
+                want = reading(reference_carry_join, part, params, connected, isolated_pair)
+                assert repr(got) == repr(want), (values, split, params, connected, isolated_pair)
+            got = reading(carry_support, values, params, connected)
+            want = reading(reference_carry_join, SupportPartition(values, []), params, connected)
+            assert repr(got) == repr(want if want[0] == "raises" else ("returns", want[1].plus))
+    assert merged > 500

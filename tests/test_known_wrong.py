@@ -18,8 +18,9 @@ import pytest
 from qwjoin import cli
 from qwjoin import transfer as transfer_module
 from qwjoin.errors import InconsistencyError
-from qwjoin.graphs import family
-from qwjoin.transfer import SymbolicTime, join_pst
+from qwjoin.graphs import WeightedGraph, family
+from qwjoin.spectral import spectrum
+from qwjoin.transfer import SymbolicTime, graph_periodic, is_periodic, join_pst
 
 
 def _run(capsys, argv):
@@ -56,6 +57,17 @@ def test_the_p3_near_tie_prints_no_periodic_vertex(capsys, tmp_path):
     vertices = [line for line in lines if line.startswith("vertex ")]
     assert len(vertices) == 3
     assert all(line.endswith("; not periodic") for line in vertices), vertices
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "items 3 and 8: the Laplacian eigenvalues 3.000000015 and 1.000000005 lie within "
+    "1e-7 of integers, which the ungated integer reading and the rational period route "
+    "accept, so graph_periodic and is_periodic call the P3 near-tie periodic"))
+def test_the_p3_near_tie_is_not_periodic_through_the_api():
+    graph = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.00000001)])
+    decomp = spectrum(graph, "laplacian")
+    assert [is_periodic(decomp, u) for u in range(3)] == [False, False, False]
+    assert graph_periodic(graph) is False
 
 
 @pytest.mark.xfail(strict=True, reason=(

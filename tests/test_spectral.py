@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import networkx
 import numpy as np
@@ -235,6 +236,28 @@ def test_atlas_supports_and_sign_partitions_match_the_oracle():
                         assert sets_close(got.plus, want[0]) and sets_close(got.minus, want[1])
                     checks += 1
     assert checks > 15000
+
+
+def test_the_two_support_readers_agree_on_the_atlas():
+    # vertex_supports reads every vertex in one NumPy pass, eigenvalue_support
+    # one vertex block by block; on every graph on 1..7 vertices, with unit
+    # and with seeded weights in {1, 2, 3}, under both matrices, they agree
+    rng = random.Random(32)
+    cases = 0
+    for g in networkx.graph_atlas_g():
+        order = g.number_of_nodes()
+        if not 1 <= order <= 7:
+            continue
+        edges = list(g.edges())
+        for weights in ([1.0] * len(edges), [float(rng.choice((1, 2, 3))) for _ in edges]):
+            graph = WeightedGraph(order, [(a, b, w) for (a, b), w in zip(edges, weights)])
+            for matrix in ("laplacian", "adjacency"):
+                d = decompose(graph_matrix(graph, matrix))
+                supports = spectral.vertex_supports(d)[0]
+                for u in range(order):
+                    assert supports[u] == eigenvalue_support(d, u), (edges, weights, matrix, u)
+                    cases += 1
+    assert cases == 33900
 
 
 def test_join_params_laplacian():
