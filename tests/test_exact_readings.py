@@ -40,6 +40,8 @@ from qwjoin.spectral import (
     SUPPORT_TOL,
     JoinParams,
     SupportPartition,
+    _close,
+    _contains,
     _merge_close,
     carry_join,
     carry_support,
@@ -609,16 +611,12 @@ def reference_merge_close(values):
     return out
 
 
-def _close(a, b, tol=SUPPORT_TOL):
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
-
-
 def reference_carry_join(part, params, connected, isolated_pair=False):
     """The join rule: carry a left part's vertex support or pair partition into the join."""
     d, shift, fresh = params.distinguished, params.phase_rate, list(params.fresh)
     if isolated_pair:
         return SupportPartition(fresh, [d + shift])
-    if part is None or any(any(_close(v, f - shift) for v in part.minus) for f in fresh):
+    if part is None or any(_contains(part.minus, f - shift) for f in fresh):
         return None
     plus = [lam + shift for lam in part.plus if not _close(lam, d)] + fresh
     if not connected:

@@ -72,7 +72,6 @@ def load_side(checkout: Path, tag: str):
     sys.path.insert(0, str(checkout / "src"))
     try:
         package = importlib.import_module("qwjoin")
-        importlib.import_module("qwjoin.cli")
         if Path(package.__file__).resolve().parent != (checkout / "src" / "qwjoin").resolve():
             sys.exit(f"imported qwjoin from {package.__file__}, not from {checkout}")
         workloads = load_module(f"workloads_{tag}", checkout / "benchmark" / "workloads.py")
