@@ -136,24 +136,25 @@ def bound_sweep(
     decomp = spectrum(x, matrix)
     part = transition_entries(decomp, u, v, times)
     correction = alpha(params, times)
-    joined = np.exp(1j * params.phase_rate * times) * (part + correction)
-    deviation = np.abs(joined) - np.abs(part)
+    join_magnitudes = np.abs(np.exp(1j * params.phase_rate * times) * (part + correction))
+    part_magnitudes = np.abs(part)
+    deviation = join_magnitudes - part_magnitudes
     bound = 2.0 / m
-    max_abs = float(np.abs(deviation).max())
+    idx = int(np.abs(deviation).argmax())
+    max_abs = abs(float(deviation[idx]))
     if max_abs > bound + 1e-9:
         raise InconsistencyError(
             f"the deviation reaches {max_abs}, above the bound {bound}"
         )
     condition = equality_condition(x, y, matrix)
     equality_times = times[np.abs(np.abs(correction) - bound) <= 1e-9].tolist()
-    idx = int(np.abs(deviation).argmax())
     return BoundReport(
         matrix=matrix,
         pair=(u, v),
         bound=bound,
         times=times,
-        join_magnitudes=np.abs(joined),
-        part_magnitudes=np.abs(part),
+        join_magnitudes=join_magnitudes,
+        part_magnitudes=part_magnitudes,
         deviation=deviation,
         max_abs_deviation=max_abs,
         argmax_time=float(times[idx]),

@@ -17,6 +17,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .errors import InconsistencyError, IntegerOverflowError, NumericError, PreconditionError
 from .graphio import AnalysisReport, load_graph, report_to_json
 from .graphs import (
@@ -43,8 +45,9 @@ from .transfer import (
 )
 from .bounds import bound_sweep, equality_condition
 
-# bound-sweep CSV rows formatted per slab: bounded memory, one repr per column
+# bound-sweep CSV rows, one %-format per slab (bounded memory); %r of a float is its repr
 _CSV_SLAB_ROWS = 512
+_CSV_ROW = "%r,%r,%r,%r\n"
 
 
 def _parse_graph_arg(text: str) -> WeightedGraph:
@@ -367,12 +370,8 @@ def cmd_bound_sweep(args) -> int:
         with _writing(args.csv) as handle:
             handle.write("t,mag_join,mag_base,F\n")
             for lo in range(0, len(report.times), _CSV_SLAB_ROWS):
-                # the repr of a list of floats is their reprs joined by ", "
-                texts = [
-                    repr(col[lo : lo + _CSV_SLAB_ROWS].tolist())[1:-1].split(", ")
-                    for col in columns
-                ]
-                handle.write("\n".join(map(",".join, zip(*texts))) + "\n")
+                rows = np.column_stack([col[lo : lo + _CSV_SLAB_ROWS] for col in columns])
+                handle.write(_CSV_ROW * len(rows) % tuple(rows.ravel().tolist()))
         print(f"sweep written to {args.csv}")
     return 0
 

@@ -115,9 +115,9 @@ def unitary_exp(matrix: np.ndarray, t: float) -> np.ndarray:
     Relton, SIAM J. Sci. Comput. 37, 2015): the powers X^2..X^p, then
     Horner's rule in X^p on C stacked over S, each block pair formed only
     when it is added. The powers are freed, and C + iA S is squared s times
-    in complex, each square as U U^T, since U is symmetric: NumPy hands that
-    product to BLAS syrk at about half the cost. At most p + 6 real
-    matrices of the order are held at once (p = 4 at degree 20).
+    in complex, each square as U U^T (BLAS syrk, as U is symmetric), which is
+    slower than U U below order about 60 and 0.66x its time at 512. At most
+    p + 6 real matrices of the order are held at once (p = 4 at degree 20).
     Only matrix products are used, no solve and no eigensolver, so closed
     forms can be checked against an independently computed matrix;
     krylov_entry uses it on an equitable quotient whole.

@@ -203,10 +203,16 @@ def _reference_csv(report) -> str:
 
 
 def _report_with_rows(rows: int) -> BoundReport:
-    """Random columns of mixed magnitude, with every fifth row set to awkward floats."""
+    """Random columns of mixed magnitude, with every fifth row set to awkward floats.
+
+    The awkward values take turns across the columns, so each column meets
+    every one of them, NaN and both infinities included, once it has 35 rows.
+    """
     rng = np.random.default_rng(rows)
     cols = rng.standard_normal((4, rows)) * 10.0 ** rng.integers(-30, 30, (4, rows))
-    cols[:, ::5] = np.array([-0.0, 5e-324, 1e-05, 1e16])[:, None]
+    awkward = np.array([-0.0, 5e-324, 1e-05, 1e16, np.nan, np.inf, -np.inf])
+    turns = np.add.outer(np.arange(4), np.arange(cols[:, ::5].shape[1]))
+    cols[:, ::5] = awkward[turns % awkward.size]
     return BoundReport(
         matrix="laplacian", pair=(0, 2), bound=1.0, times=cols[0],
         join_magnitudes=cols[1], part_magnitudes=cols[2], deviation=cols[3],

@@ -3,7 +3,7 @@
 Usage, from anywhere:
 
     python3 tools/ab_calls.py --baseline DIR_A --checkout DIR_B [--workload NAME ...]
-        [--seed N ...] [--rounds R]
+        [--seed N ...] [--rounds R] [--label SUBSTR ...]
 
 Separate benchmark processes run seconds apart meet different host speed
 states, so a change of a few percent in one call type can be lost between
@@ -21,6 +21,11 @@ both sides with the ratio B/A, then the simulated ``call_p50_ms``,
 ``benchmark/run.py`` computes them, with their ratios. One untimed round
 first compares the two sides' outputs (``repr``, with each side's work
 directory replaced by one placeholder) and prints how many calls differ.
+
+``--label SUBSTR`` (repeatable) times only the calls whose label contains
+one of the given substrings, so more rounds fit in the same time; outputs
+are still compared for every call. The simulated figures need whole
+rounds, so they are printed only when no label is given.
 The benchmark files are only read, never written; CLI calls write their
 reports under a temporary directory that is removed at the end.
 
@@ -118,7 +123,9 @@ def summary(times: list[list[float]]) -> dict:
     }
 
 
-def compare(sides, reference, workload: str, seed: int, rounds: int, scratch: Path) -> None:
+def compare(
+    sides, reference, workload: str, seed: int, rounds: int, scratch: Path, filters: list[str]
+) -> None:
     calls, dirs = [], []
     for tag, (_, workloads) in sides.items():
         workdir = scratch / f"{tag}-{workload}-{seed}"
@@ -126,6 +133,9 @@ def compare(sides, reference, workload: str, seed: int, rounds: int, scratch: Pa
         calls.append(workloads.build(workload, seed, workdir))
         dirs.append(workdir)
     labels = [call.label for call in calls[0]]
+    timed = [i for i, label in enumerate(labels) if not filters or any(f in label for f in filters)]
+    if not timed:
+        sys.exit(f"no {workload} call has a label containing any of {filters}")
     differ = 0
     for pair in zip(*calls):
         seen = []
@@ -140,19 +150,21 @@ def compare(sides, reference, workload: str, seed: int, rounds: int, scratch: Pa
     clock = time.perf_counter
     for rnd in range(rounds):
         order = (0, 1) if rnd % 2 == 0 else (1, 0)
-        for i in range(len(labels)):
+        for i in timed:
             for side in order:
                 call = calls[side][i]
                 slowdown = reference.KERNELS[call.kernel]() / reference.NOMINAL_S[call.kernel]
                 t0 = clock()
                 invoke(call)
                 times[side][rnd][i] = (clock() - t0) / slowdown
-    print(f"\n{workload}, seed {seed}: {rounds} rounds; {differ} of {len(labels)} calls "
-          f"give different outputs on the two sides")
+    print(f"\n{workload}, seed {seed}: {rounds} rounds of {len(timed)} calls; {differ} of "
+          f"{len(labels)} calls give different outputs on the two sides")
     print(f"  {'call':<40} {'A ms':>10} {'B ms':>10} {'B/A':>7}")
-    for i, label in enumerate(labels):
+    for i in timed:
         a, b = (statistics.median(t[r][i] for r in range(rounds)) * 1e3 for t in times)
-        print(f"  {label:<40} {a:10.4f} {b:10.4f} {b / a:7.3f}")
+        print(f"  {labels[i]:<40} {a:10.4f} {b:10.4f} {b / a:7.3f}")
+    if filters:
+        return
     a, b = (summary(t) for t in times)
     for name in a:
         print(f"  {name:<40} {a[name]:10.4f} {b[name]:10.4f} {b[name] / a[name]:7.3f}")
@@ -165,6 +177,10 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", nargs="+", default=["part_certificates"])
     parser.add_argument("--seed", type=int, nargs="+", default=[53])
     parser.add_argument("--rounds", type=int, default=200)
+    parser.add_argument(
+        "--label", action="append", default=[], metavar="SUBSTR",
+        help="time only the calls whose label contains SUBSTR (repeatable)",
+    )
     args = parser.parse_args(argv)
     baseline, checkout = args.baseline.resolve(), args.checkout.resolve()
     reference = load_module("reference_a", baseline / "benchmark" / "reference.py")
@@ -174,7 +190,7 @@ def main(argv=None) -> int:
     try:
         for workload in args.workload:
             for seed in args.seed:
-                compare(sides, reference, workload, seed, args.rounds, scratch)
+                compare(sides, reference, workload, seed, args.rounds, scratch, args.label)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     return 0
