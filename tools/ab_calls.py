@@ -21,13 +21,13 @@ both sides with the ratio B/A, then the simulated ``call_p50_ms``,
 ``benchmark/run.py`` computes them, with their ratios. One untimed round
 first compares the two sides' outputs (``repr``, with each side's work
 directory replaced by one placeholder) and prints how many calls differ.
+The benchmark files are only read, never written; CLI calls write their
+reports under a temporary directory that is removed at the end.
 
 ``--label SUBSTR`` (repeatable) times only the calls whose label contains
 one of the given substrings, so more rounds fit in the same time; outputs
 are still compared for every call. The simulated figures need whole
 rounds, so they are printed only when no label is given.
-The benchmark files are only read, never written; CLI calls write their
-reports under a temporary directory that is removed at the end.
 
 Make both checkouts the same way, for example both with ``git archive``.
 """
